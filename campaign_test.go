@@ -245,23 +245,6 @@ func TestCampaignJSONLTrace(t *testing.T) {
 	}
 }
 
-// TestWithOptionsCompat keeps the deprecated struct escape hatch working for
-// configurations assembled before the functional-options API.
-func TestWithOptionsCompat(t *testing.T) {
-	c, err := pmrace.NewCampaign(context.Background(), "pclht",
-		pmrace.WithOptions(pmrace.Options{MaxExecs: 8, Workers: 2, Seed: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Execs < 8 {
-		t.Fatalf("campaign ran %d executions, want >= 8", res.Execs)
-	}
-}
-
 // TestCampaignStateLifecycle walks a campaign through the typed lifecycle:
 // Running while in flight, Done after a completed budget, Cancelled after a
 // context cancellation — and the Snapshot stats carry the same string.

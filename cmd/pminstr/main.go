@@ -1,8 +1,8 @@
 // Command pminstr generates an instrumented shadow package from a plain
 // pmplain-dialect package: every persistent-memory access is rewritten into
 // the corresponding rt.Thread hook call with taint labels threaded through,
-// preserving line numbers so the shadow target produces the same file:line
-// bug fingerprints as a hand-instrumented twin. See DESIGN.md §15.
+// preserving line numbers so the shadow target's file:line bug fingerprints
+// name lines of the plain source. See DESIGN.md §15.
 //
 // Usage:
 //

@@ -7,12 +7,12 @@ import "strings"
 // a test; duplicated here so the runtime layers do not depend on the
 // generator). Because site IDs use base filenames and the generator
 // preserves line numbers, a shadow target's bug fingerprints differ from
-// its hand-instrumented twin's only by this prefix.
+// ones naming lines of its plain source only by this prefix.
 const ShadowFilePrefix = "pminstr_"
 
 // NormalizeFingerprint strips ShadowFilePrefix from every site token of a
-// bug fingerprint, mapping shadow-target fingerprints onto the
-// hand-instrumented namespace so the two can be compared directly. Site
+// bug fingerprint, mapping shadow-target fingerprints onto the plain
+// source's file:line namespace that expected bug lists are written in. Site
 // tokens start at the beginning of the string or after one of the
 // fingerprint separators ('|' between fields, '>' in the write->read=>store
 // chain, '@' before a sync site); prefix occurrences elsewhere are left

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -155,4 +156,13 @@ func TestProtocolCampaignMatchesSynthetic(t *testing.T) {
 	if len(protoBugs) == 0 {
 		t.Errorf("protocol campaign confirmed no bugs")
 	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -31,13 +31,13 @@ func loadRel(t *testing.T, rel string) *lint.Package {
 
 // TestGenerateReproducesCheckedInShadow is the golden test: running the
 // generator over internal/targets/pclhtplain must reproduce the checked-in
-// internal/targets/pclhtgen shadow byte for byte. If this fails after an
+// internal/targets/pclht package byte for byte. If this fails after an
 // intentional generator or plain-source change, regenerate with
 //
-//	go run ./cmd/pminstr -src internal/targets/pclhtplain -out internal/targets/pclhtgen -pkg pclhtgen
+//	go run ./cmd/pminstr -src internal/targets/pclhtplain -out internal/targets/pclht -pkg pclht
 func TestGenerateReproducesCheckedInShadow(t *testing.T) {
 	pkg := loadRel(t, "internal/targets/pclhtplain")
-	files, err := instr.Generate(pkg, instr.Options{PkgName: "pclhtgen"})
+	files, err := instr.Generate(pkg, instr.Options{PkgName: "pclht"})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -48,12 +48,12 @@ func TestGenerateReproducesCheckedInShadow(t *testing.T) {
 	if f.Name != "pminstr_pclht.go" {
 		t.Fatalf("generated file name %q, want %q", f.Name, "pminstr_pclht.go")
 	}
-	want, err := os.ReadFile(filepath.Join("..", "targets", "pclhtgen", f.Name))
+	want, err := os.ReadFile(filepath.Join("..", "targets", "pclht", f.Name))
 	if err != nil {
-		t.Fatalf("reading checked-in shadow: %v", err)
+		t.Fatalf("reading checked-in generated code: %v", err)
 	}
 	if !bytes.Equal(f.Src, want) {
-		t.Errorf("generated %s drifts from the checked-in shadow; regenerate internal/targets/pclhtgen with cmd/pminstr", f.Name)
+		t.Errorf("generated %s drifts from the checked-in copy; regenerate internal/targets/pclht with cmd/pminstr", f.Name)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestGeneratePreservesHookLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := os.ReadFile(filepath.Join("..", "targets", "pclhtgen", "pminstr_pclht.go"))
+	gen, err := os.ReadFile(filepath.Join("..", "targets", "pclht", "pminstr_pclht.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestGeneratePreservesHookLines(t *testing.T) {
 // unit suite: the checked-in generated package must produce zero findings
 // from every pmvet analyzer.
 func TestGeneratedShadowIsPmvetClean(t *testing.T) {
-	pkg := loadRel(t, "internal/targets/pclhtgen")
+	pkg := loadRel(t, "internal/targets/pclht")
 	findings, err := lint.Run([]*lint.Package{pkg}, lint.Analyzers())
 	if err != nil {
 		t.Fatalf("lint: %v", err)
@@ -111,7 +111,7 @@ func TestGeneratedShadowIsPmvetClean(t *testing.T) {
 // appended taint.Label result, while error-returning ones keep their
 // signature untouched.
 func TestGenerateAugmentsInternalHelpers(t *testing.T) {
-	gen, err := os.ReadFile(filepath.Join("..", "targets", "pclhtgen", "pminstr_pclht.go"))
+	gen, err := os.ReadFile(filepath.Join("..", "targets", "pclht", "pminstr_pclht.go"))
 	if err != nil {
 		t.Fatal(err)
 	}

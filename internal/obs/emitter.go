@@ -145,15 +145,16 @@ func (e *Emitter) Emit(ev Event) {
 	if e == nil {
 		return
 	}
-	m := ev.Meta()
-	m.Seq = e.seq.Add(1)
-	m.At = time.Since(e.start)
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return
 	}
+	// Stamped under the lock that delivers, so every sink and subscriber
+	// sees seq in increasing order even when workers emit concurrently.
+	m := ev.Meta()
+	m.Seq = e.seq.Add(1)
+	m.At = time.Since(e.start)
 	if ev.Kind() == KindCampaignDone {
 		// Remembered under the same critical section that delivers it, so
 		// a SubscribeExtra racing this Emit either attaches first (and

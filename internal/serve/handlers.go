@@ -14,6 +14,11 @@ import (
 	"github.com/pmrace-go/pmrace/internal/obs"
 )
 
+// maxSpecBytes caps the body of POST /campaigns. A campaign spec is a few
+// hundred bytes; the cap keeps an oversized or endless body from being read
+// into memory.
+const maxSpecBytes = 1 << 20
+
 // Handler returns the control plane's HTTP handler: the versioned REST API
 // under api.BasePath plus the operational endpoints (/healthz, /readyz,
 // /status, /metrics).
@@ -28,7 +33,8 @@ func (s *Supervisor) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST "+api.BasePath+"/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec api.CampaignSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
+		if err := json.NewDecoder(body).Decode(&spec); err != nil {
 			writeErr(w, &api.Error{StatusCode: 400, Code: api.CodeBadRequest,
 				Message: "decoding spec: " + err.Error()})
 			return

@@ -27,8 +27,10 @@ func (s *Supervisor) campaignsDir() string {
 
 // persistCampaign writes c's final document. Best-effort: the control plane
 // keeps serving from memory if the disk write fails. The record lands via
-// write-to-temp + rename so a crash mid-write never leaves a torn .json for
-// the next restore to trip over (dot-prefixed temp names are skipped there).
+// write-to-temp, fsync, rename, then fsync of the directory, so a crash
+// never leaves a torn .json for the next restore to trip over (dot-prefixed
+// temp names are skipped there) and a record once renamed survives a power
+// loss.
 func (s *Supervisor) persistCampaign(c *campaign) {
 	doc := s.document(c)
 	if !doc.State.Terminal() {
@@ -39,13 +41,37 @@ func (s *Supervisor) persistCampaign(c *campaign) {
 		return
 	}
 	raw = append(raw, '\n')
-	tmp := filepath.Join(s.campaignsDir(), "."+doc.ID+".json.tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
+	dir := s.campaignsDir()
+	tmp := filepath.Join(dir, "."+doc.ID+".json.tmp")
+	if err := writeSynced(tmp, raw); err != nil {
+		_ = os.Remove(tmp)
 		return
 	}
-	if err := os.Rename(tmp, filepath.Join(s.campaignsDir(), doc.ID+".json")); err != nil {
+	if err := os.Rename(tmp, filepath.Join(dir, doc.ID+".json")); err != nil {
 		_ = os.Remove(tmp)
+		return
 	}
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		_ = d.Close()
+	}
+}
+
+// writeSynced creates path with raw as its contents and fsyncs it before
+// closing.
+func writeSynced(path string, raw []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(raw)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // restoreCampaigns loads every persisted record into the campaign table as

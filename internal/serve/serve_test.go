@@ -5,6 +5,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -180,6 +181,26 @@ func TestHandlerErrorPaths(t *testing.T) {
 				t.Fatalf("err = %v, want code %q", err, tc.code)
 			}
 		})
+	}
+}
+
+// TestSubmitRejectsOversizedSpec posts a 2 MiB spec, otherwise valid: the
+// body cap turns it into a 400 bad_request and no campaign is created.
+func TestSubmitRejectsOversizedSpec(t *testing.T) {
+	sup, _ := newTestServer(t, serve.Config{WorkerBudget: 1})
+	body := `{"target":"pclht","pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	req := httptest.NewRequest(http.MethodPost, api.BasePath+"/campaigns", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	sup.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400; body %s", rec.Code, rec.Body)
+	}
+	var e api.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != api.CodeBadRequest {
+		t.Fatalf("error body %s (decode err %v), want code %q", rec.Body, err, api.CodeBadRequest)
+	}
+	if n := len(sup.List()); n != 0 {
+		t.Fatalf("%d campaigns created, want 0", n)
 	}
 }
 

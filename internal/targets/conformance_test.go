@@ -14,7 +14,6 @@ import (
 	"github.com/pmrace-go/pmrace/internal/targets/fastfair"
 	"github.com/pmrace-go/pmrace/internal/targets/memcached"
 	"github.com/pmrace-go/pmrace/internal/targets/pclht"
-	"github.com/pmrace-go/pmrace/internal/targets/pclhtgen"
 	"github.com/pmrace-go/pmrace/internal/targets/pmwal"
 )
 
@@ -32,14 +31,6 @@ type pclhtKV struct{ *pclht.HT }
 func (a pclhtKV) put(t *rt.Thread, k, v string) error       { return a.Put(t, k, v) }
 func (a pclhtKV) get(t *rt.Thread, k string) (uint64, bool) { return a.Get(t, k) }
 func (a pclhtKV) del(t *rt.Thread, k string) bool           { return a.Delete(t, k) }
-
-// pclhtgenKV drives the pminstr-generated shadow of P-CLHT through the same
-// suite: auto-instrumentation must not change observable behaviour.
-type pclhtgenKV struct{ *pclhtgen.HT }
-
-func (a pclhtgenKV) put(t *rt.Thread, k, v string) error       { return a.Put(t, k, v) }
-func (a pclhtgenKV) get(t *rt.Thread, k string) (uint64, bool) { return a.Get(t, k) }
-func (a pclhtgenKV) del(t *rt.Thread, k string) bool           { return a.Delete(t, k) }
 
 type clevelKV struct{ *clevel.HT }
 
@@ -91,7 +82,6 @@ var systems = []struct {
 	lruEvicts bool
 }{
 	{"pclht", func() kv { return pclhtKV{pclht.New()} }, false},
-	{"pclht-gen", func() kv { return pclhtgenKV{pclhtgen.New()} }, false},
 	{"clevel", func() kv { return clevelKV{clevel.New()} }, false},
 	{"cceh", func() kv { return ccehKV{cceh.New()} }, false},
 	{"fastfair", func() kv { return fastfairKV{fastfair.New()} }, false},

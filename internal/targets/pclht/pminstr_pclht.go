@@ -1,24 +1,24 @@
-// Package pclht reimplements P-CLHT, the persistent cache-line hash table
-// from RECIPE (SOSP '19) evaluated by the paper, including the five bugs
-// PMRace found in it (paper Table 2, Bugs 1-5):
+// Code generated by pminstr from github.com/pmrace-go/pmrace/internal/targets/pclhtplain/pclht.go; DO NOT EDIT.
+// persistent cache-line hash table, including the five bugs PMRace found
+// in it (paper Table 2, Bugs 1-5), written against the plain pmplain
+// dialect with no rt.Thread hooks and no taint labels. It is never run
+// itself. The pminstr generator instruments it into internal/targets/pclht,
+// the package registered as target "pclht":
 //
-//	Bug 1 (Inter): resize swaps the global table pointer and another thread
-//	  reads it before the flush, inserting items into the not-yet-persisted
-//	  new table — data loss after a crash (§2.3.2, Figures 2 and 3).
-//	Bug 2 (Sync): bucket locks live in PM and are not re-initialized after
-//	  restarts — a crash while a lock is held hangs post-recovery accesses.
-//	Bug 3 (Intra): the resizing thread reads its own unflushed table_new
-//	  pointer and performs GC bookkeeping from it — PM leakage.
-//	Bug 4 (Other): migration redundantly writes back old bucket keys —
-//	  unnecessary PM writes (reported from an inconsistency candidate).
-//	Bug 5 (Other): update() returns without releasing the bucket lock when
-//	  the key is absent — a conventional DRAM-style concurrency bug that
-//	  manifests as a hang.
+//	go run ./cmd/pminstr -src internal/targets/pclhtplain -out internal/targets/pclht -pkg pclht
 //
-// The layout follows the original: a table object holds cache-line-sized
-// buckets, each with an in-PM spinlock and three key/value slots; search is
-// lock-free, writers take bucket locks, and a full bucket triggers a resize
-// that migrates items into a table of twice the size.
+// Line numbers are PINNED. pminstr preserves them when rewriting, so bug
+// fingerprints name lines of this file (the generated file's pminstr_
+// prefix is stripped by internal/fuzz's fingerprint normalizer), and the
+// seeded-bug sites pclht.go:334 (inter), :310 (intra) and :201
+// (bucket-lock) are pinned by perfbench/expected.json and by
+// TestPCLHTSeededBugs in internal/fuzz. Lines that only the instrumented
+// form needs (label unions, annotation plumbing) appear here as comments
+// or collapsed plain statements.
+//
+// When editing: keep those sites on their lines, then regenerate. CI runs
+// the command above with -diff -check, which fails on drift between this
+// source and the checked-in generated code. Rewrite rules: internal/instr.
 package pclht
 
 import (
@@ -36,9 +36,9 @@ import (
 	"github.com/pmrace-go/pmrace/internal/workload"
 )
 
-func init() {
-	targets.Register("pclht", func() targets.Target { return New() })
-}
+// Registration lives in internal/targets/pclht's hand-written register.go
+// — pminstr output carries no init — so regeneration never re-registers
+// (targets.Register panics on duplicates).
 
 const (
 	slotsPerBucket = 3
@@ -113,10 +113,10 @@ func (h *HT) Setup(t *rt.Thread) error {
 }
 
 func (h *HT) annotateRootLocks(t *rt.Thread) {
-	env := t.Env()
-	env.AnnotateSyncVar(core.SyncVar{Name: "resize-lock", Addr: h.root + fldResizeLock, Size: 8, InitVal: 0})
-	env.AnnotateSyncVar(core.SyncVar{Name: "gc-lock", Addr: h.root + fldGCLock, Size: 8, InitVal: 0})
-	env.AnnotateSyncVar(core.SyncVar{Name: "status-lock", Addr: h.root + fldStatusLock, Size: 8, InitVal: 0})
+	// The three root locks are persistent sync variables (pm_sync_var_hint).
+	t.Env().AnnotateSyncVar(core.SyncVar{Name: "resize-lock", Addr: h.root + fldResizeLock, Size: 8, InitVal: 0})
+	t.Env().AnnotateSyncVar(core.SyncVar{Name: "gc-lock", Addr: h.root + fldGCLock, Size: 8, InitVal: 0})
+	t.Env().AnnotateSyncVar(core.SyncVar{Name: "status-lock", Addr: h.root + fldStatusLock, Size: 8, InitVal: 0})
 }
 
 // newTable allocates and initializes a table with n buckets, annotating
@@ -127,12 +127,12 @@ func (h *HT) newTable(t *rt.Thread, n uint64) (pmem.Addr, error) {
 		return 0, err
 	}
 	t.NTStore64(table, n, taint.None, taint.None) // num_buckets
-	env := t.Env()
+	// (the per-bucket lock hints are declared in the loop below)
 	for i := uint64(0); i < n; i++ {
 		b := table + 64 + i*bucketSize
 		zero := make([]byte, bucketSize)
 		t.NTStoreBytes(b, zero, taint.None, taint.None)
-		env.AnnotateSyncVar(core.SyncVar{Name: "bucket-lock", Addr: b + bktLock, Size: 8, InitVal: 0})
+		t.Env().AnnotateSyncVar(core.SyncVar{Name: "bucket-lock", Addr: b + bktLock, Size: 8, InitVal: 0})
 	}
 	t.Fence()
 	return table, nil
@@ -167,11 +167,11 @@ func (h *HT) table(t *rt.Thread) (pmem.Addr, taint.Label) {
 // bucketFor hashes key into the table, returning the bucket address and the
 // taint of the address computation.
 func (h *HT) bucketFor(t *rt.Thread, key string) (pmem.Addr, taint.Label) {
-	table, tlab := h.table(t)
-	n, nlab := t.Load64(table) // num_buckets (address derived from table ptr)
-	lab := t.Env().Labels().Union(tlab, nlab)
+	table, tableLab := h.table(t)
+	n, nLab := t.Load64(table) // num_buckets (address derived from table ptr)
+	// (pminstr unions the table-pointer and header taints into the result)
 	idx := targets.Fingerprint(key) % n
-	return table + 64 + idx*bucketSize, lab
+	return table + 64 + idx*bucketSize, t.Env().Labels().Union(tableLab, nLab)
 }
 
 // Get performs a lock-free search (P-CLHT searches take no locks).
@@ -197,7 +197,7 @@ func (h *HT) Put(t *rt.Thread, key, val string) error {
 	t.Branch()
 	kf, vf := targets.Fingerprint(key), targets.Fingerprint(val)
 	for attempt := 0; attempt < 4; attempt++ {
-		b, lab := h.bucketFor(t, key)
+		b, bLab := h.bucketFor(t, key)
 		t.SpinLock(b + bktLock)
 		free := -1
 		for i := 0; i < slotsPerBucket; i++ {
@@ -205,7 +205,7 @@ func (h *HT) Put(t *rt.Thread, key, val string) error {
 			if k == kf {
 				// Update in place (non-temporal, like the
 				// original's value writes).
-				t.NTStore64(b+bktVal0+pmem.Addr(i*8), vf, taint.None, lab)
+				t.NTStore64(b+bktVal0+pmem.Addr(i*8), vf, taint.None, bLab)
 				t.Fence()
 				t.SpinUnlock(b + bktLock)
 				return nil
@@ -215,8 +215,8 @@ func (h *HT) Put(t *rt.Thread, key, val string) error {
 			}
 		}
 		if free >= 0 {
-			t.NTStore64(b+bktKey0+pmem.Addr(free*8), kf, taint.None, lab)
-			t.NTStore64(b+bktVal0+pmem.Addr(free*8), vf, taint.None, lab)
+			t.NTStore64(b+bktKey0+pmem.Addr(free*8), kf, taint.None, bLab)
+			t.NTStore64(b+bktVal0+pmem.Addr(free*8), vf, taint.None, bLab)
 			t.Fence()
 			t.SpinUnlock(b + bktLock)
 			h.bumpCount(t)
@@ -238,12 +238,12 @@ func (h *HT) Put(t *rt.Thread, key, val string) error {
 func (h *HT) Update(t *rt.Thread, key, val string) bool {
 	t.Branch()
 	kf, vf := targets.Fingerprint(key), targets.Fingerprint(val)
-	b, lab := h.bucketFor(t, key)
+	b, bLab := h.bucketFor(t, key)
 	t.SpinLock(b + bktLock)
 	for i := 0; i < slotsPerBucket; i++ {
 		k, _ := t.Load64(b + bktKey0 + pmem.Addr(i*8))
 		if k == kf {
-			t.NTStore64(b+bktVal0+pmem.Addr(i*8), vf, taint.None, lab)
+			t.NTStore64(b+bktVal0+pmem.Addr(i*8), vf, taint.None, bLab)
 			t.Fence()
 			t.SpinUnlock(b + bktLock)
 			return true
@@ -258,12 +258,12 @@ func (h *HT) Update(t *rt.Thread, key, val string) bool {
 func (h *HT) Delete(t *rt.Thread, key string) bool {
 	t.Branch()
 	kf := targets.Fingerprint(key)
-	b, lab := h.bucketFor(t, key)
+	b, bLab := h.bucketFor(t, key)
 	t.SpinLock(b + bktLock)
 	for i := 0; i < slotsPerBucket; i++ {
 		k, _ := t.Load64(b + bktKey0 + pmem.Addr(i*8))
 		if k == kf {
-			t.NTStore64(b+bktKey0+pmem.Addr(i*8), 0, taint.None, lab)
+			t.NTStore64(b+bktKey0+pmem.Addr(i*8), 0, taint.None, bLab)
 			t.Fence()
 			t.SpinUnlock(b + bktLock)
 			return true
@@ -276,8 +276,8 @@ func (h *HT) Delete(t *rt.Thread, key string) bool {
 func (h *HT) bumpCount(t *rt.Thread) {
 	// The status lock briefly serializes the persistent item counter.
 	t.SpinLock(h.root + fldStatusLock)
-	c, clab := t.Load64(h.root + fldItemCount)
-	t.Store64(h.root+fldItemCount, c+1, clab, taint.None)
+	c, cLab := t.Load64(h.root + fldItemCount)
+	t.Store64(h.root+fldItemCount, c+1, cLab, taint.None)
 	t.Persist(h.root+fldItemCount, 8)
 	t.SpinUnlock(h.root + fldStatusLock)
 	h.puts.Add(1)
@@ -294,9 +294,9 @@ func (h *HT) resize(t *rt.Thread) error {
 	t.SpinLock(h.root + fldResizeLock)
 	defer t.SpinUnlock(h.root + fldResizeLock)
 
-	oldTable, tlab := h.table(t)
-	n, nlab := t.Load64(oldTable)
-	lab := t.Env().Labels().Union(tlab, nlab)
+	oldTable, oldTableLab := h.table(t)
+	n, nLab := t.Load64(oldTable)
+	// (pminstr unions the pointer/header taints for the migration stores)
 	if n*2 > maxBuckets {
 		return errors.New("pclht: table at maximum size")
 	}
@@ -307,23 +307,23 @@ func (h *HT) resize(t *rt.Thread) error {
 
 	// table_new is recorded for helpers/GC but not flushed yet (Bug 3's
 	// dependency, the analogue of clht_lb_res.c:789).
-	t.Store64(h.root+fldTableNew, newTable, taint.None, taint.None)
+	t.Store64(h.root+fldTableNew, newTable, nLab, taint.None)
 
 	// Migrate all items into the new table.
 	for i := uint64(0); i < n; i++ {
 		ob := oldTable + 64 + i*bucketSize
 		for s := 0; s < slotsPerBucket; s++ {
-			k, klab := t.Load64(ob + bktKey0 + pmem.Addr(s*8))
+			k, kLab := t.Load64(ob + bktKey0 + pmem.Addr(s*8))
 			if k == 0 {
 				continue
 			}
-			v, vlab := t.Load64(ob + bktVal0 + pmem.Addr(s*8))
-			h.insertMigrated(t, newTable, n*2, k, v, t.Env().Labels().UnionAll([]taint.Label{klab, vlab, lab}))
+			v, _ := t.Load64(ob + bktVal0 + pmem.Addr(s*8))
+			h.insertMigrated(t, newTable, n*2, k, v)
 			// BUG 4: the original redundantly writes the old
 			// bucket back (clht_lb_res.c:321) — an unnecessary PM
 			// write surfaced by PMRace as a candidate report.
 			//pmvet:ignore unflushed-store -- seeded BUG 4: the redundant write is the finding; the old table is discarded after migration
-			t.Store64(ob+bktKey0+pmem.Addr(s*8), k, klab, lab)
+			t.Store64(ob+bktKey0+pmem.Addr(s*8), k, kLab, oldTableLab)
 		}
 	}
 
@@ -331,7 +331,7 @@ func (h *HT) resize(t *rt.Thread) error {
 	// flush comes only after the interleaving window (clht_lb_res.c:785
 	// store, :786 flush). A reader scheduled inside the window inserts
 	// into a table pointer that a crash would revert.
-	t.Store64(h.root+fldHtOff, newTable, taint.None, taint.None)
+	t.Store64(h.root+fldHtOff, newTable, nLab, taint.None)
 	t.Persist(h.root+fldHtOff, 8)
 
 	// BUG 3: GC reads the thread's own unflushed table_new and makes a
@@ -348,22 +348,22 @@ func (h *HT) resize(t *rt.Thread) error {
 // insertMigrated inserts a migrated item into the new table with
 // non-temporal stores (buckets in the new table are private to the resizer
 // until publication, so no locks are needed).
-func (h *HT) insertMigrated(t *rt.Thread, table pmem.Addr, n, kf, vf uint64, lab taint.Label) {
+func (h *HT) insertMigrated(t *rt.Thread, table pmem.Addr, n, kf, vf uint64) {
 	idx := kf % n
 	b := table + 64 + idx*bucketSize
 	for i := 0; i < slotsPerBucket; i++ {
 		k, _ := t.Load64(b + bktKey0 + pmem.Addr(i*8))
 		if k == 0 || k == kf {
-			t.NTStore64(b+bktKey0+pmem.Addr(i*8), kf, taint.None, lab)
-			t.NTStore64(b+bktVal0+pmem.Addr(i*8), vf, taint.None, lab)
+			t.NTStore64(b+bktKey0+pmem.Addr(i*8), kf, taint.None, taint.None)
+			t.NTStore64(b+bktVal0+pmem.Addr(i*8), vf, taint.None, taint.None)
 			t.Fence()
 			return
 		}
 	}
 	// Overflow during migration: drop into the first slot (the original
 	// chains; the simplification does not affect the bug surface).
-	t.NTStore64(b+bktKey0, kf, taint.None, lab)
-	t.NTStore64(b+bktVal0, vf, taint.None, lab)
+	t.NTStore64(b+bktKey0, kf, taint.None, taint.None)
+	t.NTStore64(b+bktVal0, vf, taint.None, taint.None)
 	t.Fence()
 }
 
@@ -372,10 +372,10 @@ func (h *HT) gc(t *rt.Thread) {
 	t.SpinLock(h.root + fldGCLock)
 	// Intra-thread dirty read: table_new was stored by this thread and
 	// not flushed.
-	tn, lab := t.Load64(h.root + fldTableNew)
+	tn, tnLab := t.Load64(h.root + fldTableNew)
 	// Durable side effect based on it: the GC record is written with a
 	// non-temporal store.
-	t.NTStore64(h.root+fldGCHead, tn, lab, taint.None)
+	t.NTStore64(h.root+fldGCHead, tn, tnLab, taint.None)
 	t.Fence()
 	t.SpinUnlock(h.root + fldGCLock)
 }
@@ -383,24 +383,24 @@ func (h *HT) gc(t *rt.Thread) {
 // Recover implements targets.Target: it re-opens the pool and rebuilds the
 // volatile state by scanning the persisted table. Bug 2: bucket locks are
 // *not* re-initialized (the original forgets clht_lock_initialization), so a
-// lock persisted as held hangs future writers; the resize/gc/status locks
-// *are* reset, which is why the paper reports those sync inconsistencies as
-// validated false positives.
+// lock persisted as held hangs post-recovery accesses; the resize/gc/status
+// locks *are* reset, which is why the paper reports those sync
+// inconsistencies as validated false positives.
 func (h *HT) Recover(t *rt.Thread) error {
 	pool, err := pmdk.Open(t)
 	if err != nil {
 		return err
 	}
 	h.pool = pool
-	root, _ := pool.Root(t)
+	root, rootLab := pool.Root(t)
 	if root == 0 {
 		return errors.New("pclht: no root object")
 	}
 	h.root = root
 	// Re-initialize the global locks (but NOT the bucket locks — Bug 2).
-	t.Store64(root+fldResizeLock, 0, taint.None, taint.None)
-	t.Store64(root+fldGCLock, 0, taint.None, taint.None)
-	t.Store64(root+fldStatusLock, 0, taint.None, taint.None)
+	t.Store64(root+fldResizeLock, 0, taint.None, rootLab)
+	t.Store64(root+fldGCLock, 0, taint.None, rootLab)
+	t.Store64(root+fldStatusLock, 0, taint.None, rootLab)
 	t.Persist(root+fldResizeLock, 24)
 	h.annotateRootLocks(t)
 	// Rebuild the volatile item count by scanning the recovered table.

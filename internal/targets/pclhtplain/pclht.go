@@ -1,24 +1,24 @@
-// Package pclhtplain is the UNINSTRUMENTED P-CLHT: the same persistent
-// cache-line hash table as internal/targets/pclht — including the five bugs
-// PMRace found in it (paper Table 2, Bugs 1-5) — written against the plain
-// pmplain dialect with no rt.Thread hooks and no taint labels. It is the
-// input corpus for the pminstr generator: `pminstr -src .../pclhtplain`
-// regenerates internal/targets/pclhtgen, whose campaign behaviour must
-// match the hand-instrumented target bug for bug.
+// Package pclhtplain is the canonical source of the P-CLHT target: the
+// persistent cache-line hash table, including the five bugs PMRace found
+// in it (paper Table 2, Bugs 1-5), written against the plain pmplain
+// dialect with no rt.Thread hooks and no taint labels. It is never run
+// itself. The pminstr generator instruments it into internal/targets/pclht,
+// the package registered as target "pclht":
 //
-// The file is LINE-ALIGNED with pclht/pclht.go: every PM access sits on
-// the same line number as its hand-instrumented counterpart, and pminstr
-// preserves line numbers when rewriting, so the generated shadow package
-// produces identical file:line bug fingerprints (modulo the pminstr_
-// file-name prefix, which internal/fuzz's fingerprint normalizer strips).
-// Lines that exist only in instrumented form (label unions, annotation
-// plumbing) appear here as comments or collapsed plain statements.
+//	go run ./cmd/pminstr -src internal/targets/pclhtplain -out internal/targets/pclht -pkg pclht
 //
-// When editing: keep pclht/pclht.go and this file in lockstep. The
-// shadow-diff test in internal/fuzz fails if the seeded-bug fingerprints
-// of the two targets ever diverge, and CI regenerates the shadow package
-// to catch drift between this source and the checked-in generated code.
-// The rewrite rules themselves are documented in internal/instr.
+// Line numbers are PINNED. pminstr preserves them when rewriting, so bug
+// fingerprints name lines of this file (the generated file's pminstr_
+// prefix is stripped by internal/fuzz's fingerprint normalizer), and the
+// seeded-bug sites pclht.go:334 (inter), :310 (intra) and :201
+// (bucket-lock) are pinned by perfbench/expected.json and by
+// TestPCLHTSeededBugs in internal/fuzz. Lines that only the instrumented
+// form needs (label unions, annotation plumbing) appear here as comments
+// or collapsed plain statements.
+//
+// When editing: keep those sites on their lines, then regenerate. CI runs
+// the command above with -diff -check, which fails on drift between this
+// source and the checked-in generated code. Rewrite rules: internal/instr.
 package pclhtplain
 
 import (
@@ -32,12 +32,12 @@ import (
 	"github.com/pmrace-go/pmrace/internal/targets"
 	"github.com/pmrace-go/pmrace/internal/workload"
 	// Padding so the import block spans the same lines as the
-	// instrumented original; pminstr refills the block in place.
+	// generated package's; pminstr refills the block in place.
 	//
 )
 
-// Registration lives in the shadow package's hand-written register.go —
-// pminstr output carries no init — so regeneration never re-registers
+// Registration lives in internal/targets/pclht's hand-written register.go
+// — pminstr output carries no init — so regeneration never re-registers
 // (targets.Register panics on duplicates).
 
 const (
@@ -78,8 +78,8 @@ type HT struct {
 // New creates an unopened instance.
 func New() *HT { return &HT{} }
 
-// Name implements targets.Target (the generated shadow is "pclht-gen").
-func (h *HT) Name() string { return "pclht-gen" }
+// Name implements targets.Target.
+func (h *HT) Name() string { return "pclht" }
 
 // PoolSize implements targets.Target.
 func (h *HT) PoolSize() uint64 { return 512 << 10 }

@@ -23,17 +23,6 @@ type campaignConfig struct {
 	traceSample      int
 }
 
-// WithOptions replaces the whole legacy Options struct at once.
-//
-// Deprecated: every Options knob now has a dedicated functional option (see
-// the option table in README.md); compose those instead. WithOptions
-// remains only for configurations assembled as a struct before the
-// functional-options API, and it composes badly: it overwrites every knob
-// set by options that appear before it.
-func WithOptions(opts Options) CampaignOption {
-	return func(c *campaignConfig) { c.opts = opts }
-}
-
 // WithWorkers sets the number of concurrent fuzzing workers.
 func WithWorkers(n int) CampaignOption {
 	return func(c *campaignConfig) { c.opts.Workers = n }

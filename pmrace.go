@@ -83,14 +83,13 @@ import (
 	"github.com/pmrace-go/pmrace/internal/targets"
 	"github.com/pmrace-go/pmrace/internal/workload"
 
-	// The five evaluated PM systems register themselves, plus the
-	// pminstr-generated P-CLHT shadow (target pclht-gen).
+	// The five evaluated PM systems and pmwal register themselves; pclht
+	// is generated by cmd/pminstr from internal/targets/pclhtplain.
 	_ "github.com/pmrace-go/pmrace/internal/targets/cceh"
 	_ "github.com/pmrace-go/pmrace/internal/targets/clevel"
 	_ "github.com/pmrace-go/pmrace/internal/targets/fastfair"
 	_ "github.com/pmrace-go/pmrace/internal/targets/memcached"
 	_ "github.com/pmrace-go/pmrace/internal/targets/pclht"
-	_ "github.com/pmrace-go/pmrace/internal/targets/pclhtgen"
 	_ "github.com/pmrace-go/pmrace/internal/targets/pmwal"
 )
 
