@@ -164,12 +164,23 @@ func (si *SyncInconsistency) DedupKey() string {
 	return fmt.Sprintf("%s@%d", si.Var.Name, si.Site)
 }
 
+// syncKey is the (variable name, update site) pair sync inconsistencies are
+// deduplicated by.
+type syncKey struct {
+	name string
+	site site.ID
+}
+
 // Detector implements the runtime PM checkers for one fuzz campaign.
 type Detector struct {
 	mu     sync.Mutex
 	labels *taint.Table
 
 	syncVars []SyncVar
+	// syncWords maps each word an annotation overlaps to the indices, in
+	// registration order, of the annotations overlapping it, so a store
+	// looks up only the variables on its own words.
+	syncWords map[pmem.Addr][]int
 	// hasSync mirrors len(syncVars) > 0; the store hook polls it on every
 	// store, so it is atomic instead of taking mu.
 	hasSync atomic.Bool
@@ -180,8 +191,8 @@ type Detector struct {
 	incons   map[[3]uint32]*Inconsistency
 	inconOrd [][3]uint32
 
-	syncSeen map[string]*SyncInconsistency // "name@site"
-	syncOrd  []string
+	syncSeen map[syncKey]*SyncInconsistency
+	syncOrd  []*SyncInconsistency
 
 	redundant map[uint32]*RedundantStore
 	redOrd    []uint32
@@ -208,7 +219,8 @@ func NewDetector(labels *taint.Table) *Detector {
 		labels:     labels,
 		candidates: make(map[[2]uint32]*Candidate),
 		incons:     make(map[[3]uint32]*Inconsistency),
-		syncSeen:   make(map[string]*SyncInconsistency),
+		syncWords:  make(map[pmem.Addr][]int),
+		syncSeen:   make(map[syncKey]*SyncInconsistency),
 		redundant:  make(map[uint32]*RedundantStore),
 	}
 }
@@ -247,7 +259,13 @@ func (d *Detector) Labels() *taint.Table { return d.labels }
 func (d *Detector) AnnotateSyncVar(v SyncVar) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	i := len(d.syncVars)
 	d.syncVars = append(d.syncVars, v)
+	if v.Size > 0 {
+		for w := v.Addr / pmem.WordSize; w <= (v.Addr+v.Size-1)/pmem.WordSize; w++ {
+			d.syncWords[w*pmem.WordSize] = append(d.syncWords[w*pmem.WordSize], i)
+		}
+	}
 	d.hasSync.Store(true)
 }
 
@@ -362,32 +380,50 @@ func (d *Detector) OnSyncStore(t pmem.ThreadID, s site.ID, addr pmem.Addr, size 
 	if oldVal == newVal {
 		return nil
 	}
+	last := addr
+	if size > 0 {
+		last = addr + size - 1
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, v := range d.syncVars {
-		if addr+size <= v.Addr || addr >= v.Addr+v.Size {
-			continue
+	// The first registered variable the store overlaps wins; each word's
+	// list is in registration order, so its first overlap is its best.
+	first := -1
+	for w := addr / pmem.WordSize; w <= last/pmem.WordSize; w++ {
+		for _, i := range d.syncWords[w*pmem.WordSize] {
+			if first >= 0 && i >= first {
+				break
+			}
+			v := &d.syncVars[i]
+			if addr+size <= v.Addr || addr >= v.Addr+v.Size {
+				continue
+			}
+			first = i
+			break
 		}
-		key := fmt.Sprintf("%s@%d", v.Name, s)
-		if prev, ok := d.syncSeen[key]; ok {
-			prev.Count++
-			return nil
-		}
-		si := &SyncInconsistency{
-			Var:    v,
-			Addr:   v.Addr,
-			Site:   s,
-			Thread: t,
-			OldVal: oldVal,
-			NewVal: newVal,
-			Stack:  stack,
-			Count:  1,
-		}
-		d.syncSeen[key] = si
-		d.syncOrd = append(d.syncOrd, key)
-		return si
 	}
-	return nil
+	if first < 0 {
+		return nil
+	}
+	v := d.syncVars[first]
+	key := syncKey{v.Name, s}
+	if prev, ok := d.syncSeen[key]; ok {
+		prev.Count++
+		return nil
+	}
+	si := &SyncInconsistency{
+		Var:    v,
+		Addr:   v.Addr,
+		Site:   s,
+		Thread: t,
+		OldVal: oldVal,
+		NewVal: newVal,
+		Stack:  stack,
+		Count:  1,
+	}
+	d.syncSeen[key] = si
+	d.syncOrd = append(d.syncOrd, si)
+	return si
 }
 
 // Candidates returns all recorded candidates in detection order.
@@ -418,10 +454,8 @@ func (d *Detector) Inconsistencies() []*Inconsistency {
 func (d *Detector) SyncInconsistencies() []*SyncInconsistency {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]*SyncInconsistency, 0, len(d.syncOrd))
-	for _, k := range d.syncOrd {
-		out = append(out, d.syncSeen[k])
-	}
+	out := make([]*SyncInconsistency, len(d.syncOrd))
+	copy(out, d.syncOrd)
 	return out
 }
 

@@ -197,6 +197,65 @@ func TestSyncStoreOverlapDetected(t *testing.T) {
 	}
 }
 
+// TestSyncStoreFirstRegisteredOverlapWins pins the word index against the
+// linear scan it replaced: a store touching several annotations reports the
+// first registered one it overlaps, at byte granularity, across words.
+func TestSyncStoreFirstRegisteredOverlapWins(t *testing.T) {
+	d := newDet()
+	d.AnnotateSyncVar(SyncVar{Name: "wide", Addr: 200, Size: 24}) // words 200, 208, 216
+	d.AnnotateSyncVar(SyncVar{Name: "narrow", Addr: 192, Size: 8})
+	d.AnnotateSyncVar(SyncVar{Name: "inner", Addr: 208, Size: 8}) // inside "wide"
+	d.AnnotateSyncVar(SyncVar{Name: "low-half", Addr: 256, Size: 4})
+	d.AnnotateSyncVar(SyncVar{Name: "high-half", Addr: 260, Size: 4})
+	cases := []struct {
+		site       site.ID
+		addr, size uint64
+		want       string
+	}{
+		{60, 192, 8, "narrow"},    // only "narrow" overlaps
+		{61, 192, 16, "wide"},     // spans "narrow" and "wide": "wide" registered first
+		{62, 208, 8, "wide"},      // "inner" overlaps too, but "wide" came first
+		{63, 216, 8, "wide"},      // last word of a multi-word annotation
+		{64, 224, 8, ""},          // one past "wide"
+		{65, 260, 4, "high-half"}, // same word as "low-half", no byte overlap with it
+		{66, 258, 4, "low-half"},  // straddles both halves: first registered wins
+		{67, 184, 16, "narrow"},   // starts before any annotation
+		{68, 264, 8, ""},          // past every annotation
+		{69, 204, 1, "wide"},      // a single byte inside a word
+		{70, 199, 1, "narrow"},    // last byte of "narrow"
+		{71, 190, 2, ""},          // ends where "narrow" begins
+		{72, 220, 8, "wide"},      // crosses the end of "wide"
+		{73, 224, 0, ""},          // empty store
+		{74, 256, 0, ""},          // empty store at an annotation's start
+		{75, 211, 2, "wide"},      // inside "inner", still "wide" first
+		{76, 212, 8, "wide"},      // straddles "inner" and the next word of "wide"
+		{77, 0, 8, ""},            // far away
+		{78, 260, 8, "high-half"}, // "high-half" and the unannotated word after it
+	}
+	for _, c := range cases {
+		si := d.OnSyncStore(1, c.site, pmem.Addr(c.addr), c.size, 0, 1, nil)
+		got := ""
+		if si != nil {
+			got = si.Var.Name
+		}
+		if got != c.want {
+			t.Errorf("store [%d,+%d) reported %q, want %q", c.addr, c.size, got, c.want)
+		}
+	}
+	// Dedup is per (name, site): the same site on another instance of a
+	// name counts, a new site reports again.
+	d.AnnotateSyncVar(SyncVar{Name: "narrow", Addr: 512, Size: 8})
+	if d.OnSyncStore(2, 60, 512, 8, 0, 1, nil) != nil {
+		t.Fatalf("same (name, site) on another instance must be counted, not reported")
+	}
+	if d.OnSyncStore(2, 79, 512, 8, 0, 1, nil) == nil {
+		t.Fatalf("new site must be reported")
+	}
+	if sis := d.SyncInconsistencies(); sis[0].Var.Name != "narrow" || sis[0].Count != 2 {
+		t.Fatalf("first report = %+v, want narrow counted twice", sis[0])
+	}
+}
+
 func TestSyncVarsAccessor(t *testing.T) {
 	d := newDet()
 	d.AnnotateSyncVar(SyncVar{Name: "a", Addr: 0, Size: 8})

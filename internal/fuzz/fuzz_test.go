@@ -241,7 +241,7 @@ func TestModeStrings(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Threads != 4 || o.Workers != 1 || o.MaxExecs == 0 || o.Sched.Poll == 0 {
+	if o.Threads != 4 || o.Workers != 1 || o.MaxExecs == 0 || o.Sched.MaxWait == 0 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

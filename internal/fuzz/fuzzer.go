@@ -174,7 +174,7 @@ func (o Options) withDefaults() Options {
 	if o.ValidationWorkers <= 0 {
 		o.ValidationWorkers = 2
 	}
-	if o.Sched.Poll <= 0 {
+	if o.Sched.MaxWait <= 0 {
 		o.Sched = sched.DefaultConfig()
 	}
 	return o

@@ -78,7 +78,7 @@ func TestGeneratePreservesHookLines(t *testing.T) {
 		"t.Load64(", "t.LoadBytes(", "t.Store64(", "t.StoreBytes(",
 		"t.NTStore64(", "t.NTStoreBytes(", "t.CAS64(",
 		"t.Flush(", "t.Persist(", "t.Fence(",
-		"t.SpinLock(", "t.SpinUnlock(",
+		"t.SpinLock(", "t.SpinUnlock(", "t.LockMutex(", "t.UnlockMutex(",
 	}
 	for i := range pl {
 		for _, h := range hooks {

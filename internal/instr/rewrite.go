@@ -16,14 +16,14 @@ import (
 type callClass int
 
 const (
-	ccNone      callClass = iota // not a pmplain construct; no rewrite
-	ccHook                       // pmplain.Mem hook sharing rt.Thread's name
-	ccSyncHint                   // pmplain.Mem.SyncVarHint -> AnnotateSyncVar
-	ccBranch                     // pmplain.Mem.Branch (identical on rt.Thread)
-	ccPoolRoot                   // pmplain.ObjPool.Root (gains a label result)
-	ccPoolOther                  // pmplain.ObjPool.{Alloc,SetRoot,HeapUsed}
-	ccAugCall                    // call to an augmented in-package function
-	ccBad                        // pmplain construct with no rt equivalent
+	ccNone        callClass = iota // not a pmplain construct; no rewrite
+	ccHook                         // pmplain.Mem hook sharing rt.Thread's name
+	ccSyncHint                     // pmplain.Mem.SyncVarHint -> AnnotateSyncVar
+	ccPassThrough                  // pmplain.Mem.{Branch,LockMutex,UnlockMutex} (identical on rt.Thread)
+	ccPoolRoot                     // pmplain.ObjPool.Root (gains a label result)
+	ccPoolOther                    // pmplain.ObjPool.{Alloc,SetRoot,HeapUsed}
+	ccAugCall                      // call to an augmented in-package function
+	ccBad                          // pmplain construct with no rt equivalent
 )
 
 type callInfo struct {
@@ -70,8 +70,8 @@ func (fg *fileGen) classifyCall(call *ast.CallExpr) callInfo {
 				switch method {
 				case "SyncVarHint":
 					return callInfo{class: ccSyncHint, sel: fun}
-				case "Branch":
-					return callInfo{class: ccBranch, sel: fun}
+				case "Branch", "LockMutex", "UnlockMutex":
+					return callInfo{class: ccPassThrough, sel: fun}
 				}
 				return callInfo{class: ccBad, badMsg: fmt.Sprintf("pmplain.Mem method %s has no rt.Thread equivalent", method)}
 			case "ObjPool":

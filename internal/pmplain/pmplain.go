@@ -113,6 +113,13 @@ func (m *Mem) SpinUnlock(addr pmem.Addr) { m.Store64(addr, 0) }
 // instrumented code; a no-op here).
 func (m *Mem) Branch() {}
 
+// LockMutex acquires a volatile mutex of the program. Instrumented code
+// reports a thread blocked here to the interleaving scheduler.
+func (m *Mem) LockMutex(mu *sync.Mutex) { mu.Lock() }
+
+// UnlockMutex releases a LockMutex-acquired mutex.
+func (m *Mem) UnlockMutex(mu *sync.Mutex) { mu.Unlock() }
+
 // SyncVarHint declares a persistent synchronization variable (lock word,
 // status flag) for the detector's sync-inconsistency analysis. pminstr
 // rewrites the call into t.Env().AnnotateSyncVar(core.SyncVar{...}).

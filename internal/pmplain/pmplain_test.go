@@ -1,6 +1,7 @@
 package pmplain
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +38,15 @@ func TestMemRoundTrip(t *testing.T) {
 		t.Fatalf("lock word = %d after SpinUnlock", got)
 	}
 	m.Branch()
+	var mu sync.Mutex
+	m.LockMutex(&mu)
+	if mu.TryLock() {
+		t.Fatalf("mutex free after LockMutex")
+	}
+	m.UnlockMutex(&mu)
+	if !mu.TryLock() {
+		t.Fatalf("mutex held after UnlockMutex")
+	}
 	m.SyncVarHint("lock", 256, 8, 0)
 	if h := m.Hints(); len(h) != 1 || h[0].Name != "lock" || h[0].Addr != 256 {
 		t.Fatalf("hints = %+v", h)

@@ -12,5 +12,8 @@
 //   - record PM alias pair and branch coverage;
 //   - record per-address access statistics for the priority queue;
 //   - call into the interleaving-exploration strategy around each access;
-//   - watch for hangs in spin-lock acquisition.
+//   - watch for hangs in spin-lock acquisition;
+//   - park threads blocked on a lock held by another live thread, and
+//     report them to the strategy (sched.Strategy.Park), so scheduler
+//     waits end as soon as no thread can run.
 package rt

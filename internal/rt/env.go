@@ -97,10 +97,31 @@ type Env struct {
 	// crash image that recovery then trips over) keeps the timeout path:
 	// absence of an owner is exactly the recovery-hang case the timeout
 	// exists to report.
-	lockMu      sync.Mutex
-	lockHolders map[pmem.Addr]pmem.ThreadID
-	liveThreads map[pmem.ThreadID]struct{}
+	//
+	// It also guards parking: a thread blocked on a lock held by another
+	// live thread records itself in spinWaiters or mutexWaiters and is
+	// reported to the strategy as parked. Parking and waking both happen
+	// under lockMu, so the strategy never sees a woken thread as parked.
+	lockMu       sync.Mutex
+	lockHolders  map[pmem.Addr]pmem.ThreadID
+	liveThreads  map[pmem.ThreadID]struct{}
+	spinWaiters  map[pmem.Addr]*lockWaiters
+	mutexHolders map[*sync.Mutex]pmem.ThreadID
+	mutexWaiters map[*sync.Mutex][]pmem.ThreadID
 }
+
+// lockWaiters is the set of threads parked on one PM lock word; wake is
+// closed when they should re-try the lock.
+type lockWaiters struct {
+	wake    chan struct{}
+	threads []pmem.ThreadID
+}
+
+// unownedLockPoll bounds one wait on a lock word that is held with no
+// recorded holder (a lock left set in a crash image). No release event
+// exists for such a lock, so its waiters re-check it at this period until
+// the hang deadline.
+const unownedLockPoll = time.Millisecond
 
 // NewEnv creates an environment over the given pool.
 func NewEnv(pool *pmem.Pool, cfg Config) *Env {
@@ -122,6 +143,9 @@ func NewEnv(pool *pmem.Pool, cfg Config) *Env {
 	_, e.stratNone = cfg.Strategy.(sched.None)
 	e.lockHolders = make(map[pmem.Addr]pmem.ThreadID)
 	e.liveThreads = make(map[pmem.ThreadID]struct{})
+	e.spinWaiters = make(map[pmem.Addr]*lockWaiters)
+	e.mutexHolders = make(map[*sync.Mutex]pmem.ThreadID)
+	e.mutexWaiters = make(map[*sync.Mutex][]pmem.ThreadID)
 	e.batch = core.NewBatchAnalyzer(e.det, e.cov.Alias, cfg.CollectStats)
 	if cfg.TraceDepth > 0 {
 		e.trace = newTraceRing(cfg.TraceDepth)
@@ -179,20 +203,142 @@ func (e *Env) noteLockAcquired(addr pmem.Addr, t pmem.ThreadID) {
 	e.lockMu.Unlock()
 }
 
-// noteLockReleased clears the volatile owner of the lock word.
-func (e *Env) noteLockReleased(addr pmem.Addr) {
+// noteLockReleased clears the volatile owner of the lock word after thread
+// self stored the release, and wakes the threads parked on it. The owner is
+// cleared only if it is still self: another thread may have acquired the
+// word between the release store and this call. It reports whether any
+// parked thread was woken.
+func (e *Env) noteLockReleased(addr pmem.Addr, self pmem.ThreadID) bool {
 	e.lockMu.Lock()
-	delete(e.lockHolders, addr)
-	e.lockMu.Unlock()
+	defer e.lockMu.Unlock()
+	if e.lockHolders[addr] == self {
+		delete(e.lockHolders, addr)
+	}
+	return e.wakeSpinLocked(addr)
 }
 
 // noteThreadExit removes t from the live set. Locks t still holds stay in
 // lockHolders pointing at a dead thread, which is what lets their waiters
-// fail fast.
+// fail fast; the threads parked on them are woken to do so.
 func (e *Env) noteThreadExit(t pmem.ThreadID) {
 	e.lockMu.Lock()
+	defer e.lockMu.Unlock()
 	delete(e.liveThreads, t)
+	if len(e.spinWaiters) > 0 {
+		for addr, h := range e.lockHolders {
+			if h == t {
+				e.wakeSpinLocked(addr)
+			}
+		}
+	}
+	if len(e.mutexWaiters) > 0 {
+		for mu, h := range e.mutexHolders {
+			if h == t {
+				e.unparkMutexLocked(mu)
+			}
+		}
+	}
+}
+
+// parkable reports whether a thread waiting for a lock held by holder may
+// park: the holder is live, is not the waiter, and can therefore release
+// it. The caller holds lockMu.
+func (e *Env) parkable(holder, self pmem.ThreadID) bool {
+	if holder == self || e.cancelled.Load() {
+		return false
+	}
+	_, live := e.liveThreads[holder]
+	return live
+}
+
+// setParked reports thread t's parked state to the strategy. The caller
+// holds lockMu.
+func (e *Env) setParked(t pmem.ThreadID, parked bool) {
+	if !e.stratNone {
+		e.strat.Park(t, parked)
+	}
+}
+
+// parkOnLock blocks thread self on the held lock word at addr until the
+// word's holder releases it or exits, the environment is cancelled, or the
+// hang deadline passes. It returns at once when the word is free or when its
+// holder cannot release it (self, or exited): the caller re-checks the lock
+// and fails fast. A word held with no recorded holder is re-checked every
+// unownedLockPoll instead.
+func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time) {
+	e.lockMu.Lock()
+	if e.cancelled.Load() || e.pool.Load64(addr) == 0 {
+		e.lockMu.Unlock()
+		return
+	}
+	holder, held := e.lockHolders[addr]
+	if !held {
+		e.lockMu.Unlock()
+		<-time.After(min(time.Until(deadline), unownedLockPoll))
+		return
+	}
+	if !e.parkable(holder, self) {
+		e.lockMu.Unlock()
+		return
+	}
+	w := e.spinWaiters[addr]
+	if w == nil {
+		w = &lockWaiters{wake: make(chan struct{})}
+		e.spinWaiters[addr] = w
+	}
+	w.threads = append(w.threads, self)
+	e.setParked(self, true)
 	e.lockMu.Unlock()
+
+	t := time.NewTimer(time.Until(deadline))
+	defer t.Stop()
+	select {
+	case <-w.wake:
+	case <-t.C:
+		// Hang deadline: unpark unless a waker got here first.
+		e.lockMu.Lock()
+		if e.spinWaiters[addr] == w {
+			for i, id := range w.threads {
+				if id == self {
+					w.threads = append(w.threads[:i], w.threads[i+1:]...)
+					e.setParked(self, false)
+					break
+				}
+			}
+			if len(w.threads) == 0 {
+				delete(e.spinWaiters, addr)
+			}
+		}
+		e.lockMu.Unlock()
+	}
+}
+
+// wakeSpinLocked wakes every thread parked on the lock word at addr,
+// clearing their parked state before they can run. It reports whether any
+// thread was woken. The caller holds lockMu.
+func (e *Env) wakeSpinLocked(addr pmem.Addr) bool {
+	w := e.spinWaiters[addr]
+	if w == nil {
+		return false
+	}
+	delete(e.spinWaiters, addr)
+	for _, id := range w.threads {
+		e.setParked(id, false)
+	}
+	close(w.wake)
+	return len(w.threads) > 0
+}
+
+// unparkMutexLocked clears the parked state of every thread blocked on mu.
+// The caller holds lockMu, and calls it before mu can be unlocked. It
+// reports whether any thread was parked on mu.
+func (e *Env) unparkMutexLocked(mu *sync.Mutex) bool {
+	ws := e.mutexWaiters[mu]
+	delete(e.mutexWaiters, mu)
+	for _, id := range ws {
+		e.setParked(id, false)
+	}
+	return len(ws) > 0
 }
 
 // lockUnacquirable reports whether the lock word can never be granted to
@@ -239,8 +385,20 @@ func (CancelError) Error() string { return "rt: execution environment cancelled"
 // touching the pool at its next access. The validation watchdog calls it when
 // a recovery run exceeds its wall-clock deadline. Goroutines that never call
 // another hook (a plain `for {}`) cannot be stopped — Go has no goroutine
-// kill — but they also cannot corrupt the pool.
-func (e *Env) Cancel() { e.cancelled.Store(true) }
+// kill — but they also cannot corrupt the pool. Threads parked on a spin
+// lock are woken to see the cancellation; threads blocked on a volatile
+// mutex stay blocked (Go semantics) but are no longer reported parked.
+func (e *Env) Cancel() {
+	e.cancelled.Store(true)
+	e.lockMu.Lock()
+	defer e.lockMu.Unlock()
+	for addr := range e.spinWaiters {
+		e.wakeSpinLocked(addr)
+	}
+	for mu := range e.mutexWaiters {
+		e.unparkMutexLocked(mu)
+	}
+}
 
 // Cancelled reports whether Cancel was called.
 func (e *Env) Cancelled() bool { return e.cancelled.Load() }

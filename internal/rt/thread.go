@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/core"
@@ -208,6 +209,14 @@ func (t *Thread) Store64(addr pmem.Addr, val uint64, valLab, addrLab taint.Label
 }
 
 func (t *Thread) store64At(addr pmem.Addr, val uint64, valLab, addrLab taint.Label, s site.ID) {
+	t.store64NoSignal(addr, val, valLab, addrLab, s)
+	if !t.env.stratNone {
+		t.env.strat.AfterStore(t.ID, addr, s)
+	}
+}
+
+// store64NoSignal is store64At without the strategy's AfterStore call.
+func (t *Thread) store64NoSignal(addr pmem.Addr, val uint64, valLab, addrLab taint.Label, s site.ID) {
 	e := t.env
 	e.checkCancel()
 	if !e.stratNone {
@@ -223,9 +232,6 @@ func (t *Thread) store64At(addr pmem.Addr, val uint64, valLab, addrLab taint.Lab
 	t.logAccess(addr, prev, s, kind)
 	e.recordWrite(addr, 8)
 	t.checkSyncVar(s, addr, 8, old, val)
-	if !e.stratNone {
-		e.strat.AfterStore(t.ID, addr, s)
-	}
 }
 
 // StoreBytes performs an instrumented PM store of a byte slice.
@@ -456,7 +462,8 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 		// Fail fast instead. Locks with no recorded owner — e.g. a
 		// persistent lock word set in a crash image that recovery
 		// trips over — still take the timeout path.
-		if spins%32 == 0 && (t.env.lockUnacquirable(addr, t.ID) || time.Now().After(deadline)) {
+		// Past the yield phase every wake-up re-checks at once.
+		if (spins%32 == 0 || spins >= yieldSpins) && (t.env.lockUnacquirable(addr, t.ID) || time.Now().After(deadline)) {
 			t.drainLog()
 			rep := HangReport{
 				Thread: t.ID,
@@ -469,27 +476,83 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 			}
 			panic(HangError{Report: rep})
 		}
-		if spins < 128 {
+		if spins < yieldSpins {
 			runtime.Gosched()
 		} else {
 			// Past the yield phase the holder is genuinely stalled
-			// (usually a cond_wait window); sleep briefly rather
-			// than burn the only CPU, but stay fine-grained so the
-			// handoff after release is prompt.
-			time.Sleep(5 * time.Microsecond)
+			// (usually a cond_wait window): park until it releases
+			// the lock or exits, rather than burn the CPU it needs.
+			t.env.parkOnLock(addr, t.ID, deadline)
 		}
 	}
 }
 
+// yieldSpins is how many contended iterations SpinLock yields the processor
+// before it parks.
+const yieldSpins = 128
+
 // SpinUnlock releases a SpinLock-acquired lock. Lock release is a sync
 // point: the critical section's accesses drain to the batch analyzer here.
+// The threads parked on the lock are woken before the strategy sees the
+// release store (a writer stall there must count them as runnable), and a
+// release that woke one yields once so the waiter runs inside the window
+// between this unlock and the releaser's next flush.
 //
 //go:noinline
 func (t *Thread) SpinUnlock(addr pmem.Addr) {
 	s := t.siteFromPC(site.ReturnPC())
-	t.env.noteLockReleased(addr)
-	t.store64At(addr, 0, taint.None, taint.None, s)
+	e := t.env
+	t.store64NoSignal(addr, 0, taint.None, taint.None, s)
+	woke := e.noteLockReleased(addr, t.ID)
+	if !e.stratNone {
+		e.strat.AfterStore(t.ID, addr, s)
+	}
 	t.drainLog()
+	if woke {
+		runtime.Gosched()
+	}
+}
+
+// LockMutex acquires a volatile mutex of the program under test with Go
+// semantics. A thread that finds it held by another live thread is reported
+// to the strategy as parked while it blocks, so the scheduler can tell that
+// it cannot run.
+//
+//go:noinline
+func (t *Thread) LockMutex(mu *sync.Mutex) {
+	e := t.env
+	e.lockMu.Lock()
+	if mu.TryLock() {
+		e.mutexHolders[mu] = t.ID
+		e.lockMu.Unlock()
+		return
+	}
+	if holder, held := e.mutexHolders[mu]; held && e.parkable(holder, t.ID) {
+		e.mutexWaiters[mu] = append(e.mutexWaiters[mu], t.ID)
+		e.setParked(t.ID, true)
+	}
+	e.lockMu.Unlock()
+	mu.Lock()
+	e.lockMu.Lock()
+	e.mutexHolders[mu] = t.ID
+	e.lockMu.Unlock()
+}
+
+// UnlockMutex releases a LockMutex-acquired mutex. The threads blocked on it
+// stop being reported parked before the mutex is unlocked, and a release
+// that had parked waiters yields once, as SpinUnlock does.
+//
+//go:noinline
+func (t *Thread) UnlockMutex(mu *sync.Mutex) {
+	e := t.env
+	e.lockMu.Lock()
+	delete(e.mutexHolders, mu)
+	woke := e.unparkMutexLocked(mu)
+	mu.Unlock()
+	e.lockMu.Unlock()
+	if woke {
+		runtime.Gosched()
+	}
 }
 
 // --- internal helpers ---

@@ -11,22 +11,23 @@ import (
 )
 
 // Config tunes the PM-aware thread scheduling. Durations are scaled for the
-// simulation; the algorithm is the one in the paper's Figure 6.
+// simulation; the algorithm is the one in the paper's Figure 6. Both waits
+// block on the event that ends them (a signal, a thread parking on a lock or
+// exiting); the durations only bound them.
 type Config struct {
-	// Poll is the sleep between condition checks inside cond_wait (the
-	// paper's usleep(100)).
-	Poll time.Duration
 	// WriterWait is how long cond_signal stalls the writer thread so that
 	// reader threads can execute their loads against the still-unflushed
 	// store (the paper sets it to the typical total execution time of the
-	// original program).
+	// original program). The stall ends early once every other thread is
+	// parked on a lock or has exited: no reader can load any more.
 	WriterWait time.Duration
 	// MaxWait is the wall-clock bound on one cond_wait after which the
 	// waiting thread is considered blocked (Pitfall-3): the sync point is
 	// disabled and the wait abandoned. It is a duration rather than a
-	// loop count because sleep granularity varies by platform, and a
-	// waiter may hold application-level locks — the bound must stay well
-	// under the runtime's hang timeout.
+	// loop count because a waiter may hold application-level locks — the
+	// bound must stay well under the runtime's hang timeout. A wait whose
+	// every other live thread is waiting or parked takes the same exit at
+	// once: no thread can issue the store that would end it.
 	MaxWait time.Duration
 	// Seed seeds the privileged-thread selection.
 	Seed int64
@@ -35,7 +36,6 @@ type Config struct {
 // DefaultConfig returns simulation-scale defaults.
 func DefaultConfig() Config {
 	return Config{
-		Poll:       20 * time.Microsecond,
 		WriterWait: 2 * time.Millisecond,
 		MaxWait:    4 * time.Millisecond,
 		Seed:       1,
@@ -63,6 +63,10 @@ type Outcome struct {
 type waiterState struct {
 	bypass  atomic.Bool
 	waiting atomic.Bool
+	parked  atomic.Bool
+	// since orders the current wait among all waits of the execution
+	// (guarded by mu).
+	since uint64
 }
 
 // PMAware is the PM-aware interleaving exploration strategy (paper §4.2.2,
@@ -74,6 +78,11 @@ type waiterState struct {
 // randomly selected privileged thread bypasses every wait; if one thread
 // blocks too long, the sync point is disabled and the skip count reported in
 // the Outcome.
+//
+// Waits never poll. Every event that can end a wait — the signal, a
+// privileged election, the sync point being disabled, a thread exiting or
+// parking on a lock — closes the wake channel, and each waiter re-evaluates
+// its condition under mu.
 type PMAware struct {
 	cfg      Config
 	entry    *Entry
@@ -93,13 +102,17 @@ type PMAware struct {
 	rng     *rand.Rand
 	threads map[pmem.ThreadID]*waiterState
 	active  int
+	waitSeq uint64
+	// wake is closed (and reset to nil) by broadcast; it is created only
+	// when a waiter needs it, so events nobody waits for cost nothing.
+	wake chan struct{}
 }
 
 // NewPMAware creates the strategy for one campaign targeting the given
 // priority-queue entry with the given initial skip count (0 for a fresh
 // entry).
 func NewPMAware(cfg Config, entry *Entry, skip int) *PMAware {
-	if cfg.Poll <= 0 {
+	if cfg.MaxWait <= 0 {
 		cfg = DefaultConfig()
 	}
 	p := &PMAware{
@@ -138,7 +151,42 @@ func (p *PMAware) ThreadExit(t pmem.ThreadID) {
 	if _, ok := p.threads[t]; ok {
 		delete(p.threads, t)
 		p.active--
+		p.broadcast()
 	}
+}
+
+// Park implements Strategy. A thread parking may leave every waiter with no
+// thread able to signal it, so parking wakes the waiters to re-evaluate; a
+// thread unparking can only make progress possible, so it wakes nobody.
+func (p *PMAware) Park(t pmem.ThreadID, parked bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.threads[t]
+	if st == nil {
+		return
+	}
+	st.parked.Store(parked)
+	if parked {
+		p.broadcast()
+	}
+}
+
+// broadcast wakes every goroutine blocked in cond_wait or a writer stall.
+// The caller holds mu.
+func (p *PMAware) broadcast() {
+	if p.wake != nil {
+		close(p.wake)
+		p.wake = nil
+	}
+}
+
+// wakeChan returns the channel the next broadcast closes. The caller holds
+// mu, so no event can slip between its condition check and the wait.
+func (p *PMAware) wakeChan() <-chan struct{} {
+	if p.wake == nil {
+		p.wake = make(chan struct{})
+	}
+	return p.wake
 }
 
 func (p *PMAware) state(t pmem.ThreadID) *waiterState {
@@ -171,7 +219,7 @@ func (p *PMAware) AfterStore(t pmem.ThreadID, addr pmem.Addr, s site.ID) {
 	if _, ok := p.entry.StoreSites[s]; !ok {
 		return
 	}
-	p.condSignal()
+	p.condSignal(t)
 }
 
 // EndExec implements Strategy.
@@ -214,7 +262,7 @@ func (p *PMAware) Outcome() Outcome {
 	}
 }
 
-// condWait is Figure 6's wait: spin until the condition variable is set,
+// condWait is Figure 6's wait: block until the condition variable is set,
 // handling skip counts, privileged bypass and blocked-thread disabling.
 func (p *PMAware) condWait(t pmem.ThreadID) {
 	st := p.state(t)
@@ -235,31 +283,109 @@ func (p *PMAware) condWait(t pmem.ThreadID) {
 	p.waits.Add(1)
 	p.waiting.Add(1)
 	defer p.waiting.Add(-1)
+	p.mu.Lock()
 	st.waiting.Store(true)
+	p.waitSeq++
+	st.since = p.waitSeq
+	p.mu.Unlock()
 	defer st.waiting.Store(false)
-	deadline := time.Now().Add(p.cfg.MaxWait)
-	for p.m.Load() == 0 {
-		time.Sleep(p.cfg.Poll)
-		if p.allBlocked() {
-			// Pitfall-2: every thread is waiting for a writer
-			// that does not exist; a random thread becomes
-			// privileged and bypasses all waits.
-			p.electPrivileged()
-		}
-		if st.bypass.Load() {
+	timer := time.NewTimer(p.cfg.MaxWait)
+	defer timer.Stop()
+	for first := true; ; first = false {
+		wake, done := p.waitStep(t, st, first)
+		if done {
 			return
 		}
-		if time.Now().After(deadline) {
-			// Pitfall-3: this thread blocked too long; disable
-			// the sync point for the rest of the campaign.
-			p.enabled.Store(false)
-			p.disabled.Store(true)
-			return
-		}
-		if !p.enabled.Load() {
+		select {
+		case <-wake:
+		case <-timer.C:
+			// Pitfall-3: this thread blocked too long.
+			p.disable()
 			return
 		}
 	}
+}
+
+// waitStep evaluates one waiter's condition under mu. It reports done when
+// the wait is over, and otherwise returns the channel to block on. first
+// marks the evaluation on entry to the wait, before any wake-up.
+func (p *PMAware) waitStep(t pmem.ThreadID, st *waiterState, first bool) (<-chan struct{}, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.m.Load() != 0 || st.bypass.Load() || !p.enabled.Load() {
+		return nil, true
+	}
+	if p.allBlocked() {
+		// Pitfall-2: every thread is waiting for a writer that does
+		// not exist; a random thread becomes privileged and bypasses
+		// all waits.
+		p.electPrivileged()
+		if st.bypass.Load() {
+			return nil, true
+		}
+	}
+	if p.quiescent(t) {
+		// Pitfall-3, reached without waiting out MaxWait: every other
+		// thread waits or is parked on a lock, so no store can end
+		// this wait. The exit is taken by the waiter whose MaxWait
+		// would have expired first, the longest-waiting one, as the
+		// timeout would have done: it runs first, and a store it makes
+		// to the sync point still signals the later waiters.
+		if p.longestWaiting(st) {
+			p.disableLocked()
+			return nil, true
+		}
+		if first {
+			// This wait made the execution quiescent; every
+			// earlier waiter is blocked, so wake them to see it.
+			p.broadcast()
+		}
+	}
+	return p.wakeChan(), false
+}
+
+// longestWaiting reports whether st has waited longer than every other
+// waiter without bypass. The caller holds mu.
+func (p *PMAware) longestWaiting(st *waiterState) bool {
+	for _, o := range p.threads {
+		if o.waiting.Load() && !o.bypass.Load() && o.since < st.since {
+			return false
+		}
+	}
+	return true
+}
+
+// quiescent reports whether at least one live thread other than self is
+// parked on a lock and every other one is waiting without bypass: none of
+// them can run. With no thread parked, every thread is waiting, and that is
+// Pitfall-2's case: the waiter that sets the last waiting flag sees it and
+// elects a privileged thread. The caller holds mu.
+func (p *PMAware) quiescent(self pmem.ThreadID) bool {
+	parked := false
+	for id, st := range p.threads {
+		switch {
+		case id == self:
+		case st.parked.Load():
+			parked = true
+		case !st.waiting.Load() || st.bypass.Load():
+			return false
+		}
+	}
+	return parked
+}
+
+// disable is the Pitfall-3 exit: the sync point is disabled for the rest of
+// the campaign and every waiter released.
+func (p *PMAware) disable() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.disableLocked()
+}
+
+func (p *PMAware) disableLocked() {
+	p.enabled.Store(false)
+	p.disabled.Store(true)
+	p.broadcast()
 }
 
 // condSignal is Figure 6's signal: set the condition and stall the writer so
@@ -269,8 +395,9 @@ func (p *PMAware) condWait(t pmem.ThreadID) {
 // creates the shared object — must not burn the campaign's signal), and only
 // the first successful signal stalls the writer (Pitfall-1: once m is set,
 // waits are disabled, so further stalls would only starve threads queued on
-// the writer's application-level locks).
-func (p *PMAware) condSignal() {
+// the writer's application-level locks). The stall ends after WriterWait, or
+// as soon as every other thread is parked on a lock or has exited.
+func (p *PMAware) condSignal(writer pmem.ThreadID) {
 	if p.waiting.Load() == 0 {
 		return
 	}
@@ -278,12 +405,40 @@ func (p *PMAware) condSignal() {
 		return
 	}
 	p.signal.Store(true)
-	time.Sleep(p.cfg.WriterWait)
+	p.mu.Lock()
+	p.broadcast() // release the waiters
+	p.mu.Unlock()
+	timer := time.NewTimer(p.cfg.WriterWait)
+	defer timer.Stop()
+	for {
+		wake, done := p.stallStep(writer)
+		if done {
+			return
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			return
+		}
+	}
 }
 
-func (p *PMAware) allBlocked() bool {
+// stallStep reports whether the writer's stall can end because no other
+// thread can run; otherwise it returns the channel to block on.
+func (p *PMAware) stallStep(writer pmem.ThreadID) (<-chan struct{}, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for id, st := range p.threads {
+		if id != writer && !st.parked.Load() {
+			return p.wakeChan(), false
+		}
+	}
+	return nil, true
+}
+
+// allBlocked reports whether every live thread is waiting. The caller holds
+// mu.
+func (p *PMAware) allBlocked() bool {
 	if p.active == 0 {
 		return false
 	}
@@ -295,9 +450,9 @@ func (p *PMAware) allBlocked() bool {
 	return true
 }
 
+// electPrivileged selects a random waiting thread to bypass every wait,
+// unless one already does. The caller holds mu.
 func (p *PMAware) electPrivileged() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var waiting []*waiterState
 	for _, st := range p.threads {
 		if st.bypass.Load() {
@@ -312,4 +467,5 @@ func (p *PMAware) electPrivileged() {
 	}
 	waiting[p.rng.Intn(len(waiting))].bypass.Store(true)
 	p.privUsed.Store(true)
+	p.broadcast()
 }

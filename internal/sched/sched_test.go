@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,6 @@ import (
 
 func testConfig() Config {
 	return Config{
-		Poll:       5 * time.Microsecond,
 		WriterWait: 500 * time.Microsecond,
 		MaxWait:    100 * time.Millisecond,
 		Seed:       1,
@@ -165,7 +165,7 @@ func TestPMAwareWaitReleasedBySignal(t *testing.T) {
 	}()
 	go func() { // writer
 		defer wg.Done()
-		time.Sleep(200 * time.Microsecond)
+		waitFor(t, func() bool { return p.waiting.Load() != 0 })
 		mu.Lock()
 		order = append(order, "write")
 		mu.Unlock()
@@ -243,14 +243,8 @@ func TestPMAwareAllBlockedElectsPrivileged(t *testing.T) {
 	}
 	// One thread must be elected privileged and released; the other stays
 	// blocked until we signal.
-	deadline := time.Now().Add(5 * time.Second)
-	for released.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if released.Load() == 0 {
-		t.Fatalf("no privileged thread was released")
-	}
-	p.condSignal() // release the rest
+	waitFor(t, func() bool { return released.Load() != 0 })
+	p.condSignal(3) // release the rest
 	wg.Wait()
 	if !p.Outcome().PrivilegedUsed {
 		t.Fatalf("outcome must record privileged use")
@@ -322,7 +316,179 @@ func TestPMAwareNilEntryIsNoop(t *testing.T) {
 
 func TestPMAwareZeroConfigGetsDefaults(t *testing.T) {
 	p := NewPMAware(Config{}, nil, 0)
-	if p.cfg.Poll <= 0 || p.cfg.MaxWait <= 0 {
+	if p.cfg.MaxWait <= 0 || p.cfg.WriterWait <= 0 {
 		t.Fatalf("zero config must be replaced by defaults: %+v", p.cfg)
+	}
+}
+
+// waitFor yields until cond holds, failing the test after five seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Errorf("condition not reached within 5s")
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// returnsWithin runs f and fails the test unless it returns within d.
+func returnsWithin(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		f()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+	}
+}
+
+func TestPMAwareQuiescentWaitDisables(t *testing.T) {
+	loadSite := site.Named("pq-load")
+	cfg := testConfig()
+	cfg.MaxWait = 10 * time.Second
+	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("pq-store")}), 0)
+	p.BeginExec(2)
+	p.ThreadStart(1)
+	p.ThreadStart(2)
+	// Thread 2 is parked on a lock thread 1 holds; thread 1's wait can
+	// never be signalled, so it takes the Pitfall-3 exit at once.
+	p.Park(2, true)
+	returnsWithin(t, time.Second, "quiescent cond_wait", func() { p.BeforeLoad(1, 64, loadSite) })
+	out := p.Outcome()
+	if !out.Disabled || out.CondWaits != 1 || out.PrivilegedUsed {
+		t.Fatalf("outcome = %+v, want disabled with one wait and no privileged thread", out)
+	}
+}
+
+func TestPMAwareParkWakesWaiter(t *testing.T) {
+	loadSite := site.Named("pw2-load")
+	cfg := testConfig()
+	cfg.MaxWait = 10 * time.Second
+	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("pw2-store")}), 0)
+	p.BeginExec(2)
+	p.ThreadStart(1)
+	p.ThreadStart(2)
+	go func() {
+		// Let thread 1 block first, so the park must wake it.
+		waitFor(t, func() bool { return p.waiting.Load() != 0 })
+		p.Park(2, true)
+	}()
+	returnsWithin(t, time.Second, "cond_wait woken by a park", func() { p.BeforeLoad(1, 64, loadSite) })
+	if out := p.Outcome(); !out.Disabled || out.CondWaits != 1 {
+		t.Fatalf("outcome = %+v, want disabled with one wait", out)
+	}
+}
+
+func TestPMAwareUnparkedThreadKeepsWaiting(t *testing.T) {
+	loadSite := site.Named("pu-load")
+	cfg := testConfig()
+	cfg.MaxWait = 50 * time.Millisecond
+	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("pu-store")}), 0)
+	p.BeginExec(2)
+	p.ThreadStart(1)
+	p.ThreadStart(2)
+	p.Park(2, true)
+	p.Park(2, false) // woken: runnable, so the wait is not quiescent
+	start := time.Now()
+	p.BeforeLoad(1, 64, loadSite)
+	if elapsed := time.Since(start); elapsed < cfg.MaxWait {
+		t.Fatalf("wait ended after %v, before MaxWait %v, with a runnable thread", elapsed, cfg.MaxWait)
+	}
+	if out := p.Outcome(); !out.Disabled {
+		t.Fatalf("outcome = %+v, want disabled by MaxWait", out)
+	}
+}
+
+func TestPMAwareWriterStallEndsWhenOthersPark(t *testing.T) {
+	loadSite, storeSite := site.Named("ws-load"), site.Named("ws-store")
+	cfg := testConfig()
+	cfg.WriterWait, cfg.MaxWait = 10*time.Second, 10*time.Second
+	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{storeSite}), 0)
+	p.BeginExec(2)
+	p.ThreadStart(1)
+	p.ThreadStart(2)
+	read := make(chan struct{})
+	go func() {
+		p.BeforeLoad(1, 64, loadSite)
+		close(read)
+		p.Park(1, true) // the reader goes on to block on a lock
+	}()
+	waitFor(t, func() bool { return p.waiting.Load() != 0 })
+	returnsWithin(t, time.Second, "writer stall", func() { p.AfterStore(2, 64, storeSite) })
+	<-read
+	if out := p.Outcome(); !out.Signalled || out.Disabled {
+		t.Fatalf("outcome = %+v, want signalled", out)
+	}
+}
+
+func TestPMAwareWriterStallEndsWhenOthersExit(t *testing.T) {
+	loadSite, storeSite := site.Named("we-load"), site.Named("we-store")
+	cfg := testConfig()
+	cfg.WriterWait, cfg.MaxWait = 10*time.Second, 10*time.Second
+	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{storeSite}), 0)
+	p.BeginExec(2)
+	p.ThreadStart(1)
+	p.ThreadStart(2)
+	go func() {
+		p.BeforeLoad(1, 64, loadSite)
+		p.ThreadExit(1)
+	}()
+	waitFor(t, func() bool { return p.waiting.Load() != 0 })
+	returnsWithin(t, time.Second, "writer stall", func() { p.AfterStore(2, 64, storeSite) })
+}
+
+func TestPMAwareQuiescentExitTakenByLongestWaiter(t *testing.T) {
+	loadSite := site.Named("pl-load")
+	cfg := testConfig()
+	cfg.MaxWait = 10 * time.Second
+	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("pl-store")}), 0)
+	p.BeginExec(3)
+	for _, tid := range []pmem.ThreadID{1, 2, 3} {
+		p.ThreadStart(tid)
+	}
+	p.Park(3, true)
+	// Thread 1 waits first; thread 2's arrival makes the execution
+	// quiescent, but the exit belongs to thread 1, as MaxWait would have
+	// expired for it first.
+	st1, st2 := p.threads[1], p.threads[2]
+	st1.waiting.Store(true)
+	st1.since = 1
+	st2.waiting.Store(true)
+	st2.since = 2
+	if _, done := p.waitStep(2, st2, true); done || p.Outcome().Disabled {
+		t.Fatalf("the later waiter took the quiescent exit")
+	}
+	if _, done := p.waitStep(1, st1, false); !done || !p.Outcome().Disabled {
+		t.Fatalf("the longest waiter did not take the quiescent exit")
+	}
+
+	// End to end: both waits return, the sync point disabled once.
+	p = NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{site.Named("pl-store")}), 0)
+	p.BeginExec(3)
+	for _, tid := range []pmem.ThreadID{1, 2, 3} {
+		p.ThreadStart(tid)
+	}
+	p.Park(3, true)
+	first := make(chan struct{})
+	go func() {
+		waitFor(t, func() bool { return p.waiting.Load() != 0 })
+		p.BeforeLoad(2, 64, loadSite)
+		close(first)
+	}()
+	returnsWithin(t, time.Second, "longest waiter", func() { p.BeforeLoad(1, 64, loadSite) })
+	select {
+	case <-first:
+	case <-time.After(time.Second):
+		t.Fatalf("later waiter did not return")
+	}
+	if out := p.Outcome(); !out.Disabled || out.CondWaits != 2 {
+		t.Fatalf("outcome = %+v, want disabled with two waits", out)
 	}
 }

@@ -26,6 +26,11 @@ type Strategy interface {
 	// AfterStore runs after an instrumented PM store, before any flush of
 	// the stored data.
 	AfterStore(t pmem.ThreadID, addr pmem.Addr, s site.ID)
+	// Park reports that thread t blocked on a lock held by another live
+	// thread (parked true), or that it was woken (parked false). The
+	// runtime calls it under its lock-ownership mutex, so a thread is never
+	// reported parked after the release that wakes it.
+	Park(t pmem.ThreadID, parked bool)
 	// EndExec finishes the execution.
 	EndExec()
 }
@@ -51,13 +56,19 @@ func (None) BeforeStore(pmem.ThreadID, pmem.Addr, site.ID) {}
 // AfterStore implements Strategy.
 func (None) AfterStore(pmem.ThreadID, pmem.Addr, site.ID) {}
 
+// Park implements Strategy.
+func (None) Park(pmem.ThreadID, bool) {}
+
 // EndExec implements Strategy.
 func (None) EndExec() {}
 
 // DelayInjector implements the evaluation's Delay Inj baseline (§6.1):
 // before each PM access it injects a random delay drawn uniformly from
 // [0, MaxDelay). It is PM-oblivious: every access is equally likely to be
-// delayed, regardless of persistency state.
+// delayed, regardless of persistency state. The delay is a time.Sleep, and
+// the Go runtime rounds any sleep under a millisecond up to about 1 ms on a
+// Linux host with idle processors (1.05–1.10 ms measured on a 2-CPU
+// container), so the default 200 µs bound injects delays of about 1 ms.
 type DelayInjector struct {
 	// MaxDelay bounds the injected delay. The paper uses 1 ms on real
 	// systems; the simulation scales it down by default.
@@ -99,6 +110,9 @@ func (d *DelayInjector) BeforeStore(pmem.ThreadID, pmem.Addr, site.ID) { d.delay
 
 // AfterStore implements Strategy.
 func (d *DelayInjector) AfterStore(pmem.ThreadID, pmem.Addr, site.ID) {}
+
+// Park implements Strategy.
+func (d *DelayInjector) Park(pmem.ThreadID, bool) {}
 
 // EndExec implements Strategy.
 func (d *DelayInjector) EndExec() {}

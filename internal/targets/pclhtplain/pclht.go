@@ -288,8 +288,8 @@ func (h *HT) bumpCount(t *pmplain.Mem) {
 // Bug 3 (GC from the unflushed table_new) and Bug 4 (redundant bucket
 // writes during migration).
 func (h *HT) resize(t *pmplain.Mem) error {
-	h.resizeMu.Lock()
-	defer h.resizeMu.Unlock()
+	t.LockMutex(&h.resizeMu)
+	defer t.UnlockMutex(&h.resizeMu)
 	t.Branch()
 	t.SpinLock(h.root + fldResizeLock)
 	defer t.SpinUnlock(h.root + fldResizeLock)
