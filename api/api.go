@@ -31,10 +31,11 @@
 //	GET    /api/v1/campaigns/{id}/artifacts/{name}  one bundle (ArtifactBundle)
 //	GET    /api/v1/campaigns/{id}/trace     span timeline (Chrome trace-event JSON)
 //
-// The SSE stream frames events exactly like a single campaign's /events
-// endpoint: `event:` carries the kind, `id:` the emitter sequence number and
-// `data:` the JSONL envelope ({kind, seq, at_ms, data}); obs.DecodeEvent
-// rebuilds the typed event from (kind, data).
+// The SSE stream frames one event per record: `event:` carries the kind,
+// `id:` the emitter sequence number and `data:` the JSONL envelope ({kind,
+// seq, at_ms, data}); obs.DecodeEvent rebuilds the typed event from (kind,
+// data). `pmrace -http` serves a local campaign through the same handlers,
+// as campaign c0001.
 package api
 
 import (

@@ -5,12 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/obs"
+	"github.com/pmrace-go/pmrace/internal/serve"
 	"github.com/pmrace-go/pmrace/internal/targets"
 )
 
@@ -90,9 +95,7 @@ type Campaign struct {
 	ctx      context.Context
 	events   <-chan obs.Event
 	done     chan struct{}
-	httpSrv  *obs.Server
 	httpAddr string
-	sampler  *obs.RuntimeSampler
 	res      *Result
 	err      error
 }
@@ -134,7 +137,7 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 
 	em := obs.NewEmitter(cfg.sinks...)
 	if cfg.progress != nil {
-		em.AddSink(obs.NewProgressSink(cfg.progress, cfg.progressInterval, fz.Snapshot))
+		em.AddSink(obs.NewProgressSink(cfg.progress, 0, fz.Snapshot))
 	}
 	events := em.Subscribe(cfg.eventBuf)
 	fz.SetEmitter(em)
@@ -148,32 +151,63 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 		}
 		fz.SetTracer(c.tr)
 	}
+	// Closing the emitter after the terminal CampaignDone event drains and
+	// then closes the Events() channel, ending consumer range loops and SSE
+	// streams; the HTTP server goes down after its streams have drained.
+	finish, stop := func(*Result, error) { em.Close() }, func() {}
 	if cfg.httpAddr != "" {
-		srv := obs.NewServer(em, func() any { return c.Snapshot() })
-		srv.SetTracer(c.tr)
-		bound, err := srv.Start(cfg.httpAddr)
-		if err != nil {
+		if finish, stop, err = c.startServer(target, cfg); err != nil {
 			em.Close()
 			return nil, err
 		}
-		c.httpSrv = srv
-		c.httpAddr = bound
-		// The introspection server implies someone is scraping /metrics:
-		// feed it runtime self-telemetry at 1 Hz.
-		c.sampler = obs.StartRuntimeSampler(em.Registry(), 0)
 	}
 	go func() {
 		defer close(c.done)
-		c.res, c.err = fz.RunContext(ctx)
-		// Close after the terminal CampaignDone event: the Events()
-		// channel drains and then closes, ending consumer range loops
-		// and /events SSE streams; the HTTP server goes down after its
-		// streams have drained.
-		c.em.Close()
-		c.sampler.Close()
-		c.httpSrv.Close()
+		c.res, c.err = fz.RunContext(c.ctx)
+		finish(c.res, c.err)
+		stop()
 	}()
 	return c, nil
+}
+
+// startServer enters the campaign into a one-campaign pmraced supervisor and
+// serves the supervisor's handler on cfg.httpAddr, so a local campaign
+// answers the same endpoints as pmraced. It rebinds c.ctx to the
+// supervisor's context for the campaign (DELETE cancels it, as does the
+// caller's context) and returns the supervisor's completion step plus stop,
+// which shuts the server down and removes the supervisor's temporary data
+// directory.
+func (c *Campaign) startServer(target string, cfg campaignConfig) (func(*Result, error), func(), error) {
+	ln, err := net.Listen("tcp", cfg.httpAddr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pmrace: introspection listen on %s: %w", cfg.httpAddr, err)
+	}
+	sup, err := serve.New(serve.Config{WorkerBudget: cfg.opts.Workers, MaxCampaigns: 1})
+	if err != nil {
+		ln.Close()
+		return nil, nil, err
+	}
+	srv := &http.Server{Handler: sup.Handler()}
+	stop := func() {
+		// The campaign's SSE streams ended with its emitter; a request
+		// still open after the grace period (a pprof profile) is cut off.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		if srv.Shutdown(ctx) != nil {
+			srv.Close()
+		}
+		_ = sup.Drain(ctx)              // nothing runs any more; this stops the sampler
+		_ = os.RemoveAll(sup.DataDir()) // best effort: a temporary directory
+	}
+	ctx, finish, err := sup.Attach(c.ctx, api.CampaignSpec{Target: target, Workers: cfg.opts.Workers}, c.fz)
+	if err != nil {
+		ln.Close()
+		stop()
+		return nil, nil, err
+	}
+	go srv.Serve(ln) //nolint:errcheck // always ErrServerClosed after stop
+	c.ctx, c.httpAddr = ctx, ln.Addr().String()
+	return finish, stop, nil
 }
 
 // Spans returns the campaign's recorded span timeline (oldest first), or nil
@@ -196,8 +230,8 @@ func (c *Campaign) WriteTrace(w io.Writer) error {
 	return c.tr.WriteChrome(w)
 }
 
-// HTTPAddr returns the bound address of the campaign's introspection server
-// (see WithHTTPAddr), or "" when none was requested.
+// HTTPAddr returns the bound address of the campaign's HTTP server (see
+// WithHTTPAddr), or "" when none was requested.
 func (c *Campaign) HTTPAddr() string { return c.httpAddr }
 
 // State returns the campaign's lifecycle state. An in-process campaign is

@@ -250,7 +250,7 @@ func (c *Client) Events(ctx context.Context, id string) (<-chan api.Event, func(
 
 // decodeSSE parses the SSE framing (event:/id:/data: records separated by
 // blank lines) and decodes each data payload — the JSONL envelope — into
-// its typed event.
+// its typed event, stamped with the envelope's sequence number and time.
 func decodeSSE(ctx context.Context, r io.Reader, ch chan<- api.Event) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -264,6 +264,8 @@ func decodeSSE(ctx context.Context, r io.Reader, ch chan<- api.Event) error {
 			}
 			var env struct {
 				Kind obs.Kind        `json:"kind"`
+				Seq  uint64          `json:"seq"`
+				AtMs float64         `json:"at_ms"`
 				Data json.RawMessage `json:"data"`
 			}
 			if err := json.Unmarshal(data, &env); err != nil {
@@ -273,6 +275,7 @@ func decodeSSE(ctx context.Context, r io.Reader, ch chan<- api.Event) error {
 			if err != nil {
 				return err
 			}
+			*ev.Meta() = obs.EventMeta{Seq: env.Seq, At: time.Duration(env.AtMs * float64(time.Millisecond))}
 			select {
 			case ch <- ev:
 			case <-ctx.Done():

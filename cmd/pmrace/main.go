@@ -23,9 +23,10 @@
 // With -json the typed event stream (exec_done, seed_accepted,
 // inconsistency_found, validation_verdict, bug_confirmed, campaign_done,
 // ...) goes to stdout as JSON lines and the human summary moves to stderr.
-// -http serves live introspection (/metrics, /status, /events, /healthz,
-// /debug/pprof) while the campaign runs; -artifacts writes a replayable
-// forensic bundle per confirmed bug, and -artifact replays one.
+// -http serves the campaign through pmraced's handlers while it runs, as
+// campaign c0001, so the status, logs and trace subcommands work against
+// it; -artifacts writes a replayable forensic bundle per confirmed bug, and
+// -artifact replays one.
 // Ctrl-C cancels the campaign's context: workers stop within one execution
 // and the partial results are reported.
 //
@@ -47,6 +48,7 @@ import (
 
 	pmrace "github.com/pmrace-go/pmrace"
 	"github.com/pmrace-go/pmrace/internal/core"
+	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/site"
 )
 
@@ -80,7 +82,7 @@ func run() int {
 		artifact  = flag.String("artifact", "", "replay one forensic bug bundle directory and exit (0 = reproduced)")
 		artifacts = flag.String("artifacts", "", "write a forensic bundle per confirmed bug into this directory")
 		artAll    = flag.Bool("artifacts-all", false, "with -artifacts: also bundle validated/whitelisted false positives")
-		httpAddr  = flag.String("http", "", "serve live introspection (/metrics /status /events /trace /healthz /debug/pprof) on this address")
+		httpAddr  = flag.String("http", "", "serve the campaign through pmraced's API (/status /metrics /api/v1/campaigns/c0001/...) on this address")
 		traceFlag = flag.Bool("trace", false, "record a span timeline (flight recorder + Chrome trace-event export on /trace)")
 		traceSmpl = flag.Int("trace-sample", 0, "with -trace: record per-exec spans for every Nth execution (0 = default 8)")
 		jsonOut   = flag.Bool("json", false, "stream the event trace as JSONL to stdout (summary goes to stderr)")
@@ -114,16 +116,9 @@ func run() int {
 		return 0
 	}
 
-	var explore pmrace.ExploreMode
-	switch strings.ToLower(*mode) {
-	case "pmrace":
-		explore = pmrace.ModePMAware
-	case "delay":
-		explore = pmrace.ModeDelayInj
-	case "none":
-		explore = pmrace.ModeNone
-	default:
-		fmt.Fprintf(os.Stderr, "pmrace: unknown mode %q\n", *mode)
+	explore, err := fuzz.ParseMode(strings.ToLower(*mode))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
 		return 2
 	}
 
@@ -205,7 +200,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
 		return 2
 	}
-	if ctx.Err() != nil {
+	if c.State() == pmrace.StateCancelled { // Ctrl-C, or a DELETE over -http
 		fmt.Fprintf(out, "\ninterrupted — partial results\n")
 	}
 

@@ -1,10 +1,9 @@
-// Tests for campaign live introspection: the HTTP endpoints answer while
-// the campaign runs, and the SSE /events stream carries the same event
-// sequence the in-process sinks see.
+// Tests for serving a local campaign over HTTP: WithHTTPAddr answers
+// pmraced's endpoints while the campaign runs, and the campaign's SSE
+// stream carries the same event sequence the in-process sinks see.
 package pmrace_test
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -14,15 +13,20 @@ import (
 	"time"
 
 	pmrace "github.com/pmrace-go/pmrace"
+	"github.com/pmrace-go/pmrace/api"
+	"github.com/pmrace-go/pmrace/client"
 	"github.com/pmrace-go/pmrace/internal/obs"
 )
 
+// localID is the ID a WithHTTPAddr campaign has on its one-campaign server.
+const localID = "c0001"
+
 // TestCampaignHTTPIntrospection starts a campaign with WithHTTPAddr and a
-// lossless collector sink, consumes the SSE /events stream to its end, and
-// asserts the stream is a contiguous suffix of the collector's sequence —
-// matched per event by the envelope's emitter sequence number — ending with
-// campaign_done. (A suffix, not the whole sequence: the campaign may emit a
-// few events before the HTTP client connects.)
+// lossless collector sink, consumes /api/v1/campaigns/{id}/events through
+// client.Events to its end, and asserts the stream is a contiguous suffix
+// of the collector's sequence — matched per event by emitter sequence
+// number — ending with campaign_done. (A suffix, not the whole sequence:
+// the campaign may emit a few events before the HTTP client connects.)
 func TestCampaignHTTPIntrospection(t *testing.T) {
 	col := pmrace.NewCollector()
 	c, err := pmrace.NewCampaign(context.Background(), "pclht",
@@ -47,110 +51,85 @@ func TestCampaignHTTPIntrospection(t *testing.T) {
 		}
 	}()
 
-	// Connect the SSE stream first and read it concurrently: the server
+	// Connect the event stream first and read it concurrently: the server
 	// shuts down once the campaign finishes and its streams drain, so
 	// every endpoint must be hit while the campaign is still running —
 	// executions are fast enough that a sequential stream-then-poll
 	// order would lose the race.
 	base := "http://" + addr
-	type frame struct {
-		Kind string          `json:"kind"`
-		Seq  uint64          `json:"seq"`
-		Data json.RawMessage `json:"data"`
+	events, errFn, err := client.New(base).Events(context.Background(), localID)
+	if err != nil {
+		t.Fatalf("events: %v", err)
 	}
-	framesCh := make(chan []frame, 1)
-	streamErr := make(chan error, 1)
+	streamed := make(chan []pmrace.Event, 1)
 	go func() {
-		resp, err := http.Get(base + "/events")
-		if err != nil {
-			streamErr <- err
-			return
+		var evs []pmrace.Event
+		for ev := range events {
+			evs = append(evs, ev)
 		}
-		defer resp.Body.Close()
-		var frames []frame
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-		for sc.Scan() {
-			line := sc.Text()
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var f frame
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &f); err != nil {
-				streamErr <- err
-				return
-			}
-			frames = append(frames, f)
-		}
-		if err := sc.Err(); err != nil {
-			streamErr <- err
-			return
-		}
-		framesCh <- frames
+		streamed <- evs
 	}()
 
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
+	get := func(path, contentType string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, body %q", path, resp.StatusCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, contentType) {
+			t.Fatalf("GET %s: Content-Type %q, want %q", path, ct, contentType)
+		}
+		return body
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "ok\n" {
+	if body := get("/healthz", "text/plain"); string(body) != "ok\n" {
 		t.Fatalf("/healthz = %q", body)
 	}
-
-	resp, err = http.Get(base + "/status")
-	if err != nil {
-		t.Fatalf("GET /status: %v", err)
+	var status struct {
+		Campaigns []api.Campaign `json:"campaigns"`
 	}
-	var st pmrace.Stats
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.Unmarshal(get("/status", "application/json"), &status); err != nil {
 		t.Fatalf("/status decode: %v", err)
 	}
-	if st.Target != "pclht" {
-		t.Fatalf("/status target = %q", st.Target)
+	if len(status.Campaigns) != 1 || status.Campaigns[0].ID != localID || status.Campaigns[0].Stats.Target != "pclht" {
+		t.Fatalf("/status campaigns = %+v", status.Campaigns)
 	}
+	metrics := string(get("/metrics", "text/plain; version=0.0.4"))
+	if !strings.Contains(metrics, "# TYPE pmrace_fuzz_execs_total counter") ||
+		!strings.Contains(metrics, `campaign="`+localID+`",target="pclht"`) {
+		t.Fatalf("/metrics missing the campaign's labelled exec counter:\n%s", metrics)
+	}
+	get("/debug/pprof/cmdline", "text/plain")
 
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(metrics), "# TYPE pmrace_fuzz_execs_total counter") {
-		t.Fatalf("/metrics missing exec counter:\n%s", metrics)
-	}
-
-	// The campaign closing its emitter ends the SSE stream; join the
-	// concurrent reader.
+	// The campaign closing its emitter ends the stream; join the reader.
 	if _, err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	var frames []frame
-	select {
-	case frames = <-framesCh:
-	case err := <-streamErr:
-		t.Fatalf("/events stream: %v", err)
+	frames := <-streamed
+	if err := errFn(); err != nil {
+		t.Fatalf("event stream: %v", err)
 	}
 
 	if len(frames) == 0 {
 		t.Fatal("SSE stream delivered no events")
 	}
-	if frames[len(frames)-1].Kind != string(pmrace.KindCampaignDone) {
-		t.Fatalf("last SSE event = %q, want campaign_done", frames[len(frames)-1].Kind)
+	if k := frames[len(frames)-1].Kind(); k != pmrace.KindCampaignDone {
+		t.Fatalf("last SSE event = %q, want campaign_done", k)
 	}
 
 	// Index the lossless collector sequence by emitter seq, then check the
-	// streamed frames are exactly the collector events from the first
+	// streamed events are exactly the collector events from the first
 	// streamed seq onward.
 	evs := col.Events()
 	bySeq := make(map[uint64]pmrace.Event, len(evs))
 	for _, ev := range evs {
 		bySeq[ev.Meta().Seq] = ev
 	}
-	first := frames[0].Seq
+	first := frames[0].Meta().Seq
 	want := 0
 	for _, ev := range evs {
 		if ev.Meta().Seq >= first {
@@ -161,21 +140,18 @@ func TestCampaignHTTPIntrospection(t *testing.T) {
 		t.Fatalf("SSE delivered %d events from seq %d, collector has %d", len(frames), first, want)
 	}
 	prev := uint64(0)
-	for i, f := range frames {
-		if f.Seq <= prev {
-			t.Fatalf("frame %d: seq %d not increasing after %d", i, f.Seq, prev)
+	for i, got := range frames {
+		seq := got.Meta().Seq
+		if seq <= prev {
+			t.Fatalf("event %d: seq %d not increasing after %d", i, seq, prev)
 		}
-		prev = f.Seq
-		ev, ok := bySeq[f.Seq]
+		prev = seq
+		ev, ok := bySeq[seq]
 		if !ok {
-			t.Fatalf("frame %d: seq %d unknown to the collector", i, f.Seq)
-		}
-		got, err := obs.DecodeEvent(obs.Kind(f.Kind), f.Data)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatalf("event %d: seq %d unknown to the collector", i, seq)
 		}
 		if gf, wf := obs.Fingerprint(got), obs.Fingerprint(ev); gf != wf {
-			t.Fatalf("frame %d (seq %d): streamed %q, collector %q", i, f.Seq, gf, wf)
+			t.Fatalf("event %d (seq %d): streamed %q, collector %q", i, seq, gf, wf)
 		}
 	}
 }

@@ -239,6 +239,27 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want ExploreMode
+	}{
+		{"", ModePMAware},
+		{"pmrace", ModePMAware},
+		{"pmaware", ModePMAware},
+		{"delay", ModeDelayInj},
+		{"none", ModeNone},
+	} {
+		got, err := ParseMode(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ParseMode("chaotic"); err == nil {
+		t.Error("ParseMode accepted an unknown mode")
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Threads != 4 || o.Workers != 1 || o.MaxExecs == 0 || o.Sched.MaxWait == 0 {

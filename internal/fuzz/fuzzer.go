@@ -36,6 +36,22 @@ const (
 	ModeNone
 )
 
+// ParseMode maps an exploration-mode spelling to its ExploreMode: "pmrace"
+// (or its alias "pmaware", or "" for the default) is PMRace's PM-aware
+// exploration, "delay" the delay-injection baseline, "none" the Go
+// scheduler alone. Spellings are case-sensitive.
+func ParseMode(s string) (ExploreMode, error) {
+	switch s {
+	case "", "pmrace", "pmaware":
+		return ModePMAware, nil
+	case "delay":
+		return ModeDelayInj, nil
+	case "none":
+		return ModeNone, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want pmrace, delay or none)", s)
+}
+
 func (m ExploreMode) String() string {
 	switch m {
 	case ModePMAware:
@@ -46,6 +62,17 @@ func (m ExploreMode) String() string {
 		return "None"
 	}
 }
+
+const (
+	// execsPerInterleaving is the execution-tier repetition count: each
+	// seed, and each scheduled interleaving, runs this many times.
+	execsPerInterleaving = 2
+	// redundantThreshold is the dynamic-occurrence count above which a
+	// redundant-store site is reported as an "Other" finding (incidental
+	// same-value rewrites stay below it; P-CLHT's unnecessary migration
+	// writes fire hundreds of times).
+	redundantThreshold = 100
+)
 
 // Options configure a fuzzing run. Zero values select the evaluation's
 // defaults (§6.1: 4 driver threads; simulation-scaled timings).
@@ -71,16 +98,11 @@ type Options struct {
 	DisableSeedTier bool
 	// NoCheckpoints disables the in-memory pool checkpoints (Figure 10).
 	NoCheckpoints bool
-	// ExecsPerInterleaving is the execution-tier repetition count.
-	ExecsPerInterleaving int
 	// MaxInterleavingsPerSeed bounds interleaving-tier entries per seed.
 	MaxInterleavingsPerSeed int
 	// ExtraWhitelist adds target-specific whitelist entries on top of the
 	// default (mini-PMDK transactional allocation).
 	ExtraWhitelist []string
-	// Mutator overrides the default operation mutator (the Table 4
-	// baseline passes a ByteMutator).
-	Mutator Mutator
 	// Protocol switches the campaign to protocol-traffic mode: seeds are
 	// recorded memcached text-protocol byte streams played through the
 	// internal/wire front-end (one stream per connection), generated and
@@ -89,11 +111,6 @@ type Options struct {
 	Protocol bool
 	// HangTimeout bounds lock acquisition per thread.
 	HangTimeout time.Duration
-	// RedundantThreshold is the dynamic-occurrence count above which a
-	// redundant-store site is reported as an "Other" finding (incidental
-	// same-value rewrites stay below it; P-CLHT's unnecessary migration
-	// writes fire hundreds of times).
-	RedundantThreshold int
 	// EADR fuzzes against a platform with battery-backed caches (paper
 	// §6.6): no store is ever non-persisted, so PM Inter-thread
 	// Inconsistency cannot occur; PM Synchronization Inconsistency (and
@@ -153,17 +170,11 @@ func (o Options) withDefaults() Options {
 	if o.Duration <= 0 {
 		o.Duration = 30 * time.Second
 	}
-	if o.ExecsPerInterleaving <= 0 {
-		o.ExecsPerInterleaving = 2
-	}
 	if o.MaxInterleavingsPerSeed <= 0 {
 		o.MaxInterleavingsPerSeed = 6
 	}
 	if o.HangTimeout <= 0 {
 		o.HangTimeout = 80 * time.Millisecond
-	}
-	if o.RedundantThreshold <= 0 {
-		o.RedundantThreshold = 100
 	}
 	if o.MaxCrashStates <= 0 {
 		o.MaxCrashStates = 1
@@ -303,13 +314,11 @@ func NewWithFactory(factory targets.Factory, opts Options) *Fuzzer {
 	opts = opts.withDefaults()
 	wl := core.NewWhitelist(pmdk.DefaultWhitelist()...)
 	wl.Add(opts.ExtraWhitelist...)
-	mut := opts.Mutator
-	if mut == nil {
-		if opts.Protocol {
-			mut = NewProtoMutator(opts.Seed, opts.KeySpace, opts.Threads)
-		} else {
-			mut = NewOpMutator(opts.KeySpace, opts.Threads, opts.OpsPerSeed)
-		}
+	var mut Mutator
+	if opts.Protocol {
+		mut = NewProtoMutator(opts.Seed, opts.KeySpace, opts.Threads)
+	} else {
+		mut = NewOpMutator(opts.KeySpace, opts.Threads, opts.OpsPerSeed)
 	}
 	f := &Fuzzer{
 		factory:    factory,
@@ -374,6 +383,9 @@ func (f *Fuzzer) SetTracer(tr *obs.Tracer) {
 
 // Tracer returns the campaign's span tracer, nil when tracing is disabled.
 func (f *Fuzzer) Tracer() *obs.Tracer { return f.tr }
+
+// ArtifactDir returns the campaign's bundle directory, "" without one.
+func (f *Fuzzer) ArtifactDir() string { return f.opts.ArtifactDir }
 
 // Run executes the fuzzing loop until the execution or time budget is
 // exhausted and returns the aggregated result.
@@ -545,7 +557,7 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 	// Execution tier: base executions collecting coverage and the shared
 	// PM access statistics that feed the priority queue.
 	improved := false
-	for i := 0; i < f.opts.ExecsPerInterleaving && !f.done(); i++ {
+	for i := 0; i < execsPerInterleaving && !f.done(); i++ {
 		out, err := f.runOne(seed, f.baseStrategy(rng), worker)
 		if err != nil {
 			return err
@@ -590,7 +602,7 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 				Skip:     skip,
 			})
 			productive, ran := false, 0
-			for e := 0; e < f.opts.ExecsPerInterleaving && !f.done(); e++ {
+			for e := 0; e < execsPerInterleaving && !f.done(); e++ {
 				cfg := f.opts.Sched
 				cfg.Seed = rng.Int63()
 				pm := sched.NewPMAware(cfg, entry, f.skipFor(entry.Addr))
@@ -813,7 +825,7 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 		})
 	}
 	for _, r := range res.Redundant {
-		if r.Count >= f.opts.RedundantThreshold {
+		if r.Count >= redundantThreshold {
 			loc := site.Lookup(r.Site).String()
 			f.redSites[loc] = struct{}{}
 			f.db.AddOther(core.OtherFinding{

@@ -7,8 +7,8 @@ import (
 
 // DecodeEvent unmarshals the payload of a JSONL or SSE envelope back into
 // its typed event, keyed by the envelope's kind. It is the inverse of the
-// `data` field jsonlEnvelope serializes, letting consumers of /events and of
-// trace files rebuild the same typed stream Campaign.Events delivers
+// `data` field Envelope serializes, letting consumers of SSE event streams
+// and of trace files rebuild the same typed stream Campaign.Events delivers
 // in-process (modulo the Seq/At stamps, which the envelope carries
 // separately).
 func DecodeEvent(kind Kind, data []byte) (Event, error) {

@@ -16,9 +16,10 @@ type Sink interface {
 	Close() error
 }
 
-// jsonlEnvelope is one JSONL trace line: the stamped envelope plus the
-// kind-specific payload.
-type jsonlEnvelope struct {
+// Envelope is the wire form of one event: the stamped envelope plus the
+// kind-specific payload. It is one JSONL trace line, and the data field of
+// one Server-Sent Events frame.
+type Envelope struct {
 	Kind Kind    `json:"kind"`
 	Seq  uint64  `json:"seq"`
 	AtMs float64 `json:"at_ms"`
@@ -46,7 +47,7 @@ func (s *JSONLSink) Emit(ev Event) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(jsonlEnvelope{
+	s.err = s.enc.Encode(Envelope{
 		Kind: ev.Kind(),
 		Seq:  m.Seq,
 		AtMs: float64(m.At) / float64(time.Millisecond),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,7 +22,7 @@ const maxSpecBytes = 1 << 20
 
 // Handler returns the control plane's HTTP handler: the versioned REST API
 // under api.BasePath plus the operational endpoints (/healthz, /readyz,
-// /status, /metrics).
+// /status, /metrics) and the Go profiling endpoints under /debug/pprof/.
 func (s *Supervisor) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -78,7 +79,7 @@ func (s *Supervisor) Handler() http.Handler {
 				Message: fmt.Sprintf("campaign %s finished before a server restart; its event stream is gone", c.id)})
 			return
 		}
-		obs.ServeSSE(w, r, c.em)
+		ServeSSE(w, r, c.em)
 	})
 	mux.HandleFunc("GET "+api.BasePath+"/campaigns/{id}/artifacts", func(w http.ResponseWriter, r *http.Request) {
 		s.handleArtifactList(w, r)
@@ -108,8 +109,72 @@ func (s *Supervisor) Handler() http.Handler {
 		}{s.Info(), s.List()})
 	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	return mux
+}
+
+// ServeSSE streams em's event feed to one HTTP client as Server-Sent
+// Events. Each event becomes one frame: `event:` carries the kind, `id:`
+// the emitter sequence number, and `data:` the obs.Envelope a JSONL trace
+// writes per line. The stream ends when the emitter closes (campaign done),
+// the client disconnects, or the request context is cancelled. Each client
+// gets its own SubscribeExtra channel, so any number of observers can stream
+// without stealing events from the in-process Campaign.Events channel or
+// from each other.
+func ServeSSE(w http.ResponseWriter, r *http.Request, em *obs.Emitter) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		return
+	}
+	ch, unsub := em.SubscribeExtra(1024)
+	defer unsub()
+
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
+
+	for {
+		// Prefer draining buffered events over cancellation: a campaign
+		// closes its emitter and then its server back to back, and the
+		// terminal events (campaign_done) must not lose that race. A
+		// disconnected client ends the loop through the write error below.
+		var ev obs.Event
+		var ok bool
+		select {
+		case ev, ok = <-ch:
+		default:
+			select {
+			case ev, ok = <-ch:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		if !ok {
+			return
+		}
+		m := ev.Meta()
+		data, err := json.Marshal(obs.Envelope{
+			Kind: ev.Kind(),
+			Seq:  m.Seq,
+			AtMs: float64(m.At.Microseconds()) / 1e3,
+			Data: ev,
+		})
+		if err != nil {
+			return
+		}
+		if _, err := fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Kind(), m.Seq, data); err != nil {
+			return
+		}
+		fl.Flush()
+	}
 }
 
 // handleMetrics merges every campaign's metrics registry into one labeled

@@ -4,8 +4,11 @@
 package serve_test
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -582,6 +585,211 @@ func TestRestartRemembersTerminalCampaigns(t *testing.T) {
 		}
 		if dups == 0 {
 			t.Fatalf("re-run campaign re-found no pre-restart fingerprints as duplicates: %+v", final2.Bugs)
+		}
+	}
+}
+
+// TestHandlerServesPprof pins the Go profiling routes on the serve mux.
+func TestHandlerServesPprof(t *testing.T) {
+	sup, _ := newTestServer(t, serve.Config{WorkerBudget: 1})
+	ts := httptest.NewServer(sup.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/pprof/cmdline status %d", resp.StatusCode)
+	}
+}
+
+// startAttached starts a local campaign that will not finish on its own,
+// served over HTTP (WithHTTPAddr attaches it to a one-campaign
+// supervisor), and waits until it has executed something.
+func startAttached(t *testing.T) (*pmrace.Campaign, *client.Client, string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	c, err := pmrace.NewCampaign(ctx, "pclht",
+		pmrace.WithWorkers(1),
+		pmrace.WithBudget(10_000_000, time.Hour),
+		pmrace.WithSeed(1),
+		pmrace.WithHTTPAddr("127.0.0.1:0"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cancel()
+		c.Wait()
+	})
+	go func() {
+		for range c.Events() {
+		}
+	}()
+	cl := client.New("http://" + c.HTTPAddr())
+	list, err := cl.List(context.Background())
+	if err != nil || len(list) != 1 {
+		t.Fatalf("list = %+v, %v; want the one attached campaign", list, err)
+	}
+	id := list[0].ID
+	for deadline := time.Now().Add(30 * time.Second); c.Snapshot().Execs == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("attached campaign executed nothing")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return c, cl, id
+}
+
+// TestAttachedCampaignRefusesSubmit: the server of a local campaign holds
+// exactly that campaign, so a POST finds the table full.
+func TestAttachedCampaignRefusesSubmit(t *testing.T) {
+	_, cl, _ := startAttached(t)
+	_, err := cl.Submit(context.Background(), api.CampaignSpec{Target: "pclht", Workers: 1})
+	if !api.IsCode(err, api.CodeConflict) {
+		t.Fatalf("submit to a local campaign's server: err = %v, want %s", err, api.CodeConflict)
+	}
+	var ae *api.Error
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
+		t.Fatalf("submit error = %#v, want HTTP 409", err)
+	}
+}
+
+// TestAttachedCampaignCancel: a DELETE on a local campaign ends it like
+// Ctrl-C — cancelled, with Wait returning the partial result.
+func TestAttachedCampaignCancel(t *testing.T) {
+	c, cl, id := startAttached(t)
+	doc, err := cl.Cancel(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.State != api.StateDraining && doc.State != api.StateCancelled {
+		t.Fatalf("cancel returned state %q", doc.State)
+	}
+	res, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.State() != pmrace.StateCancelled {
+		t.Fatalf("state after DELETE = %q, want cancelled", c.State())
+	}
+	if res == nil || res.Execs == 0 || res.Execs >= 10_000_000 {
+		t.Fatalf("partial result = %+v", res)
+	}
+}
+
+// allKindsEvents returns one event of every kind, ending with the terminal
+// CampaignDone, mirroring a miniature campaign.
+func allKindsEvents() []obs.Event {
+	return []obs.Event{
+		&obs.PhaseChange{Phase: "fuzzing", Prev: "init"},
+		&obs.SeedAccepted{Origin: "initial", Ops: 10, CorpusSize: 1},
+		&obs.ExecDone{Exec: 1, Worker: 0, NewBits: 3, BranchCov: 3, AliasCov: 1, Candidates: 2, Duration: time.Millisecond},
+		&obs.InterleavingScheduled{Worker: 0, Addr: 0x40, Priority: 7, Skip: 1},
+		&obs.InconsistencyFound{Class: "inter", WriteSite: "a.go:1", ReadSite: "b.go:2", StoreSite: "c.go:3", Flow: "value"},
+		&obs.ValidationVerdict{Class: "inter", Status: "bug", Latency: time.Millisecond},
+		&obs.BugConfirmed{Class: "inter", Site: "a.go:1", Summary: "dirty read"},
+		&obs.CampaignDone{Stats: obs.Stats{Target: "t", Mode: "pmrace", Execs: 1, Seeds: 1, Bugs: 1}},
+	}
+}
+
+// sseFrame is one parsed Server-Sent-Events frame.
+type sseFrame struct {
+	event string
+	id    string
+	data  string
+}
+
+func readSSE(t *testing.T, r io.Reader) []sseFrame {
+	t.Helper()
+	var frames []sseFrame
+	var cur sseFrame
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			if cur != (sseFrame{}) {
+				frames = append(frames, cur)
+				cur = sseFrame{}
+			}
+		case strings.HasPrefix(line, "event: "):
+			cur.event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "id: "):
+			cur.id = strings.TrimPrefix(line, "id: ")
+		case strings.HasPrefix(line, "data: "):
+			cur.data = strings.TrimPrefix(line, "data: ")
+		default:
+			t.Fatalf("unexpected SSE line %q", line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// TestServerSSEFullEquality connects a ServeSSE client before any event is
+// emitted (response headers received implies the SubscribeExtra
+// registration happened), emits one event of every kind, closes the
+// emitter, and checks the framed stream equals the in-process sequence
+// event for event.
+func TestServerSSEFullEquality(t *testing.T) {
+	em := obs.NewEmitter()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serve.ServeSSE(w, r, em)
+	}))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+
+	events := allKindsEvents()
+	for _, ev := range events {
+		em.Emit(ev)
+	}
+	em.Close() // ends the extra channel, so the stream reaches EOF
+
+	frames := readSSE(t, resp.Body)
+	if len(frames) != len(events) {
+		t.Fatalf("got %d SSE frames, want %d", len(frames), len(events))
+	}
+	for i, fr := range frames {
+		want := events[i]
+		m := want.Meta()
+		if fr.event != string(want.Kind()) {
+			t.Errorf("frame %d: event field %q, want %q", i, fr.event, want.Kind())
+		}
+		if fr.id != fmt.Sprintf("%d", m.Seq) {
+			t.Errorf("frame %d: id field %q, want %d", i, fr.id, m.Seq)
+		}
+		var env struct {
+			Kind obs.Kind        `json:"kind"`
+			Seq  uint64          `json:"seq"`
+			AtMs float64         `json:"at_ms"`
+			Data json.RawMessage `json:"data"`
+		}
+		if err := json.Unmarshal([]byte(fr.data), &env); err != nil {
+			t.Fatalf("frame %d: data not JSON: %v\n%s", i, err, fr.data)
+		}
+		if env.Kind != want.Kind() || env.Seq != m.Seq {
+			t.Errorf("frame %d: envelope kind=%q seq=%d, want kind=%q seq=%d",
+				i, env.Kind, env.Seq, want.Kind(), m.Seq)
+		}
+		got, err := obs.DecodeEvent(env.Kind, env.Data)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if gf, wf := obs.Fingerprint(got), obs.Fingerprint(want); gf != wf {
+			t.Errorf("frame %d: decoded fingerprint %q, want %q", i, gf, wf)
 		}
 	}
 }

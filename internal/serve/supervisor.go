@@ -186,19 +186,9 @@ func (s *Supervisor) DataDir() string { return s.cfg.DataDir }
 // defaults to 1 — under a shared budget a spec's cost must be explicit —
 // while everything else keeps the engine's evaluation defaults.
 func optionsFromSpec(spec api.CampaignSpec) (fuzz.Options, error) {
-	var mode fuzz.ExploreMode
-	switch spec.Mode {
-	case "", "pmrace", "pmaware":
-		mode = fuzz.ModePMAware
-	case "delay":
-		mode = fuzz.ModeDelayInj
-	case "none":
-		mode = fuzz.ModeNone
-	default:
-		return fuzz.Options{}, &api.Error{
-			StatusCode: 400, Code: api.CodeBadRequest,
-			Message: fmt.Sprintf("unknown mode %q (want pmrace, delay or none)", spec.Mode),
-		}
+	mode, err := fuzz.ParseMode(spec.Mode)
+	if err != nil {
+		return fuzz.Options{}, &api.Error{StatusCode: 400, Code: api.CodeBadRequest, Message: err.Error()}
 	}
 	workers := spec.Workers
 	if workers <= 0 {
@@ -222,10 +212,10 @@ func optionsFromSpec(spec api.CampaignSpec) (fuzz.Options, error) {
 	}, nil
 }
 
-// Submit validates spec, creates the campaign (fuzzer + emitter live from
-// here on) and queues it for admission. It returns the campaign document in
-// its initial state — Pending, or already Running when the budget had
-// immediate headroom.
+// Submit validates spec, builds its fuzzer (which, with its emitter, lives
+// from here on) and enters it into the campaign table through the admission
+// queue. It returns the campaign document in its initial state — Pending,
+// or already Running when the budget had immediate headroom.
 func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 	if spec.Target == "" {
 		return api.Campaign{}, &api.Error{StatusCode: 400, Code: api.CodeBadRequest,
@@ -256,72 +246,107 @@ func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 	}
 	opts.CorpusDir = corpus
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return api.Campaign{}, &api.Error{StatusCode: 503, Code: api.CodeDraining,
-			Message: "server is draining; not accepting campaigns"}
+	id, err := s.reserve()
+	if err != nil {
+		return api.Campaign{}, err
 	}
-	if len(s.campaigns) >= s.cfg.MaxCampaigns {
-		s.mu.Unlock()
-		return api.Campaign{}, &api.Error{StatusCode: 409, Code: api.CodeConflict,
-			Message: fmt.Sprintf("campaign table full (%d)", s.cfg.MaxCampaigns)}
-	}
-	s.nextID++
-	id := fmt.Sprintf("c%04d", s.nextID)
-	s.mu.Unlock()
-
-	var artDir string
 	if spec.Artifacts {
-		artDir = filepath.Join(s.cfg.DataDir, "artifacts", id)
-		opts.ArtifactDir = artDir
+		opts.ArtifactDir = filepath.Join(s.cfg.DataDir, "artifacts", id)
 	}
 	fz, ferr := fuzz.New(spec.Target, opts)
 	if ferr != nil {
 		return api.Campaign{}, &api.Error{StatusCode: 500, Code: api.CodeInternal, Message: ferr.Error()}
 	}
-	em := obs.NewEmitter()
-	fz.SetEmitter(em)
+	fz.SetEmitter(obs.NewEmitter())
 
 	// Span tracing: the spec's explicit rate wins; zero inherits the server
 	// default; a negative value (either side) disables.
-	var tr *obs.Tracer
 	sample := s.cfg.TraceSample
 	if spec.TraceSample != 0 {
 		sample = spec.TraceSample
 	}
 	if sample > 0 {
-		tr = obs.NewTracer(em.Registry(), sample)
+		tr := obs.NewTracer(fz.Emitter().Registry(), sample)
 		tr.SetMeta(id, spec.Target)
 		tr.SetAnomalyDir(filepath.Join(s.cfg.DataDir, "anomalies", id))
 		fz.SetTracer(tr)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &campaign{
-		id: id, spec: spec, fz: fz, em: em, tr: tr, ctx: ctx, cancel: cancel,
-		artDir: artDir, state: api.StatePending, created: time.Now(),
-		done: make(chan struct{}),
+	c, err := s.enter(context.Background(), id, spec, fz, func(c *campaign) {
+		// The queue_wait span measures admission latency: opened here,
+		// ended when the campaign is admitted (or cancelled while pending).
+		c.qsp = c.tr.Start(obs.LaneSupervisor, obs.SpanQueueWait)
+		s.queue = append(s.queue, c)
+		s.admitLocked()
+	})
+	if err != nil {
+		return api.Campaign{}, err
 	}
-	// The queue_wait span measures admission latency: opened here, ended
-	// when the campaign is admitted (or cancelled while pending).
-	c.qsp = tr.Start(obs.LaneSupervisor, obs.SpanQueueWait)
+	return s.document(c), nil
+}
 
+// Attach enters fz — built by the caller, with its emitter and any tracer
+// already set — into the campaign table as a campaign running spec, and
+// returns the context to run fz under plus the completion step to call,
+// once, with RunContext's results. The step is the one every submitted
+// campaign ends with: bug dedup, terminal state, emitter close and the
+// persisted record. The caller is already running the campaign, so it
+// skips the admission queue and its workers are charged to the budget even
+// past it; queued campaigns wait until they fit again. Cancelling parent or
+// DELETEing the campaign cancels the returned context.
+func (s *Supervisor) Attach(parent context.Context, spec api.CampaignSpec, fz *fuzz.Fuzzer) (context.Context, func(*fuzz.Result, error), error) {
+	id, err := s.reserve()
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := s.enter(parent, id, spec, fz, s.startLocked)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.ctx, func(res *fuzz.Result, err error) { s.finish(c, res, err) }, nil
+}
+
+// reserve allocates the next campaign ID, refusing while the server drains
+// or when the campaign table is full.
+func (s *Supervisor) reserve() (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return "", errDraining
+	}
+	if len(s.campaigns) >= s.cfg.MaxCampaigns {
+		return "", &api.Error{StatusCode: 409, Code: api.CodeConflict,
+			Message: fmt.Sprintf("campaign table full (%d)", s.cfg.MaxCampaigns)}
+	}
+	s.nextID++
+	return fmt.Sprintf("c%04d", s.nextID), nil
+}
+
+var errDraining = &api.Error{StatusCode: 503, Code: api.CodeDraining,
+	Message: "server is draining; not accepting campaigns"}
+
+// enter wraps fz as campaign id, Pending, and inserts it into the table;
+// admit, called under s.mu, queues or starts it. The campaign's context
+// derives from parent.
+func (s *Supervisor) enter(parent context.Context, id string, spec api.CampaignSpec, fz *fuzz.Fuzzer, admit func(*campaign)) (*campaign, error) {
+	ctx, cancel := context.WithCancel(parent)
+	c := &campaign{
+		id: id, spec: spec, fz: fz, em: fz.Emitter(), tr: fz.Tracer(),
+		ctx: ctx, cancel: cancel, artDir: fz.ArtifactDir(),
+		state: api.StatePending, created: time.Now(), done: make(chan struct{}),
+	}
 	s.mu.Lock()
 	if s.draining { // re-check: Drain may have raced the ID allocation
 		s.mu.Unlock()
 		cancel()
-		em.Close()
-		return api.Campaign{}, &api.Error{StatusCode: 503, Code: api.CodeDraining,
-			Message: "server is draining; not accepting campaigns"}
+		c.em.Close()
+		return nil, errDraining
 	}
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
-	s.queue = append(s.queue, c)
-	s.admitLocked()
+	admit(c)
 	s.mu.Unlock()
-
-	return s.document(c), nil
+	return c, nil
 }
 
 // admitLocked pops queued campaigns while the budget has headroom. Admission
@@ -330,20 +355,24 @@ func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 func (s *Supervisor) admitLocked() {
 	for len(s.queue) > 0 {
 		c := s.queue[0]
-		w := workersOf(c)
-		if s.used+w > s.cfg.WorkerBudget {
+		if s.used+workersOf(c) > s.cfg.WorkerBudget {
 			return
 		}
 		s.queue = s.queue[1:]
-		s.used += w
-		c.mu.Lock()
-		c.state = api.StateRunning
-		c.started = time.Now()
-		c.qsp.End()
-		c.mu.Unlock()
-		s.wg.Add(1)
+		s.startLocked(c)
 		go s.run(c)
 	}
+}
+
+// startLocked moves c to Running and charges its workers to the budget.
+func (s *Supervisor) startLocked(c *campaign) {
+	s.used += workersOf(c)
+	c.mu.Lock()
+	c.state = api.StateRunning
+	c.started = time.Now()
+	c.qsp.End()
+	c.mu.Unlock()
+	s.wg.Add(1)
 }
 
 func workersOf(c *campaign) int {
@@ -353,13 +382,17 @@ func workersOf(c *campaign) int {
 	return c.spec.Workers
 }
 
-// run executes one admitted campaign to completion, finalizes its document
-// (terminal state, bug inventory with cross-campaign dedup), releases its
-// workers and admits successors.
+// run executes one admitted campaign to completion.
 func (s *Supervisor) run(c *campaign) {
-	defer s.wg.Done()
 	res, err := c.fz.RunContext(c.ctx)
+	s.finish(c, res, err)
+}
 
+// finish is a running campaign's completion step: it finalizes the document
+// (terminal state, bug inventory with cross-campaign dedup), closes the
+// emitter, persists the record, releases the workers and admits successors.
+func (s *Supervisor) finish(c *campaign, res *fuzz.Result, err error) {
+	defer s.wg.Done()
 	bugs := s.dedupBugs(c, res)
 
 	c.mu.Lock()

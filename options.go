@@ -14,13 +14,12 @@ import (
 type CampaignOption func(*campaignConfig)
 
 type campaignConfig struct {
-	opts             Options
-	sinks            []obs.Sink
-	progress         io.Writer
-	progressInterval time.Duration
-	eventBuf         int
-	httpAddr         string
-	traceSample      int
+	opts        Options
+	sinks       []obs.Sink
+	progress    io.Writer
+	eventBuf    int
+	httpAddr    string
+	traceSample int
 }
 
 // WithWorkers sets the number of concurrent fuzzing workers.
@@ -91,11 +90,6 @@ func WithoutCheckpoints() CampaignOption {
 	return func(c *campaignConfig) { c.opts.NoCheckpoints = true }
 }
 
-// WithMutator overrides the default operation mutator.
-func WithMutator(m Mutator) CampaignOption {
-	return func(c *campaignConfig) { c.opts.Mutator = m }
-}
-
 // WithWhitelist adds developer-specified benign patterns on top of the
 // default (mini-PMDK transactional allocation).
 func WithWhitelist(entries ...string) CampaignOption {
@@ -122,12 +116,6 @@ func WithProgress(w io.Writer) CampaignOption {
 	return func(c *campaignConfig) { c.progress = w }
 }
 
-// WithProgressInterval adjusts the progress-line refresh interval (mostly
-// for tests; the default is one second).
-func WithProgressInterval(d time.Duration) CampaignOption {
-	return func(c *campaignConfig) { c.progressInterval = d }
-}
-
 // WithEventBuffer sets the Events() channel capacity (default 4096). When
 // the consumer falls behind, the oldest buffered event is shed — sinks are
 // the lossless path.
@@ -135,10 +123,12 @@ func WithEventBuffer(n int) CampaignOption {
 	return func(c *campaignConfig) { c.eventBuf = n }
 }
 
-// WithHTTPAddr serves live campaign introspection on addr (":0" picks a free
-// port; Campaign.HTTPAddr returns the bound address): Prometheus /metrics,
-// /status snapshots, an SSE /events stream, /healthz and /debug/pprof. The
-// server lives for the campaign's duration.
+// WithHTTPAddr serves the campaign on addr (":0" picks a free port;
+// Campaign.HTTPAddr returns the bound address) through pmraced's handlers,
+// as campaign c0001 of a one-campaign server: /healthz, /readyz, /status,
+// the labelled /metrics, /debug/pprof, and /api/v1/campaigns/c0001 with its
+// /events, /trace and /artifacts routes. A DELETE there cancels the
+// campaign. The server lives for the campaign's duration.
 func WithHTTPAddr(addr string) CampaignOption {
 	return func(c *campaignConfig) { c.httpAddr = addr }
 }
@@ -146,7 +136,7 @@ func WithHTTPAddr(addr string) CampaignOption {
 // WithTracing enables span tracing: the campaign records a timeline of
 // supervisor, worker, validation and crash-enumeration spans into a bounded
 // flight recorder, exports it as Chrome trace-event JSON (Perfetto-viewable
-// via the introspection server's /trace endpoint or `pmrace trace`), and
+// via the API's /trace route or `pmrace trace`), and
 // dumps the recorder on anomalies. sampleN selects which executions record
 // per-exec spans (every Nth; campaign-level and validation spans are always
 // on); sampleN <= 0 picks the default rate (every 8th execution).
@@ -157,44 +147,6 @@ func WithTracing(sampleN int) CampaignOption {
 		}
 		c.traceSample = sampleN
 	}
-}
-
-// WithHangTimeout bounds each thread's lock acquisition during pre-failure
-// execution; a thread exceeding it is declared hung (default 80ms,
-// simulation-scaled from the paper's timings).
-func WithHangTimeout(d time.Duration) CampaignOption {
-	return func(c *campaignConfig) { c.opts.HangTimeout = d }
-}
-
-// WithRedundantThreshold sets the dynamic-occurrence count above which a
-// redundant-store site is reported as an "Other" finding (default 100).
-func WithRedundantThreshold(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.RedundantThreshold = n }
-}
-
-// WithExecsPerInterleaving sets the execution-tier repetition count: how
-// many times each seed (and each scheduled interleaving) is executed
-// (default 2).
-func WithExecsPerInterleaving(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.ExecsPerInterleaving = n }
-}
-
-// WithMaxInterleavingsPerSeed bounds how many interleaving-tier queue
-// entries are scheduled per seed iteration (default 6).
-func WithMaxInterleavingsPerSeed(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.MaxInterleavingsPerSeed = n }
-}
-
-// WithoutInterleavingTier ablates interleaving-tier exploration ("w/o IE",
-// Figure 9).
-func WithoutInterleavingTier() CampaignOption {
-	return func(c *campaignConfig) { c.opts.DisableInterleavingTier = true }
-}
-
-// WithoutSeedTier ablates seed-tier evolution ("w/o SE", Figure 9): the
-// corpus never grows beyond the initial seeds.
-func WithoutSeedTier() CampaignOption {
-	return func(c *campaignConfig) { c.opts.DisableSeedTier = true }
 }
 
 // WithMaxCrashStates caps the crash states enumerated and validated per
