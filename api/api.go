@@ -89,9 +89,8 @@ func (s State) Terminal() bool {
 }
 
 // CampaignSpec is the submit request: what to fuzz and with which budget.
-// Zero values select the engine's evaluation defaults (the same defaults the
-// functional options leave in place), except Workers, which pmraced defaults
-// to 1 so a spec's cost against the shared worker budget is explicit.
+// Zero values select the engine's evaluation defaults, the same defaults the
+// functional options leave in place.
 type CampaignSpec struct {
 	// Target is the registered PM system to fuzz. Required.
 	Target string `json:"target"`
@@ -131,7 +130,8 @@ type CampaignSpec struct {
 	ArtifactsAll bool `json:"artifacts_all,omitempty"`
 	// TraceSample overrides the server's span-sampling rate for this
 	// campaign: 0 keeps the server default, N>0 samples every Nth
-	// execution's spans, negative disables tracing entirely.
+	// execution's spans, negative disables tracing entirely. A local
+	// campaign (pmrace -http) has no server default: 0 means tracing is off.
 	TraceSample int `json:"trace_sample,omitempty"`
 }
 

@@ -91,7 +91,6 @@ func NewJSONLSink(w io.Writer) Sink { return obs.NewJSONLSink(w) }
 type Campaign struct {
 	fz       *fuzz.Fuzzer
 	em       *obs.Emitter
-	tr       *obs.Tracer
 	ctx      context.Context
 	events   <-chan obs.Event
 	done     chan struct{}
@@ -130,7 +129,12 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 	for _, o := range options {
 		o(&cfg)
 	}
-	fz, err := fuzz.New(target, cfg.opts)
+	cfg.spec.Target = target
+	opts, err := serve.FuzzOptions(cfg.base, cfg.spec)
+	if err != nil {
+		return nil, err
+	}
+	fz, err := fuzz.New(target, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -142,21 +146,18 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 	events := em.Subscribe(cfg.eventBuf)
 	fz.SetEmitter(em)
 
-	c := &Campaign{fz: fz, em: em, ctx: ctx, events: events, done: make(chan struct{})}
-	if cfg.traceSample > 0 {
-		c.tr = obs.NewTracer(em.Registry(), cfg.traceSample)
-		c.tr.SetMeta("local", target)
-		if cfg.opts.ArtifactDir != "" {
-			c.tr.SetAnomalyDir(filepath.Join(cfg.opts.ArtifactDir, "anomalies"))
-		}
-		fz.SetTracer(c.tr)
+	anomalies := ""
+	if opts.ArtifactDir != "" {
+		anomalies = filepath.Join(opts.ArtifactDir, "anomalies")
 	}
+	serve.StartTracer(fz, cfg.spec.TraceSample, "local", target, anomalies)
+	c := &Campaign{fz: fz, em: em, ctx: ctx, events: events, done: make(chan struct{})}
 	// Closing the emitter after the terminal CampaignDone event drains and
 	// then closes the Events() channel, ending consumer range loops and SSE
 	// streams; the HTTP server goes down after its streams have drained.
 	finish, stop := func(*Result, error) { em.Close() }, func() {}
 	if cfg.httpAddr != "" {
-		if finish, stop, err = c.startServer(target, cfg); err != nil {
+		if finish, stop, err = c.startServer(cfg); err != nil {
 			em.Close()
 			return nil, err
 		}
@@ -177,12 +178,12 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 // caller's context) and returns the supervisor's completion step plus stop,
 // which shuts the server down and removes the supervisor's temporary data
 // directory.
-func (c *Campaign) startServer(target string, cfg campaignConfig) (func(*Result, error), func(), error) {
+func (c *Campaign) startServer(cfg campaignConfig) (func(*Result, error), func(), error) {
 	ln, err := net.Listen("tcp", cfg.httpAddr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pmrace: introspection listen on %s: %w", cfg.httpAddr, err)
 	}
-	sup, err := serve.New(serve.Config{WorkerBudget: cfg.opts.Workers, MaxCampaigns: 1})
+	sup, err := serve.New(serve.Config{WorkerBudget: cfg.spec.Workers, MaxCampaigns: 1})
 	if err != nil {
 		ln.Close()
 		return nil, nil, err
@@ -199,7 +200,7 @@ func (c *Campaign) startServer(target string, cfg campaignConfig) (func(*Result,
 		_ = sup.Drain(ctx)              // nothing runs any more; this stops the sampler
 		_ = os.RemoveAll(sup.DataDir()) // best effort: a temporary directory
 	}
-	ctx, finish, err := sup.Attach(c.ctx, api.CampaignSpec{Target: target, Workers: cfg.opts.Workers}, c.fz)
+	ctx, finish, err := sup.Attach(c.ctx, cfg.spec, c.fz)
 	if err != nil {
 		ln.Close()
 		stop()
@@ -213,21 +214,17 @@ func (c *Campaign) startServer(target string, cfg campaignConfig) (func(*Result,
 // Spans returns the campaign's recorded span timeline (oldest first), or nil
 // when tracing was not enabled (see WithTracing). The flight recorder is
 // bounded: a long campaign retains its most recent spans.
-func (c *Campaign) Spans() []obs.Span {
-	if c.tr == nil {
-		return nil
-	}
-	return c.tr.Spans()
-}
+func (c *Campaign) Spans() []obs.Span { return c.fz.Tracer().Spans() }
 
 // WriteTrace writes the campaign's span timeline to w as Chrome trace-event
 // JSON, loadable in ui.perfetto.dev or chrome://tracing. It errors when
 // tracing was not enabled.
 func (c *Campaign) WriteTrace(w io.Writer) error {
-	if c.tr == nil {
+	tr := c.fz.Tracer()
+	if tr == nil {
 		return errors.New("pmrace: tracing not enabled (use WithTracing)")
 	}
-	return c.tr.WriteChrome(w)
+	return tr.WriteChrome(w)
 }
 
 // HTTPAddr returns the bound address of the campaign's HTTP server (see

@@ -129,6 +129,7 @@ func run() int {
 		pmrace.WithSeed(*seed),
 		pmrace.WithMode(explore),
 		pmrace.WithCorpusDir(*corpus),
+		pmrace.WithArtifacts(*artifacts),
 		pmrace.WithMaxCrashStates(*maxCrashStates),
 		pmrace.WithValidationWorkers(*valWorkers),
 		pmrace.WithValidationWallTimeout(*valWallTimeout),
@@ -150,14 +151,8 @@ func run() int {
 	if *eadr {
 		options = append(options, pmrace.WithEADR())
 	}
-	if *artifacts != "" {
-		options = append(options, pmrace.WithArtifacts(*artifacts))
-		if *artAll {
-			options = append(options, pmrace.WithAllArtifacts())
-		}
-	} else if *artAll {
-		fmt.Fprintln(os.Stderr, "pmrace: -artifacts-all requires -artifacts")
-		return 2
+	if *artAll {
+		options = append(options, pmrace.WithAllArtifacts())
 	}
 	if *httpAddr != "" {
 		options = append(options, pmrace.WithHTTPAddr(*httpAddr))
@@ -181,13 +176,13 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Fprintf(out, "fuzzing %s (%s exploration, %d workers, budget %d execs / %s)\n",
-		*target, explore, *workers, *execs, *duration)
 	c, err := pmrace.NewCampaign(ctx, *target, options...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
 		return 2
 	}
+	fmt.Fprintf(out, "fuzzing %s (%s exploration, %d workers, budget %d execs / %s)\n",
+		*target, explore, *workers, *execs, *duration)
 	if addr := c.HTTPAddr(); addr != "" {
 		fmt.Fprintf(out, "introspection: http://%s/status\n", addr)
 	}

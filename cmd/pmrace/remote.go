@@ -69,7 +69,7 @@ func runSubmit(args []string) int {
 		threads   = fs.Int("threads", 0, "driver threads per execution (0 = server default)")
 		execs     = fs.Int("execs", 0, "execution budget (0 = server default)")
 		duration  = fs.Duration("duration", 0, "wall-clock budget (0 = server default)")
-		seed      = fs.Int64("seed", 0, "random seed (0 = unseeded default)")
+		seed      = fs.Int64("seed", 0, "random seed")
 		proto     = fs.Bool("proto", false, "fuzz through memcached text-protocol byte streams instead of synthetic op vectors")
 		artifacts = fs.Bool("artifacts", false, "write a forensic bundle per confirmed bug (fetch via the artifacts endpoints)")
 		artAll    = fs.Bool("artifacts-all", false, "with -artifacts: also bundle validated/whitelisted false positives")

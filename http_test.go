@@ -98,6 +98,15 @@ func TestCampaignHTTPIntrospection(t *testing.T) {
 	if len(status.Campaigns) != 1 || status.Campaigns[0].ID != localID || status.Campaigns[0].Stats.Target != "pclht" {
 		t.Fatalf("/status campaigns = %+v", status.Campaigns)
 	}
+	// The served spec is the one the options built, not just the target.
+	var doc api.Campaign
+	if err := json.Unmarshal(get(api.BasePath+"/campaigns/"+localID, "application/json"), &doc); err != nil {
+		t.Fatalf("campaign decode: %v", err)
+	}
+	if want := (api.CampaignSpec{Target: "pclht", Mode: "none", Workers: 1, Threads: 1,
+		MaxExecs: 150, Duration: time.Minute, Seed: 7}); doc.Spec != want {
+		t.Fatalf("served spec = %+v, want %+v", doc.Spec, want)
+	}
 	metrics := string(get("/metrics", "text/plain; version=0.0.4"))
 	if !strings.Contains(metrics, "# TYPE pmrace_fuzz_execs_total counter") ||
 		!strings.Contains(metrics, `campaign="`+localID+`",target="pclht"`) {

@@ -258,6 +258,14 @@ func TestParseMode(t *testing.T) {
 	if _, err := ParseMode("chaotic"); err == nil {
 		t.Error("ParseMode accepted an unknown mode")
 	}
+	for _, m := range []ExploreMode{ModePMAware, ModeDelayInj, ModeNone} {
+		if got, err := ParseMode(m.Spelling()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.Spelling(), got, err, m)
+		}
+	}
+	if _, err := ParseMode(ExploreMode(7).Spelling()); err == nil {
+		t.Error("an out-of-range mode spells as an accepted name")
+	}
 }
 
 func TestOptionsDefaults(t *testing.T) {

@@ -36,20 +36,33 @@ const (
 	ModeNone
 )
 
+// modeSpellings names the modes as the -mode flag and the campaign spec's
+// mode field write them: ParseMode accepts each name, Spelling returns it.
+var modeSpellings = [...]string{ModePMAware: "pmrace", ModeDelayInj: "delay", ModeNone: "none"}
+
 // ParseMode maps an exploration-mode spelling to its ExploreMode: "pmrace"
 // (or its alias "pmaware", or "" for the default) is PMRace's PM-aware
 // exploration, "delay" the delay-injection baseline, "none" the Go
 // scheduler alone. Spellings are case-sensitive.
 func ParseMode(s string) (ExploreMode, error) {
-	switch s {
-	case "", "pmrace", "pmaware":
+	if s == "" || s == "pmaware" {
 		return ModePMAware, nil
-	case "delay":
-		return ModeDelayInj, nil
-	case "none":
-		return ModeNone, nil
+	}
+	for m, name := range modeSpellings {
+		if s == name {
+			return ExploreMode(m), nil
+		}
 	}
 	return 0, fmt.Errorf("unknown mode %q (want pmrace, delay or none)", s)
+}
+
+// Spelling returns the name ParseMode maps back to m. A mode outside the
+// table spells as a name ParseMode rejects.
+func (m ExploreMode) Spelling() string {
+	if m >= 0 && int(m) < len(modeSpellings) {
+		return modeSpellings[m]
+	}
+	return fmt.Sprintf("mode(%d)", int(m))
 }
 
 func (m ExploreMode) String() string {

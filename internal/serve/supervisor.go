@@ -14,6 +14,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -182,34 +183,49 @@ func New(cfg Config) (*Supervisor, error) {
 // DataDir returns the resolved state directory.
 func (s *Supervisor) DataDir() string { return s.cfg.DataDir }
 
-// optionsFromSpec translates the wire spec into engine options. Workers
-// defaults to 1 — under a shared budget a spec's cost must be explicit —
-// while everything else keeps the engine's evaluation defaults.
-func optionsFromSpec(spec api.CampaignSpec) (fuzz.Options, error) {
+// FuzzOptions is the one translation of a campaign spec onto engine
+// options, shared by Submit and the in-process NewCampaign. Every spec field
+// overwrites its engine knob (zero keeps the engine default); base carries
+// the knobs the spec has no field for — corpus and artifact directories,
+// alias hints, whitelist entries, the validation pool — through unchanged.
+// It rejects an unknown mode and artifacts_all without artifacts.
+func FuzzOptions(base fuzz.Options, spec api.CampaignSpec) (fuzz.Options, error) {
 	mode, err := fuzz.ParseMode(spec.Mode)
 	if err != nil {
-		return fuzz.Options{}, &api.Error{StatusCode: 400, Code: api.CodeBadRequest, Message: err.Error()}
+		return fuzz.Options{}, err
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = 1
+	if spec.ArtifactsAll && !spec.Artifacts {
+		return fuzz.Options{}, errors.New("artifacts_all requires artifacts")
 	}
-	return fuzz.Options{
-		Mode:             mode,
-		Workers:          workers,
-		Threads:          spec.Threads,
-		MaxExecs:         spec.MaxExecs,
-		Duration:         spec.Duration,
-		Seed:             spec.Seed,
-		KeySpace:         spec.KeySpace,
-		OpsPerSeed:       spec.OpsPerSeed,
-		Protocol:         spec.Protocol,
-		MaxCrashStates:   spec.MaxCrashStates,
-		InlineValidation: spec.InlineValidation,
-		EADR:             spec.EADR,
-		NoCheckpoints:    spec.NoCheckpoints,
-		ArtifactAll:      spec.ArtifactsAll,
-	}, nil
+	o := base
+	o.Mode = mode
+	o.Workers = spec.Workers
+	o.Threads = spec.Threads
+	o.MaxExecs = spec.MaxExecs
+	o.Duration = spec.Duration
+	o.Seed = spec.Seed
+	o.KeySpace = spec.KeySpace
+	o.OpsPerSeed = spec.OpsPerSeed
+	o.Protocol = spec.Protocol
+	o.MaxCrashStates = spec.MaxCrashStates
+	o.InlineValidation = spec.InlineValidation
+	o.EADR = spec.EADR
+	o.NoCheckpoints = spec.NoCheckpoints
+	o.ArtifactAll = spec.ArtifactsAll
+	return o, nil
+}
+
+// StartTracer gives fz a span tracer sampling every rate-th execution, named
+// after campaign id and target, that dumps its flight recorder on anomalies
+// into anomalyDir ("" keeps dumps off). A rate <= 0 leaves fz untraced.
+func StartTracer(fz *fuzz.Fuzzer, rate int, id, target, anomalyDir string) {
+	if rate <= 0 {
+		return
+	}
+	tr := obs.NewTracer(fz.Emitter().Registry(), rate)
+	tr.SetMeta(id, target)
+	tr.SetAnomalyDir(anomalyDir)
+	fz.SetTracer(tr)
 }
 
 // Submit validates spec, builds its fuzzer (which, with its emitter, lives
@@ -226,25 +242,19 @@ func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 			Message: fmt.Sprintf("unknown target %q (registered: %s)",
 				spec.Target, strings.Join(targets.Names(), ", "))}
 	}
-	opts, err := optionsFromSpec(spec)
+	corpus := filepath.Join(s.cfg.DataDir, "corpus", spec.Target)
+	opts, err := FuzzOptions(fuzz.Options{CorpusDir: corpus}, spec)
 	if err != nil {
-		return api.Campaign{}, err
+		return api.Campaign{}, &api.Error{StatusCode: 400, Code: api.CodeBadRequest, Message: err.Error()}
 	}
-	if opts.Workers > s.cfg.WorkerBudget {
+	if spec.Workers > s.cfg.WorkerBudget {
 		return api.Campaign{}, &api.Error{StatusCode: 400, Code: api.CodeBadRequest,
 			Message: fmt.Sprintf("spec.workers %d exceeds the server's worker budget %d",
-				opts.Workers, s.cfg.WorkerBudget)}
+				spec.Workers, s.cfg.WorkerBudget)}
 	}
-	if spec.ArtifactsAll && !spec.Artifacts {
-		return api.Campaign{}, &api.Error{StatusCode: 400, Code: api.CodeBadRequest,
-			Message: "spec.artifacts_all requires spec.artifacts"}
-	}
-
-	corpus := filepath.Join(s.cfg.DataDir, "corpus", spec.Target)
 	if err := os.MkdirAll(corpus, 0o755); err != nil {
 		return api.Campaign{}, &api.Error{StatusCode: 500, Code: api.CodeInternal, Message: err.Error()}
 	}
-	opts.CorpusDir = corpus
 
 	id, err := s.reserve()
 	if err != nil {
@@ -265,12 +275,7 @@ func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 	if spec.TraceSample != 0 {
 		sample = spec.TraceSample
 	}
-	if sample > 0 {
-		tr := obs.NewTracer(fz.Emitter().Registry(), sample)
-		tr.SetMeta(id, spec.Target)
-		tr.SetAnomalyDir(filepath.Join(s.cfg.DataDir, "anomalies", id))
-		fz.SetTracer(tr)
-	}
+	StartTracer(fz, sample, id, spec.Target, filepath.Join(s.cfg.DataDir, "anomalies", id))
 
 	c, err := s.enter(context.Background(), id, spec, fz, func(c *campaign) {
 		// The queue_wait span measures admission latency: opened here,

@@ -4,6 +4,8 @@ import (
 	"io"
 	"time"
 
+	"github.com/pmrace-go/pmrace/api"
+	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/obs"
 )
 
@@ -13,28 +15,30 @@ import (
 // withDefaults), so documentation and behaviour cannot drift.
 type CampaignOption func(*campaignConfig)
 
+// campaignConfig holds every knob pmraced's campaign spec shares in spec and
+// the rest in base; serve.FuzzOptions combines them, as for a submission.
 type campaignConfig struct {
-	opts        Options
-	sinks       []obs.Sink
-	progress    io.Writer
-	eventBuf    int
-	httpAddr    string
-	traceSample int
+	spec     api.CampaignSpec
+	base     fuzz.Options
+	sinks    []obs.Sink
+	progress io.Writer
+	eventBuf int
+	httpAddr string
 }
 
 // WithWorkers sets the number of concurrent fuzzing workers.
 func WithWorkers(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.Workers = n }
+	return func(c *campaignConfig) { c.spec.Workers = n }
 }
 
 // WithThreads sets the number of driver threads per execution.
 func WithThreads(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.Threads = n }
+	return func(c *campaignConfig) { c.spec.Threads = n }
 }
 
 // WithMode selects the interleaving exploration strategy.
 func WithMode(m ExploreMode) CampaignOption {
-	return func(c *campaignConfig) { c.opts.Mode = m }
+	return func(c *campaignConfig) { c.spec.Mode = m.Spelling() }
 }
 
 // WithBudget bounds the campaign: maxExecs executions or wall of elapsed
@@ -42,30 +46,30 @@ func WithMode(m ExploreMode) CampaignOption {
 // default (200 executions / 30s).
 func WithBudget(maxExecs int, wall time.Duration) CampaignOption {
 	return func(c *campaignConfig) {
-		c.opts.MaxExecs = maxExecs
-		c.opts.Duration = wall
+		c.spec.MaxExecs = maxExecs
+		c.spec.Duration = wall
 	}
 }
 
 // WithSeed seeds all campaign randomness for reproducibility.
 func WithSeed(seed int64) CampaignOption {
-	return func(c *campaignConfig) { c.opts.Seed = seed }
+	return func(c *campaignConfig) { c.spec.Seed = seed }
 }
 
 // WithKeySpace sets the workload key-space size.
 func WithKeySpace(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.KeySpace = n }
+	return func(c *campaignConfig) { c.spec.KeySpace = n }
 }
 
 // WithOpsPerSeed sets the operation count of generated seeds.
 func WithOpsPerSeed(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.OpsPerSeed = n }
+	return func(c *campaignConfig) { c.spec.OpsPerSeed = n }
 }
 
 // WithCorpusDir loads the initial corpus from dir and persists
 // coverage-improving seeds back into it.
 func WithCorpusDir(dir string) CampaignOption {
-	return func(c *campaignConfig) { c.opts.CorpusDir = dir }
+	return func(c *campaignConfig) { c.base.CorpusDir = dir }
 }
 
 // WithProtocolTraffic switches the campaign's workload from synthetic
@@ -76,25 +80,25 @@ func WithCorpusDir(dir string) CampaignOption {
 // operations, so bug fingerprints are shared between the two modes (see
 // DESIGN.md §16).
 func WithProtocolTraffic() CampaignOption {
-	return func(c *campaignConfig) { c.opts.Protocol = true }
+	return func(c *campaignConfig) { c.spec.Protocol = true }
 }
 
 // WithEADR models battery-backed caches (paper §6.6).
 func WithEADR() CampaignOption {
-	return func(c *campaignConfig) { c.opts.EADR = true }
+	return func(c *campaignConfig) { c.spec.EADR = true }
 }
 
 // WithoutCheckpoints disables the in-memory pool checkpoints (Figure 10's
 // ablation).
 func WithoutCheckpoints() CampaignOption {
-	return func(c *campaignConfig) { c.opts.NoCheckpoints = true }
+	return func(c *campaignConfig) { c.spec.NoCheckpoints = true }
 }
 
 // WithWhitelist adds developer-specified benign patterns on top of the
 // default (mini-PMDK transactional allocation).
 func WithWhitelist(entries ...string) CampaignOption {
 	return func(c *campaignConfig) {
-		c.opts.ExtraWhitelist = append(c.opts.ExtraWhitelist, entries...)
+		c.base.ExtraWhitelist = append(c.base.ExtraWhitelist, entries...)
 	}
 }
 
@@ -145,7 +149,7 @@ func WithTracing(sampleN int) CampaignOption {
 		if sampleN <= 0 {
 			sampleN = obs.DefaultTraceSample
 		}
-		c.traceSample = sampleN
+		c.spec.TraceSample = sampleN
 	}
 }
 
@@ -155,14 +159,14 @@ func WithTracing(sampleN int) CampaignOption {
 // per flushed-but-unfenced cache line, and a finding is a bug if any
 // enumerated state fails recovery.
 func WithMaxCrashStates(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.MaxCrashStates = n }
+	return func(c *campaignConfig) { c.spec.MaxCrashStates = n }
 }
 
 // WithValidationWorkers sizes the asynchronous post-failure validation pool
 // (default 2): findings queue to it instead of stalling the fuzzing workers
 // during recovery runs.
 func WithValidationWorkers(n int) CampaignOption {
-	return func(c *campaignConfig) { c.opts.ValidationWorkers = n }
+	return func(c *campaignConfig) { c.base.ValidationWorkers = n }
 }
 
 // WithValidationWallTimeout bounds each recovery run's wall-clock time in
@@ -170,7 +174,7 @@ func WithValidationWorkers(n int) CampaignOption {
 // sleep, a runaway loop the spin-lock hang detector cannot see — is abandoned
 // and judged a bug with RecoveryHung.
 func WithValidationWallTimeout(d time.Duration) CampaignOption {
-	return func(c *campaignConfig) { c.opts.ValidationWallTimeout = d }
+	return func(c *campaignConfig) { c.base.ValidationWallTimeout = d }
 }
 
 // WithInlineValidation validates findings synchronously on the fuzzing worker
@@ -178,7 +182,7 @@ func WithValidationWallTimeout(d time.Duration) CampaignOption {
 // stream deterministic for single-worker campaigns (at the cost of stalling
 // the worker during recovery runs).
 func WithInlineValidation() CampaignOption {
-	return func(c *campaignConfig) { c.opts.InlineValidation = true }
+	return func(c *campaignConfig) { c.spec.InlineValidation = true }
 }
 
 // WithAliasHints seeds the interleaving queue with statically inferred
@@ -186,7 +190,7 @@ func WithInlineValidation() CampaignOption {
 // Queue entries whose observed sites cover a hinted pair are explored
 // before any purely dynamically prioritized entry.
 func WithAliasHints(hints []AliasHint) CampaignOption {
-	return func(c *campaignConfig) { c.opts.AliasHints = hints }
+	return func(c *campaignConfig) { c.base.AliasHints = hints }
 }
 
 // WithArtifacts writes a forensic bundle — bug report with taint lineage,
@@ -194,14 +198,17 @@ func WithAliasHints(hints []AliasHint) CampaignOption {
 // into a numbered subdirectory of dir for every confirmed bug. Bundles
 // replay with `pmrace -artifact <bundle>`.
 func WithArtifacts(dir string) CampaignOption {
-	return func(c *campaignConfig) { c.opts.ArtifactDir = dir }
+	return func(c *campaignConfig) {
+		c.spec.Artifacts = dir != ""
+		c.base.ArtifactDir = dir
+	}
 }
 
 // WithAllArtifacts extends WithArtifacts to every deduplicated finding,
 // including validated and whitelisted false positives — the forensic mode
-// for auditing the validator itself. It requires WithArtifacts: a campaign
-// configured with WithAllArtifacts but no artifact directory fails at start
-// rather than silently dropping the bundles.
+// for auditing the validator itself. It requires WithArtifacts: NewCampaign
+// rejects WithAllArtifacts without an artifact directory rather than
+// silently dropping the bundles.
 func WithAllArtifacts() CampaignOption {
-	return func(c *campaignConfig) { c.opts.ArtifactAll = true }
+	return func(c *campaignConfig) { c.spec.ArtifactsAll = true }
 }

@@ -41,6 +41,22 @@ func TestFuzzUnknownTarget(t *testing.T) {
 	}
 }
 
+// TestNewCampaignRejectsBadOptions: option combinations the spec
+// translation rejects fail in NewCampaign, before any campaign starts.
+func TestNewCampaignRejectsBadOptions(t *testing.T) {
+	for name, opts := range map[string][]pmrace.CampaignOption{
+		"all artifacts without artifacts": {pmrace.WithAllArtifacts()},
+		"mode outside the table":          {pmrace.WithMode(pmrace.ExploreMode(7))},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if c, err := pmrace.NewCampaign(context.Background(), "pclht", opts...); err == nil {
+				c.Wait()
+				t.Fatal("NewCampaign succeeded, want an error")
+			}
+		})
+	}
+}
+
 func TestFuzzSmokeRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing campaign")
