@@ -8,7 +8,6 @@
 package pmrace_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -157,35 +156,6 @@ func BenchmarkFigure10Checkpoints(b *testing.B) {
 		if i == 0 {
 			b.Log("\n" + experiments.Figure10String(rows))
 		}
-	}
-}
-
-// BenchmarkFuzzThroughput measures raw campaign-execution throughput on
-// P-CLHT (the engine the evaluation's wall-clock numbers stand on) across
-// worker counts. The PM-aware strategy stalls writers to open race windows,
-// so even on few cores extra workers overlap those stalls; the sweep checks
-// the striped pool and lock-free coverage actually let them.
-func BenchmarkFuzzThroughput(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fz, err := fuzz.New("pclht", fuzz.Options{
-					MaxExecs: 20,
-					Duration: 30 * time.Second,
-					Workers:  workers,
-					Seed:     int64(i + 1),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := fz.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.ExecsPerSec, "execs/s")
-			}
-		})
 	}
 }
 

@@ -196,9 +196,6 @@ type Detector struct {
 
 	redundant map[uint32]*RedundantStore
 	redOrd    []uint32
-
-	redFlush    map[uint32]*RedundantFlush
-	redFlushOrd []uint32
 }
 
 // RedundantStore records a PM store site observed writing back the value the

@@ -316,14 +316,3 @@ func TestWhitelistMatchInconsistencyBySite(t *testing.T) {
 		t.Fatalf("unrelated whitelist must not match")
 	}
 }
-
-func TestOnFlushRedundantDetection(t *testing.T) {
-	d := newDet()
-	d.OnFlush(31, 64, false) // all clean: redundant
-	d.OnFlush(31, 64, false)
-	d.OnFlush(32, 128, true) // dirty data: useful flush
-	red := d.RedundantFlushes()
-	if len(red) != 1 || red[0].Count != 2 || red[0].Site != 31 {
-		t.Fatalf("redundant flushes = %+v", red)
-	}
-}

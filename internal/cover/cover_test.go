@@ -218,6 +218,7 @@ func TestMergeAllocFree(t *testing.T) {
 func BenchmarkSet(b *testing.B) {
 	bm := NewBitmap()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bm.Set(uint64(i))
 	}
@@ -229,6 +230,7 @@ func BenchmarkMerge(b *testing.B) {
 		y.Set(uint64(i * 7))
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Merge(y)
 	}

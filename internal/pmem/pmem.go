@@ -606,24 +606,6 @@ func (p *Pool) WordState(addr Addr) WordMeta {
 	return st
 }
 
-// WordDirtyRange reports whether any word covering [addr, addr+n) is dirty
-// and, if so, returns that word's state and word-aligned address.
-func (p *Pool) WordDirtyRange(addr Addr, n uint64) (WordMeta, Addr, bool) {
-	p.check(addr, n)
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
-	defer func() {
-		p.unlockSpan(m)
-		p.guard.RUnlock()
-	}()
-	for wi := addr / WordSize; wi <= (addr+n-1)/WordSize; wi++ {
-		if p.meta[wi].Dirty {
-			return p.meta[wi], wi * WordSize, true
-		}
-	}
-	return WordMeta{}, 0, false
-}
-
 // ShadowLabel returns the taint label stored for the word containing addr.
 func (p *Pool) ShadowLabel(addr Addr) uint32 {
 	p.check(addr, 1)

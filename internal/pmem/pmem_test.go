@@ -131,8 +131,10 @@ func TestStoreBytesAndLoadBytes(t *testing.T) {
 	if got := p.LoadBytes(200, uint64(len(data))); !bytes.Equal(got, data) {
 		t.Fatalf("LoadBytes = %q, want %q", got, data)
 	}
-	if _, _, dirty := p.WordDirtyRange(200, uint64(len(data))); !dirty {
-		t.Fatalf("byte store must dirty covered words")
+	for a := Addr(200); a < 200+Addr(len(data)); a += WordSize {
+		if !p.WordState(a).Dirty {
+			t.Fatalf("byte store must dirty covered word %d", a)
+		}
 	}
 }
 
@@ -445,15 +447,6 @@ func TestRandomEvictionPersistsButKeepsDirty(t *testing.T) {
 	}
 }
 
-func TestWordDirtyRangeFindsFirstDirtyWord(t *testing.T) {
-	p := New(1024)
-	p.Store64(4, 11, 72, 1)
-	st, waddr, dirty := p.WordDirtyRange(64, 24)
-	if !dirty || waddr != 72 || st.Writer != 4 || st.Site != 11 {
-		t.Fatalf("got %+v addr=%d dirty=%v", st, waddr, dirty)
-	}
-}
-
 // Property: any write that was flushed and fenced before a crash survives in
 // the crash image; any write that was never flushed is absent (zero).
 func TestCrashConsistencyProperty(t *testing.T) {
@@ -554,6 +547,7 @@ func TestFenceIdempotentProperty(t *testing.T) {
 func BenchmarkStore64(b *testing.B) {
 	p := New(1 << 20)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Store64(1, 1, Addr(i%(1<<17))*8, uint64(i))
 	}
@@ -562,6 +556,7 @@ func BenchmarkStore64(b *testing.B) {
 func BenchmarkFlushFence(b *testing.B) {
 	p := New(1 << 20)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := Addr(i%(1<<14)) * 64
 		p.Store64(1, 1, addr, uint64(i))

@@ -438,47 +438,6 @@ func TestRedundantStoreIgnoresZeroOverZero(t *testing.T) {
 	}
 }
 
-func TestRedundantFlushChecker(t *testing.T) {
-	e := newEnv(t, Config{})
-	t1 := e.Spawn()
-	t1.Store64(64, 1, taint.None, taint.None)
-	t1.Persist(64, 8) // useful
-	t1.Persist(64, 8) // redundant: already clean
-	t1.Flush(64, 8)   // redundant again
-	t1.Fence()
-	red := e.Detector().RedundantFlushes()
-	if len(red) == 0 {
-		t.Fatalf("redundant flush not detected")
-	}
-	total := 0
-	for _, r := range red {
-		total += r.Count
-	}
-	if total != 2 {
-		t.Fatalf("redundant flush count = %d, want 2", total)
-	}
-}
-
-func TestUnflushedScanner(t *testing.T) {
-	e := newEnv(t, Config{})
-	t1 := e.Spawn()
-	t1.Store64(64, 1, taint.None, taint.None)
-	t1.Persist(64, 8)
-	t1.Store64(512, 2, taint.None, taint.None) // never flushed
-	t1.Store64(520, 3, taint.None, taint.None) // same site? different line word
-	missing := core.UnflushedScanner(e.Pool())
-	if len(missing) == 0 {
-		t.Fatalf("unflushed writes not found")
-	}
-	words := 0
-	for _, u := range missing {
-		words += u.Words
-	}
-	if words != 2 {
-		t.Fatalf("unflushed words = %d, want 2", words)
-	}
-}
-
 // Property: after persisting every range that was stored, the cache image
 // equals the persisted image (no write escapes the persistence protocol).
 func TestPersistAllMakesImagesEqualProperty(t *testing.T) {
@@ -526,23 +485,40 @@ func TestDirtyReadLabelProperty(t *testing.T) {
 	}
 }
 
+// The traced sub-benchmarks run at TraceDepth 64, the depth the fuzzing
+// executor always sets (internal/fuzz/exec.go), so they are the production
+// hook cost.
 func BenchmarkHookStore64(b *testing.B) {
-	e := NewEnv(pmem.New(1<<20), Config{})
-	th := e.Spawn()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		th.Store64(pmem.Addr(i%(1<<16))*8, uint64(i), taint.None, taint.None)
+	for _, bc := range []struct {
+		name  string
+		depth int
+	}{{"untraced", 0}, {"traced", 64}} {
+		b.Run(bc.name, func(b *testing.B) {
+			th := NewEnv(pmem.New(1<<20), Config{TraceDepth: bc.depth}).Spawn()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				th.Store64(pmem.Addr(i%(1<<16))*8, uint64(i), taint.None, taint.None)
+			}
+		})
 	}
 }
 
 func BenchmarkHookLoad64(b *testing.B) {
-	e := NewEnv(pmem.New(1<<20), Config{})
-	th := e.Spawn()
-	th.Store64(64, 1, taint.None, taint.None)
-	th.Persist(64, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		th.Load64(64)
+	for _, bc := range []struct {
+		name  string
+		depth int
+	}{{"untraced", 0}, {"traced", 64}} {
+		b.Run(bc.name, func(b *testing.B) {
+			th := NewEnv(pmem.New(1<<20), Config{TraceDepth: bc.depth}).Spawn()
+			th.Store64(64, 1, taint.None, taint.None)
+			th.Persist(64, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				th.Load64(64)
+			}
+		})
 	}
 }
 
@@ -550,6 +526,7 @@ func BenchmarkHookDirtyReadDetection(b *testing.B) {
 	e := NewEnv(pmem.New(1<<20), Config{})
 	w, r := e.Spawn(), e.Spawn()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := pmem.Addr(i%(1<<10)) * 64
 		w.Store64(addr, uint64(i), taint.None, taint.None)

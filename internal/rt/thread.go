@@ -371,9 +371,8 @@ func (t *Thread) ExternSideEffect(lab taint.Label) {
 
 // --- persistency ---
 
-// Flush issues CLWB over the lines covering [addr, addr+n). The
-// unnecessary-persistency checker records flushes whose covered words were
-// all already clean (§4.3's extensible-checker example).
+// Flush issues CLWB over the lines covering [addr, addr+n). The written-back
+// words become durable at this thread's next Fence.
 //
 //go:noinline
 func (t *Thread) Flush(addr pmem.Addr, n uint64) {
@@ -383,8 +382,6 @@ func (t *Thread) Flush(addr pmem.Addr, n uint64) {
 func (t *Thread) flushAt(s site.ID, addr pmem.Addr, n uint64) {
 	t.env.checkCancel()
 	t.traceAccess(AccFlush, addr, s)
-	_, _, anyDirty := t.env.pool.WordDirtyRange(addr, n)
-	t.env.det.OnFlush(s, addr, anyDirty)
 	t.env.pool.Flush(t.ID, addr, n)
 }
 

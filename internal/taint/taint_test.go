@@ -224,6 +224,7 @@ func BenchmarkUnion(b *testing.B) {
 	a := tb.NewLeaf(ev(1))
 	c := tb.NewLeaf(ev(2))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.Union(a, c)
 	}
