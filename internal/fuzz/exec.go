@@ -57,8 +57,10 @@ type ExecResult struct {
 	SetupDuration time.Duration
 	ExecErrors    int
 	// CrashImages are PM snapshots taken at a protocol seed's mid-request
-	// crash points (between parse and PM commit); CrashFailures reports
-	// those whose recovery replay hung, errored or timed out.
+	// crash points (between parse and PM commit); Run recycles them once
+	// their recovery is checked, so a returned result holds none.
+	// CrashFailures reports those whose recovery replay hung, errored,
+	// panicked or timed out.
 	CrashImages   [][]byte
 	CrashFailures []string
 }
@@ -115,9 +117,8 @@ type Executor struct {
 	factory targets.Factory
 	opts    ExecOptions
 
-	// Cached metric handles; nil (no-op) until SetEmitter.
+	// mRestores counts checkpoint restores; nil (no-op) until SetEmitter.
 	mRestores *obs.Counter
-	hExec     *obs.Histogram
 
 	// tr records execution spans for sampled runs; nil (no-op) until
 	// SetTracer.
@@ -144,11 +145,10 @@ func NewExecutor(factory targets.Factory, opts ExecOptions) *Executor {
 	return &Executor{factory: factory, opts: opts}
 }
 
-// SetEmitter wires the executor's metrics (checkpoint restores, execution
-// latency) into the campaign registry. Call before Run.
+// SetEmitter wires the executor's checkpoint-restore counter into the
+// campaign registry. Call before Run.
 func (x *Executor) SetEmitter(em *obs.Emitter) {
 	x.mRestores = em.Registry().Counter(obs.MCheckpointRestores)
-	x.hExec = em.Registry().Histogram(obs.HExecLatency)
 }
 
 // SetTracer wires span recording for sampled executions. Call before Run.
@@ -393,7 +393,9 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 		if msg := x.checkCrashRecovery(img); msg != "" {
 			res.CrashFailures = append(res.CrashFailures, msg)
 		}
+		pmem.RecycleImage(img)
 	}
+	res.CrashImages = nil
 
 	res.Candidates = env.Detector().Candidates()
 	res.Redundant = env.Detector().RedundantStores()
@@ -417,7 +419,6 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 		x.pools.Put(pool)
 	}
 	res.Duration = time.Since(start)
-	x.hExec.Observe(res.Duration)
 	if sp.Active() {
 		sp.SetAttr("setup_us", strconv.FormatInt(res.SetupDuration.Microseconds(), 10))
 		if fromCheckpoint {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/core"
+	"github.com/pmrace-go/pmrace/internal/obs"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/targets"
 	_ "github.com/pmrace-go/pmrace/internal/targets/pclht"
@@ -202,6 +203,107 @@ func TestFuzzerFindsPCLHTBugs(t *testing.T) {
 	}
 	if len(res.Timeline) != res.Execs {
 		t.Errorf("timeline points = %d, execs = %d", len(res.Timeline), res.Execs)
+	}
+}
+
+// TestCampaignMetricsMatchEvents runs a fixed-seed pclht campaign and checks
+// one fact, one number: every event-derived registry series equals the count
+// (or sum) of its typed events, and the Result and Stats views read the same
+// registry counters.
+func TestCampaignMetricsMatchEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full fuzzing loop")
+	}
+	fz, err := New("pclht", Options{
+		Threads:    4,
+		KeySpace:   12,
+		OpsPerSeed: 40,
+		MaxExecs:   60,
+		Duration:   60 * time.Second,
+		Seed:       7,
+		Workers:    2,
+	})
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	col := obs.NewCollector()
+	fz.SetEmitter(obs.NewEmitter(col))
+	res, err := fz.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var (
+		execs, seeds, interleavings, verdicts, bugs int64
+		incons, crashStates, branch, alias          int64
+		final                                       obs.Stats
+	)
+	for _, ev := range col.Events() {
+		switch v := ev.(type) {
+		case *obs.ExecDone:
+			execs++
+			incons += int64(v.Inconsistencies + v.Syncs)
+			branch = max(branch, int64(v.BranchCov))
+			alias = max(alias, int64(v.AliasCov))
+		case *obs.SeedAccepted:
+			seeds++
+		case *obs.InterleavingScheduled:
+			interleavings++
+		case *obs.ValidationVerdict:
+			verdicts++
+			crashStates += int64(v.CrashStates)
+		case *obs.BugConfirmed:
+			bugs++
+		case *obs.CampaignDone:
+			final = v.Stats
+		}
+	}
+	reg := fz.Emitter().Registry()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{obs.MExecs, reg.Counter(obs.MExecs).Value(), execs},
+		{"Result.Execs", int64(res.Execs), execs},
+		{"Stats.Execs", int64(final.Execs), execs},
+		{obs.HExecLatency, reg.Histogram(obs.HExecLatency).Count(), execs},
+		{obs.MInconsistencies, reg.Counter(obs.MInconsistencies).Value(), incons},
+		{obs.MBranchCov, reg.Gauge(obs.MBranchCov).Value(), branch},
+		{"Result.BranchCov", int64(res.BranchCov), branch},
+		{obs.MAliasCov, reg.Gauge(obs.MAliasCov).Value(), alias},
+		{"Result.AliasCov", int64(res.AliasCov), alias},
+		{obs.MSeedsAccepted, reg.Counter(obs.MSeedsAccepted).Value(), seeds},
+		{obs.MInterleavings, reg.Counter(obs.MInterleavings).Value(), interleavings},
+		{"Result.Interleavings", int64(res.Interleavings), interleavings},
+		{"Stats.Interleavings", final.Interleavings, interleavings},
+		{"Result.PrunedInterleavings", int64(res.PrunedInterleavings), reg.Counter(obs.MInterleavingsPruned).Value()},
+		{"Stats.InterleavingsPruned", final.InterleavingsPruned, reg.Counter(obs.MInterleavingsPruned).Value()},
+		{obs.MValidations, reg.Counter(obs.MValidations).Value(), verdicts},
+		{"Stats.Validations", final.Validations, verdicts},
+		{obs.HValidationLatency, reg.Histogram(obs.HValidationLatency).Count(), verdicts},
+		{obs.MValidateCrashStates, reg.Counter(obs.MValidateCrashStates).Value(), crashStates},
+		{obs.MBugs, reg.Counter(obs.MBugs).Value(), bugs},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	// Each bug_confirmed event is one finding judged a bug.
+	var judgedBugs int64
+	for _, j := range res.DB.Inconsistencies() {
+		if j.Status == core.StatusBug {
+			judgedBugs++
+		}
+	}
+	for _, j := range res.DB.Syncs() {
+		if j.Status == core.StatusBug {
+			judgedBugs++
+		}
+	}
+	if bugs == 0 || bugs != judgedBugs {
+		t.Errorf("bug_confirmed events = %d, findings judged bugs = %d; want equal and > 0", bugs, judgedBugs)
+	}
+	if interleavings == 0 {
+		t.Error("no interleaving was scheduled")
 	}
 }
 

@@ -264,16 +264,10 @@ type Fuzzer struct {
 	valErr error // first validation-worker error; guarded by mu
 
 	// em is the observability hub; every campaign has one (sink-less by
-	// default). The handles below are its cached registry metrics.
-	em       *obs.Emitter
-	mExecs   *obs.Counter
-	mSeeds   *obs.Counter
-	mInterl  *obs.Counter
-	mPruned  *obs.Counter
-	mIncons  *obs.Counter
-	gBranch  *obs.Gauge
-	gAlias   *obs.Gauge
-	hExecLat *obs.Histogram
+	// default). It derives the campaign's event metrics; mPruned counts
+	// the one fuzzer fact that has no event.
+	em      *obs.Emitter
+	mPruned *obs.Counter
 
 	// tr records lifecycle spans for sampled executions; nil (inert) unless
 	// SetTracer attached one.
@@ -366,22 +360,14 @@ func NewWithFactory(factory targets.Factory, opts Options) *Fuzzer {
 }
 
 // SetEmitter replaces the campaign's observability emitter and rewires the
-// producer layers (executor, detection DB, metric handles) to it. Call
-// before Run; the campaign session API uses this to attach the caller's
-// sinks and event channel.
+// producer layers (executor, detection DB, pruned-interleaving counter) to
+// it. Call before Run; the campaign session API uses this to attach the
+// caller's sinks and event channel.
 func (f *Fuzzer) SetEmitter(em *obs.Emitter) {
 	f.em = em
 	f.exec.SetEmitter(em)
 	f.db.SetEmitter(em)
-	reg := em.Registry()
-	f.mExecs = reg.Counter(obs.MExecs)
-	f.mSeeds = reg.Counter(obs.MSeedsAccepted)
-	f.mInterl = reg.Counter(obs.MInterleavings)
-	f.mPruned = reg.Counter(obs.MInterleavingsPruned)
-	f.mIncons = reg.Counter(obs.MInconsistencies)
-	f.gBranch = reg.Gauge(obs.MBranchCov)
-	f.gAlias = reg.Gauge(obs.MAliasCov)
-	f.hExecLat = reg.Histogram(obs.HExecLatency)
+	f.mPruned = em.Registry().Counter(obs.MInterleavingsPruned)
 }
 
 // Emitter returns the campaign's observability emitter.
@@ -459,7 +445,6 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Result, error) {
 	f.corpus = initial
 	f.mu.Unlock()
 	for _, s := range initial {
-		f.mSeeds.Inc()
 		f.em.Emit(&obs.SeedAccepted{Origin: "initial", Ops: s.Size(), CorpusSize: len(initial)})
 	}
 	corpusLen := len(initial)
@@ -473,7 +458,6 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Result, error) {
 		corpusLen = len(f.corpus)
 		f.mu.Unlock()
 		for _, s := range loaded {
-			f.mSeeds.Inc()
 			f.em.Emit(&obs.SeedAccepted{Origin: "corpus-dir", Ops: s.Size(), CorpusSize: corpusLen})
 		}
 	}
@@ -607,7 +591,6 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 			}
 			isp.End()
 			scheduled++
-			f.mInterl.Inc()
 			f.em.Emit(&obs.InterleavingScheduled{
 				Worker:   worker,
 				Addr:     uint64(entry.Addr),
@@ -656,7 +639,6 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 
 	if improved {
 		f.saveCorpusSeed(seed)
-		f.mSeeds.Inc()
 		f.mu.Lock()
 		corpusLen := len(f.corpus)
 		f.mu.Unlock()
@@ -878,10 +860,6 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 	f.timeline = append(f.timeline, CoverPoint{T: time.Since(f.start), Branch: br, Alias: al})
 	f.mu.Unlock()
 
-	f.mExecs.Inc()
-	f.mIncons.Add(int64(len(res.Inconsistencies) + len(res.Syncs)))
-	f.gBranch.Set(int64(br))
-	f.gAlias.Set(int64(al))
 	f.em.Emit(&obs.ExecDone{
 		Exec:            execNo,
 		Worker:          worker,
@@ -900,8 +878,8 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 		if len(res.Hangs) > 0 {
 			f.tr.DumpAnomaly("exec_hang")
 		}
-		if f.hExecLat.Count() >= 256 {
-			if p := f.hExecLat.Quantile(0.999); p > 0 && res.Duration > p {
+		if h := f.em.Registry().Histogram(obs.HExecLatency); h.Count() >= 256 {
+			if p := h.Quantile(0.999); p > 0 && res.Duration > p {
 				f.tr.DumpAnomaly("exec_latency_p999")
 			}
 		}
@@ -1006,39 +984,66 @@ func artifactValidation(r validate.Result) artifact.Validation {
 	return v
 }
 
-func (f *Fuzzer) result() *Result {
+// aggregates reads the statistics Result and Snapshot share, plus the
+// verdict tally, under one acquisition of the fuzzer lock.
+func (f *Fuzzer) aggregates() (obs.Stats, core.Counts) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	br, al := f.cov.Counts()
-	elapsed := time.Since(f.start)
+	c := f.db.Tally()
+	// Candidates are deduplicated across executions in runOne; the DB only
+	// holds confirmed inconsistencies.
+	c.InterCandidates, c.IntraCandidates = f.candInter, f.candIntra
+	reg := f.em.Registry()
+	st := obs.Stats{
+		Target:              f.targetName,
+		Mode:                f.opts.Mode.String(),
+		Execs:               f.execs,
+		Seeds:               f.seedCount,
+		Inconsistencies:     c.Inter + c.Intra + c.Sync,
+		Bugs:                c.InterBugs + c.IntraBugs + c.SyncBugs,
+		Interleavings:       reg.Counter(obs.MInterleavings).Value(),
+		InterleavingsPruned: reg.Counter(obs.MInterleavingsPruned).Value(),
+		CheckpointRestores:  reg.Counter(obs.MCheckpointRestores).Value(),
+		Validations:         reg.Counter(obs.MValidations).Value(),
+		EventsDropped:       f.em.Dropped(),
+	}
+	st.BranchCov, st.AliasCov = f.cov.Counts()
+	if !f.start.IsZero() {
+		st.Elapsed = time.Since(f.start)
+	}
+	if st.Elapsed > 0 {
+		st.ExecsPerSec = float64(st.Execs) / st.Elapsed.Seconds()
+	}
+	return st, c
+}
+
+func (f *Fuzzer) result() *Result {
+	st, c := f.aggregates()
 	r := &Result{
-		Target:          f.targetName,
-		Mode:            f.opts.Mode,
-		Execs:           f.execs,
-		Seeds:           f.seedCount,
-		Elapsed:         elapsed,
-		DB:              f.db,
-		Counts:          f.db.Tally(),
-		Bugs:            f.db.UniqueBugs(),
-		BranchCov:       br,
-		AliasCov:        al,
-		FirstInterTimes: append([]time.Duration(nil), f.firstInt...),
-		Timeline:        append([]CoverPoint(nil), f.timeline...),
+		Target:              f.targetName,
+		Mode:                f.opts.Mode,
+		Execs:               st.Execs,
+		Seeds:               st.Seeds,
+		Elapsed:             st.Elapsed,
+		DB:                  f.db,
+		Counts:              c,
+		Bugs:                f.db.UniqueBugs(),
+		BranchCov:           st.BranchCov,
+		AliasCov:            st.AliasCov,
+		ExecsPerSec:         st.ExecsPerSec,
+		Interleavings:       int(st.Interleavings),
+		PrunedInterleavings: int(st.InterleavingsPruned),
 	}
-	if elapsed > 0 {
-		r.ExecsPerSec = float64(f.execs) / elapsed.Seconds()
-	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r.FirstInterTimes = append([]time.Duration(nil), f.firstInt...)
+	r.Timeline = append([]CoverPoint(nil), f.timeline...)
 	for s := range f.hangSites {
 		r.HangSites = append(r.HangSites, s)
 	}
 	for s := range f.redSites {
 		r.RedundantSites = append(r.RedundantSites, s)
 	}
-	// Candidates are deduplicated across executions in runOne; the DB only
-	// holds confirmed inconsistencies.
-	r.Counts.InterCandidates = f.candInter
-	r.Counts.IntraCandidates = f.candIntra
-	r.Interleavings, r.PrunedInterleavings = f.equiv.Counts()
 	return r
 }
 
@@ -1047,34 +1052,6 @@ func (f *Fuzzer) result() *Result {
 // equal the final Result's aggregates (and the terminal CampaignDone event
 // carries exactly this snapshot).
 func (f *Fuzzer) Snapshot() obs.Stats {
-	f.mu.Lock()
-	br, al := f.cov.Counts()
-	var elapsed time.Duration
-	if !f.start.IsZero() {
-		elapsed = time.Since(f.start)
-	}
-	execs := f.execs
-	seeds := f.seedCount
-	f.mu.Unlock()
-
-	st := obs.Stats{
-		Target:              f.targetName,
-		Mode:                f.opts.Mode.String(),
-		Execs:               execs,
-		Seeds:               seeds,
-		BranchCov:           br,
-		AliasCov:            al,
-		Inconsistencies:     len(f.db.Inconsistencies()) + len(f.db.Syncs()),
-		Bugs:                len(f.db.UniqueBugs()),
-		Elapsed:             elapsed,
-		Interleavings:       f.em.Registry().Counter(obs.MInterleavings).Value(),
-		InterleavingsPruned: f.em.Registry().Counter(obs.MInterleavingsPruned).Value(),
-		CheckpointRestores:  f.em.Registry().Counter(obs.MCheckpointRestores).Value(),
-		Validations:         f.em.Registry().Counter(obs.MValidations).Value(),
-		EventsDropped:       f.em.Dropped(),
-	}
-	if elapsed > 0 {
-		st.ExecsPerSec = float64(execs) / elapsed.Seconds()
-	}
+	st, _ := f.aggregates()
 	return st
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/targets"
+	"github.com/pmrace-go/pmrace/internal/validate"
 	"github.com/pmrace-go/pmrace/internal/wire"
 	"github.com/pmrace-go/pmrace/internal/workload"
 )
@@ -66,6 +67,8 @@ func (x *Executor) protoWorker(th *rt.Thread, tgt targets.Target, seed *workload
 				mu.Lock()
 				if len(res.CrashImages) < maxCrashImagesPerExec {
 					res.CrashImages = append(res.CrashImages, img)
+				} else {
+					pmem.RecycleImage(img)
 				}
 				mu.Unlock()
 			}
@@ -85,38 +88,20 @@ func (x *Executor) protoWorker(th *rt.Thread, tgt targets.Target, seed *workload
 }
 
 // checkCrashRecovery replays one crash image through a fresh target's
-// recovery code and reports a non-empty failure description when recovery
-// hangs, errors, panics or times out.
+// recovery code in the validation sandbox, bounded by one second of wall
+// time, and reports a non-empty failure description when recovery hangs,
+// errors, panics or times out.
 func (x *Executor) checkCrashRecovery(img []byte) string {
-	tgt := x.factory()
-	env := rt.NewEnv(pmem.FromImage(img), rt.Config{HangTimeout: x.opts.HangTimeout})
-	done := make(chan string, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(rt.HangError); ok {
-					done <- "recovery hung at protocol crash point"
-				} else {
-					done <- fmt.Sprintf("recovery panicked at protocol crash point: %v", r)
-				}
-			}
-		}()
-		th := env.Spawn()
-		defer th.Exit()
-		if err := tgt.Recover(th); err != nil {
-			done <- fmt.Sprintf("recovery failed at protocol crash point: %v", err)
-			return
-		}
-		done <- ""
-	}()
-	select {
-	case msg := <-done:
-		return msg
-	case <-time.After(time.Second):
-		// The goroutine is abandoned; the watchdog wall bound exists for
-		// recovery code looping outside any hook.
+	_, hung, wallTimedOut, err := validate.RunRecovery(x.factory, img, x.opts.HangTimeout, time.Second)
+	switch {
+	case wallTimedOut:
 		return "recovery timed out at protocol crash point"
+	case hung:
+		return "recovery hung at protocol crash point"
+	case err != nil:
+		return fmt.Sprintf("recovery failed at protocol crash point: %v", err)
 	}
+	return ""
 }
 
 // ProtoMutator mutates protocol byte-stream seeds. Strategies preserve the

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,6 +9,11 @@ import (
 
 	"github.com/pmrace-go/pmrace/internal/artifact"
 	"github.com/pmrace-go/pmrace/internal/core"
+	"github.com/pmrace-go/pmrace/internal/rt"
+	"github.com/pmrace-go/pmrace/internal/sched"
+	"github.com/pmrace-go/pmrace/internal/site"
+	"github.com/pmrace-go/pmrace/internal/taint"
+	"github.com/pmrace-go/pmrace/internal/targets"
 	_ "github.com/pmrace-go/pmrace/internal/targets/memcached"
 	"github.com/pmrace-go/pmrace/internal/workload"
 )
@@ -79,6 +85,59 @@ func TestProtocolCampaignSmoke(t *testing.T) {
 		if o.Kind == "crash-recovery" {
 			t.Errorf("memcached recovery failed at a protocol crash point: %s", o.Description)
 		}
+	}
+}
+
+// faultyRecovery is the stub target with a recovery procedure supplied by
+// the test.
+type faultyRecovery struct {
+	stubTarget
+	recover func(*rt.Thread) error
+}
+
+func (f *faultyRecovery) Recover(t *rt.Thread) error { return f.recover(t) }
+
+// TestProtocolCrashRecoveryFailures checks that a recovery which errors,
+// hangs or panics at a protocol crash point becomes the crash-recovery
+// finding, described by its failure.
+func TestProtocolCrashRecoveryFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		recover func(*rt.Thread) error
+		want    string
+	}{
+		{"error", func(*rt.Thread) error { return errors.New("torn commit") },
+			"recovery failed at protocol crash point: torn commit"},
+		{"hang", func(th *rt.Thread) error {
+			th.Store64(256, 1, taint.None, taint.None) // a lock word left held
+			th.SpinLock(256)
+			return nil
+		}, "recovery hung at protocol crash point"},
+		{"panic", func(*rt.Thread) error { panic("boom") },
+			"recovery failed at protocol crash point: validate: recovery panicked: boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewWithFactory(func() targets.Target { return &faultyRecovery{recover: tc.recover} },
+				// Without checkpoints the execution sets the target up
+				// instead of recovering it, so only the crash point
+				// runs the faulty recovery.
+				Options{MaxExecs: 1, Duration: 10 * time.Second, HangTimeout: 20 * time.Millisecond, NoCheckpoints: true})
+			f.start = time.Now()
+			seed := workload.NewProtoSeed(1, []byte("get k\r\n"))
+			seed.Proto.Crash = []workload.CrashPoint{{Stream: 0, Cmd: 0}}
+			if _, err := f.runOne(seed, sched.None{}, 0); err != nil {
+				t.Fatalf("runOne: %v", err)
+			}
+			var got []core.OtherFinding
+			for _, o := range f.db.Others() {
+				if o.Kind == "crash-recovery" {
+					got = append(got, o)
+				}
+			}
+			if len(got) != 1 || got[0].Site != site.Named("protocol crash point") || got[0].Description != tc.want {
+				t.Fatalf("crash-recovery findings = %+v, want one at %q described %q", got, "protocol crash point", tc.want)
+			}
+		})
 	}
 }
 

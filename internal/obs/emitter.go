@@ -13,8 +13,12 @@ import (
 // the attached sinks, and offers a bounded subscriber channel with
 // ring-buffer semantics: when the consumer falls behind, the oldest
 // buffered event is shed so the hot path never blocks on a slow reader.
-// Sinks never drop. The metrics Registry is exposed for producers to cache
-// lock-free handles from.
+// Sinks never drop.
+//
+// Emit is also the one writer of every registry metric that restates a
+// typed event (see count): producers emit the fact and never bump its
+// counter beside it. The Registry is exposed for reads and for the facts
+// that have no event, whose producers cache their own handles.
 //
 // A nil *Emitter is a valid no-op producer target, so layers like the
 // detection DB can emit unconditionally.
@@ -24,6 +28,7 @@ type Emitter struct {
 	reg        *Registry
 	dropped    *Counter
 	sseDropped *Counter
+	ev         eventMetrics
 
 	mu       sync.Mutex
 	sinks    []Sink
@@ -38,7 +43,58 @@ func NewEmitter(sinks ...Sink) *Emitter {
 	e := &Emitter{start: time.Now(), reg: NewRegistry(), sinks: sinks}
 	e.dropped = e.reg.Counter(MEventsDropped)
 	e.sseDropped = e.reg.Counter(MSSEDropped)
+	e.ev = newEventMetrics(e.reg)
 	return e
+}
+
+// eventMetrics are the cached handles of the event-derived registry
+// series; Emit updates them and nothing else writes them.
+type eventMetrics struct {
+	execs, seeds, interleavings, inconsistencies *Counter
+	validations, crashStates, bugs               *Counter
+	branchCov, aliasCov                          *Gauge
+	execLatency, validationLatency               *Histogram
+}
+
+func newEventMetrics(reg *Registry) eventMetrics {
+	return eventMetrics{
+		execs:             reg.Counter(MExecs),
+		seeds:             reg.Counter(MSeedsAccepted),
+		interleavings:     reg.Counter(MInterleavings),
+		inconsistencies:   reg.Counter(MInconsistencies),
+		validations:       reg.Counter(MValidations),
+		crashStates:       reg.Counter(MValidateCrashStates),
+		bugs:              reg.Counter(MBugs),
+		branchCov:         reg.Gauge(MBranchCov),
+		aliasCov:          reg.Gauge(MAliasCov),
+		execLatency:       reg.Histogram(HExecLatency),
+		validationLatency: reg.Histogram(HValidationLatency),
+	}
+}
+
+// count moves the metrics that restate ev; Emit calls it under its lock.
+// Inconsistencies stay the raw per-execution count (before deduplication).
+// Coverage only grows, but workers emit ExecDone outside the lock that
+// computed its counts, so the coverage gauges keep the largest count seen.
+func (m *eventMetrics) count(ev Event) {
+	switch v := ev.(type) {
+	case *ExecDone:
+		m.execs.Inc()
+		m.inconsistencies.Add(int64(v.Inconsistencies + v.Syncs))
+		m.branchCov.Set(max(m.branchCov.Value(), int64(v.BranchCov)))
+		m.aliasCov.Set(max(m.aliasCov.Value(), int64(v.AliasCov)))
+		m.execLatency.Observe(v.Duration)
+	case *SeedAccepted:
+		m.seeds.Inc()
+	case *InterleavingScheduled:
+		m.interleavings.Inc()
+	case *ValidationVerdict:
+		m.validations.Inc()
+		m.validationLatency.Observe(v.Latency)
+		m.crashStates.Add(int64(v.CrashStates))
+	case *BugConfirmed:
+		m.bugs.Inc()
+	}
 }
 
 // AddSink attaches a sink; call before the campaign starts emitting.
@@ -65,7 +121,12 @@ func (e *Emitter) Elapsed() time.Duration {
 }
 
 // Dropped returns how many events the subscriber channel shed.
-func (e *Emitter) Dropped() int64 { return e.Registry().Counter(MEventsDropped).Value() }
+func (e *Emitter) Dropped() int64 {
+	if e == nil {
+		return 0
+	}
+	return e.dropped.Value()
+}
 
 // Subscribe returns the event channel, creating it with the given buffer on
 // first call (256 when buf <= 0). The channel is closed by Close; events
@@ -140,7 +201,8 @@ func (e *Emitter) SubscribeExtra(buf int) (<-chan Event, func()) {
 	return ch, cancel
 }
 
-// Emit stamps ev and delivers it to all sinks and the subscriber channels.
+// Emit stamps ev, moves the registry metrics it restates, and delivers it
+// to all sinks and the subscriber channels.
 func (e *Emitter) Emit(ev Event) {
 	if e == nil {
 		return
@@ -162,6 +224,7 @@ func (e *Emitter) Emit(ev Event) {
 		// never neither.
 		e.terminal = ev
 	}
+	e.ev.count(ev)
 	for _, s := range e.sinks {
 		s.Emit(ev)
 	}

@@ -8,8 +8,11 @@ import (
 	"time"
 )
 
-// Standard metric names. Producers register them lazily through the
-// Registry; keeping the names here stops dashboards and code drifting.
+// Standard metric names; keeping them here stops dashboards and code
+// drifting. The emitter derives the execution, seed, interleaving,
+// inconsistency, validation, crash-state, bug and coverage series and both
+// latency histograms from the typed events (Emitter.Emit); the rest are
+// facts with no event, which their producers count directly.
 const (
 	MExecs                = "fuzz_execs_total"
 	MSeedsAccepted        = "corpus_seeds_accepted_total"

@@ -111,6 +111,9 @@ func TestEmitterNil(t *testing.T) {
 	if em.Registry() != nil {
 		t.Fatal("nil emitter must return a nil registry")
 	}
+	if em.Dropped() != 0 {
+		t.Fatal("nil emitter must report no drops")
+	}
 	if err := em.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,5 +226,68 @@ func TestFingerprintStable(t *testing.T) {
 	}
 	if Fingerprint(a) == Fingerprint(&ExecDone{Exec: 4, NewBits: 1}) {
 		t.Fatal("fingerprint must include payload fields")
+	}
+}
+
+// TestEmitterDerivesEventMetrics checks each event kind moves exactly its
+// own registry metrics, by the amounts its fields state, and nothing else.
+// Histograms are keyed by name (observation count) and name+"_sum" (ns).
+func TestEmitterDerivesEventMetrics(t *testing.T) {
+	cases := []struct {
+		ev   Event
+		want map[string]int64
+	}{
+		{&PhaseChange{Phase: "fuzzing", Prev: "init"}, nil},
+		{&ExecDone{Exec: 1, BranchCov: 17, AliasCov: 5, Candidates: 9, Inconsistencies: 2, Syncs: 1, Duration: 3 * time.Millisecond},
+			map[string]int64{
+				MExecs: 1, MInconsistencies: 3, MBranchCov: 17, MAliasCov: 5,
+				HExecLatency: 1, HExecLatency + "_sum": int64(3 * time.Millisecond),
+			}},
+		{&SeedAccepted{Origin: "initial", Ops: 4, CorpusSize: 1}, map[string]int64{MSeedsAccepted: 1}},
+		{&InterleavingScheduled{Addr: 64, Priority: 3}, map[string]int64{MInterleavings: 1}},
+		{&InconsistencyFound{Class: "inter"}, nil},
+		{&ValidationVerdict{Class: "sync", Status: "bug", CrashStates: 4, Latency: 7 * time.Millisecond},
+			map[string]int64{
+				MValidations: 1, MValidateCrashStates: 4,
+				HValidationLatency: 1, HValidationLatency + "_sum": int64(7 * time.Millisecond),
+			}},
+		{&BugConfirmed{Class: "inter", Site: "pclht.go:42"}, map[string]int64{MBugs: 1}},
+		{&CampaignDone{Stats: Stats{Execs: 1, Bugs: 1}}, nil},
+	}
+	values := func(reg *Registry) map[string]int64 {
+		snap := reg.Snapshot()
+		out := make(map[string]int64)
+		for n, v := range snap.Counters {
+			out[n] = v
+		}
+		for n, v := range snap.Gauges {
+			out[n] = v
+		}
+		for n, h := range snap.Histograms {
+			out[n] = h.Count
+			out[n+"_sum"] = int64(h.Sum)
+		}
+		return out
+	}
+	for _, tc := range cases {
+		em := NewEmitter()
+		before := values(em.Registry())
+		em.Emit(tc.ev)
+		got := make(map[string]int64)
+		for n, v := range values(em.Registry()) {
+			if d := v - before[n]; d != 0 {
+				got[n] = d
+			}
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s moved %v, want %v", tc.ev.Kind(), got, tc.want)
+			continue
+		}
+		for n, d := range tc.want {
+			if got[n] != d {
+				t.Errorf("%s moved %v, want %v", tc.ev.Kind(), got, tc.want)
+				break
+			}
+		}
 	}
 }

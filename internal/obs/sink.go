@@ -161,24 +161,3 @@ func (p *ProgressSink) Close() error {
 	<-p.done
 	return nil
 }
-
-// MultiSink fans one event out to several sinks.
-type MultiSink []Sink
-
-// Emit implements Sink.
-func (m MultiSink) Emit(ev Event) {
-	for _, s := range m {
-		s.Emit(ev)
-	}
-}
-
-// Close implements Sink; it closes every sink and returns the first error.
-func (m MultiSink) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -127,12 +127,6 @@ type Pool struct {
 	touched  []atomic.Uint64
 	baseSnap *Snapshot // snapshot the pool state is based on (guarded by guard)
 
-	// stores counts all store operations, used by tests and stats.
-	stores atomic.Uint64
-	// flushes and fences count persistency operations.
-	flushes atomic.Uint64
-	fences  atomic.Uint64
-
 	evictMu   sync.Mutex
 	evictRNG  *rand.Rand
 	evictProb float64
@@ -396,7 +390,6 @@ func (p *Pool) CAS64(t ThreadID, site uint32, addr Addr, old, new uint64) (bool,
 // matching per-line CLWB semantics.
 func (p *Pool) Flush(t ThreadID, addr Addr, n uint64) {
 	p.check(addr, n)
-	p.flushes.Add(1)
 	p.guard.RLock()
 	first := lineOf(addr)
 	for line := first; line < addr+n; line += LineSize {
@@ -458,7 +451,6 @@ func (p *Pool) capturePending(addr Addr, n uint64) {
 // directly — by the pendingLine invariant the two are identical, so lazy
 // capture preserves exact eager-copy semantics.
 func (p *Pool) Fence(t ThreadID) {
-	p.fences.Add(1)
 	p.guard.RLock()
 	p.pendingMu.Lock()
 	count := len(p.pending[t])
@@ -513,8 +505,6 @@ func (p *Pool) Fence(t ThreadID) {
 // flush immediately followed by fence and is used by recovery code and tests.
 func (p *Pool) PersistNow(t ThreadID, addr Addr, n uint64) {
 	p.check(addr, n)
-	p.flushes.Add(1)
-	p.fences.Add(1)
 	p.guard.RLock()
 	for line := lineOf(addr); line < addr+n; line += LineSize {
 		m := p.lockSpan(line, LineSize)
@@ -540,7 +530,6 @@ func (p *Pool) markStored(t ThreadID, site uint32, addr Addr, n uint64) {
 		p.markNT(t, site, addr, n)
 		return
 	}
-	p.stores.Add(1)
 	for wi := addr / WordSize; wi <= (addr+n-1)/WordSize; wi++ {
 		m := &p.meta[wi]
 		m.Dirty = true
@@ -552,7 +541,6 @@ func (p *Pool) markStored(t ThreadID, site uint32, addr Addr, n uint64) {
 }
 
 func (p *Pool) markNT(t ThreadID, site uint32, addr Addr, n uint64) {
-	p.stores.Add(1)
 	for wi := addr / WordSize; wi <= (addr+n-1)/WordSize; wi++ {
 		m := &p.meta[wi]
 		m.Dirty = false
@@ -875,11 +863,6 @@ func (p *Pool) EpochAt(addr Addr) uint32 {
 	return e
 }
 
-// Stats returns operation counters: stores, flushes and fences performed.
-func (p *Pool) Stats() (stores, flushes, fences uint64) {
-	return p.stores.Load(), p.flushes.Load(), p.fences.Load()
-}
-
 // PersistedEquals reports whether the persisted image of [addr, addr+n)
 // equals the cache image, i.e. whether the range is fully durable.
 func (p *Pool) PersistedEquals(addr Addr, n uint64) bool {
@@ -908,18 +891,6 @@ func (p *Pool) PersistedLoad64(addr Addr) uint64 {
 	p.unlockSpan(m)
 	p.guard.RUnlock()
 	return v
-}
-
-// PersistedBytes copies n bytes starting at addr from the persisted image.
-func (p *Pool) PersistedBytes(addr Addr, n uint64) []byte {
-	p.check(addr, n)
-	out := make([]byte, n)
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
-	copy(out, p.persisted[addr:addr+n])
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	return out
 }
 
 // DirtyWord is one word that is visible in the cache but not yet persisted,

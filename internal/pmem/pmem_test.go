@@ -422,17 +422,6 @@ func TestPersistedEquals(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	p := New(1024)
-	p.Store64(1, 1, 0, 1)
-	p.Flush(1, 0, 8)
-	p.Fence(1)
-	s, f, fe := p.Stats()
-	if s != 1 || f != 1 || fe != 1 {
-		t.Fatalf("stats = %d %d %d, want 1 1 1", s, f, fe)
-	}
-}
-
 func TestRandomEvictionPersistsButKeepsDirty(t *testing.T) {
 	p := NewWithOptions(LineSize, Options{EvictProb: 1, EvictSeed: 1})
 	p.Store64(1, 1, 0, 9)

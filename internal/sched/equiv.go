@@ -59,9 +59,6 @@ type EquivClasses struct {
 	mu      sync.Mutex
 	classes map[uint64]*equivClass
 	seen    map[OutcomeSig]struct{}
-
-	scheduled int
-	pruned    int
 }
 
 // NewEquivClasses creates an empty table.
@@ -81,13 +78,7 @@ func (c *EquivClasses) ShouldPrune(key uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cl, ok := c.classes[key]
-	prune := ok && cl.runs > 0 && !cl.lastRunNovel
-	if prune {
-		c.pruned++
-	} else {
-		c.scheduled++
-	}
-	return prune
+	return ok && cl.runs > 0 && !cl.lastRunNovel
 }
 
 // OutcomeNovel folds one execution's outcome signature into the global seen
@@ -114,14 +105,6 @@ func (c *EquivClasses) Record(key uint64, productive bool) {
 	}
 	cl.runs++
 	cl.lastRunNovel = productive
-}
-
-// Counts returns how many interleavings were scheduled and how many were
-// pruned so far.
-func (c *EquivClasses) Counts() (scheduled, pruned int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.scheduled, c.pruned
 }
 
 // mix64 is a 64-bit finalizer (splitmix64).

@@ -31,7 +31,9 @@ type Options struct {
 	// Whitelist holds the benign patterns; nil disables whitelisting.
 	Whitelist *core.Whitelist
 	// Obs, when set, receives a ValidationVerdict event per judged finding
-	// and feeds the validation counters and latency histograms.
+	// (from which the emitter derives the validation run, latency and
+	// crash-state metrics) and feeds the per-state latency histogram and
+	// the wall-timeout counter.
 	Obs *obs.Emitter
 	// Trace, when set, records a validate span per finding (with a
 	// validate_state child per crash state) on lane TraceLane. Findings are
@@ -40,11 +42,9 @@ type Options struct {
 	TraceLane int
 }
 
-// observe emits the verdict event and updates the validation metrics.
+// observe stamps the validation latency and emits the verdict event.
 func (o Options) observe(class string, r Result, started time.Time) Result {
 	r.Latency = time.Since(started)
-	o.Obs.Registry().Counter(obs.MValidations).Inc()
-	o.Obs.Registry().Histogram(obs.HValidationLatency).Observe(r.Latency)
 	o.Obs.Emit(&obs.ValidationVerdict{
 		Class:        class,
 		Status:       r.Status.String(),
@@ -184,10 +184,9 @@ func (o Options) judgeState(factory targets.Factory, st pmem.CrashState, parent 
 	v := StateVerdict{State: st.Name}
 	ssp := parent.Child(obs.SpanValidateState)
 	ssp.SetAttr("state", st.Name)
-	env, hung, wallTimedOut, err := runRecovery(factory, st.Img, o)
+	env, hung, wallTimedOut, err := RunRecovery(factory, st.Img, o.HangTimeout, o.WallTimeout)
 	v.Latency = time.Since(start)
 	reg := o.Obs.Registry()
-	reg.Counter(obs.MValidateCrashStates).Inc()
 	reg.Histogram(obs.HValidateStateLatency).Observe(v.Latency)
 	if wallTimedOut {
 		reg.Counter(obs.MValidateWallTimeouts).Inc()
@@ -219,22 +218,23 @@ type recoveryResult struct {
 	err  error
 }
 
-// runRecovery restarts the target on the crash image with write recording
-// enabled and runs its recovery procedure in a watchdog-supervised goroutine.
-// Spin-lock hangs (rt.HangError) and recovery panics become results; a run
-// exceeding opts.WallTimeout is abandoned — its environment is cancelled so
-// the goroutine stops mutating the pool at its next hook call — and reported
-// as hung with wallTimedOut set. The image is fully copied before the
-// goroutine starts, so the caller may recycle it as soon as runRecovery
-// returns, even after a wall timeout.
-func runRecovery(factory targets.Factory, img []byte, opts Options) (env *rt.Env, hung, wallTimedOut bool, err error) {
-	if opts.HangTimeout <= 0 {
-		opts.HangTimeout = rt.DefaultHangTimeout
+// RunRecovery is the recovery sandbox: it restarts the target on the crash
+// image with write recording enabled and runs its recovery procedure in a
+// watchdog-supervised goroutine. Spin-lock hangs (rt.HangError) and recovery
+// panics become results; a run exceeding wallTimeout is abandoned — its
+// environment is cancelled so the goroutine stops mutating the pool at its
+// next hook call — and reported as hung with wallTimedOut set. Zero
+// timeouts select rt.DefaultHangTimeout and DefaultWallTimeout. The image is
+// fully copied before the goroutine starts, so the caller may recycle it as
+// soon as RunRecovery returns, even after a wall timeout.
+func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout time.Duration) (env *rt.Env, hung, wallTimedOut bool, err error) {
+	if hangTimeout <= 0 {
+		hangTimeout = rt.DefaultHangTimeout
 	}
-	if opts.WallTimeout <= 0 {
-		opts.WallTimeout = DefaultWallTimeout
+	if wallTimeout <= 0 {
+		wallTimeout = DefaultWallTimeout
 	}
-	env = rt.NewEnv(pmem.FromImage(img), rt.Config{HangTimeout: opts.HangTimeout})
+	env = rt.NewEnv(pmem.FromImage(img), rt.Config{HangTimeout: hangTimeout})
 	env.EnableWriteRecorder()
 	// Buffered so an abandoned goroutine's send never blocks: the watchdog
 	// result channel must not leak the recovery goroutine on top of the
@@ -258,13 +258,13 @@ func runRecovery(factory targets.Factory, img []byte, opts Options) (env *rt.Env
 		th := env.Spawn()
 		done <- recoveryResult{err: tgt.Recover(th)}
 	}()
-	timer := time.NewTimer(opts.WallTimeout)
+	timer := time.NewTimer(wallTimeout)
 	defer timer.Stop()
 	select {
 	case r := <-done:
 		return env, r.hung, false, r.err
 	case <-timer.C:
 		env.Cancel()
-		return env, true, true, fmt.Errorf("validate: recovery exceeded wall timeout %s", opts.WallTimeout)
+		return env, true, true, fmt.Errorf("validate: recovery exceeded wall timeout %s", wallTimeout)
 	}
 }
