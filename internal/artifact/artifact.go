@@ -13,7 +13,6 @@ import (
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/obs"
 	"github.com/pmrace-go/pmrace/internal/pmem"
-	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/taint"
 )
@@ -126,7 +125,7 @@ type Schedule struct {
 	Privileged bool `json:"privileged,omitempty"`
 }
 
-// TraceEntry is one PM access from the runtime trace ring, sites resolved.
+// TraceEntry is one PM access of a finding's interleaving, sites resolved.
 type TraceEntry struct {
 	Seq    uint64 `json:"seq"`
 	Thread int    `json:"thread"`
@@ -203,8 +202,8 @@ func ConvertLineage(evs []taint.Event) []LineageEvent {
 	return out
 }
 
-// ConvertTrace resolves a runtime access trace for the bundle.
-func ConvertTrace(accs []rt.Access) []TraceEntry {
+// ConvertTrace resolves a finding's interleaving for the bundle.
+func ConvertTrace(accs []core.Access) []TraceEntry {
 	out := make([]TraceEntry, 0, len(accs))
 	for _, a := range accs {
 		out = append(out, TraceEntry{

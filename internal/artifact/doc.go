@@ -10,7 +10,7 @@
 //	bug.json       the report: kind, verdict, sites, stacks, taint lineage
 //	seed.txt       the encoded program input that found the bug
 //	schedule.json  the PM-aware interleaving decisions of the finding run
-//	trace.json     the tail of the runtime PM access trace at detection
+//	trace.json     the finding's interleaving: dirty store, dirty load, side effect
 //	pmdiff.json    the dirty words (cache vs. persisted) at detection
 //
 // Site identities are persisted as resolved file:line strings, never as

@@ -108,9 +108,6 @@ type Inconsistency struct {
 	// a triager can follow the data flow from the original non-persisted
 	// store to the side effect without re-running the campaign.
 	Lineage []taint.Event
-	// Trace is the tail of the PM access trace at detection time — the
-	// interleaving evidence attached to the report.
-	Trace []string
 	// Input is the encoded program input (operation sequence) of the
 	// campaign that found the inconsistency (§4.1 step 6: reports carry
 	// "corresponding program inputs").
@@ -126,6 +123,49 @@ func (in *Inconsistency) Key() [3]uint32 {
 		k = 1
 	}
 	return [3]uint32{in.Event.WriteSite, uint32(in.StoreSite), k}
+}
+
+// AccessKind classifies one PM access of a finding's interleaving.
+type AccessKind uint8
+
+// Access kinds of an interleaving.
+const (
+	AccLoad AccessKind = iota
+	AccStore
+)
+
+func (k AccessKind) String() string {
+	if k == AccLoad {
+		return "load"
+	}
+	return "store"
+}
+
+// Access is one PM access of a finding's interleaving; Seq numbers the
+// accesses 1..n in order.
+type Access struct {
+	Seq    uint64
+	Thread pmem.ThreadID
+	Kind   AccessKind
+	Addr   pmem.Addr
+	Site   site.ID
+}
+
+// Interleaving returns the inconsistency's ordering evidence (paper
+// Definition 2): for each lineage event its non-persisted store and the
+// dirty load that read it, then the durable side effect.
+func (in *Inconsistency) Interleaving() []Access {
+	out := make([]Access, 0, 2*len(in.Lineage)+1)
+	for _, ev := range in.Lineage {
+		out = append(out,
+			Access{Thread: pmem.ThreadID(ev.Writer), Kind: AccStore, Addr: ev.Addr, Site: site.ID(ev.WriteSite)},
+			Access{Thread: pmem.ThreadID(ev.Reader), Kind: AccLoad, Addr: ev.Addr, Site: site.ID(ev.ReadSite)})
+	}
+	out = append(out, Access{Thread: in.StoreThread, Kind: AccStore, Addr: in.SideEffect.Off, Site: in.StoreSite})
+	for i := range out {
+		out[i].Seq = uint64(i + 1)
+	}
+	return out
 }
 
 // SyncVar is a programmer annotation for a persistent synchronization
@@ -157,6 +197,12 @@ type SyncInconsistency struct {
 	// Input is the encoded program input of the finding campaign.
 	Input string
 	Count int
+}
+
+// Interleaving returns the synchronization inconsistency's evidence: its
+// one update store.
+func (si *SyncInconsistency) Interleaving() []Access {
+	return []Access{{Seq: 1, Thread: si.Thread, Kind: AccStore, Addr: si.Addr, Site: si.Site}}
 }
 
 // DedupKey returns the (variable, site) key the result database dedups by.

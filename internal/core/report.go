@@ -484,12 +484,6 @@ func FormatInconsistency(j *JudgedInconsistency) string {
 			fmt.Fprintf(&b, "    %s\n", fr)
 		}
 	}
-	if len(j.Trace) > 0 {
-		b.WriteString("  interleaving (recent PM accesses):\n")
-		for _, line := range j.Trace {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
-	}
 	if j.Input != "" {
 		b.WriteString("  program input:\n")
 		for _, line := range strings.Split(strings.TrimSpace(j.Input), "\n") {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/site"
 
 	"github.com/pmrace-go/pmrace/internal/taint"
@@ -173,5 +175,29 @@ func TestFormatSync(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestInterleaving(t *testing.T) {
+	in := mkIncon(KindInter, 10, 20)
+	in.Lineage = []taint.Event{
+		{Addr: 128, WriteSite: 5, ReadSite: 6, Writer: 3, Reader: 2},
+		in.Event,
+	}
+	in.StoreThread = 2
+	in.SideEffect = pmem.Range{Off: 256, Len: 8}
+	want := []Access{
+		{Seq: 1, Thread: 3, Kind: AccStore, Addr: 128, Site: 5},
+		{Seq: 2, Thread: 2, Kind: AccLoad, Addr: 128, Site: 6},
+		{Seq: 3, Thread: 1, Kind: AccStore, Addr: 64, Site: 10},
+		{Seq: 4, Thread: 2, Kind: AccLoad, Addr: 64, Site: 11},
+		{Seq: 5, Thread: 2, Kind: AccStore, Addr: 256, Site: 20},
+	}
+	if got := in.Interleaving(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("inconsistency interleaving:\n got %+v\nwant %+v", got, want)
+	}
+	si := &SyncInconsistency{Addr: 512, Site: 7, Thread: 4}
+	if got := si.Interleaving(); !reflect.DeepEqual(got, []Access{{Seq: 1, Thread: 4, Kind: AccStore, Addr: 512, Site: 7}}) {
+		t.Fatalf("sync interleaving = %+v", got)
 	}
 }

@@ -24,10 +24,10 @@ import (
 type CapturedInconsistency struct {
 	In     *core.Inconsistency
 	States []pmem.CrashState
-	// Trace is the structured tail of the PM access trace at detection and
-	// Dirty the pool's dirty-word diff — the forensic state artifact
-	// bundles persist (in.Trace holds the human-formatted lines).
-	Trace []rt.Access
+	// Trace is the finding's interleaving (In.Interleaving) and Dirty the
+	// pool's dirty-word diff at detection — the forensic state artifact
+	// bundles persist.
+	Trace []core.Access
 	Dirty []pmem.DirtyWord
 }
 
@@ -35,7 +35,7 @@ type CapturedInconsistency struct {
 type CapturedSync struct {
 	Si     *core.SyncInconsistency
 	States []pmem.CrashState
-	Trace  []rt.Access
+	Trace  []core.Access
 	Dirty  []pmem.DirtyWord
 }
 
@@ -104,10 +104,10 @@ type ExecOptions struct {
 	// KnownInconsistency and KnownSync, when set, report whether a finding
 	// fingerprint is already in the campaign's dedup database. Run then
 	// skips the forensic capture — crash-state enumeration, PM diff and
-	// trace snapshot — for duplicates, which the merge would recycle
-	// unread. The predicates may only ever turn false→true (the database
-	// grows monotonically), so a stale answer costs one redundant capture,
-	// never a lost one.
+	// interleaving — for duplicates, which the merge would recycle unread.
+	// The predicates may only ever turn false→true (the database grows
+	// monotonically), so a stale answer costs one redundant capture, never
+	// a lost one.
 	KnownInconsistency func([3]uint32) bool
 	KnownSync          func(*core.SyncInconsistency) bool
 }
@@ -249,18 +249,15 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 		Strategy:     strat,
 		HangTimeout:  x.opts.HangTimeout,
 		CollectStats: collectStats,
-		TraceDepth:   64,
 		OnInconsistency: func(e *rt.Env, in *core.Inconsistency) {
 			if x.opts.KnownInconsistency != nil && x.opts.KnownInconsistency(in.Key()) {
 				// Duplicate fingerprint: the merge only counts it, so
-				// skip the crash-state enumeration and trace snapshot.
+				// skip the crash-state enumeration and PM diff.
 				mu.Lock()
 				res.Inconsistencies = append(res.Inconsistencies, CapturedInconsistency{In: in})
 				mu.Unlock()
 				return
 			}
-			accs := e.RecentAccesses()
-			in.Trace = rt.FormatTrace(accs, 12)
 			in.Input = seed.Encode()
 			csp := crashSpan()
 			states := e.Pool().CrashStates([]pmem.Range{in.SideEffect}, x.opts.MaxCrashStates)
@@ -268,7 +265,7 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 			csp.End()
 			dirty := e.Pool().DirtyWords(maxDirtyWords)
 			mu.Lock()
-			res.Inconsistencies = append(res.Inconsistencies, CapturedInconsistency{In: in, States: states, Trace: accs, Dirty: dirty})
+			res.Inconsistencies = append(res.Inconsistencies, CapturedInconsistency{In: in, States: states, Trace: in.Interleaving(), Dirty: dirty})
 			mu.Unlock()
 		},
 		OnSync: func(e *rt.Env, si *core.SyncInconsistency) {
@@ -283,10 +280,9 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 			states := e.Pool().CrashStates([]pmem.Range{{Off: si.Addr, Len: 8}}, x.opts.MaxCrashStates)
 			csp.SetAttr("states", strconv.Itoa(len(states)))
 			csp.End()
-			accs := e.RecentAccesses()
 			dirty := e.Pool().DirtyWords(maxDirtyWords)
 			mu.Lock()
-			res.Syncs = append(res.Syncs, CapturedSync{Si: si, States: states, Trace: accs, Dirty: dirty})
+			res.Syncs = append(res.Syncs, CapturedSync{Si: si, States: states, Trace: si.Interleaving(), Dirty: dirty})
 			mu.Unlock()
 		},
 		OnHang: func(_ *rt.Env, h rt.HangReport) {

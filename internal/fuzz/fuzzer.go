@@ -15,7 +15,6 @@ import (
 	"github.com/pmrace-go/pmrace/internal/obs"
 	"github.com/pmrace-go/pmrace/internal/pmdk"
 	"github.com/pmrace-go/pmrace/internal/pmem"
-	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/targets"
@@ -900,7 +899,7 @@ type valJob struct {
 	js *core.JudgedSync
 
 	states []pmem.CrashState
-	trace  []rt.Access
+	trace  []core.Access
 	dirty  []pmem.DirtyWord
 	seed   string
 	sd     artifact.Schedule

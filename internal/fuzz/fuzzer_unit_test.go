@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/core"
+	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/sched"
+	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/taint"
 	"github.com/pmrace-go/pmrace/internal/targets"
 	"github.com/pmrace-go/pmrace/internal/workload"
@@ -161,6 +163,53 @@ func TestExecutorEADRPools(t *testing.T) {
 	}
 	if len(res.Candidates) != 0 {
 		t.Fatalf("eADR execution must have no dirty-read candidates")
+	}
+}
+
+// farTarget's one op stores word 64 without flushing, loads it back, makes
+// 100 clean stores and then stores the loaded value to word 512: an
+// intra-thread inconsistency whose dirty store lies far behind its side
+// effect.
+type farTarget struct{ stubTarget }
+
+func (*farTarget) Exec(t *rt.Thread, op workload.Op) error {
+	t.Store64(64, 7, taint.None, taint.None)
+	v, lab := t.Load64(64)
+	for i := pmem.Addr(0); i < 100; i++ {
+		t.NTStore64(1024+8*i, i, taint.None, taint.None)
+	}
+	t.Store64(512, v, lab, taint.None)
+	return nil
+}
+
+func TestCapturedTraceIsFindingInterleaving(t *testing.T) {
+	x := NewExecutor(func() targets.Target { return &farTarget{} }, ExecOptions{})
+	seed := &workload.Seed{Threads: 1, Ops: []workload.Op{{Kind: workload.OpSet, Key: "a", Value: "1"}}}
+	res, err := x.Run(seed, sched.None{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(res.Inconsistencies) != 1 || res.Inconsistencies[0].In.Kind != core.KindIntra {
+		t.Fatalf("want one intra finding, got %+v", res.Inconsistencies)
+	}
+	c := res.Inconsistencies[0]
+	want := []struct {
+		kind string
+		addr pmem.Addr
+		site site.ID
+	}{
+		{"store", 64, site.ID(c.In.Event.WriteSite)},
+		{"load", 64, site.ID(c.In.Event.ReadSite)},
+		{"store", 512, c.In.StoreSite},
+	}
+	i := 0
+	for _, a := range c.Trace {
+		if i < len(want) && a.Kind.String() == want[i].kind && a.Addr == want[i].addr && a.Site == want[i].site {
+			i++
+		}
+	}
+	if i != len(want) {
+		t.Fatalf("trace %+v lacks %+v, in order, from entry %d", c.Trace, want, i)
 	}
 }
 

@@ -318,10 +318,13 @@ func (p *Pool) Store64(t ThreadID, site uint32, addr Addr, val uint64) {
 }
 
 // StoreBytes writes data to the cache image and marks the covered words
-// dirty.
+// dirty. An empty store touches nothing.
 func (p *Pool) StoreBytes(t ThreadID, site uint32, addr Addr, data []byte) {
 	n := uint64(len(data))
 	p.check(addr, n)
+	if n == 0 {
+		return
+	}
 	p.guard.RLock()
 	m := p.lockSpan(addr, n)
 	p.capturePending(addr, n)
@@ -347,10 +350,14 @@ func (p *Pool) NTStore64(t ThreadID, site uint32, addr Addr, val uint64) {
 	p.guard.RUnlock()
 }
 
-// NTStoreBytes performs a non-temporal store of a byte range.
+// NTStoreBytes performs a non-temporal store of a byte range. An empty
+// store touches nothing.
 func (p *Pool) NTStoreBytes(t ThreadID, site uint32, addr Addr, data []byte) {
 	n := uint64(len(data))
 	p.check(addr, n)
+	if n == 0 {
+		return
+	}
 	p.guard.RLock()
 	m := p.lockSpan(addr, n)
 	p.capturePending(addr, n)
@@ -757,10 +764,14 @@ func (p *Pool) InstrStore64(t ThreadID, site uint32, addr Addr, val uint64, labe
 	return
 }
 
-// InstrStoreBytes is the byte-range store protocol.
+// InstrStoreBytes is the byte-range store protocol. An empty store touches
+// nothing and returns the zero Accessor.
 func (p *Pool) InstrStoreBytes(t ThreadID, site uint32, addr Addr, data []byte, label uint32) (prev Accessor) {
 	n := uint64(len(data))
 	p.check(addr, n)
+	if n == 0 {
+		return
+	}
 	p.guard.RLock()
 	m := p.lockSpan(addr, n)
 	p.capturePending(addr, n)
@@ -800,10 +811,14 @@ func (p *Pool) InstrNTStore64(t ThreadID, site uint32, addr Addr, val uint64, la
 	return
 }
 
-// InstrNTStoreBytes is the byte-range non-temporal store protocol.
+// InstrNTStoreBytes is the byte-range non-temporal store protocol. An empty
+// store touches nothing and returns the zero Accessor.
 func (p *Pool) InstrNTStoreBytes(t ThreadID, site uint32, addr Addr, data []byte, label uint32) (prev Accessor) {
 	n := uint64(len(data))
 	p.check(addr, n)
+	if n == 0 {
+		return
+	}
 	p.guard.RLock()
 	m := p.lockSpan(addr, n)
 	p.capturePending(addr, n)
@@ -861,6 +876,31 @@ func (p *Pool) EpochAt(addr Addr) uint32 {
 	p.unlockSpan(m)
 	p.guard.RUnlock()
 	return e
+}
+
+// Overwritten reports whether every word of r has a store epoch above zero.
+// On a pool from FromImage, whose words start at epoch 0, that means a
+// store reached each word since the image was mapped: post-failure
+// validation asks it to learn whether recovery overwrote a durable side
+// effect. A failed CAS and an eviction store nothing; an empty range reports
+// true.
+func (p *Pool) Overwritten(r Range) bool {
+	p.check(r.Off, r.Len)
+	if r.Len == 0 {
+		return true
+	}
+	p.guard.RLock()
+	m := p.lockSpan(r.Off, r.Len)
+	all := true
+	for wi := r.Off / WordSize; wi <= (r.End()-1)/WordSize; wi++ {
+		if p.meta[wi].Epoch == 0 {
+			all = false
+			break
+		}
+	}
+	p.unlockSpan(m)
+	p.guard.RUnlock()
+	return all
 }
 
 // PersistedEquals reports whether the persisted image of [addr, addr+n)

@@ -584,3 +584,72 @@ func TestEADRCrashLosesNothing(t *testing.T) {
 		t.Fatalf("eADR crash must preserve unflushed stores, got %d", got)
 	}
 }
+
+// An empty byte store is no store: it marks no word, not even at the pool's
+// first offset or its end.
+func TestZeroLengthByteStoresTouchNothing(t *testing.T) {
+	for _, eadr := range []bool{false, true} {
+		p := NewWithOptions(128, Options{EADR: eadr})
+		for _, addr := range []Addr{0, 9, 128} {
+			p.StoreBytes(1, 1, addr, nil)
+			p.NTStoreBytes(1, 1, addr, nil)
+			p.InstrStoreBytes(1, 1, addr, nil, 5)
+			p.InstrNTStoreBytes(1, 1, addr, []byte{}, 5)
+		}
+		for a := Addr(0); a < p.Size(); a += WordSize {
+			if st := p.WordState(a); st.Dirty || st.Epoch != 0 || st.Writer != NoThread {
+				t.Fatalf("eadr=%v: word %#x = %+v after empty stores", eadr, a, st)
+			}
+			if l := p.ShadowLabel(a); l != 0 {
+				t.Fatalf("eadr=%v: word %#x label = %d after empty stores", eadr, a, l)
+			}
+		}
+	}
+}
+
+// Overwritten is the check post-failure validation applies to a recovery
+// pool: a range counts when a store reached every one of its words.
+func TestOverwrittenOnImagePool(t *testing.T) {
+	src := New(1024)
+	src.Store64(1, 1, 64, 7)
+	src.PersistNow(1, 0, src.Size())
+	p := FromImage(src.CrashImage())
+
+	p.Store64(1, 1, 128, 1)
+	p.StoreBytes(1, 1, 256, make([]byte, 24))
+	p.NTStore64(1, 1, 320, 1)
+	if ok, _ := p.CAS64(1, 1, 384, 0, 1); !ok {
+		t.Fatalf("CAS on a zero word must succeed")
+	}
+	if ok, _ := p.CAS64(1, 1, 448, 9, 1); ok {
+		t.Fatalf("CAS with a wrong expected value must fail")
+	}
+	p.StoreBytes(1, 1, 512, nil)
+	p.InstrStore64(1, 1, 576, 1, 0)
+	p.InstrStoreBytes(1, 1, 640, make([]byte, 8), 0)
+	p.InstrNTStore64(1, 1, 704, 1, 0)
+	p.InstrCAS64(1, 1, 768, 0, 1, 0)
+	p.InstrCAS64(1, 1, 832, 9, 1, 0)
+
+	for _, r := range []Range{
+		{Off: 128, Len: 8}, {Off: 256, Len: 24}, {Off: 260, Len: 4}, {Off: 320, Len: 8},
+		{Off: 384, Len: 8}, {Off: 576, Len: 8}, {Off: 640, Len: 8}, {Off: 704, Len: 8},
+		{Off: 768, Len: 8}, {Off: 0, Len: 0},
+	} {
+		if !p.Overwritten(r) {
+			t.Errorf("Overwritten(%+v) = false, want true", r)
+		}
+	}
+	for _, r := range []Range{
+		{Off: 64, Len: 8},   // only in the image
+		{Off: 448, Len: 8},  // failed CAS
+		{Off: 832, Len: 8},  // failed instrumented CAS
+		{Off: 512, Len: 8},  // empty store
+		{Off: 256, Len: 40}, // partly covered
+		{Off: 120, Len: 16}, // partly covered
+	} {
+		if p.Overwritten(r) {
+			t.Errorf("Overwritten(%+v) = true, want false", r)
+		}
+	}
+}

@@ -39,10 +39,6 @@ type Config struct {
 	// CollectStats enables per-address access statistics (needed to build
 	// the priority queue; costs memory on large pools).
 	CollectStats bool
-	// TraceDepth, when positive, records the last TraceDepth PM accesses
-	// in a ring buffer; bug reports attach the tail as interleaving
-	// evidence.
-	TraceDepth int
 }
 
 // HangReport describes a hung lock acquisition.
@@ -71,14 +67,6 @@ type Env struct {
 	// batch runs the deferred per-access analyses (alias pairs, statistics,
 	// redundant stores) over thread log drains.
 	batch *core.BatchAnalyzer
-
-	trace *traceRing
-
-	// recordOn is read on every store hook; it is atomic so the common
-	// recorder-off case costs one load instead of a mutex round trip.
-	recordOn atomic.Bool
-	recMu    sync.Mutex
-	written  map[pmem.Addr]struct{} // word-aligned offsets overwritten
 
 	// cancelled is checked at the top of every pool-mutating hook; the
 	// validation watchdog sets it to stop an abandoned recovery goroutine
@@ -147,9 +135,6 @@ func NewEnv(pool *pmem.Pool, cfg Config) *Env {
 	e.mutexHolders = make(map[*sync.Mutex]pmem.ThreadID)
 	e.mutexWaiters = make(map[*sync.Mutex][]pmem.ThreadID)
 	e.batch = core.NewBatchAnalyzer(e.det, e.cov.Alias, cfg.CollectStats)
-	if cfg.TraceDepth > 0 {
-		e.trace = newTraceRing(cfg.TraceDepth)
-	}
 	return e
 }
 
@@ -185,11 +170,7 @@ func (e *Env) Spawn() *Thread {
 	e.liveThreads[id] = struct{}{}
 	e.lockMu.Unlock()
 	e.strat.ThreadStart(id)
-	th := &Thread{ID: id, env: e, sites: site.NewCache()}
-	if e.trace != nil {
-		th.shard = e.trace.shardFor(id)
-	}
-	return th
+	return &Thread{ID: id, env: e, sites: site.NewCache()}
 }
 
 // AnnotateSyncVar registers a persistent synchronization variable annotation
@@ -404,60 +385,9 @@ func (e *Env) Cancel() {
 func (e *Env) Cancelled() bool { return e.cancelled.Load() }
 
 // checkCancel panics CancelError when the environment is cancelled. One
-// atomic load on the hot path, same pattern as recordOn.
+// atomic load on the hot path.
 func (e *Env) checkCancel() {
 	if e.cancelled.Load() {
 		panic(CancelError{})
-	}
-}
-
-// EnableWriteRecorder starts recording every word offset written through the
-// hooks; post-failure validation uses it to check whether recovery overwrote
-// the durable side effects of a detected inconsistency.
-func (e *Env) EnableWriteRecorder() {
-	e.recMu.Lock()
-	defer e.recMu.Unlock()
-	e.written = make(map[pmem.Addr]struct{})
-	e.recordOn.Store(true)
-}
-
-// WrittenWords returns the recorded word-aligned offsets.
-func (e *Env) WrittenWords() map[pmem.Addr]struct{} {
-	e.recMu.Lock()
-	defer e.recMu.Unlock()
-	out := make(map[pmem.Addr]struct{}, len(e.written))
-	for a := range e.written {
-		out[a] = struct{}{}
-	}
-	return out
-}
-
-// RangeOverwritten reports whether every word of the range was overwritten
-// since EnableWriteRecorder.
-func (e *Env) RangeOverwritten(r pmem.Range) bool {
-	if !e.recordOn.Load() {
-		return false
-	}
-	e.recMu.Lock()
-	defer e.recMu.Unlock()
-	if r.Len == 0 {
-		return true
-	}
-	for w := r.Off / pmem.WordSize; w <= (r.End()-1)/pmem.WordSize; w++ {
-		if _, ok := e.written[w*pmem.WordSize]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Env) recordWrite(addr pmem.Addr, n uint64) {
-	if !e.recordOn.Load() || n == 0 {
-		return
-	}
-	e.recMu.Lock()
-	defer e.recMu.Unlock()
-	for w := addr / pmem.WordSize; w <= (addr+n-1)/pmem.WordSize; w++ {
-		e.written[w*pmem.WordSize] = struct{}{}
 	}
 }

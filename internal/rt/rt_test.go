@@ -339,37 +339,6 @@ func TestStatsDisabledByDefault(t *testing.T) {
 	}
 }
 
-func TestWriteRecorder(t *testing.T) {
-	e := newEnv(t, Config{})
-	t1 := e.Spawn()
-	t1.Store64(64, 1, taint.None, taint.None) // before enabling: not recorded
-	e.EnableWriteRecorder()
-	t1.Store64(128, 2, taint.None, taint.None)
-	t1.StoreBytes(256, make([]byte, 24), taint.None, taint.None)
-	if e.RangeOverwritten(pmem.Range{Off: 64, Len: 8}) {
-		t.Fatalf("pre-recorder write must not count")
-	}
-	if !e.RangeOverwritten(pmem.Range{Off: 128, Len: 8}) {
-		t.Fatalf("recorded write must count")
-	}
-	if !e.RangeOverwritten(pmem.Range{Off: 256, Len: 24}) {
-		t.Fatalf("byte-range write must count")
-	}
-	if e.RangeOverwritten(pmem.Range{Off: 256, Len: 40}) {
-		t.Fatalf("partially overwritten range must not count")
-	}
-	if len(e.WrittenWords()) != 4 {
-		t.Fatalf("written words = %v", e.WrittenWords())
-	}
-}
-
-func TestRangeOverwrittenWithoutRecorder(t *testing.T) {
-	e := newEnv(t, Config{})
-	if e.RangeOverwritten(pmem.Range{Off: 0, Len: 8}) {
-		t.Fatalf("without recorder nothing is overwritten")
-	}
-}
-
 func TestOnInconsistencyPoolStillBuggy(t *testing.T) {
 	checked := false
 	e := NewEnv(pmem.New(4096), Config{
@@ -485,40 +454,23 @@ func TestDirtyReadLabelProperty(t *testing.T) {
 	}
 }
 
-// The traced sub-benchmarks run at TraceDepth 64, the depth the fuzzing
-// executor always sets (internal/fuzz/exec.go), so they are the production
-// hook cost.
 func BenchmarkHookStore64(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		depth int
-	}{{"untraced", 0}, {"traced", 64}} {
-		b.Run(bc.name, func(b *testing.B) {
-			th := NewEnv(pmem.New(1<<20), Config{TraceDepth: bc.depth}).Spawn()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th.Store64(pmem.Addr(i%(1<<16))*8, uint64(i), taint.None, taint.None)
-			}
-		})
+	th := NewEnv(pmem.New(1<<20), Config{}).Spawn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Store64(pmem.Addr(i%(1<<16))*8, uint64(i), taint.None, taint.None)
 	}
 }
 
 func BenchmarkHookLoad64(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		depth int
-	}{{"untraced", 0}, {"traced", 64}} {
-		b.Run(bc.name, func(b *testing.B) {
-			th := NewEnv(pmem.New(1<<20), Config{TraceDepth: bc.depth}).Spawn()
-			th.Store64(64, 1, taint.None, taint.None)
-			th.Persist(64, 8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th.Load64(64)
-			}
-		})
+	th := NewEnv(pmem.New(1<<20), Config{}).Spawn()
+	th.Store64(64, 1, taint.None, taint.None)
+	th.Persist(64, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Load64(64)
 	}
 }
 
@@ -534,47 +486,8 @@ func BenchmarkHookDirtyReadDetection(b *testing.B) {
 	}
 }
 
-func TestAccessTraceRing(t *testing.T) {
-	e := NewEnv(pmem.New(4096), Config{TraceDepth: 3})
-	th := e.Spawn()
-	th.Store64(64, 1, taint.None, taint.None)
-	th.Load64(64)
-	th.Persist(64, 8)
-	th.NTStore64(128, 2, taint.None, taint.None)
-	trace := e.RecentAccesses()
-	if len(trace) != 3 {
-		t.Fatalf("trace length = %d, want ring capacity 3", len(trace))
-	}
-	// Chronological order and sequence numbers must be increasing.
-	for i := 1; i < len(trace); i++ {
-		if trace[i].Seq <= trace[i-1].Seq {
-			t.Fatalf("trace not chronological: %+v", trace)
-		}
-	}
-	// Ring wrap: the first event (the store) must have been evicted.
-	if trace[0].Kind == AccStore && trace[0].Addr == 64 {
-		t.Fatalf("oldest event should have been evicted from the ring")
-	}
-	lines := FormatTrace(trace, 2)
-	if len(lines) != 2 {
-		t.Fatalf("FormatTrace tail = %d lines", len(lines))
-	}
-}
-
-func TestTraceDisabledByDefault(t *testing.T) {
-	e := newEnv(t, Config{})
-	th := e.Spawn()
-	th.Store64(64, 1, taint.None, taint.None)
-	if e.RecentAccesses() != nil {
-		t.Fatalf("tracing must be off unless configured")
-	}
-}
-
 func TestAccessKindStrings(t *testing.T) {
-	kinds := map[AccessKind]string{
-		AccLoad: "load", AccStore: "store", AccNTStore: "ntstore",
-		AccCAS: "cas", AccFlush: "flush", AccFence: "fence",
-	}
+	kinds := map[core.AccessKind]string{core.AccLoad: "load", core.AccStore: "store"}
 	for k, want := range kinds {
 		if k.String() != want {
 			t.Fatalf("%d.String() = %q", k, k.String())
@@ -598,5 +511,26 @@ func TestExternSideEffect(t *testing.T) {
 	t2.ExternSideEffect(taint.None)
 	if len(e.Detector().Inconsistencies()) != 1 {
 		t.Fatalf("untainted extern effect must not report")
+	}
+}
+
+// An empty byte store is no access: a dirty-tainted label on it writes
+// nothing durable, so it is no side effect, and the pool stays untouched.
+func TestZeroLengthStoreIsNoSideEffect(t *testing.T) {
+	e := newEnv(t, Config{})
+	w, r := e.Spawn(), e.Spawn()
+	w.Store64(64, 5, taint.None, taint.None) // unflushed
+	_, lab := r.Load64(64)
+	r.StoreBytes(256, nil, lab, taint.None)
+	r.NTStoreBytes(256, []byte{}, lab, lab)
+	r.StoreBytes(0, nil, lab, taint.None)
+	r.NTStoreBytes(e.Pool().Size(), nil, lab, taint.None)
+	if ins := e.Detector().Inconsistencies(); len(ins) != 0 {
+		t.Fatalf("empty stores reported %+v", ins)
+	}
+	for _, a := range []pmem.Addr{0, 256} {
+		if st := e.Pool().WordState(a); st.Dirty || st.Epoch != 0 {
+			t.Fatalf("word %#x = %+v after empty stores", a, st)
+		}
 	}
 }

@@ -43,11 +43,6 @@ type Thread struct {
 	// never touch the shared registry. Single-goroutine, like the Thread.
 	sites *site.Cache
 
-	// shard is the thread's slice of the access-trace ring (nil when
-	// tracing is off), cached at Spawn so each traced hook is one direct
-	// append with no ring indirection.
-	shard *traceShard
-
 	// log is the thread's epoch-append access log: hooks append one record
 	// per access with no lock and no inline analysis; the deferred
 	// analyses (alias pairs, statistics, redundant stores) run in batches
@@ -138,26 +133,32 @@ func (t *Thread) load64At(addr pmem.Addr, s site.ID) (uint64, taint.Label) {
 	if !e.stratNone {
 		e.strat.BeforeLoad(t.ID, addr, s)
 	}
-	t.traceAccess(AccLoad, addr, s)
 	val, meta, shadow, prev := e.pool.InstrLoad64(t.ID, uint32(s), addr)
 	var kind uint8
 	if meta.Dirty {
 		kind = core.KindDirty
 	}
 	t.logAccess(addr, prev, s, kind)
-	lab := taint.Label(shadow)
-	if meta.Dirty && meta.Writer != pmem.NoThread {
-		ev := taint.Event{
-			Addr:      addr &^ (pmem.WordSize - 1),
-			Epoch:     meta.Epoch,
-			WriteSite: meta.Site,
-			ReadSite:  uint32(s),
-			Writer:    int32(meta.Writer),
-			Reader:    int32(t.ID),
-		}
-		lab = e.labels.Union(lab, e.det.OnDirtyRead(ev))
+	return val, t.dirtyRead(taint.Label(shadow), addr&^(pmem.WordSize-1), meta, s)
+}
+
+// dirtyRead records the inconsistency candidate of a read at site s that
+// observed the word at waddr in state meta, when the word is dirty, and
+// returns lab unioned with the candidate's fresh label.
+func (t *Thread) dirtyRead(lab taint.Label, waddr pmem.Addr, meta pmem.WordMeta, s site.ID) taint.Label {
+	if !meta.Dirty || meta.Writer == pmem.NoThread {
+		return lab
 	}
-	return val, lab
+	e := t.env
+	ev := taint.Event{
+		Addr:      waddr,
+		Epoch:     meta.Epoch,
+		WriteSite: meta.Site,
+		ReadSite:  uint32(s),
+		Writer:    int32(meta.Writer),
+		Reader:    int32(t.ID),
+	}
+	return e.labels.Union(lab, e.det.OnDirtyRead(ev))
 }
 
 // LoadBytes performs an instrumented PM load of n bytes. Dirty words in the
@@ -171,26 +172,13 @@ func (t *Thread) LoadBytes(addr pmem.Addr, n uint64) ([]byte, taint.Label) {
 	if !e.stratNone {
 		e.strat.BeforeLoad(t.ID, addr, s)
 	}
-	t.traceAccess(AccLoad, addr, s)
 	out, meta, waddr, dirty, rawLabels, prev := e.pool.InstrLoadBytes(t.ID, uint32(s), addr, n)
 	var kind uint8
 	if dirty {
 		kind = core.KindDirty
 	}
 	t.logAccess(addr, prev, s, kind)
-	lab := e.labels.UnionAll(labelsOf(rawLabels))
-	if dirty && meta.Writer != pmem.NoThread {
-		ev := taint.Event{
-			Addr:      waddr,
-			Epoch:     meta.Epoch,
-			WriteSite: meta.Site,
-			ReadSite:  uint32(s),
-			Writer:    int32(meta.Writer),
-			Reader:    int32(t.ID),
-		}
-		lab = e.labels.Union(lab, e.det.OnDirtyRead(ev))
-	}
-	return out, lab
+	return out, t.dirtyRead(e.labels.UnionAll(labelsOf(rawLabels)), waddr, meta, s)
 }
 
 // --- stores ---
@@ -222,7 +210,6 @@ func (t *Thread) store64NoSignal(addr pmem.Addr, val uint64, valLab, addrLab tai
 	if !e.stratNone {
 		e.strat.BeforeStore(t.ID, addr, s)
 	}
-	t.traceAccess(AccStore, addr, s)
 	t.checkSideEffect(s, addr, 8, valLab, addrLab)
 	old, prev := e.pool.InstrStore64(t.ID, uint32(s), addr, val, uint32(valLab))
 	kind := core.KindStore | core.KindDirty
@@ -230,14 +217,17 @@ func (t *Thread) store64NoSignal(addr pmem.Addr, val uint64, valLab, addrLab tai
 		kind |= core.KindRedundant
 	}
 	t.logAccess(addr, prev, s, kind)
-	e.recordWrite(addr, 8)
 	t.checkSyncVar(s, addr, 8, old, val)
 }
 
-// StoreBytes performs an instrumented PM store of a byte slice.
+// StoreBytes performs an instrumented PM store of a byte slice. An empty
+// slice stores nothing and is no access.
 //
 //go:noinline
 func (t *Thread) StoreBytes(addr pmem.Addr, data []byte, valLab, addrLab taint.Label) {
+	if len(data) == 0 {
+		return
+	}
 	s := t.siteFromPC(site.ReturnPC())
 	e := t.env
 	e.checkCancel()
@@ -245,11 +235,9 @@ func (t *Thread) StoreBytes(addr pmem.Addr, data []byte, valLab, addrLab taint.L
 	if !e.stratNone {
 		e.strat.BeforeStore(t.ID, addr, s)
 	}
-	t.traceAccess(AccStore, addr, s)
 	t.checkSideEffect(s, addr, n, valLab, addrLab)
 	prev := e.pool.InstrStoreBytes(t.ID, uint32(s), addr, data, uint32(valLab))
 	t.logAccess(addr, prev, s, core.KindStore|core.KindDirty)
-	e.recordWrite(addr, n)
 	if !e.stratNone {
 		e.strat.AfterStore(t.ID, addr, s)
 	}
@@ -267,18 +255,20 @@ func (t *Thread) NTStore64(addr pmem.Addr, val uint64, valLab, addrLab taint.Lab
 	if !e.stratNone {
 		e.strat.BeforeStore(t.ID, addr, s)
 	}
-	t.traceAccess(AccNTStore, addr, s)
 	t.checkSideEffect(s, addr, 8, valLab, addrLab)
 	old, prev := e.pool.InstrNTStore64(t.ID, uint32(s), addr, val, uint32(valLab))
 	t.logAccess(addr, prev, s, core.KindStore)
-	e.recordWrite(addr, 8)
 	t.checkSyncVar(s, addr, 8, old, val)
 }
 
 // NTStoreBytes performs an instrumented non-temporal store of a byte slice.
+// An empty slice stores nothing and is no access.
 //
 //go:noinline
 func (t *Thread) NTStoreBytes(addr pmem.Addr, data []byte, valLab, addrLab taint.Label) {
+	if len(data) == 0 {
+		return
+	}
 	s := t.siteFromPC(site.ReturnPC())
 	e := t.env
 	e.checkCancel()
@@ -286,11 +276,9 @@ func (t *Thread) NTStoreBytes(addr pmem.Addr, data []byte, valLab, addrLab taint
 	if !e.stratNone {
 		e.strat.BeforeStore(t.ID, addr, s)
 	}
-	t.traceAccess(AccNTStore, addr, s)
 	t.checkSideEffect(s, addr, n, valLab, addrLab)
 	prev := e.pool.InstrNTStoreBytes(t.ID, uint32(s), addr, data, uint32(valLab))
 	t.logAccess(addr, prev, s, core.KindStore)
-	e.recordWrite(addr, n)
 }
 
 // CAS64 performs an instrumented compare-and-swap. On success it has store
@@ -309,24 +297,11 @@ func (t *Thread) cas64At(addr pmem.Addr, old, new uint64, valLab, addrLab taint.
 	if !e.stratNone {
 		e.strat.BeforeStore(t.ID, addr, s)
 	}
-	t.traceAccess(AccCAS, addr, s)
 	ok, observed, meta, shadow, prev := e.pool.InstrCAS64(t.ID, uint32(s), addr, old, new, uint32(valLab))
 	t.logAccess(addr, prev, s, core.KindStore|core.KindDirty)
-	lab := taint.Label(shadow)
-	if meta.Dirty && meta.Writer != pmem.NoThread {
-		ev := taint.Event{
-			Addr:      addr &^ (pmem.WordSize - 1),
-			Epoch:     meta.Epoch,
-			WriteSite: meta.Site,
-			ReadSite:  uint32(s),
-			Writer:    int32(meta.Writer),
-			Reader:    int32(t.ID),
-		}
-		lab = e.labels.Union(lab, e.det.OnDirtyRead(ev))
-	}
+	lab := t.dirtyRead(taint.Label(shadow), addr&^(pmem.WordSize-1), meta, s)
 	if ok {
 		t.checkSideEffect(s, addr, 8, valLab, addrLab)
-		e.recordWrite(addr, 8)
 		t.checkSyncVar(s, addr, 8, observed, new)
 		if !e.stratNone {
 			e.strat.AfterStore(t.ID, addr, s)
@@ -381,7 +356,6 @@ func (t *Thread) Flush(addr pmem.Addr, n uint64) {
 
 func (t *Thread) flushAt(s site.ID, addr pmem.Addr, n uint64) {
 	t.env.checkCancel()
-	t.traceAccess(AccFlush, addr, s)
 	t.env.pool.Flush(t.ID, addr, n)
 }
 

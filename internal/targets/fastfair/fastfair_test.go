@@ -169,7 +169,6 @@ func TestRecoveryRewritesMetadata(t *testing.T) {
 	img := env.Pool().CrashImage()
 	tr2 := New()
 	env2 := rt.NewEnv(pmem.FromImage(img), rt.Config{})
-	env2.EnableWriteRecorder()
 	th2 := env2.Spawn()
 	if err := tr2.Recover(th2); err != nil {
 		t.Fatalf("recover: %v", err)
@@ -178,7 +177,7 @@ func TestRecoveryRewritesMetadata(t *testing.T) {
 		t.Fatalf("recovered count = %d, want 30", tr2.Count(th2))
 	}
 	// The metadata rewrite is what validates count-update side effects.
-	if !env2.RangeOverwritten(pmem.Range{Off: tr2.root + fldCount, Len: 8}) {
+	if !env2.Pool().Overwritten(pmem.Range{Off: tr2.root + fldCount, Len: 8}) {
 		t.Fatalf("recovery must rewrite the persistent counter")
 	}
 }

@@ -210,7 +210,6 @@ func TestRecoveryRebuildsIndexAndRelinks(t *testing.T) {
 	img := env.Pool().CrashImage()
 	kv2 := New()
 	env2 := rt.NewEnv(pmem.FromImage(img), rt.Config{})
-	env2.EnableWriteRecorder()
 	th2 := env2.Spawn()
 	if err := kv2.Recover(th2); err != nil {
 		t.Fatalf("recover: %v", err)
@@ -226,7 +225,7 @@ func TestRecoveryRebuildsIndexAndRelinks(t *testing.T) {
 	}
 	// Recovery must rewrite prev/next of live items (the FP overwrite).
 	item := kv2.index[targets.Fingerprint("key00")]
-	if !env2.RangeOverwritten(pmem.Range{Off: item + itNext, Len: 16}) {
+	if !env2.Pool().Overwritten(pmem.Range{Off: item + itNext, Len: 16}) {
 		t.Fatalf("recovery must rewrite prev/next")
 	}
 }

@@ -142,7 +142,7 @@ func Inconsistency(factory targets.Factory, states []pmem.CrashState, in *core.I
 				// recovery completing cleanly is all we can ask.
 				return core.StatusValidatedFP
 			}
-			if env.RangeOverwritten(in.SideEffect) {
+			if env.Pool().Overwritten(in.SideEffect) {
 				return core.StatusValidatedFP
 			}
 			return core.StatusBug
@@ -218,15 +218,17 @@ type recoveryResult struct {
 	err  error
 }
 
-// RunRecovery is the recovery sandbox: it restarts the target on the crash
-// image with write recording enabled and runs its recovery procedure in a
-// watchdog-supervised goroutine. Spin-lock hangs (rt.HangError) and recovery
-// panics become results; a run exceeding wallTimeout is abandoned — its
-// environment is cancelled so the goroutine stops mutating the pool at its
-// next hook call — and reported as hung with wallTimedOut set. Zero
-// timeouts select rt.DefaultHangTimeout and DefaultWallTimeout. The image is
-// fully copied before the goroutine starts, so the caller may recycle it as
-// soon as RunRecovery returns, even after a wall timeout.
+// RunRecovery is the recovery sandbox: it restarts the target on a fresh
+// pool holding the crash image and runs its recovery procedure in a
+// watchdog-supervised goroutine. Every word of that pool starts at store
+// epoch 0, so afterwards env.Pool().Overwritten tells which ranges recovery
+// wrote. Spin-lock hangs (rt.HangError) and recovery panics become results;
+// a run exceeding wallTimeout is abandoned — its environment is cancelled so
+// the goroutine stops mutating the pool at its next hook call — and reported
+// as hung with wallTimedOut set. Zero timeouts select rt.DefaultHangTimeout
+// and DefaultWallTimeout. The image is fully copied before the goroutine
+// starts, so the caller may recycle it as soon as RunRecovery returns, even
+// after a wall timeout.
 func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout time.Duration) (env *rt.Env, hung, wallTimedOut bool, err error) {
 	if hangTimeout <= 0 {
 		hangTimeout = rt.DefaultHangTimeout
@@ -235,7 +237,6 @@ func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout t
 		wallTimeout = DefaultWallTimeout
 	}
 	env = rt.NewEnv(pmem.FromImage(img), rt.Config{HangTimeout: hangTimeout})
-	env.EnableWriteRecorder()
 	// Buffered so an abandoned goroutine's send never blocks: the watchdog
 	// result channel must not leak the recovery goroutine on top of the
 	// hang it just detected.

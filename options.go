@@ -194,9 +194,9 @@ func WithAliasHints(hints []AliasHint) CampaignOption {
 }
 
 // WithArtifacts writes a forensic bundle — bug report with taint lineage,
-// finding seed, interleaving schedule, PM access trace and dirty-word diff —
-// into a numbered subdirectory of dir for every confirmed bug. Bundles
-// replay with `pmrace -artifact <bundle>`.
+// finding seed, interleaving schedule, the finding's interleaving and
+// dirty-word diff — into a numbered subdirectory of dir for every confirmed
+// bug. Bundles replay with `pmrace -artifact <bundle>`.
 func WithArtifacts(dir string) CampaignOption {
 	return func(c *campaignConfig) {
 		c.spec.Artifacts = dir != ""
