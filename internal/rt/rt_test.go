@@ -339,6 +339,51 @@ func TestStatsDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestWriteRecorder checks what post-failure validation learns about the
+// writes recovery made through the hooks: on an Env over a crash image, a
+// word counts as overwritten once a hook stored to it after the image was
+// mapped, and a word written only before the crash does not.
+func TestWriteRecorder(t *testing.T) {
+	src := newEnv(t, Config{})
+	src.Spawn().Store64(64, 1, taint.None, taint.None) // before the crash: not recorded
+	src.Pool().PersistNow(1, 0, src.Pool().Size())
+	e := NewEnv(pmem.FromImage(src.Pool().CrashImage()), Config{})
+	t1 := e.Spawn()
+	t1.Store64(128, 2, taint.None, taint.None)
+	t1.StoreBytes(256, make([]byte, 24), taint.None, taint.None)
+	p := e.Pool()
+	if p.Overwritten(pmem.Range{Off: 64, Len: 8}) {
+		t.Fatalf("pre-crash write must not count")
+	}
+	if !p.Overwritten(pmem.Range{Off: 128, Len: 8}) {
+		t.Fatalf("recorded write must count")
+	}
+	if !p.Overwritten(pmem.Range{Off: 256, Len: 24}) {
+		t.Fatalf("byte-range write must count")
+	}
+	if p.Overwritten(pmem.Range{Off: 256, Len: 40}) {
+		t.Fatalf("partially overwritten range must not count")
+	}
+	var written []pmem.Addr
+	for a := pmem.Addr(0); a < pmem.Addr(p.Size()); a += pmem.WordSize {
+		if p.Overwritten(pmem.Range{Off: a, Len: pmem.WordSize}) {
+			written = append(written, a)
+		}
+	}
+	if len(written) != 4 {
+		t.Fatalf("written words = %v", written)
+	}
+}
+
+// TestRangeOverwrittenWithoutRecorder checks the query needs nothing
+// enabled: an Env whose hooks stored nothing reports no word overwritten.
+func TestRangeOverwrittenWithoutRecorder(t *testing.T) {
+	e := newEnv(t, Config{})
+	if e.Pool().Overwritten(pmem.Range{Off: 0, Len: 8}) {
+		t.Fatalf("without stores nothing is overwritten")
+	}
+}
+
 func TestOnInconsistencyPoolStillBuggy(t *testing.T) {
 	checked := false
 	e := NewEnv(pmem.New(4096), Config{
