@@ -32,9 +32,9 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := experiments.Full()
+	budget := experiments.Full()
 	if *quick {
-		cfg = experiments.Quick()
+		budget = experiments.Quick()
 	}
 
 	ran := false
@@ -45,7 +45,7 @@ func main() {
 
 	if *all || *table == 2 || *table == 3 || *table == 5 || *table == 6 {
 		ran = true
-		bd, err := experiments.RunBugDetection(cfg)
+		bd, err := experiments.RunBugDetection(budget)
 		if err != nil {
 			fail("bug detection", err)
 		}
@@ -61,7 +61,7 @@ func main() {
 	}
 	if *all || *table == 4 {
 		ran = true
-		res, err := experiments.RunTable4(cfg)
+		res, err := experiments.RunTable4(budget)
 		if err != nil {
 			fail("table 4", err)
 		}
@@ -69,7 +69,7 @@ func main() {
 	}
 	if *all || *figure == 8 {
 		ran = true
-		series, err := experiments.RunFigure8(cfg)
+		series, err := experiments.RunFigure8(budget)
 		if err != nil {
 			fail("figure 8", err)
 		}
@@ -82,7 +82,7 @@ func main() {
 	}
 	if *all || *figure == 9 {
 		ran = true
-		series, err := experiments.RunFigure9(cfg)
+		series, err := experiments.RunFigure9(budget)
 		if err != nil {
 			fail("figure 9", err)
 		}
@@ -95,7 +95,7 @@ func main() {
 	}
 	if *all || *figure == 10 {
 		ran = true
-		rows, err := experiments.RunFigure10(cfg)
+		rows, err := experiments.RunFigure10(budget)
 		if err != nil {
 			fail("figure 10", err)
 		}

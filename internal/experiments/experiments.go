@@ -14,16 +14,24 @@
 // a 26-core Optane server); the comparisons the paper draws — who wins,
 // which systems produce false positives, where checkpoints help — are the
 // reproduction targets. EXPERIMENTS.md records paper-vs-measured values.
+//
+// Every campaign is built the way NewCampaign and pmraced build theirs: an
+// api.CampaignSpec budget goes through serve.FuzzOptions on top of one base
+// fuzz.Options, and Figures 8 and 9 are read from the campaign's typed
+// event stream.
 package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
+	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
+	"github.com/pmrace-go/pmrace/internal/obs"
+	"github.com/pmrace-go/pmrace/internal/serve"
 	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/targets"
 
@@ -33,11 +41,22 @@ import (
 	_ "github.com/pmrace-go/pmrace/internal/targets/fastfair"
 	_ "github.com/pmrace-go/pmrace/internal/targets/memcached"
 	_ "github.com/pmrace-go/pmrace/internal/targets/pclht"
+	_ "github.com/pmrace-go/pmrace/internal/targets/pmwal"
 )
 
-// Systems lists the evaluated targets in the paper's presentation order.
+// paperSystems are the paper's evaluated targets in its presentation order.
+var paperSystems = []string{"pclht", "clevel", "cceh", "fastfair", "memcached"}
+
+// Systems lists every registered target: the paper's five in presentation
+// order, then the rest by name.
 func Systems() []string {
-	return []string{"pclht", "clevel", "cceh", "fastfair", "memcached"}
+	out := slices.Clone(paperSystems)
+	for _, name := range targets.Names() {
+		if !slices.Contains(paperSystems, name) {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // displayNames maps registry names to the paper's system names.
@@ -49,44 +68,25 @@ var displayNames = map[string]string{
 	"memcached": "memcached-pmem",
 }
 
-// Config scales the experiment budgets.
-type Config struct {
-	// ExecsPerTarget is the fuzzing budget (executions) per system.
-	ExecsPerTarget int
-	// Duration caps each fuzzing run's wall clock.
-	Duration time.Duration
-	// Workers is the number of concurrent fuzzing workers.
-	Workers int
-	// Seed seeds all randomness.
-	Seed int64
+// displayName returns the paper's name for a system, or its registry name
+// when the paper does not evaluate it.
+func displayName(name string) string {
+	if d, ok := displayNames[name]; ok {
+		return d
+	}
+	return name
 }
 
-// Quick returns a configuration small enough for CI tests.
-func Quick() Config {
-	return Config{ExecsPerTarget: 24, Duration: 60 * time.Second, Workers: 2, Seed: 1}
+// Quick returns a campaign budget small enough for CI tests.
+func Quick() api.CampaignSpec {
+	return api.CampaignSpec{MaxExecs: 24, Duration: 60 * time.Second, Workers: 2, Seed: 1}
 }
 
-// Full returns the configuration used to produce EXPERIMENTS.md. Two
+// Full returns the campaign budget used to produce EXPERIMENTS.md. Two
 // fuzzing workers keep goroutine counts sane on small machines — worker
 // processes only pay off with real cores (the paper uses 13 on 52 threads).
-func Full() Config {
-	return Config{ExecsPerTarget: 240, Duration: 10 * time.Minute, Workers: 2, Seed: 1}
-}
-
-func (c Config) withDefaults() Config {
-	if c.ExecsPerTarget <= 0 {
-		c.ExecsPerTarget = 60
-	}
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Minute
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+func Full() api.CampaignSpec {
+	return api.CampaignSpec{MaxExecs: 240, Duration: 10 * time.Minute, Workers: 2, Seed: 1}
 }
 
 // whitelister is the optional interface targets implement to contribute
@@ -105,15 +105,13 @@ func extraWhitelist(name string) []string {
 	return nil
 }
 
-// FuzzTarget runs one fuzzing campaign batch against a system.
-func FuzzTarget(name string, cfg Config, mode fuzz.ExploreMode, mutate func(*fuzz.Options)) (*fuzz.Result, error) {
-	cfg = cfg.withDefaults()
-	opts := fuzz.Options{
-		Mode:           mode,
-		MaxExecs:       cfg.ExecsPerTarget,
-		Duration:       cfg.Duration,
-		Workers:        cfg.Workers,
-		Seed:           cfg.Seed,
+// FuzzTarget runs one campaign of budget against a system in the given
+// exploration mode. The campaign's options are serve.FuzzOptions applied to
+// the harness base — the knobs api.CampaignSpec lacks — which ablate (nil
+// for none) may adjust first. It returns the Result and the typed events
+// the campaign emitted.
+func FuzzTarget(name string, budget api.CampaignSpec, mode fuzz.ExploreMode, ablate func(*fuzz.Options)) (*fuzz.Result, []obs.Event, error) {
+	base := fuzz.Options{
 		ExtraWhitelist: extraWhitelist(name),
 		// More sync-point entries per seed than the engine default: the
 		// split/resize windows of the tree targets sit behind cooler
@@ -123,14 +121,26 @@ func FuzzTarget(name string, cfg Config, mode fuzz.ExploreMode, mutate func(*fuz
 		// campaigns can starve a legitimate lock holder.
 		HangTimeout: 150 * time.Millisecond,
 	}
-	if mutate != nil {
-		mutate(&opts)
+	if ablate != nil {
+		ablate(&base)
+	}
+	budget.Target = name
+	budget.Mode = mode.Spelling()
+	opts, err := serve.FuzzOptions(base, budget)
+	if err != nil {
+		return nil, nil, err
 	}
 	fz, err := fuzz.New(name, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return fz.Run()
+	col := obs.NewCollector()
+	fz.SetEmitter(obs.NewEmitter(col))
+	res, err := fz.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, col.Events(), nil
 }
 
 // --- Tables 2, 3, 5 and 6 ---
@@ -138,16 +148,14 @@ func FuzzTarget(name string, cfg Config, mode fuzz.ExploreMode, mutate func(*fuz
 // BugDetection is the shared result of the bug-detection campaigns, from
 // which Tables 2, 3, 5 and 6 are all derived.
 type BugDetection struct {
-	Config  Config
 	Results map[string]*fuzz.Result
 }
 
 // RunBugDetection fuzzes every system with the PM-aware exploration.
-func RunBugDetection(cfg Config) (*BugDetection, error) {
-	cfg = cfg.withDefaults()
-	bd := &BugDetection{Config: cfg, Results: make(map[string]*fuzz.Result)}
+func RunBugDetection(budget api.CampaignSpec) (*BugDetection, error) {
+	bd := &BugDetection{Results: make(map[string]*fuzz.Result)}
 	for _, name := range Systems() {
-		res, err := FuzzTarget(name, cfg, fuzz.ModePMAware, nil)
+		res, _, err := FuzzTarget(name, budget, fuzz.ModePMAware, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fuzzing %s: %w", name, err)
 		}
@@ -172,11 +180,11 @@ func (bd *BugDetection) Table2() string {
 			if bug.Kind == core.KindSync {
 				desc = fmt.Sprintf("persistent %q not re-initialized after restart (hang)", bug.VarName)
 			}
-			b.WriteString(fmt.Sprintf("%-16s %-6d %-10s %-24s %s\n", displayNames[name], n, bug.Kind, loc, desc))
+			b.WriteString(fmt.Sprintf("%-16s %-6d %-10s %-24s %s\n", displayName(name), n, bug.Kind, loc, desc))
 		}
 		for _, other := range res.DB.Others() {
 			n++
-			b.WriteString(fmt.Sprintf("%-16s %-6d %-10s %-24s %s\n", displayNames[name], n, "Other",
+			b.WriteString(fmt.Sprintf("%-16s %-6d %-10s %-24s %s\n", displayName(name), n, "Other",
 				site.Lookup(other.Site).String(), other.Kind+": "+other.Description))
 		}
 	}
@@ -198,7 +206,7 @@ func (bd *BugDetection) Table5() []Table5Row {
 	var rows []Table5Row
 	for _, name := range Systems() {
 		res := bd.Results[name]
-		row := Table5Row{System: displayNames[name]}
+		row := Table5Row{System: displayName(name)}
 		for _, bug := range res.Bugs {
 			switch bug.Kind {
 			case core.KindInter:
@@ -256,7 +264,7 @@ func (bd *BugDetection) Table3() []Table3Row {
 		tgt, _ := targets.New(name)
 		c := res.Counts
 		rows = append(rows, Table3Row{
-			System:        displayNames[name],
+			System:        displayName(name),
 			InterCand:     c.InterCandidates,
 			Inter:         c.Inter,
 			ValidatedFP:   c.InterValidated,
@@ -304,8 +312,9 @@ func (bd *BugDetection) Table3String() string {
 type Figure8Series struct {
 	System string
 	Scheme string
-	// Times are the elapsed times of executions that detected at least
-	// one PM Inter-thread Inconsistency (each is one point in Figure 8).
+	// Times are the elapsed times, in order, at which the run found each
+	// unique PM Inter-thread Inconsistency: the At of every inter-class
+	// InconsistencyFound event (each is one point in Figure 8).
 	Times []time.Duration
 	// Execs is the total executions of the run.
 	Execs int
@@ -328,26 +337,35 @@ func (s Figure8Series) FirstHit() (time.Duration, bool) {
 // RunFigure8 compares PMRace's exploration against random delay injection on
 // the three systems with PM Interleaving Concurrency Bugs (clevel and CCEH
 // are excluded, as in the paper).
-func RunFigure8(cfg Config) ([]Figure8Series, error) {
-	cfg = cfg.withDefaults()
+func RunFigure8(budget api.CampaignSpec) ([]Figure8Series, error) {
 	var out []Figure8Series
 	for _, name := range []string{"pclht", "fastfair", "memcached"} {
 		for _, mode := range []fuzz.ExploreMode{fuzz.ModePMAware, fuzz.ModeDelayInj} {
-			res, err := FuzzTarget(name, cfg, mode, nil)
+			res, events, err := FuzzTarget(name, budget, mode, nil)
 			if err != nil {
 				return nil, err
 			}
-			times := append([]time.Duration(nil), res.FirstInterTimes...)
-			sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 			out = append(out, Figure8Series{
-				System: displayNames[name],
+				System: displayName(name),
 				Scheme: mode.String(),
-				Times:  times,
+				Times:  interTimes(events),
 				Execs:  res.Execs,
 			})
 		}
 	}
 	return out, nil
+}
+
+// interTimes returns the At of every inter-class InconsistencyFound event,
+// in emission order.
+func interTimes(events []obs.Event) []time.Duration {
+	var out []time.Duration
+	for _, ev := range events {
+		if f, ok := ev.(*obs.InconsistencyFound); ok && f.Class == "inter" {
+			out = append(out, f.At)
+		}
+	}
+	return out
 }
 
 // Figure8String renders the series.
@@ -359,7 +377,7 @@ func Figure8String(series []Figure8Series) string {
 		if t, ok := s.FirstHit(); ok {
 			first = t.Round(time.Millisecond).String()
 		}
-		b.WriteString(fmt.Sprintf("%-16s %-9s first=%-10s hits=%d/%d execs\n",
+		b.WriteString(fmt.Sprintf("%-16s %-9s first=%-10s hits=%-4d execs=%d\n",
 			s.System, s.Scheme, first, len(s.Times), s.Execs))
 	}
 	return b.String()
@@ -367,10 +385,18 @@ func Figure8String(series []Figure8Series) string {
 
 // --- Figure 9 ---
 
+// CoverPoint is one point of a Figure 9 curve: the global coverage after an
+// execution, at the elapsed time the execution finished.
+type CoverPoint struct {
+	T      time.Duration
+	Branch int
+	Alias  int
+}
+
 // Figure9Series is one exploration variant's coverage timeline.
 type Figure9Series struct {
 	Variant  string
-	Timeline []fuzz.CoverPoint
+	Timeline []CoverPoint
 	Branch   int
 	Alias    int
 }
@@ -378,34 +404,42 @@ type Figure9Series struct {
 // RunFigure9 measures the P-CLHT runtime-coverage tradeoff for the full
 // fuzzer, without interleaving-tier exploration and without seed-tier
 // exploration (single worker, as in the paper's case study).
-func RunFigure9(cfg Config) ([]Figure9Series, error) {
-	cfg = cfg.withDefaults()
+func RunFigure9(budget api.CampaignSpec) ([]Figure9Series, error) {
+	budget.Workers = 1
 	variants := []struct {
 		name   string
-		mutate func(*fuzz.Options)
+		ablate func(*fuzz.Options)
 	}{
-		{"PMRace", func(*fuzz.Options) {}},
+		{"PMRace", nil},
 		{"w/o IE", func(o *fuzz.Options) { o.DisableInterleavingTier = true }},
 		{"w/o SE", func(o *fuzz.Options) { o.DisableSeedTier = true }},
 	}
 	var out []Figure9Series
 	for _, v := range variants {
-		mutate := v.mutate
-		res, err := FuzzTarget("pclht", cfg, fuzz.ModePMAware, func(o *fuzz.Options) {
-			o.Workers = 1
-			mutate(o)
-		})
+		res, events, err := FuzzTarget("pclht", budget, fuzz.ModePMAware, v.ablate)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Figure9Series{
 			Variant:  v.name,
-			Timeline: res.Timeline,
+			Timeline: coverTimeline(events),
 			Branch:   res.BranchCov,
 			Alias:    res.AliasCov,
 		})
 	}
 	return out, nil
+}
+
+// coverTimeline returns one point per ExecDone event: its At and the global
+// coverage counts it reports.
+func coverTimeline(events []obs.Event) []CoverPoint {
+	var out []CoverPoint
+	for _, ev := range events {
+		if d, ok := ev.(*obs.ExecDone); ok {
+			out = append(out, CoverPoint{T: d.At, Branch: d.BranchCov, Alias: d.AliasCov})
+		}
+	}
+	return out
 }
 
 // Figure9String renders the final coverages and curve lengths.

@@ -3,34 +3,40 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/taint"
+	"github.com/pmrace-go/pmrace/internal/targets"
 
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
+	"github.com/pmrace-go/pmrace/internal/obs"
 )
 
 func TestSystemsAndDisplayNames(t *testing.T) {
-	if len(Systems()) != 5 {
-		t.Fatalf("systems = %v", Systems())
+	sys := Systems()
+	if !slices.Equal(sys[:len(paperSystems)], paperSystems) {
+		t.Fatalf("systems = %v, want the paper's five first, in order", sys)
 	}
-	for _, s := range Systems() {
-		if displayNames[s] == "" {
+	reg := targets.Names()
+	if len(sys) != len(reg) || !slices.Contains(sys, "pmwal") {
+		t.Fatalf("systems = %v, want every registered target %v", sys, reg)
+	}
+	for _, name := range reg {
+		if !slices.Contains(sys, name) {
+			t.Fatalf("registered target %s missing from %v", name, sys)
+		}
+	}
+	for _, s := range paperSystems {
+		if displayName(s) == s {
 			t.Fatalf("missing display name for %s", s)
 		}
 	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.ExecsPerTarget == 0 || c.Duration == 0 || c.Workers == 0 || c.Seed == 0 {
-		t.Fatalf("defaults incomplete: %+v", c)
-	}
-	if Quick().ExecsPerTarget >= Full().ExecsPerTarget {
-		t.Fatalf("quick must be smaller than full")
+	if displayName("pmwal") != "pmwal" {
+		t.Fatalf("a target outside the paper must display as its registry name")
 	}
 }
 
@@ -76,13 +82,13 @@ func TestRunFigure10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement")
 	}
-	cfg := Quick()
-	cfg.ExecsPerTarget = 12
-	rows, err := RunFigure10(cfg)
+	budget := Quick()
+	budget.MaxExecs = 12
+	rows, err := RunFigure10(budget)
 	if err != nil {
 		t.Fatalf("figure 10: %v", err)
 	}
-	if len(rows) != 10 { // 5 systems x 2 generators
+	if len(rows) != 2*len(Systems()) { // every system x 2 generators
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// Shape: checkpoints speed up at least one pmdk-based target and do
@@ -108,9 +114,9 @@ func TestBugDetectionQuickPCLHT(t *testing.T) {
 	}
 	// Single-target slice of the Table 2 pipeline, asserting the
 	// paper-shaped outcome for P-CLHT.
-	cfg := Quick()
-	cfg.ExecsPerTarget = 40
-	res, err := FuzzTarget("pclht", cfg, fuzz.ModePMAware, nil)
+	budget := Quick()
+	budget.MaxExecs = 40
+	res, _, err := FuzzTarget("pclht", budget, fuzz.ModePMAware, nil)
 	if err != nil {
 		t.Fatalf("fuzz: %v", err)
 	}
@@ -126,26 +132,71 @@ func TestBugDetectionQuickPCLHT(t *testing.T) {
 	}
 }
 
+// TestFigure8QuickSingleTarget checks that a Figure 8 series is the
+// campaign's inter-class InconsistencyFound events: its first hit is the
+// first such event's At.
 func TestFigure8QuickSingleTarget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing campaign")
 	}
-	cfg := Quick()
-	cfg.ExecsPerTarget = 16
-	res, err := FuzzTarget("memcached", cfg, fuzz.ModePMAware, nil)
+	budget := Quick()
+	budget.MaxExecs = 16
+	res, events, err := FuzzTarget("memcached", budget, fuzz.ModePMAware, nil)
 	if err != nil {
 		t.Fatalf("fuzz: %v", err)
 	}
-	if len(res.FirstInterTimes) == 0 {
-		t.Errorf("memcached should produce inter-inconsistency detections quickly")
+	var first time.Duration
+	found := false
+	for _, ev := range events {
+		if f, ok := ev.(*obs.InconsistencyFound); ok && f.Class == "inter" {
+			first, found = f.At, true
+			break
+		}
 	}
-	s := Figure8Series{System: "m", Scheme: "PMRace", Times: res.FirstInterTimes, Execs: res.Execs}
-	if _, ok := s.FirstHit(); !ok {
-		t.Errorf("first hit must exist")
+	if !found {
+		t.Fatalf("memcached should produce inter-inconsistency detections quickly")
+	}
+	s := Figure8Series{System: "m", Scheme: "PMRace", Times: interTimes(events), Execs: res.Execs}
+	if hit, ok := s.FirstHit(); !ok || hit != first {
+		t.Errorf("first hit = %v, %v; want the first inter InconsistencyFound.At %v", hit, ok, first)
 	}
 	out := Figure8String([]Figure8Series{s})
 	if !strings.Contains(out, "first=") {
 		t.Errorf("rendering wrong:\n%s", out)
+	}
+}
+
+// TestFigure9QuickPCLHT checks that a Figure 9 curve is the campaign's
+// exec_done stream: one point per execution, coverage never decreasing, and
+// the last point equal to the Result's coverage.
+func TestFigure9QuickPCLHT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fuzzing campaign")
+	}
+	budget := Quick()
+	budget.Workers = 1
+	res, events, err := FuzzTarget("pclht", budget, fuzz.ModePMAware, nil)
+	if err != nil {
+		t.Fatalf("fuzz: %v", err)
+	}
+	done := 0
+	for _, ev := range events {
+		if ev.Kind() == obs.KindExecDone {
+			done++
+		}
+	}
+	pts := coverTimeline(events)
+	if len(pts) != done || len(pts) != res.Execs || len(pts) == 0 {
+		t.Fatalf("points = %d, exec_done events = %d, execs = %d", len(pts), done, res.Execs)
+	}
+	for i := 1; i < len(pts); i++ {
+		p, q := pts[i-1], pts[i]
+		if q.T < p.T || q.Branch < p.Branch || q.Alias < p.Alias {
+			t.Fatalf("point %d decreases: %+v after %+v", i, q, p)
+		}
+	}
+	if last := pts[len(pts)-1]; last.Branch != res.BranchCov || last.Alias != res.AliasCov {
+		t.Fatalf("last point %+v, result coverage branch=%d alias=%d", last, res.BranchCov, res.AliasCov)
 	}
 }
 
@@ -162,7 +213,7 @@ func TestFigure8SeriesFirstHitEmpty(t *testing.T) {
 // synthetic constructs a BugDetection with hand-built results, exercising the
 // table derivations without fuzzing.
 func synthetic() *BugDetection {
-	bd := &BugDetection{Config: Quick(), Results: map[string]*fuzz.Result{}}
+	bd := &BugDetection{Results: map[string]*fuzz.Result{}}
 	for _, name := range Systems() {
 		db := core.NewDB()
 		res := &fuzz.Result{Target: name, DB: db}
@@ -194,7 +245,7 @@ func taintEvent(writeSite uint32) taint.Event {
 func TestTable5FromSyntheticResults(t *testing.T) {
 	bd := synthetic()
 	rows := bd.Table5()
-	if len(rows) != 5 {
+	if len(rows) != len(Systems()) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	if rows[0].System != "P-CLHT" || rows[0].Inter != 1 || rows[0].Sync != 1 || rows[0].Other != 1 {
@@ -204,7 +255,7 @@ func TestTable5FromSyntheticResults(t *testing.T) {
 		t.Fatalf("clevel must be empty: %+v", rows[1])
 	}
 	out := bd.Table5String()
-	if !strings.Contains(out, "P-CLHT") || !strings.Contains(out, "Total") {
+	if !strings.Contains(out, "P-CLHT") || !strings.Contains(out, "pmwal") || !strings.Contains(out, "Total") {
 		t.Fatalf("rendering:\n%s", out)
 	}
 }
@@ -256,7 +307,7 @@ func TestCSVWriters(t *testing.T) {
 	if err := Figure8CSV(dir, []Figure8Series{{System: "s", Scheme: "PMRace", Times: []time.Duration{time.Millisecond}}}); err != nil {
 		t.Fatalf("figure8 csv: %v", err)
 	}
-	if err := Figure9CSV(dir, []Figure9Series{{Variant: "PMRace", Timeline: []fuzz.CoverPoint{{T: time.Second, Branch: 1, Alias: 2}}}}); err != nil {
+	if err := Figure9CSV(dir, []Figure9Series{{Variant: "PMRace", Timeline: []CoverPoint{{T: time.Second, Branch: 1, Alias: 2}}}}); err != nil {
 		t.Fatalf("figure9 csv: %v", err)
 	}
 	if err := Figure10CSV(dir, []Figure10Row{{System: "s", Generator: "g", WithCP: 2, WithoutCP: 1}}); err != nil {

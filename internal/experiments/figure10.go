@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/targets"
@@ -37,12 +38,8 @@ func (r Figure10Row) Speedup() float64 {
 // RunFigure10 measures the fuzzing (input-generation) speed. Input
 // generation is decoupled from interleaving exploration (paper §4.5), so
 // executions run without scheduling or statistics collection.
-func RunFigure10(cfg Config) ([]Figure10Row, error) {
-	cfg = cfg.withDefaults()
-	execs := cfg.ExecsPerTarget
-	if execs < 10 {
-		execs = 10
-	}
+func RunFigure10(budget api.CampaignSpec) ([]Figure10Row, error) {
+	execs := max(budget.MaxExecs, 10)
 	gens := []struct {
 		name string
 		mut  fuzz.Mutator
@@ -54,9 +51,9 @@ func RunFigure10(cfg Config) ([]Figure10Row, error) {
 	for _, name := range Systems() {
 		factory := factoryFor(name)
 		for _, gen := range gens {
-			row := Figure10Row{System: displayNames[name], Generator: gen.name}
+			row := Figure10Row{System: displayName(name), Generator: gen.name}
 			for _, useCP := range []bool{true, false} {
-				rate, err := measureRate(factory, gen.mut, cfg.Seed, execs, useCP)
+				rate, err := measureRate(factory, gen.mut, budget.Seed, execs, useCP)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: figure 10 %s/%s: %w", name, gen.name, err)
 				}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
@@ -28,8 +29,7 @@ type Table4Result struct {
 // RunTable4 generates seed corpora with both mutators and replays every
 // command through the memcached text parser, mirroring the paper's AFL-COV
 // measurement over 100 random seeds per mutator.
-func RunTable4(cfg Config) (*Table4Result, error) {
-	cfg = cfg.withDefaults()
+func RunTable4(budget api.CampaignSpec) (*Table4Result, error) {
 	const seedsPerScheme = 100
 	out := &Table4Result{
 		Commands:    make(map[string]map[string]int),
@@ -44,14 +44,14 @@ func RunTable4(cfg Config) (*Table4Result, error) {
 		{"PMRace", fuzz.NewOpMutator(16, 4, 24)},
 	}
 	for _, scheme := range schemes {
-		rng := rand.New(rand.NewSource(cfg.Seed))
+		rng := rand.New(rand.NewSource(budget.Seed))
 		kv := memcached.New()
 		env := rt.NewEnv(pmem.New(kv.PoolSize()), rt.Config{})
 		th := env.Spawn()
 		if err := kv.Setup(th); err != nil {
 			return nil, err
 		}
-		gen := workload.NewGenerator(cfg.Seed, 16, 4)
+		gen := workload.NewGenerator(budget.Seed, 16, 4)
 		corpus := []*workload.Seed{gen.NewSeed(24)}
 		for i := 0; i < seedsPerScheme; i++ {
 			seed := scheme.mut.Mutate(rng, corpus)

@@ -65,17 +65,6 @@ type ExecResult struct {
 	CrashFailures []string
 }
 
-// InterInconsistencies counts detected cross-thread inconsistencies.
-func (r *ExecResult) InterInconsistencies() int {
-	n := 0
-	for _, c := range r.Inconsistencies {
-		if c.In.Kind == core.KindInter {
-			n++
-		}
-	}
-	return n
-}
-
 // maxDirtyWords bounds the PM-state diff captured per detection; a resize in
 // flight can leave thousands of dirty words, and the first few hundred are
 // evidence enough.

@@ -159,8 +159,6 @@ type Options struct {
 	// load/store alias pairs from `pmvet -alias`; entries covering a hint
 	// are explored before any purely dynamically prioritized entry.
 	AliasHints []AliasHint
-	// Sched tunes the PM-aware scheduling algorithm.
-	Sched sched.Config
 }
 
 func (o Options) withDefaults() Options {
@@ -197,17 +195,7 @@ func (o Options) withDefaults() Options {
 	if o.ValidationWorkers <= 0 {
 		o.ValidationWorkers = 2
 	}
-	if o.Sched.MaxWait <= 0 {
-		o.Sched = sched.DefaultConfig()
-	}
 	return o
-}
-
-// CoverPoint is one sample of the runtime-coverage timeline (Figure 9).
-type CoverPoint struct {
-	T      time.Duration
-	Branch int
-	Alias  int
 }
 
 // Result aggregates a fuzzing run for the evaluation harness.
@@ -222,18 +210,8 @@ type Result struct {
 	Bugs      []core.UniqueBug
 	BranchCov int
 	AliasCov  int
-	// FirstInterTimes holds, for every execution that detected at least
-	// one PM Inter-thread Inconsistency, the elapsed time at which it
-	// finished (the points of Figure 8).
-	FirstInterTimes []time.Duration
-	// Timeline samples global coverage after every execution (Figure 9).
-	Timeline []CoverPoint
 	// ExecsPerSec is the average execution throughput (Figure 10).
 	ExecsPerSec float64
-	// HangSites lists distinct lock sites that hung pre-failure.
-	HangSites []string
-	// RedundantSites lists store sites flagged as redundant writes.
-	RedundantSites []string
 	// Interleavings counts interleaving-tier entries actually scheduled;
 	// PrunedInterleavings counts entries dropped by schedule-equivalence
 	// pruning.
@@ -284,18 +262,15 @@ type Fuzzer struct {
 	db         *core.DB
 	skips      map[pmem.Addr]int // sync-point skip counts (Pitfall-3 bookkeeping)
 	stats      map[pmem.Addr]*sched.AddrStats
+	claimed    int // budget slots granted by claim; execs counts finished runs
 	execs      int
 	seedCount  int
 	candSeen   map[[2]uint32]struct{}
 	candInter  int
 	candIntra  int
-	firstInt   []time.Duration
-	timeline   []CoverPoint
-	hangSites  map[string]struct{}
 	hangExecs  map[string]int // executions that hung at a site
 	savedSeeds int
 	corpusErr  error
-	redSites   map[string]struct{}
 	mutator    Mutator
 	start      time.Time
 }
@@ -342,9 +317,7 @@ func NewWithFactory(factory targets.Factory, opts Options) *Fuzzer {
 		db:        core.NewDB(),
 		skips:     make(map[pmem.Addr]int),
 		stats:     make(map[pmem.Addr]*sched.AddrStats),
-		hangSites: make(map[string]struct{}),
 		hangExecs: make(map[string]int),
-		redSites:  make(map[string]struct{}),
 		candSeen:  make(map[[2]uint32]struct{}),
 		mutator:   mut,
 		equiv:     sched.NewEquivClasses(),
@@ -538,7 +511,27 @@ func (f *Fuzzer) done() bool {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.execs >= f.opts.MaxExecs || time.Since(f.start) >= f.opts.Duration
+	return f.doneLocked()
+}
+
+func (f *Fuzzer) doneLocked() bool {
+	return f.claimed >= f.opts.MaxExecs || time.Since(f.start) >= f.opts.Duration
+}
+
+// claim reserves one execution of the budget, reporting false once the
+// campaign is done. Reserving before the run keeps concurrent workers from
+// overshooting MaxExecs: each run holds its slot while it executes.
+func (f *Fuzzer) claim() bool {
+	if f.ctx != nil && f.ctx.Err() != nil {
+		return false
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.doneLocked() {
+		return false
+	}
+	f.claimed++
+	return true
 }
 
 // seedCampaign runs one seed-tier iteration: pick or evolve a seed, run the
@@ -553,7 +546,7 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 	// Execution tier: base executions collecting coverage and the shared
 	// PM access statistics that feed the priority queue.
 	improved := false
-	for i := 0; i < execsPerInterleaving && !f.done(); i++ {
+	for i := 0; i < execsPerInterleaving && f.claim(); i++ {
 		out, err := f.runOne(seed, f.baseStrategy(rng), worker)
 		if err != nil {
 			return err
@@ -597,8 +590,8 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 				Skip:     skip,
 			})
 			productive, ran := false, 0
-			for e := 0; e < execsPerInterleaving && !f.done(); e++ {
-				cfg := f.opts.Sched
+			for e := 0; e < execsPerInterleaving && f.claim(); e++ {
+				cfg := sched.DefaultConfig()
 				cfg.Seed = rng.Int63()
 				pm := sched.NewPMAware(cfg, entry, f.skipFor(entry.Addr))
 				out, err := f.runOne(seed, pm, worker)
@@ -790,7 +783,6 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 	f.mu.Lock()
 	hungThisExec := map[string]bool{}
 	for _, h := range res.Hangs {
-		f.hangSites[h.Site] = struct{}{}
 		hungThisExec[h.Site] = true
 	}
 	for s := range hungThisExec {
@@ -799,7 +791,7 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 		// (a missing-unlock bug) hangs execution after execution, while
 		// a one-off stall is scheduler starvation on loaded machines.
 		// One unique finding per run: hangs at many acquire sites share
-		// one root cause; individual sites are kept in HangSites.
+		// one root cause.
 		if f.hangExecs[s] >= 3 {
 			f.db.AddOther(core.OtherFinding{
 				Kind:        "hang",
@@ -821,7 +813,6 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 	for _, r := range res.Redundant {
 		if r.Count >= redundantThreshold {
 			loc := site.Lookup(r.Site).String()
-			f.redSites[loc] = struct{}{}
 			f.db.AddOther(core.OtherFinding{
 				Kind:        "redundant-write",
 				Site:        r.Site,
@@ -852,11 +843,7 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 	newBits := f.cov.Merge(res.Coverage)
 	f.execs++
 	execNo := f.execs
-	if res.InterInconsistencies() > 0 {
-		f.firstInt = append(f.firstInt, time.Since(f.start))
-	}
 	br, al := f.cov.Counts()
-	f.timeline = append(f.timeline, CoverPoint{T: time.Since(f.start), Branch: br, Alias: al})
 	f.mu.Unlock()
 
 	f.em.Emit(&obs.ExecDone{
@@ -1018,7 +1005,7 @@ func (f *Fuzzer) aggregates() (obs.Stats, core.Counts) {
 
 func (f *Fuzzer) result() *Result {
 	st, c := f.aggregates()
-	r := &Result{
+	return &Result{
 		Target:              f.targetName,
 		Mode:                f.opts.Mode,
 		Execs:               st.Execs,
@@ -1033,17 +1020,6 @@ func (f *Fuzzer) result() *Result {
 		Interleavings:       int(st.Interleavings),
 		PrunedInterleavings: int(st.InterleavingsPruned),
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r.FirstInterTimes = append([]time.Duration(nil), f.firstInt...)
-	r.Timeline = append([]CoverPoint(nil), f.timeline...)
-	for s := range f.hangSites {
-		r.HangSites = append(r.HangSites, s)
-	}
-	for s := range f.redSites {
-		r.RedundantSites = append(r.RedundantSites, s)
-	}
-	return r
 }
 
 // Snapshot returns a live point-in-time statistics view of the campaign.

@@ -109,8 +109,8 @@ func TestRunOneMergesEverything(t *testing.T) {
 	if !out.improved {
 		t.Fatalf("first execution must improve coverage")
 	}
-	if f.execs != 1 || len(f.timeline) != 1 {
-		t.Fatalf("execution accounting wrong: execs=%d timeline=%d", f.execs, len(f.timeline))
+	if f.execs != 1 {
+		t.Fatalf("execution accounting wrong: execs=%d", f.execs)
 	}
 	if len(f.stats) == 0 {
 		t.Fatalf("stats not merged")
@@ -210,17 +210,6 @@ func TestCapturedTraceIsFindingInterleaving(t *testing.T) {
 	}
 	if i != len(want) {
 		t.Fatalf("trace %+v lacks %+v, in order, from entry %d", c.Trace, want, i)
-	}
-}
-
-func TestExecResultInterCount(t *testing.T) {
-	r := &ExecResult{Inconsistencies: []CapturedInconsistency{
-		{In: &core.Inconsistency{Kind: core.KindInter}},
-		{In: &core.Inconsistency{Kind: core.KindIntra}},
-		{In: &core.Inconsistency{Kind: core.KindInter}},
-	}}
-	if r.InterInconsistencies() != 2 {
-		t.Fatalf("inter count = %d", r.InterInconsistencies())
 	}
 }
 
