@@ -40,9 +40,9 @@ func RecycleImage(img []byte) {
 // the paper (§3.1).
 func (p *Pool) CrashImage() []byte {
 	img := getImageBuf(p.size)
-	p.guard.Lock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	copy(img, p.persisted)
-	p.guard.Unlock()
 	return img
 }
 
@@ -58,14 +58,14 @@ func (p *Pool) CrashImage() []byte {
 // its own side effect, turning a real bug into a falsely-clean recovery run.
 func (p *Pool) CrashImageWith(extra []Range) []byte {
 	img := getImageBuf(p.size)
-	p.guard.Lock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	copy(img, p.persisted)
 	for _, r := range extra {
 		if r.Len == 0 {
 			continue
 		}
 		if r.Off >= p.size || r.End() < r.Off {
-			p.guard.Unlock()
 			panic(fmt.Sprintf("pmem: crash-image range [%#x,%#x) entirely outside pool of size %#x",
 				r.Off, r.End(), p.size))
 		}
@@ -75,7 +75,6 @@ func (p *Pool) CrashImageWith(extra []Range) []byte {
 		}
 		copy(img[r.Off:end], p.cache[r.Off:end])
 	}
-	p.guard.Unlock()
 	return img
 }
 
@@ -145,41 +144,7 @@ func (p *Pool) CrashStates(extra []Range, max int) []CrashState {
 		return states
 	}
 
-	// Collect the distinct staged lines across threads, keeping the latest
-	// view per line. Thread order is sorted so map iteration cannot perturb
-	// which view wins or the resulting state order. A captured entry
-	// contributes its materialized flush-time data; an uncaptured entry's
-	// flush-time data is the line's current contents (pendingLine
-	// invariant), read under the line's stripe.
-	p.guard.RLock()
-	p.pendingMu.Lock()
-	lineData := make(map[Addr][LineSize]byte, 4)
-	current := make(map[Addr]bool, 4)
-	tids := make([]ThreadID, 0, len(p.pending))
-	for t := range p.pending {
-		tids = append(tids, t)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, t := range tids {
-		for _, s := range p.pending[t] {
-			if s.cap != nil {
-				lineData[s.line] = s.cap.data
-				delete(current, s.line)
-			} else {
-				current[s.line] = true
-			}
-		}
-	}
-	p.pendingMu.Unlock()
-	for l := range current {
-		m := p.lockSpan(l, LineSize)
-		var data [LineSize]byte
-		copy(data[:], p.cache[l:l+LineSize])
-		p.unlockSpan(m)
-		lineData[l] = data
-	}
-	p.guard.RUnlock()
-
+	lineData := p.stagedLines()
 	lines := make([]Addr, 0, len(lineData))
 	for l := range lineData {
 		lines = append(lines, l)
@@ -202,6 +167,32 @@ func (p *Pool) CrashStates(extra []Range, max int) []CrashState {
 	return states
 }
 
+// stagedLines returns the flush-time data of every flushed-but-unfenced line,
+// keeping the latest view per line across threads. Thread order is sorted so
+// map iteration cannot perturb which view wins. A captured entry contributes
+// its materialized flush-time data; an uncaptured entry's flush-time data is
+// the line's current contents (pendingLine invariant).
+func (p *Pool) stagedLines() map[Addr][LineSize]byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	lineData := make(map[Addr][LineSize]byte, 4)
+	tids := make([]ThreadID, 0, len(p.pending))
+	for t := range p.pending {
+		tids = append(tids, t)
+	}
+	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	for _, t := range tids {
+		for _, s := range p.pending[t] {
+			if s.cap != nil {
+				lineData[s.line] = s.cap.data
+			} else {
+				lineData[s.line] = [LineSize]byte(p.cache[s.line : s.line+LineSize])
+			}
+		}
+	}
+	return lineData
+}
+
 // Snapshot is a deep copy of a pool's full state, used to implement the
 // in-memory checkpoints that replace AFL++'s fork server (paper §5): a fuzz
 // campaign restores the snapshot taken right after pool initialization
@@ -219,8 +210,8 @@ type Snapshot struct {
 // per-word metadata. Pending (flushed but unfenced) lines are not captured;
 // checkpoints are taken at quiescent points where no flush is in flight.
 func (p *Pool) Snapshot() *Snapshot {
-	p.guard.Lock()
-	defer p.guard.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	s := &Snapshot{
 		size:      p.size,
 		cache:     append([]byte(nil), p.cache...),
@@ -242,8 +233,8 @@ func (p *Pool) Snapshot() *Snapshot {
 // substitute is proportional to one execution's dirty set rather than the
 // pool size.
 func (p *Pool) Restore(s *Snapshot) {
-	p.guard.Lock()
-	defer p.guard.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if s.size != p.size {
 		panic("pmem: snapshot size mismatch")
 	}
@@ -254,33 +245,26 @@ func (p *Pool) Restore(s *Snapshot) {
 		copy(p.persisted, s.persisted)
 		copy(p.meta, s.meta)
 		copy(p.shadow, s.shadow)
-		for i := range p.last {
-			p.last[i] = Accessor{}
-		}
-		for i := range p.touched {
-			p.touched[i].Store(0)
-		}
+		clear(p.last)
+		clear(p.touched)
 	}
 	// Reuse the pending map and its per-thread slices: a fuzz campaign
 	// restores once per execution, and rebuilding the map here was the last
 	// per-restore allocation on the hot path.
-	p.pendingMu.Lock()
 	for t, entries := range p.pending {
 		for i := range entries {
-			p.linePending[entries[i].line/LineSize].Store(0)
+			p.linePending[entries[i].line/LineSize] = 0
 			entries[i].cap = nil
 		}
 		p.pending[t] = entries[:0]
 	}
-	p.pendingMu.Unlock()
 	p.baseSnap = s
 }
 
 // restoreTouched copies back only the lines recorded in the touched bitmap.
-// The caller holds the guard exclusively.
+// The caller holds mu.
 func (p *Pool) restoreTouched(s *Snapshot) {
-	for wi := range p.touched {
-		w := p.touched[wi].Load()
+	for wi, w := range p.touched {
 		if w == 0 {
 			continue
 		}
@@ -298,7 +282,7 @@ func (p *Pool) restoreTouched(s *Snapshot) {
 				p.last[i] = Accessor{}
 			}
 		}
-		p.touched[wi].Store(0)
+		p.touched[wi] = 0
 	}
 }
 

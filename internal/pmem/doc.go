@@ -13,13 +13,11 @@
 // a shadow taint label and the last-accessor triple used for PM alias pair
 // coverage.
 //
-// Locking. The pool serializes individual accesses at cache-line
-// granularity: a fixed array of stripe mutexes is indexed by line number, so
-// simulated threads touching disjoint lines proceed in parallel. Whole-pool
-// operations (Snapshot, Restore, crash-image capture) take a writer-
-// preference guard (sync.RWMutex) exclusively, while every striped fast path
-// holds the guard shared — preserving the single-lock atomicity the
-// checkpoint and crash machinery rely on. Thread interleaving in the
-// simulation happens between hook calls, never inside one, which mirrors the
-// per-instruction atomicity assumed by PMRace's interleaving exploration.
+// Locking. One mutex per pool serializes every method, so each access, flush,
+// fence, snapshot, restore and crash-image capture is atomic with respect to
+// the others. Thread interleaving in the simulation happens between hook
+// calls, never inside one, which mirrors the per-instruction atomicity
+// assumed by PMRace's interleaving exploration. Every fuzzing worker restores
+// its own pool, so the lock is shared only by the simulated threads of one
+// execution.
 package pmem

@@ -1,11 +1,10 @@
 package pmem
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 )
 
 // Addr is a byte offset within a pool. Pools are position independent: all
@@ -25,10 +24,6 @@ const (
 	WordSize = 8
 	// LineSize is the cache-line granularity of flush operations.
 	LineSize = 64
-	// numStripes is the number of line-lock stripes. A power of two so the
-	// stripe index is a mask; 64 stripes let a full stripe set be tracked
-	// in one uint64 mask and acquired in ascending order (deadlock-free).
-	numStripes = 64
 )
 
 // Range is a byte range [Off, Off+Len) within a pool.
@@ -97,12 +92,9 @@ type lineCapture struct {
 //
 // All methods are safe for concurrent use.
 type Pool struct {
-	// guard is the writer-preference guard: striped fast paths hold it
-	// shared, whole-pool operations hold it exclusively. Go's RWMutex
-	// blocks new readers once a writer waits, so Snapshot/Restore cannot
-	// starve under a steady hook stream.
-	guard   sync.RWMutex
-	stripes [numStripes]sync.Mutex
+	// mu protects every field below except size and eadr, which never
+	// change. Each method is one critical section.
+	mu sync.Mutex
 
 	size      uint64
 	cache     []byte
@@ -111,38 +103,26 @@ type Pool struct {
 	shadow    []uint32 // taint label per word
 	last      []Accessor
 
-	pendingMu sync.Mutex
-	pending   map[ThreadID][]pendingLine
+	pending map[ThreadID][]pendingLine
 	// linePending counts, per cache line, how many pendingLine entries
-	// reference the line. Store paths consult it (one atomic load, under the
-	// line's stripe) to decide whether a copy-on-write capture is needed;
-	// with no flush in flight the check is the only overhead.
-	linePending []atomic.Uint32
+	// reference the line. Store paths consult it to decide whether a
+	// copy-on-write capture is needed; with no flush in flight the check is
+	// the only overhead.
+	linePending []uint32
 
 	// touched is a bitmap with one bit per cache line, set when the line's
 	// data, metadata, shadow labels or accessor records changed since the
 	// last Restore. Checkpoint restore copies back only touched lines, so
 	// its cost is proportional to the execution's dirty set instead of the
 	// pool size.
-	touched  []atomic.Uint64
-	baseSnap *Snapshot // snapshot the pool state is based on (guarded by guard)
+	touched  []uint64
+	baseSnap *Snapshot // snapshot the pool state is based on
 
-	evictMu   sync.Mutex
-	evictRNG  *rand.Rand
-	evictProb float64
-	eadr      bool
+	eadr bool
 }
 
 // Options configure pool construction.
 type Options struct {
-	// EvictProb, when positive, enables random cache eviction: on each
-	// store, with this probability one dirty line is written back to the
-	// persisted image. Eviction does not clear the dirty bit because the
-	// program cannot rely on it (the paper's checkers conservatively
-	// treat unflushed data as non-persisted).
-	EvictProb float64
-	// EvictSeed seeds the eviction RNG for reproducibility.
-	EvictSeed int64
 	// EADR models a platform with extended ADR (paper §6.6): CPU caches
 	// are battery-backed and inside the persistence domain, so every
 	// store is durable at visibility and no word is ever dirty. PM
@@ -173,17 +153,13 @@ func NewWithOptions(size uint64, opt Options) *Pool {
 		shadow:      make([]uint32, size/WordSize),
 		last:        make([]Accessor, size/WordSize),
 		pending:     make(map[ThreadID][]pendingLine),
-		linePending: make([]atomic.Uint32, lines),
-		touched:     make([]atomic.Uint64, (lines+63)/64),
+		linePending: make([]uint32, lines),
+		touched:     make([]uint64, (lines+63)/64),
+		eadr:        opt.EADR,
 	}
 	for i := range p.meta {
 		p.meta[i].Writer = NoThread
 	}
-	if opt.EvictProb > 0 {
-		p.evictProb = opt.EvictProb
-		p.evictRNG = rand.New(rand.NewSource(opt.EvictSeed))
-	}
-	p.eadr = opt.EADR
 	return p
 }
 
@@ -211,68 +187,14 @@ func (p *Pool) check(addr Addr, n uint64) {
 
 func lineOf(addr Addr) Addr { return addr &^ (LineSize - 1) }
 
-// --- striped locking ---
-
-// lockSpan acquires the stripe mutexes covering [addr, addr+n) in ascending
-// stripe order and returns the stripe mask to pass to unlockSpan. The caller
-// must hold guard shared (RLock) and must have bounds-checked the range.
-func (p *Pool) lockSpan(addr Addr, n uint64) uint64 {
-	if n == 0 {
-		n = 1
-	}
-	first := addr / LineSize
-	last := (addr + n - 1) / LineSize
-	if first == last {
-		s := first % numStripes
-		p.stripes[s].Lock()
-		return 1 << s
-	}
-	var mask uint64
-	if last-first >= numStripes-1 {
-		mask = ^uint64(0)
-	} else {
-		for l := first; l <= last; l++ {
-			mask |= 1 << (l % numStripes)
-		}
-	}
-	for m := mask; m != 0; {
-		i := bits.TrailingZeros64(m)
-		p.stripes[i].Lock()
-		m &^= 1 << i
-	}
-	return mask
-}
-
-// unlockSpan releases the stripes acquired by lockSpan.
-func (p *Pool) unlockSpan(mask uint64) {
-	for mask != 0 {
-		i := bits.TrailingZeros64(mask)
-		p.stripes[i].Unlock()
-		mask &^= 1 << i
-	}
-}
-
 // markTouched records that the lines covering [addr, addr+n) diverged from
-// the base snapshot. Bits are set with a CAS loop because one touched word
-// covers 64 lines spread across all stripes.
+// the base snapshot. The caller holds mu.
 func (p *Pool) markTouched(addr Addr, n uint64) {
 	if n == 0 {
 		return
 	}
-	first := addr / LineSize
-	last := (addr + n - 1) / LineSize
-	for l := first; l <= last; l++ {
-		w := &p.touched[l/64]
-		mask := uint64(1) << (l % 64)
-		for {
-			old := w.Load()
-			if old&mask != 0 {
-				break
-			}
-			if w.CompareAndSwap(old, old|mask) {
-				break
-			}
-		}
+	for l := addr / LineSize; l <= (addr+n-1)/LineSize; l++ {
+		p.touched[l/64] |= 1 << (l % 64)
 	}
 }
 
@@ -281,23 +203,18 @@ func (p *Pool) markTouched(addr Addr, n uint64) {
 // Load64 reads an 8-byte little-endian word from the cache image.
 func (p *Pool) Load64(addr Addr) uint64 {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
-	v := le64(p.cache[addr:])
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	return v
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return le64(p.cache[addr:])
 }
 
 // LoadBytes copies n bytes starting at addr from the cache image.
 func (p *Pool) LoadBytes(addr Addr, n uint64) []byte {
 	p.check(addr, n)
 	out := make([]byte, n)
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	copy(out, p.cache[addr:addr+n])
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return out
 }
 
@@ -307,14 +224,11 @@ func (p *Pool) LoadBytes(addr Addr, n uint64) []byte {
 // words dirty on behalf of thread t at instruction site.
 func (p *Pool) Store64(t ThreadID, site uint32, addr Addr, val uint64) {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.capturePending(addr, 8)
 	putLE64(p.cache[addr:], val)
 	p.markStored(t, site, addr, 8)
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	p.maybeEvict()
 }
 
 // StoreBytes writes data to the cache image and marks the covered words
@@ -325,14 +239,11 @@ func (p *Pool) StoreBytes(t ThreadID, site uint32, addr Addr, data []byte) {
 	if n == 0 {
 		return
 	}
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.capturePending(addr, n)
 	copy(p.cache[addr:], data)
 	p.markStored(t, site, addr, n)
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	p.maybeEvict()
 }
 
 // NTStore64 performs a non-temporal store: the write bypasses the cache
@@ -340,14 +251,12 @@ func (p *Pool) StoreBytes(t ThreadID, site uint32, addr Addr, data []byte) {
 // checker semantics). The value still becomes visible in the cache image.
 func (p *Pool) NTStore64(t ThreadID, site uint32, addr Addr, val uint64) {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.capturePending(addr, 8)
 	putLE64(p.cache[addr:], val)
 	putLE64(p.persisted[addr:], val)
 	p.markNT(t, site, addr, 8)
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 }
 
 // NTStoreBytes performs a non-temporal store of a byte range. An empty
@@ -358,14 +267,12 @@ func (p *Pool) NTStoreBytes(t ThreadID, site uint32, addr Addr, data []byte) {
 	if n == 0 {
 		return
 	}
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.capturePending(addr, n)
 	copy(p.cache[addr:], data)
 	copy(p.persisted[addr:], data)
 	p.markNT(t, site, addr, n)
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 }
 
 // CAS64 performs an atomic compare-and-swap on a word, returning whether the
@@ -373,8 +280,8 @@ func (p *Pool) NTStoreBytes(t ThreadID, site uint32, addr Addr, data []byte) {
 // word becomes dirty); a failed CAS is only a load.
 func (p *Pool) CAS64(t ThreadID, site uint32, addr Addr, old, new uint64) (bool, uint64) {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	cur := le64(p.cache[addr:])
 	ok := cur == old
 	if ok {
@@ -382,8 +289,6 @@ func (p *Pool) CAS64(t ThreadID, site uint32, addr Addr, old, new uint64) (bool,
 		putLE64(p.cache[addr:], new)
 		p.markStored(t, site, addr, 8)
 	}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return ok, cur
 }
 
@@ -393,45 +298,33 @@ func (p *Pool) CAS64(t ThreadID, site uint32, addr Addr, old, new uint64) (bool,
 // dirty state (their epoch advanced). Flush itself copies no data — it raises
 // the lines' pending counters and appends entries; the flush-time contents
 // are materialized lazily (capturePending) only if a store hits the line
-// before the fence. A flush racing a store linearizes at its entry append,
-// matching per-line CLWB semantics.
+// before the fence.
 func (p *Pool) Flush(t ThreadID, addr Addr, n uint64) {
 	p.check(addr, n)
-	p.guard.RLock()
-	first := lineOf(addr)
-	for line := first; line < addr+n; line += LineSize {
-		// Raise the counter before publishing the entry: a store that
-		// misses the counter is ordered before this flush; one that sees
-		// it scans the pending entries under pendingMu.
-		p.linePending[line/LineSize].Add(1)
-	}
-	p.pendingMu.Lock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	entries := p.pending[t]
-	for line := first; line < addr+n; line += LineSize {
+	for line := lineOf(addr); line < addr+n; line += LineSize {
+		p.linePending[line/LineSize]++
 		entries = append(entries, pendingLine{line: line})
 	}
 	p.pending[t] = entries
-	p.pendingMu.Unlock()
-	p.guard.RUnlock()
 }
 
 // capturePending materializes the flush-time view of every uncaptured pending
-// entry covering [addr, addr+n). Store paths call it before mutating the
-// cache; the caller holds the guard shared and the stripes covering the
-// range, so the copied data is the pre-store state the flushes observed.
+// entry covering [addr, addr+n). Store paths call it, holding mu, before
+// mutating the cache, so the copied data is the pre-store state the flushes
+// observed.
 func (p *Pool) capturePending(addr Addr, n uint64) {
 	if n == 0 {
 		return
 	}
-	first := addr / LineSize
-	last := (addr + n - 1) / LineSize
-	for l := first; l <= last; l++ {
-		if p.linePending[l].Load() == 0 {
+	for l := addr / LineSize; l <= (addr+n-1)/LineSize; l++ {
+		if p.linePending[l] == 0 {
 			continue
 		}
 		line := l * LineSize
 		var view *lineCapture
-		p.pendingMu.Lock()
 		for _, entries := range p.pending {
 			for i := range entries {
 				if entries[i].line != line || entries[i].cap != nil {
@@ -447,7 +340,6 @@ func (p *Pool) capturePending(addr Addr, n uint64) {
 				entries[i].cap = view
 			}
 		}
-		p.pendingMu.Unlock()
 	}
 }
 
@@ -458,26 +350,12 @@ func (p *Pool) capturePending(addr Addr, n uint64) {
 // directly — by the pendingLine invariant the two are identical, so lazy
 // capture preserves exact eager-copy semantics.
 func (p *Pool) Fence(t ThreadID) {
-	p.guard.RLock()
-	p.pendingMu.Lock()
-	count := len(p.pending[t])
-	p.pendingMu.Unlock()
-	// Entries stay visible in the map until committed so concurrent stores
-	// keep capturing them; thread t is sequential, so no new entries for t
-	// appear while its fence runs.
-	for i := 0; i < count; i++ {
-		p.pendingMu.Lock()
-		e := p.pending[t][i]
-		p.pendingMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	entries := p.pending[t]
+	for _, e := range entries {
 		line := e.line
-		m := p.lockSpan(line, LineSize)
-		// A store may have captured this entry after the peek above;
-		// re-read the capture pointer under the line's stripe, which
-		// orders the commit against any capturing store.
-		p.pendingMu.Lock()
-		view := p.pending[t][i].cap
-		p.pendingMu.Unlock()
-		if view != nil {
+		if view := e.cap; view != nil {
 			copy(p.persisted[line:line+LineSize], view.data[:])
 			for w := 0; w < LineSize/WordSize; w++ {
 				wi := (line + Addr(w*WordSize)) / WordSize
@@ -496,25 +374,21 @@ func (p *Pool) Fence(t ThreadID) {
 				p.meta[wi].CleanEpoch = p.meta[wi].Epoch
 			}
 		}
-		p.linePending[line/LineSize].Add(^uint32(0))
+		p.linePending[line/LineSize]--
 		p.markTouched(line, LineSize)
-		p.unlockSpan(m)
 	}
-	if count > 0 {
-		p.pendingMu.Lock()
-		p.pending[t] = p.pending[t][:0]
-		p.pendingMu.Unlock()
+	if len(entries) > 0 {
+		p.pending[t] = entries[:0]
 	}
-	p.guard.RUnlock()
 }
 
 // PersistNow force-persists a byte range, marking its words clean. It models
 // flush immediately followed by fence and is used by recovery code and tests.
 func (p *Pool) PersistNow(t ThreadID, addr Addr, n uint64) {
 	p.check(addr, n)
-	p.guard.RLock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for line := lineOf(addr); line < addr+n; line += LineSize {
-		m := p.lockSpan(line, LineSize)
 		copy(p.persisted[line:line+LineSize], p.cache[line:line+LineSize])
 		for w := 0; w < LineSize/WordSize; w++ {
 			mw := &p.meta[(line+Addr(w*WordSize))/WordSize]
@@ -522,13 +396,10 @@ func (p *Pool) PersistNow(t ThreadID, addr Addr, n uint64) {
 			mw.CleanEpoch = mw.Epoch
 		}
 		p.markTouched(line, LineSize)
-		p.unlockSpan(m)
 	}
-	p.guard.RUnlock()
 }
 
-// markStored marks the words covering a store dirty. Callers hold the guard
-// shared and the stripes covering the range.
+// markStored marks the words covering a store dirty. The caller holds mu.
 func (p *Pool) markStored(t ThreadID, site uint32, addr Addr, n uint64) {
 	if p.eadr {
 		// Persistent caches: every store is durable at visibility.
@@ -559,78 +430,39 @@ func (p *Pool) markNT(t ThreadID, site uint32, addr Addr, n uint64) {
 	p.markTouched(addr, n)
 }
 
-// maybeEvict runs after a store completes (no stripes held): with the
-// configured probability it picks a random line and, if dirty, writes it back
-// to the persisted image. The dirty bits stay set: programs must not depend
-// on eviction.
-func (p *Pool) maybeEvict() {
-	if p.evictRNG == nil {
-		return
-	}
-	p.evictMu.Lock()
-	hit := p.evictRNG.Float64() < p.evictProb
-	var line Addr
-	if hit {
-		line = Addr(p.evictRNG.Int63n(int64(p.size/LineSize))) * LineSize
-	}
-	p.evictMu.Unlock()
-	if !hit {
-		return
-	}
-	p.guard.RLock()
-	m := p.lockSpan(line, LineSize)
-	for w := 0; w < LineSize/WordSize; w++ {
-		if p.meta[(line+Addr(w*WordSize))/WordSize].Dirty {
-			copy(p.persisted[line:line+LineSize], p.cache[line:line+LineSize])
-			p.markTouched(line, LineSize)
-			break
-		}
-	}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-}
-
 // WordState returns the persistency state of the word containing addr.
 func (p *Pool) WordState(addr Addr) WordMeta {
 	p.check(addr, 1)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 1)
-	st := p.meta[addr/WordSize]
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	return st
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.meta[addr/WordSize]
 }
 
 // ShadowLabel returns the taint label stored for the word containing addr.
 func (p *Pool) ShadowLabel(addr Addr) uint32 {
 	p.check(addr, 1)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 1)
-	l := p.shadow[addr/WordSize]
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	return l
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.shadow[addr/WordSize]
 }
 
 // SetShadowLabel stores a taint label for every word covering [addr, addr+n).
 func (p *Pool) SetShadowLabel(addr Addr, n uint64, label uint32) {
 	p.check(addr, n)
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for wi := addr / WordSize; wi <= (addr+n-1)/WordSize; wi++ {
 		p.shadow[wi] = label
 	}
 	p.markTouched(addr, n)
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 }
 
 // ShadowLabelRange returns the shadow labels of all words covering the range,
 // deduplicated, excluding zero.
 func (p *Pool) ShadowLabelRange(addr Addr, n uint64) []uint32 {
 	p.check(addr, n)
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var out []uint32
 	for wi := addr / WordSize; wi <= (addr+n-1)/WordSize; wi++ {
 		l := p.shadow[wi]
@@ -648,8 +480,6 @@ func (p *Pool) ShadowLabelRange(addr Addr, n uint64) []uint32 {
 			out = append(out, l)
 		}
 	}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return out
 }
 
@@ -658,16 +488,14 @@ func (p *Pool) ShadowLabelRange(addr Addr, n uint64) []uint32 {
 // form PM alias pairs.
 func (p *Pool) SwapAccessor(addr Addr, a Accessor) Accessor {
 	p.check(addr, 1)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	wi := addr / WordSize
 	prev := p.last[wi]
 	p.last[wi] = a
 	// Accessor records are cleared by Restore, so the line counts as
 	// diverged from the checkpoint even without a data write.
 	p.markTouched(addr, 1)
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return prev
 }
 
@@ -677,10 +505,9 @@ func (p *Pool) SwapAccessor(addr Addr, a Accessor) Accessor {
 // the word's persistency metadata, its shadow taint label, the last-accessor
 // swap for alias-pair coverage, and (for stores) the dirty marking and label
 // update. Composing those from the fine-grained primitives above costs one
-// guard+stripe round trip per piece; the Instr* variants perform the whole
-// per-access protocol in a single striped critical section, keeping
-// single-thread hook cost close to a single-lock design. The fine-grained
-// primitives remain for tests, validators and recovery code.
+// lock round trip per piece; the Instr* variants perform the whole per-access
+// protocol in a single critical section. The fine-grained primitives remain
+// for tests, validators and recovery code.
 
 // InstrLoad64 performs the instrumented-load protocol on the word containing
 // addr: read the 8-byte value, the word's metadata and shadow label, and
@@ -689,8 +516,8 @@ func (p *Pool) SwapAccessor(addr Addr, a Accessor) Accessor {
 // alias-pair coverage.
 func (p *Pool) InstrLoad64(t ThreadID, site uint32, addr Addr) (val uint64, meta WordMeta, shadow uint32, prev Accessor) {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	wi := addr / WordSize
 	val = le64(p.cache[addr:])
 	meta = p.meta[wi]
@@ -698,8 +525,6 @@ func (p *Pool) InstrLoad64(t ThreadID, site uint32, addr Addr) (val uint64, meta
 	prev = p.last[wi]
 	p.last[wi] = Accessor{Site: site, Thread: t, Dirty: meta.Dirty, Valid: true}
 	p.markTouched(addr, 1)
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return
 }
 
@@ -709,8 +534,8 @@ func (p *Pool) InstrLoad64(t ThreadID, site uint32, addr Addr) (val uint64, meta
 func (p *Pool) InstrLoadBytes(t ThreadID, site uint32, addr Addr, n uint64) (out []byte, meta WordMeta, waddr Addr, dirty bool, labels []uint32, prev Accessor) {
 	p.check(addr, n)
 	out = make([]byte, n)
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	copy(out, p.cache[addr:addr+n])
 	for wi := addr / WordSize; wi <= (addr+n-1)/WordSize; wi++ {
 		if !dirty && p.meta[wi].Dirty {
@@ -735,8 +560,6 @@ func (p *Pool) InstrLoadBytes(t ThreadID, site uint32, addr Addr, n uint64) (out
 	prev = p.last[wi]
 	p.last[wi] = Accessor{Site: site, Thread: t, Dirty: dirty, Valid: true}
 	p.markTouched(addr, 1)
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return
 }
 
@@ -746,8 +569,8 @@ func (p *Pool) InstrLoadBytes(t ThreadID, site uint32, addr Addr, n uint64) (out
 // section. It returns the overwritten value and the previous accessor.
 func (p *Pool) InstrStore64(t ThreadID, site uint32, addr Addr, val uint64, label uint32) (old uint64, prev Accessor) {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	old = le64(p.cache[addr:])
 	p.capturePending(addr, 8)
 	putLE64(p.cache[addr:], val)
@@ -758,9 +581,6 @@ func (p *Pool) InstrStore64(t ThreadID, site uint32, addr Addr, val uint64, labe
 	wi := addr / WordSize
 	prev = p.last[wi]
 	p.last[wi] = Accessor{Site: site, Thread: t, Dirty: true, Valid: true}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	p.maybeEvict()
 	return
 }
 
@@ -772,8 +592,8 @@ func (p *Pool) InstrStoreBytes(t ThreadID, site uint32, addr Addr, data []byte, 
 	if n == 0 {
 		return
 	}
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.capturePending(addr, n)
 	copy(p.cache[addr:], data)
 	p.markStored(t, site, addr, n)
@@ -783,9 +603,6 @@ func (p *Pool) InstrStoreBytes(t ThreadID, site uint32, addr Addr, data []byte, 
 	wi := addr / WordSize
 	prev = p.last[wi]
 	p.last[wi] = Accessor{Site: site, Thread: t, Dirty: true, Valid: true}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	p.maybeEvict()
 	return
 }
 
@@ -793,8 +610,8 @@ func (p *Pool) InstrStoreBytes(t ThreadID, site uint32, addr Addr, data []byte, 
 // persisted image immediately and the words end clean.
 func (p *Pool) InstrNTStore64(t ThreadID, site uint32, addr Addr, val uint64, label uint32) (old uint64, prev Accessor) {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	old = le64(p.cache[addr:])
 	p.capturePending(addr, 8)
 	putLE64(p.cache[addr:], val)
@@ -806,8 +623,6 @@ func (p *Pool) InstrNTStore64(t ThreadID, site uint32, addr Addr, val uint64, la
 	wi := addr / WordSize
 	prev = p.last[wi]
 	p.last[wi] = Accessor{Site: site, Thread: t, Dirty: false, Valid: true}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return
 }
 
@@ -819,8 +634,8 @@ func (p *Pool) InstrNTStoreBytes(t ThreadID, site uint32, addr Addr, data []byte
 	if n == 0 {
 		return
 	}
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.capturePending(addr, n)
 	copy(p.cache[addr:], data)
 	copy(p.persisted[addr:], data)
@@ -831,8 +646,6 @@ func (p *Pool) InstrNTStoreBytes(t ThreadID, site uint32, addr Addr, data []byte
 	wi := addr / WordSize
 	prev = p.last[wi]
 	p.last[wi] = Accessor{Site: site, Thread: t, Dirty: false, Valid: true}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return
 }
 
@@ -842,8 +655,8 @@ func (p *Pool) InstrNTStoreBytes(t ThreadID, site uint32, addr Addr, data []byte
 // semantics and leaves data, metadata and labels untouched.
 func (p *Pool) InstrCAS64(t ThreadID, site uint32, addr Addr, old, new uint64, label uint32) (ok bool, observed uint64, meta WordMeta, shadow uint32, prev Accessor) {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	wi := addr / WordSize
 	meta = p.meta[wi]
 	shadow = p.shadow[wi]
@@ -862,75 +675,53 @@ func (p *Pool) InstrCAS64(t ThreadID, site uint32, addr Addr, old, new uint64, l
 		// Only the accessor record diverged from the checkpoint.
 		p.markTouched(addr, 1)
 	}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
 	return
 }
 
 // EpochAt returns the store epoch of the word containing addr.
 func (p *Pool) EpochAt(addr Addr) uint32 {
 	p.check(addr, 1)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 1)
-	e := p.meta[addr/WordSize].Epoch
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	return e
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.meta[addr/WordSize].Epoch
 }
 
 // Overwritten reports whether every word of r has a store epoch above zero.
 // On a pool from FromImage, whose words start at epoch 0, that means a
 // store reached each word since the image was mapped: post-failure
 // validation asks it to learn whether recovery overwrote a durable side
-// effect. A failed CAS and an eviction store nothing; an empty range reports
-// true.
+// effect. A failed CAS stores nothing; an empty range reports true.
 func (p *Pool) Overwritten(r Range) bool {
 	p.check(r.Off, r.Len)
 	if r.Len == 0 {
 		return true
 	}
-	p.guard.RLock()
-	m := p.lockSpan(r.Off, r.Len)
-	all := true
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for wi := r.Off / WordSize; wi <= (r.End()-1)/WordSize; wi++ {
 		if p.meta[wi].Epoch == 0 {
-			all = false
-			break
+			return false
 		}
 	}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	return all
+	return true
 }
 
 // PersistedEquals reports whether the persisted image of [addr, addr+n)
 // equals the cache image, i.e. whether the range is fully durable.
 func (p *Pool) PersistedEquals(addr Addr, n uint64) bool {
 	p.check(addr, n)
-	p.guard.RLock()
-	m := p.lockSpan(addr, n)
-	eq := true
-	for i := addr; i < addr+n; i++ {
-		if p.cache[i] != p.persisted[i] {
-			eq = false
-			break
-		}
-	}
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	return eq
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return bytes.Equal(p.cache[addr:addr+n], p.persisted[addr:addr+n])
 }
 
 // PersistedLoad64 reads a word from the persisted image (what a crash would
 // preserve), bypassing the cache. Tests and validators use it.
 func (p *Pool) PersistedLoad64(addr Addr) uint64 {
 	p.check(addr, 8)
-	p.guard.RLock()
-	m := p.lockSpan(addr, 8)
-	v := le64(p.persisted[addr:])
-	p.unlockSpan(m)
-	p.guard.RUnlock()
-	return v
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return le64(p.persisted[addr:])
 }
 
 // DirtyWord is one word that is visible in the cache but not yet persisted,
@@ -946,11 +737,10 @@ type DirtyWord struct {
 }
 
 // DirtyWords returns the dirty words of the pool in address order, capped at
-// max entries when max > 0. It takes the whole-pool guard exclusively so the
-// returned diff is a consistent cut across all stripes.
+// max entries when max > 0.
 func (p *Pool) DirtyWords(max int) []DirtyWord {
-	p.guard.Lock()
-	defer p.guard.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var out []DirtyWord
 	for w := range p.meta {
 		m := &p.meta[w]
@@ -985,12 +775,11 @@ func (p *Pool) DirtyWords(max int) []DirtyWord {
 // execution of a seed, so omitting them cannot split or merge equivalence
 // classes within that seed.
 func (p *Pool) DirtySetHash() uint64 {
-	p.guard.Lock()
-	defer p.guard.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	h := uint64(0)
 	n := uint64(0)
-	for wi := range p.touched {
-		w := p.touched[wi].Load()
+	for wi, w := range p.touched {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << b

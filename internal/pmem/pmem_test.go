@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -324,6 +325,34 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// Restore drops flushes still waiting for their fence: no crash state stages
+// their line, and a later fence by the flushing thread persists nothing.
+func TestRestoreClearsPendingFlushes(t *testing.T) {
+	p := New(1024)
+	snap := p.Snapshot()
+	p.Store64(1, 1, 64, 7)
+	p.Flush(1, 64, 8)
+	p.Restore(snap)
+	if p.linePending[1] != 0 {
+		t.Fatalf("restore left line 1 pending count %d", p.linePending[1])
+	}
+	p.Store64(2, 2, 64, 9)
+	states := p.CrashStates(nil, 4)
+	for _, st := range states {
+		if strings.HasPrefix(st.Name, "pending-line@") {
+			t.Fatalf("restored pool still enumerates %s", st.Name)
+		}
+	}
+	RecycleStates(states)
+	p.Fence(1)
+	if got := p.PersistedLoad64(64); got != 0 {
+		t.Fatalf("fence after restore persisted %d, want 0", got)
+	}
+	if !p.WordState(64).Dirty {
+		t.Fatalf("fence after restore cleaned a word it never flushed")
+	}
+}
+
 func TestNewFromSnapshotIsIndependent(t *testing.T) {
 	p := New(256)
 	p.Store64(1, 1, 0, 7)
@@ -419,20 +448,6 @@ func TestPersistedEquals(t *testing.T) {
 	p.PersistNow(1, 64, 8)
 	if !p.PersistedEquals(64, 8) {
 		t.Fatalf("persisted range must compare equal")
-	}
-}
-
-func TestRandomEvictionPersistsButKeepsDirty(t *testing.T) {
-	p := NewWithOptions(LineSize, Options{EvictProb: 1, EvictSeed: 1})
-	p.Store64(1, 1, 0, 9)
-	// With one line and eviction probability 1, one more store forces the
-	// dirty line back to the persisted image.
-	p.Store64(1, 1, 8, 10)
-	if got := p.PersistedLoad64(0); got != 9 {
-		t.Fatalf("evicted line must be persisted, got %d", got)
-	}
-	if !p.WordState(0).Dirty {
-		t.Fatalf("eviction must not clear the dirty bit")
 	}
 }
 
@@ -552,6 +567,39 @@ func BenchmarkFlushFence(b *testing.B) {
 		p.Flush(1, addr, 8)
 		p.Fence(1)
 	}
+}
+
+// BenchmarkPoolParallel runs two simulated threads per P against one pool.
+// Each thread stores to, loads from and flushes+fences its own lines and
+// also loads and stores one shared hot word, so the figure covers both
+// disjoint-line traffic and contention on a single line.
+func BenchmarkPoolParallel(b *testing.B) {
+	p := New(1 << 20)
+	const hot = Addr(0)
+	var next atomic.Int32
+	b.SetParallelism(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		t := ThreadID(next.Add(1))
+		base := Addr(t) * 4 * LineSize // four private lines, clear of line 0
+		for i := 0; pb.Next(); i++ {
+			addr := base + Addr(i%32)*WordSize
+			switch i % 5 {
+			case 0:
+				p.InstrStore64(t, 1, addr, uint64(i), 0)
+			case 1:
+				p.InstrLoad64(t, 2, addr)
+			case 2:
+				p.InstrLoad64(t, 3, hot)
+			case 3:
+				p.InstrStore64(t, 4, hot, uint64(i), 0)
+			case 4:
+				p.Flush(t, addr, WordSize)
+				p.Fence(t)
+			}
+		}
+	})
 }
 
 func TestEADRStoresAreDurableImmediately(t *testing.T) {

@@ -409,7 +409,7 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 	for {
 		// Test-and-test-and-set: attempt the fully instrumented CAS
 		// only when an uninstrumented peek shows the lock free.
-		// Contended spinning then costs a striped read per iteration
+		// Contended spinning then costs one plain pool read per iteration
 		// instead of an accessor swap, taint union and detector call
 		// — and stops flooding the access log with failed attempts.
 		// The first CAS after every release is still instrumented, so

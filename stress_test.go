@@ -1,7 +1,7 @@
-// Race stress tests for the lock-free and striped hot-path structures: the
+// Race stress tests for the shared hot-path structures: the lock-free
 // coverage bitmap, the site registry (shared and per-thread-cached paths)
-// and the striped pmem pool, each hammered from 8 goroutines. Run under the
-// race detector (`go test -race -run HotPathRace`); CI does.
+// and the pmem pool, each hammered from 8 goroutines. Run under the race
+// detector (`go test -race -run HotPathRace`); CI does.
 package pmrace_test
 
 import (
@@ -78,10 +78,10 @@ func TestHotPathRaceSites(t *testing.T) {
 	}
 }
 
-// TestHotPathRacePool hammers the striped pool: overlapping loads, stores,
+// TestHotPathRacePool hammers one pool: overlapping loads, stores,
 // flush/fence cycles, CAS and accessor swaps from 8 simulated threads while
 // another goroutine interleaves the whole-pool operations (Snapshot,
-// CrashImage, Restore) that take the writer-preference guard exclusively.
+// CrashImage) that copy the pool's images.
 func TestHotPathRacePool(t *testing.T) {
 	const poolSize = 1 << 16
 	p := pmem.New(poolSize)
@@ -95,8 +95,8 @@ func TestHotPathRacePool(t *testing.T) {
 			tid := pmem.ThreadID(g)
 			st := uint32(g + 1)
 			for i := 0; i < 8000; i++ {
-				// Rotate through lines so stripes contend and spans
-				// sometimes straddle two lines.
+				// Rotate through lines so threads meet on the same
+				// words and spans sometimes straddle two lines.
 				addr := pmem.Addr((i*56 + g*8) % (poolSize - 64))
 				switch i % 7 {
 				case 0:
@@ -120,7 +120,7 @@ func TestHotPathRacePool(t *testing.T) {
 			}
 		}(g)
 	}
-	// Whole-pool operations racing the striped fast paths.
+	// Whole-pool operations racing the per-access paths.
 	var imgWG sync.WaitGroup
 	imgWG.Add(1)
 	go func() {
