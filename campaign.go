@@ -130,6 +130,7 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 		o(&cfg)
 	}
 	cfg.spec.Target = target
+	cfg.spec.Artifacts = cfg.base.ArtifactDir != ""
 	opts, err := serve.FuzzOptions(cfg.base, cfg.spec)
 	if err != nil {
 		return nil, err

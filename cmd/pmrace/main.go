@@ -20,6 +20,10 @@
 //	pmrace logs   -server http://host:7762 -id c0001
 //	pmrace trace  -server http://host:7762 c0001 > timeline.json
 //
+// submit takes the same campaign-spec flags as a local run (-target, -mode,
+// -workers, -execs, -max-crash-states, ...); a flag left unset selects the
+// server default.
+//
 // With -json the typed event stream (exec_done, seed_accepted,
 // inconsistency_found, validation_verdict, bug_confirmed, campaign_done,
 // ...) goes to stdout as JSON lines and the human summary moves to stderr.
@@ -42,13 +46,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	pmrace "github.com/pmrace-go/pmrace"
+	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/core"
-	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/site"
 )
 
@@ -65,32 +68,21 @@ func run() int {
 			return runRemote(os.Args[1], os.Args[2:])
 		}
 	}
+	spec := api.CampaignSpec{Target: "pclht", Mode: "pmrace", Workers: 4, Threads: 4,
+		MaxExecs: 120, Duration: 2 * time.Minute, Seed: 1, MaxCrashStates: 1}
+	specFlags(flag.CommandLine, &spec)
 	var (
 		list      = flag.Bool("list", false, "list registered targets and exit")
-		target    = flag.String("target", "pclht", "target system to fuzz")
-		execs     = flag.Int("execs", 120, "execution budget")
-		duration  = flag.Duration("duration", 2*time.Minute, "wall-clock budget")
-		workers   = flag.Int("workers", 4, "concurrent fuzzing workers")
-		threads   = flag.Int("threads", 4, "driver threads per execution")
-		seed      = flag.Int64("seed", 1, "random seed")
-		mode      = flag.String("mode", "pmrace", "exploration: pmrace | delay | none")
-		proto     = flag.Bool("proto", false, "fuzz through memcached text-protocol byte streams instead of synthetic op vectors")
-		noCP      = flag.Bool("no-checkpoints", false, "disable in-memory pool checkpoints")
-		eadr      = flag.Bool("eadr", false, "model battery-backed caches (stores durable at visibility)")
 		corpus    = flag.String("corpus", "", "seed-corpus directory (loaded at start, improving seeds saved back)")
 		replay    = flag.String("replay", "", "replay one saved .seed file against the target and exit")
 		artifact  = flag.String("artifact", "", "replay one forensic bug bundle directory and exit (0 = reproduced)")
 		artifacts = flag.String("artifacts", "", "write a forensic bundle per confirmed bug into this directory")
-		artAll    = flag.Bool("artifacts-all", false, "with -artifacts: also bundle validated/whitelisted false positives")
 		httpAddr  = flag.String("http", "", "serve the campaign through pmraced's API (/status /metrics /api/v1/campaigns/c0001/...) on this address")
 		traceFlag = flag.Bool("trace", false, "record a span timeline (flight recorder + Chrome trace-event export on /trace)")
-		traceSmpl = flag.Int("trace-sample", 0, "with -trace: record per-exec spans for every Nth execution (0 = default 8)")
 		jsonOut   = flag.Bool("json", false, "stream the event trace as JSONL to stdout (summary goes to stderr)")
 		progress  = flag.Bool("progress", false, "render a 1 Hz status line while fuzzing")
 		verbose   = flag.Bool("v", false, "print full per-inconsistency reports")
 
-		aliasHints     = flag.String("alias-hints", "", "pmvet alias-pair report (pmvet -alias out.json) used to prioritize the interleaving queue")
-		maxCrashStates = flag.Int("max-crash-states", 1, "crash states validated per finding (1 = the paper's single adversarial image)")
 		valWorkers     = flag.Int("validate-workers", 2, "asynchronous post-failure validation workers")
 		valWallTimeout = flag.Duration("validate-wall-timeout", 2*time.Second, "wall-clock bound per recovery run in post-failure validation")
 	)
@@ -105,60 +97,29 @@ func run() int {
 	}
 
 	if *artifact != "" {
-		return replayArtifact(*artifact, *target)
+		return replayArtifact(*artifact, spec.Target)
 	}
 
 	if *replay != "" {
-		if err := replaySeed(*target, *replay, *threads); err != nil {
+		if err := replaySeed(spec.Target, *replay, spec.Threads); err != nil {
 			fmt.Fprintf(os.Stderr, "pmrace: replay: %v\n", err)
 			return 2
 		}
 		return 0
 	}
 
-	explore, err := fuzz.ParseMode(strings.ToLower(*mode))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
-		return 2
-	}
-
 	options := []pmrace.CampaignOption{
-		pmrace.WithBudget(*execs, *duration),
-		pmrace.WithWorkers(*workers),
-		pmrace.WithThreads(*threads),
-		pmrace.WithSeed(*seed),
-		pmrace.WithMode(explore),
+		pmrace.WithSpec(spec),
 		pmrace.WithCorpusDir(*corpus),
 		pmrace.WithArtifacts(*artifacts),
-		pmrace.WithMaxCrashStates(*maxCrashStates),
 		pmrace.WithValidationWorkers(*valWorkers),
 		pmrace.WithValidationWallTimeout(*valWallTimeout),
-	}
-	if *aliasHints != "" {
-		hints, err := pmrace.LoadAliasHints(*aliasHints)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
-			return 2
-		}
-		options = append(options, pmrace.WithAliasHints(hints))
-	}
-	if *proto {
-		options = append(options, pmrace.WithProtocolTraffic())
-	}
-	if *noCP {
-		options = append(options, pmrace.WithoutCheckpoints())
-	}
-	if *eadr {
-		options = append(options, pmrace.WithEADR())
-	}
-	if *artAll {
-		options = append(options, pmrace.WithAllArtifacts())
 	}
 	if *httpAddr != "" {
 		options = append(options, pmrace.WithHTTPAddr(*httpAddr))
 	}
-	if *traceFlag || *traceSmpl > 0 {
-		options = append(options, pmrace.WithTracing(*traceSmpl))
+	if *traceFlag {
+		options = append(options, pmrace.WithTracing(spec.TraceSample))
 	}
 	// The human-readable stream: stdout normally, stderr when stdout
 	// carries the JSONL trace.
@@ -176,13 +137,13 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	c, err := pmrace.NewCampaign(ctx, *target, options...)
+	c, err := pmrace.NewCampaign(ctx, spec.Target, options...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
 		return 2
 	}
 	fmt.Fprintf(out, "fuzzing %s (%s exploration, %d workers, budget %d execs / %s)\n",
-		*target, explore, *workers, *execs, *duration)
+		spec.Target, c.Snapshot().Mode, spec.Workers, spec.MaxExecs, spec.Duration)
 	if addr := c.HTTPAddr(); addr != "" {
 		fmt.Fprintf(out, "introspection: http://%s/status\n", addr)
 	}

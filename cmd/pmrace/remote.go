@@ -62,21 +62,11 @@ func submitErrorLine(err error) string {
 
 func runSubmit(args []string) int {
 	fs, server := remoteFlags("submit")
-	var (
-		target    = fs.String("target", "pclht", "target system to fuzz")
-		mode      = fs.String("mode", "", "exploration: pmrace | delay | none (server default: pmrace)")
-		workers   = fs.Int("workers", 1, "fuzzing workers, charged against the server's budget")
-		threads   = fs.Int("threads", 0, "driver threads per execution (0 = server default)")
-		execs     = fs.Int("execs", 0, "execution budget (0 = server default)")
-		duration  = fs.Duration("duration", 0, "wall-clock budget (0 = server default)")
-		seed      = fs.Int64("seed", 0, "random seed")
-		proto     = fs.Bool("proto", false, "fuzz through memcached text-protocol byte streams instead of synthetic op vectors")
-		artifacts = fs.Bool("artifacts", false, "write a forensic bundle per confirmed bug (fetch via the artifacts endpoints)")
-		artAll    = fs.Bool("artifacts-all", false, "with -artifacts: also bundle validated/whitelisted false positives")
-		traceSmpl = fs.Int("trace-sample", 0, "span-sampling rate: 0 = server default, N samples every Nth exec, negative disables tracing")
-		wait      = fs.Bool("wait", false, "block until the campaign is terminal and print its final document")
-		jsonOut   = fs.Bool("json", false, "print campaign documents as JSON")
-	)
+	spec := api.CampaignSpec{Target: "pclht", Workers: 1}
+	specFlags(fs, &spec)
+	fs.BoolVar(&spec.Artifacts, "artifacts", false, "write a forensic bundle per confirmed bug (fetch via the artifacts endpoints)")
+	wait := fs.Bool("wait", false, "block until the campaign is terminal and print its final document")
+	jsonOut := fs.Bool("json", false, "print campaign documents as JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -84,11 +74,7 @@ func runSubmit(args []string) int {
 	ctx, stop := signalContext()
 	defer stop()
 
-	doc, err := cl.Submit(ctx, api.CampaignSpec{
-		Target: *target, Mode: *mode, Workers: *workers, Threads: *threads,
-		MaxExecs: *execs, Duration: *duration, Seed: *seed, Protocol: *proto,
-		Artifacts: *artifacts, ArtifactsAll: *artAll, TraceSample: *traceSmpl,
-	})
+	doc, err := cl.Submit(ctx, spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, submitErrorLine(err))
 		return 2

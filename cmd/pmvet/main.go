@@ -30,12 +30,11 @@ func main() {
 
 func run() int {
 	var (
-		include   = flag.String("include", "", "comma-separated analyzer names to run (default: all)")
-		exclude   = flag.String("exclude", "", "comma-separated analyzer names to skip")
-		jsonOut   = flag.Bool("json", false, "emit findings as JSON instead of text")
-		aliasPath = flag.String("alias", "", "write the static alias-pair report (JSON) to this file")
-		list      = flag.Bool("list", false, "list registered analyzers and exit")
-		quiet     = flag.Bool("q", false, "suppress the per-package progress line")
+		include = flag.String("include", "", "comma-separated analyzer names to run (default: all)")
+		exclude = flag.String("exclude", "", "comma-separated analyzer names to skip")
+		jsonOut = flag.Bool("json", false, "emit findings as JSON instead of text")
+		list    = flag.Bool("list", false, "list registered analyzers and exit")
+		quiet   = flag.Bool("q", false, "suppress the per-package progress line")
 	)
 	flag.Parse()
 
@@ -97,22 +96,6 @@ func run() int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmvet: %v\n", err)
 		return 2
-	}
-
-	if *aliasPath != "" {
-		rep := lint.BuildAliasReport(pkgs)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmvet: encoding alias report: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*aliasPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "pmvet: %v\n", err)
-			return 2
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "pmvet: wrote %d alias pairs to %s\n", len(rep.Pairs), *aliasPath)
-		}
 	}
 
 	if *jsonOut {

@@ -155,10 +155,6 @@ type Options struct {
 	// event stream deterministic for a single-worker campaign, at the cost
 	// of stalling that worker during recovery runs.
 	InlineValidation bool
-	// AliasHints seeds the interleaving queue with statically inferred
-	// load/store alias pairs from `pmvet -alias`; entries covering a hint
-	// are explored before any purely dynamically prioritized entry.
-	AliasHints []AliasHint
 }
 
 func (o Options) withDefaults() Options {
@@ -679,9 +675,7 @@ func (f *Fuzzer) pickSeed(rng *rand.Rand) *workload.Seed {
 func (f *Fuzzer) buildQueue() *sched.Queue {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	q := sched.BuildQueue(f.stats)
-	f.applyAliasHints(q)
-	return q
+	return sched.BuildQueue(f.stats)
 }
 
 func (f *Fuzzer) skipFor(addr pmem.Addr) int {

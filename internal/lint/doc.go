@@ -6,14 +6,12 @@
 // dropped taint label silently removes a bug from the dynamically
 // detectable set. The four analyzers — unflushed-store, missing-hook,
 // taint-gap and fence-pairing — restore a compile-time completeness
-// guarantee over that hand instrumentation, and BuildAliasReport emits the
-// static load/store alias pairs the fuzzer consumes as scheduler hints.
+// guarantee over that hand instrumentation.
 //
 // The Analyzer/Pass/Diagnostic types structurally mirror
 // golang.org/x/tools/go/analysis (unavailable in this offline build);
 // Loader replaces go/packages with go/parser plus the stdlib source
 // importer. The cmd/pmvet driver wires the suite into a gosec-style CLI
 // with -include/-exclude selection and //pmvet:ignore suppression. See
-// DESIGN.md §11 for the architecture, the paper-fidelity argument and the
-// alias-pair JSON schema.
+// DESIGN.md §11 for the architecture and the paper-fidelity argument.
 package lint

@@ -117,33 +117,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestAliasReport(t *testing.T) {
-	pkg := loadFixture(t, "aliaspairs")
-	rep := lint.BuildAliasReport([]*lint.Package{pkg})
-	if rep.Version != 1 {
-		t.Fatalf("version = %d, want 1", rep.Version)
-	}
-	var got *lint.AliasPair
-	for i := range rep.Pairs {
-		p := &rep.Pairs[i]
-		if p.Object == "root + fldCount" {
-			got = p
-		}
-		if strings.HasPrefix(p.Object, "other") {
-			t.Errorf("unrelated store paired: %+v", *p)
-		}
-	}
-	if got == nil {
-		t.Fatalf("no pair for root + fldCount in %+v", rep.Pairs)
-	}
-	if got.LoadSite != "aliaspairs.go:14" || got.StoreSite != "aliaspairs.go:19" {
-		t.Errorf("pair sites = %s / %s, want aliaspairs.go:14 / aliaspairs.go:19", got.LoadSite, got.StoreSite)
-	}
-	if got.LoadFunc != "reader" || got.StoreFunc != "writer" {
-		t.Errorf("pair funcs = %s / %s, want reader / writer", got.LoadFunc, got.StoreFunc)
-	}
-}
-
 // TestTargetsClean pins the triage of this repo's instrumented workloads:
 // every true positive pmvet found has been fixed, and every intentional
 // (seeded-bug or rebuilt-on-recovery) site carries a //pmvet:ignore

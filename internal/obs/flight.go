@@ -3,79 +3,39 @@ package obs
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// flightShards is the lock-shard count of the flight recorder. Completed
-// spans are spread round-robin over the shards, so concurrent workers almost
-// never contend on the same mutex even when every execution is sampled.
-const flightShards = 8
-
-// FlightRecorder keeps the last-N completed spans in a lock-sharded ring
-// buffer. Recording is O(1) with one short shard-local critical section;
-// Snapshot merges the shards into start-order and is only taken on anomaly
-// dumps, timeline exports and bundle writes — the rare path pays for the
-// hot path.
+// FlightRecorder keeps the last N completed spans in one ring buffer under
+// one mutex. Recording is O(1) with one short critical section; Snapshot
+// sorts into start order and is only taken on anomaly dumps, timeline
+// exports and bundle writes — the rare path pays for the hot path.
 type FlightRecorder struct {
-	next   atomic.Uint64
-	shards [flightShards]flightShard
-}
-
-type flightShard struct {
 	mu   sync.Mutex
 	buf  []Span
 	pos  int
 	full bool
 }
 
-// NewFlightRecorder creates a recorder keeping roughly capacity spans
-// (rounded up to at least 16 per shard).
+// NewFlightRecorder creates a recorder keeping the last capacity spans (at
+// least one).
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	per := capacity / flightShards
-	if per < 16 {
-		per = 16
-	}
-	f := &FlightRecorder{}
-	for i := range f.shards {
-		f.shards[i].buf = make([]Span, per)
-	}
-	return f
+	return &FlightRecorder{buf: make([]Span, max(capacity, 1))}
 }
 
-// Record appends a completed span, evicting the oldest span of its shard
-// when the ring is full.
+// Record appends a completed span, evicting the oldest span when the ring
+// is full.
 func (f *FlightRecorder) Record(sp Span) {
 	if f == nil {
 		return
 	}
-	s := &f.shards[f.next.Add(1)%flightShards]
-	s.mu.Lock()
-	s.buf[s.pos] = sp
-	s.pos++
-	if s.pos == len(s.buf) {
-		s.pos = 0
-		s.full = true
+	f.mu.Lock()
+	f.buf[f.pos] = sp
+	f.pos++
+	if f.pos == len(f.buf) {
+		f.pos = 0
+		f.full = true
 	}
-	s.mu.Unlock()
-}
-
-// Len returns the number of spans currently held.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	n := 0
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		if s.full {
-			n += len(s.buf)
-		} else {
-			n += s.pos
-		}
-		s.mu.Unlock()
-	}
-	return n
+	f.mu.Unlock()
 }
 
 // Snapshot copies out the recorded spans sorted by start time (ties by ID,
@@ -84,18 +44,13 @@ func (f *FlightRecorder) Snapshot() []Span {
 	if f == nil {
 		return nil
 	}
+	f.mu.Lock()
 	var out []Span
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		if s.full {
-			out = append(out, s.buf[s.pos:]...)
-			out = append(out, s.buf[:s.pos]...)
-		} else {
-			out = append(out, s.buf[:s.pos]...)
-		}
-		s.mu.Unlock()
+	if f.full {
+		out = append(out, f.buf[f.pos:]...)
 	}
+	out = append(out, f.buf[:f.pos]...)
+	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].StartNs != out[j].StartNs {
 			return out[i].StartNs < out[j].StartNs

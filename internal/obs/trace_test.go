@@ -113,29 +113,35 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderBounded checks the ring semantics: the recorder holds at
-// most its capacity and Snapshot is sorted by start time.
+// TestFlightRecorderBounded checks the ring semantics: the recorder keeps
+// exactly its last capacity spans, sorted by start time.
 func TestFlightRecorderBounded(t *testing.T) {
 	fr := NewFlightRecorder(256)
 	for i := 0; i < 1000; i++ {
 		fr.Record(Span{ID: uint64(i + 1), Name: SpanExecRun, StartNs: int64(i)})
 	}
 	got := fr.Snapshot()
-	if len(got) > 256 {
-		t.Fatalf("recorder holds %d spans, cap 256", len(got))
+	if len(got) != 256 {
+		t.Fatalf("recorder holds %d spans, want 256", len(got))
 	}
-	if len(got) == 0 {
-		t.Fatal("recorder is empty")
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].StartNs < got[i-1].StartNs {
-			t.Fatalf("snapshot not sorted at %d: %d < %d", i, got[i].StartNs, got[i-1].StartNs)
+	for i, sp := range got {
+		if want := int64(744 + i); sp.StartNs != want {
+			t.Fatalf("span %d starts at %d, want %d (starts 744..999)", i, sp.StartNs, want)
 		}
 	}
-	// The ring keeps the most recent spans.
-	if got[len(got)-1].StartNs != 999 {
-		t.Fatalf("newest span start %d, want 999", got[len(got)-1].StartNs)
-	}
+}
+
+// BenchmarkFlightRecord measures Record, the per-span cost every finished
+// span pays, from GOMAXPROCS goroutines recording into one recorder.
+func BenchmarkFlightRecord(b *testing.B) {
+	fr := NewFlightRecorder(defaultFlightSpans)
+	b.RunParallel(func(pb *testing.PB) {
+		sp := Span{Name: SpanExecRun}
+		for pb.Next() {
+			sp.StartNs++
+			fr.Record(sp)
+		}
+	})
 }
 
 // TestFlightRecorderConcurrent stress-tests the recorder under -race:

@@ -20,40 +20,34 @@ func testStats(n int) map[pmem.Addr]*AddrStats {
 	return stats
 }
 
-// Reprioritize may run from one worker while another is already popping the
-// queue (alias-hint boosting vs. a pruning loop that keeps consuming
-// entries). The race detector must see one linearization: either the boost
-// lands before the first Pop or it is a no-op.
-func TestQueueReprioritizeRacesPop(t *testing.T) {
+// Two workers draining one queue must see each entry exactly once: none
+// lost, none popped twice.
+func TestQueueConcurrentPop(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		q := BuildQueue(testStats(16))
 		var wg sync.WaitGroup
-		wg.Add(2)
-		popped := make([]*Entry, 0, 16)
-		go func() {
-			defer wg.Done()
-			for {
-				e := q.Pop()
-				if e == nil {
-					break
+		popped := make([][]*Entry, 2)
+		for w := range popped {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for e := q.Pop(); e != nil; e = q.Pop() {
+					popped[w] = append(popped[w], e)
 				}
-				popped = append(popped, e)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			q.Reprioritize(func(e *Entry) int { return int(e.Addr) })
-		}()
-		wg.Wait()
-		if len(popped) != 16 {
-			t.Fatalf("round %d: popped %d entries, want 16 (none lost or repeated)", round, len(popped))
+			}()
 		}
-		seen := make(map[pmem.Addr]bool, len(popped))
-		for _, e := range popped {
-			if seen[e.Addr] {
-				t.Fatalf("round %d: entry %d popped twice", round, e.Addr)
+		wg.Wait()
+		seen := make(map[pmem.Addr]bool, 16)
+		for _, es := range popped {
+			for _, e := range es {
+				if seen[e.Addr] {
+					t.Fatalf("round %d: entry %d popped twice", round, e.Addr)
+				}
+				seen[e.Addr] = true
 			}
-			seen[e.Addr] = true
+		}
+		if len(seen) != 16 {
+			t.Fatalf("round %d: popped %d distinct entries, want 16", round, len(seen))
 		}
 		if q.Remaining() != 0 || q.Len() != 16 {
 			t.Fatalf("round %d: Remaining=%d Len=%d after drain", round, q.Remaining(), q.Len())

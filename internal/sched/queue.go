@@ -84,9 +84,8 @@ func (e *Entry) Describe() string {
 // Queue is the priority queue of shared PM data access instructions grouped
 // by address. Entries are ordered by access frequency (hot shared data
 // first) and popped at most once per seed. All methods are safe for
-// concurrent use: with equivalence pruning a worker keeps popping past
-// pruned entries while another may still be reprioritizing, so the cursor
-// and the entry order share one mutex.
+// concurrent use: one mutex guards the cursor, so concurrent pops never
+// lose or repeat an entry.
 type Queue struct {
 	mu      sync.Mutex
 	entries []*Entry
@@ -125,30 +124,6 @@ func BuildQueue(stats map[pmem.Addr]*AddrStats) *Queue {
 		return q.entries[i].Addr < q.entries[j].Addr
 	})
 	return q
-}
-
-// Reprioritize adjusts each entry's priority by boost and re-sorts with the
-// BuildQueue comparator (priority descending, address ascending). It is a
-// no-op once popping has started: re-ordering behind the cursor would make
-// entries repeat or vanish.
-func (q *Queue) Reprioritize(boost func(*Entry) int) {
-	if boost == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.next > 0 {
-		return
-	}
-	for _, e := range q.entries {
-		e.Priority += boost(e)
-	}
-	sort.Slice(q.entries, func(i, j int) bool {
-		if q.entries[i].Priority != q.entries[j].Priority {
-			return q.entries[i].Priority > q.entries[j].Priority
-		}
-		return q.entries[i].Addr < q.entries[j].Addr
-	})
 }
 
 // Len returns the number of entries in the queue.

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -10,61 +11,64 @@ import (
 	"github.com/pmrace-go/pmrace/internal/serve"
 )
 
-// TestFuzzOptions tables the one spec translation: every spec field lands
-// on its engine knob, the caller's base knobs pass through, and an
-// unknown mode or artifacts_all without artifacts is an error.
-func TestFuzzOptions(t *testing.T) {
-	full := api.CampaignSpec{
-		Target: "pclht", Mode: "delay", Workers: 3, Threads: 2,
+// fullSpec sets every spec field; TestFuzzOptions checks that none is left
+// zero.
+var fullSpec = api.CampaignSpec{
+	Target: "pclht", Mode: "delay", Workers: 3, Threads: 2,
+	MaxExecs: 77, Duration: 5 * time.Second, Seed: 42,
+	KeySpace: 9, OpsPerSeed: 11, Protocol: true, MaxCrashStates: 4,
+	InlineValidation: true, EADR: true, NoCheckpoints: true,
+	Artifacts: true, ArtifactsAll: true, TraceSample: 3,
+}
+
+// baseOptions carries knobs the spec has no field for.
+var baseOptions = fuzz.Options{
+	CorpusDir: "/corpus", ArtifactDir: "/bugs",
+	ExtraWhitelist: []string{"alloc"}, ValidationWorkers: 5,
+	ValidationWallTimeout: time.Second, HangTimeout: time.Millisecond,
+	// A spec field overwrites its engine knob, zero or not.
+	Workers: 8, Seed: 9,
+}
+
+// fuzzOptionsCases tables the one spec translation: every spec field lands
+// on its engine knob, the caller's base knobs pass through, and an unknown
+// mode or artifacts_all without artifacts is an error.
+var fuzzOptionsCases = []struct {
+	name    string
+	base    fuzz.Options
+	spec    api.CampaignSpec
+	want    fuzz.Options
+	wantErr bool
+}{
+	{name: "zero spec keeps engine defaults", spec: api.CampaignSpec{Target: "pclht"},
+		want: fuzz.Options{Mode: fuzz.ModePMAware}},
+	{name: "every spec field", spec: fullSpec, want: fuzz.Options{
+		Mode: fuzz.ModeDelayInj, Workers: 3, Threads: 2,
 		MaxExecs: 77, Duration: 5 * time.Second, Seed: 42,
 		KeySpace: 9, OpsPerSeed: 11, Protocol: true, MaxCrashStates: 4,
 		InlineValidation: true, EADR: true, NoCheckpoints: true,
-		Artifacts: true, ArtifactsAll: true, TraceSample: 3,
-	}
-	// A spec field this literal leaves zero would pass unchecked.
-	v := reflect.ValueOf(full)
+		ArtifactAll: true,
+	}},
+	{name: "base knobs survive", base: baseOptions, spec: api.CampaignSpec{Target: "pclht", Mode: "none"},
+		want: fuzz.Options{
+			Mode: fuzz.ModeNone, CorpusDir: "/corpus", ArtifactDir: "/bugs",
+			ExtraWhitelist: []string{"alloc"}, ValidationWorkers: 5,
+			ValidationWallTimeout: time.Second, HangTimeout: time.Millisecond,
+		}},
+	{name: "bad mode", spec: api.CampaignSpec{Target: "pclht", Mode: "chaotic"}, wantErr: true},
+	{name: "artifacts_all without artifacts", base: baseOptions,
+		spec: api.CampaignSpec{Target: "pclht", ArtifactsAll: true}, wantErr: true},
+}
+
+func TestFuzzOptions(t *testing.T) {
+	// A spec field the full spec leaves zero would pass unchecked.
+	v := reflect.ValueOf(fullSpec)
 	for i := 0; i < v.NumField(); i++ {
 		if v.Field(i).IsZero() {
 			t.Fatalf("spec field %s is zero in the table's full spec", v.Type().Field(i).Name)
 		}
 	}
-	base := fuzz.Options{
-		CorpusDir: "/corpus", ArtifactDir: "/bugs",
-		AliasHints:     []fuzz.AliasHint{{Load: "a.go:1", Store: "b.go:2"}},
-		ExtraWhitelist: []string{"alloc"}, ValidationWorkers: 5,
-		ValidationWallTimeout: time.Second, HangTimeout: time.Millisecond,
-		// A spec field overwrites its engine knob, zero or not.
-		Workers: 8, Seed: 9,
-	}
-
-	tests := []struct {
-		name    string
-		base    fuzz.Options
-		spec    api.CampaignSpec
-		want    fuzz.Options
-		wantErr bool
-	}{
-		{name: "zero spec keeps engine defaults", spec: api.CampaignSpec{Target: "pclht"},
-			want: fuzz.Options{Mode: fuzz.ModePMAware}},
-		{name: "every spec field", spec: full, want: fuzz.Options{
-			Mode: fuzz.ModeDelayInj, Workers: 3, Threads: 2,
-			MaxExecs: 77, Duration: 5 * time.Second, Seed: 42,
-			KeySpace: 9, OpsPerSeed: 11, Protocol: true, MaxCrashStates: 4,
-			InlineValidation: true, EADR: true, NoCheckpoints: true,
-			ArtifactAll: true,
-		}},
-		{name: "base knobs survive", base: base, spec: api.CampaignSpec{Target: "pclht", Mode: "none"},
-			want: fuzz.Options{
-				Mode: fuzz.ModeNone, CorpusDir: "/corpus", ArtifactDir: "/bugs",
-				AliasHints:     []fuzz.AliasHint{{Load: "a.go:1", Store: "b.go:2"}},
-				ExtraWhitelist: []string{"alloc"}, ValidationWorkers: 5,
-				ValidationWallTimeout: time.Second, HangTimeout: time.Millisecond,
-			}},
-		{name: "bad mode", spec: api.CampaignSpec{Target: "pclht", Mode: "chaotic"}, wantErr: true},
-		{name: "artifacts_all without artifacts", base: base,
-			spec: api.CampaignSpec{Target: "pclht", ArtifactsAll: true}, wantErr: true},
-	}
-	for _, tc := range tests {
+	for _, tc := range fuzzOptionsCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := serve.FuzzOptions(tc.base, tc.spec)
 			if tc.wantErr {
@@ -81,4 +85,35 @@ func TestFuzzOptions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCampaignSpec feeds arbitrary bytes through the wire decoding of a
+// campaign spec into its engine translation. FuzzOptions must never panic,
+// and an accepted spec must bundle every finding only when artifacts are on
+// and carry a mode whose spelling parses back to itself.
+func FuzzCampaignSpec(f *testing.F) {
+	for _, tc := range fuzzOptionsCases {
+		data, err := json.Marshal(tc.spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec api.CampaignSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		o, err := serve.FuzzOptions(fuzz.Options{}, spec)
+		if err != nil {
+			return
+		}
+		if o.ArtifactAll && !spec.Artifacts {
+			t.Fatalf("spec %+v: ArtifactAll without artifacts", spec)
+		}
+		if m, err := fuzz.ParseMode(o.Mode.Spelling()); err != nil || m != o.Mode {
+			t.Fatalf("spec %+v: mode %v spells %q, which parses to %v (%v)",
+				spec, o.Mode, o.Mode.Spelling(), m, err)
+		}
+	})
 }

@@ -26,6 +26,15 @@ type campaignConfig struct {
 	httpAddr string
 }
 
+// WithSpec sets every knob pmraced's campaign spec carries at once, as a
+// submission of spec would: options before it that set a spec field are
+// overwritten, options after it adjust it. NewCampaign's target argument
+// replaces spec.Target, and spec.Artifacts follows WithArtifacts, which
+// names the bundle directory the spec has no field for.
+func WithSpec(spec api.CampaignSpec) CampaignOption {
+	return func(c *campaignConfig) { c.spec = spec }
+}
+
 // WithWorkers sets the number of concurrent fuzzing workers.
 func WithWorkers(n int) CampaignOption {
 	return func(c *campaignConfig) { c.spec.Workers = n }
@@ -185,23 +194,12 @@ func WithInlineValidation() CampaignOption {
 	return func(c *campaignConfig) { c.spec.InlineValidation = true }
 }
 
-// WithAliasHints seeds the interleaving queue with statically inferred
-// load/store alias pairs (from `pmvet -alias`, loaded via LoadAliasHints).
-// Queue entries whose observed sites cover a hinted pair are explored
-// before any purely dynamically prioritized entry.
-func WithAliasHints(hints []AliasHint) CampaignOption {
-	return func(c *campaignConfig) { c.base.AliasHints = hints }
-}
-
 // WithArtifacts writes a forensic bundle — bug report with taint lineage,
 // finding seed, interleaving schedule, the finding's interleaving and
 // dirty-word diff — into a numbered subdirectory of dir for every confirmed
 // bug. Bundles replay with `pmrace -artifact <bundle>`.
 func WithArtifacts(dir string) CampaignOption {
-	return func(c *campaignConfig) {
-		c.spec.Artifacts = dir != ""
-		c.base.ArtifactDir = dir
-	}
+	return func(c *campaignConfig) { c.base.ArtifactDir = dir }
 }
 
 // WithAllArtifacts extends WithArtifacts to every deduplicated finding,

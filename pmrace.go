@@ -86,14 +86,7 @@ type (
 	// ExploreMode selects PM-aware exploration, random delay injection,
 	// or no scheduling.
 	ExploreMode = fuzz.ExploreMode
-	// AliasHint is one statically inferred load/store site pair from
-	// `pmvet -alias`, used to prioritize the interleaving queue.
-	AliasHint = fuzz.AliasHint
 )
-
-// LoadAliasHints reads a pmvet alias-pair report (`pmvet -alias out.json`)
-// into scheduler hints for WithAliasHints.
-func LoadAliasHints(path string) ([]AliasHint, error) { return fuzz.LoadAliasHints(path) }
 
 // Exploration modes.
 const (
