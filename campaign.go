@@ -117,12 +117,22 @@ type Campaign struct {
 //		}
 //	}
 //	res, _ := c.Wait()
+//
+// Every error it returns carries the "pmrace: " prefix once.
 func NewCampaign(ctx context.Context, target string, options ...CampaignOption) (*Campaign, error) {
+	c, err := newCampaign(ctx, target, options...)
+	if err != nil {
+		return nil, fmt.Errorf("pmrace: %w", err)
+	}
+	return c, nil
+}
+
+func newCampaign(ctx context.Context, target string, options ...CampaignOption) (*Campaign, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !targets.Has(target) {
-		return nil, fmt.Errorf("pmrace: %w %q (registered: %s)",
+		return nil, fmt.Errorf("%w %q (registered: %s)",
 			ErrUnknownTarget, target, strings.Join(targets.Names(), ", "))
 	}
 	cfg := campaignConfig{eventBuf: 4096}
@@ -182,7 +192,7 @@ func NewCampaign(ctx context.Context, target string, options ...CampaignOption) 
 func (c *Campaign) startServer(cfg campaignConfig) (func(*Result, error), func(), error) {
 	ln, err := net.Listen("tcp", cfg.httpAddr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pmrace: introspection listen on %s: %w", cfg.httpAddr, err)
+		return nil, nil, fmt.Errorf("introspection listen on %s: %w", cfg.httpAddr, err)
 	}
 	sup, err := serve.New(serve.Config{WorkerBudget: cfg.spec.Workers, MaxCampaigns: 1})
 	if err != nil {

@@ -139,7 +139,7 @@ func run() int {
 
 	c, err := pmrace.NewCampaign(ctx, spec.Target, options...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrace: %v\n", err)
+		fmt.Fprintln(os.Stderr, err) // NewCampaign's errors carry the pmrace: prefix
 		return 2
 	}
 	fmt.Fprintf(out, "fuzzing %s (%s exploration, %d workers, budget %d execs / %s)\n",

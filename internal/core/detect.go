@@ -118,11 +118,15 @@ type Inconsistency struct {
 // Key returns the dedup key: inconsistencies with the same dirty write site
 // and side-effect site are one report.
 func (in *Inconsistency) Key() [3]uint32 {
+	return inconKey(in.Event.WriteSite, in.StoreSite, in.Kind)
+}
+
+func inconKey(writeSite uint32, store site.ID, kind Kind) [3]uint32 {
 	k := uint32(0)
-	if in.Kind == KindIntra {
+	if kind == KindIntra {
 		k = 1
 	}
-	return [3]uint32{in.Event.WriteSite, uint32(in.StoreSite), k}
+	return [3]uint32{writeSite, uint32(store), k}
 }
 
 // AccessKind classifies one PM access of a finding's interleaving.
@@ -351,8 +355,12 @@ type StoreCheck struct {
 	ValLab  taint.Label
 	AddrLab taint.Label
 	// External marks a non-PM durable effect (see Inconsistency.External).
-	External   bool
-	Stack      []string
+	External bool
+	// Stack returns the call stack at the store. OnStore calls it at most
+	// once, and only for a store that records a new inconsistency: most
+	// tainted stores repeat a known finding, and a symbolized stack costs
+	// far more than the check itself.
+	Stack      func() []string
 	StillDirty func(addr pmem.Addr, epoch uint32) bool
 }
 
@@ -365,6 +373,8 @@ type StoreCheck struct {
 // newly recorded inconsistencies (empty when all were duplicates or stale).
 func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 	var found []*Inconsistency
+	var stack []string
+	captured := false
 	for _, pair := range [2]struct {
 		lab  taint.Label
 		flow FlowKind
@@ -386,6 +396,18 @@ func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 			if ev.Inter() {
 				kind = KindInter
 			}
+			key := inconKey(ev.WriteSite, sc.Site, kind)
+			d.mu.Lock()
+			if prev, ok := d.incons[key]; ok {
+				prev.Count++
+				d.mu.Unlock()
+				continue
+			}
+			// A new finding: the stack is captured once per store, before
+			// the entry becomes visible to readers of d.incons.
+			if !captured && sc.Stack != nil {
+				stack, captured = sc.Stack(), true
+			}
 			in := &Inconsistency{
 				Kind:        kind,
 				Event:       ev,
@@ -395,18 +417,12 @@ func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 				SideEffect:  pmem.Range{Off: sc.Addr, Len: sc.Size},
 				DirtyRange:  pmem.Range{Off: ev.Addr, Len: pmem.WordSize},
 				Flow:        pair.flow,
-				Stack:       sc.Stack,
+				Stack:       stack,
 				Lineage:     lineage,
 				Count:       1,
 			}
-			d.mu.Lock()
-			if prev, ok := d.incons[in.Key()]; ok {
-				prev.Count++
-				d.mu.Unlock()
-				continue
-			}
-			d.incons[in.Key()] = in
-			d.inconOrd = append(d.inconOrd, in.Key())
+			d.incons[key] = in
+			d.inconOrd = append(d.inconOrd, key)
 			d.mu.Unlock()
 			found = append(found, in)
 		}

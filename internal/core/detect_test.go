@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/pmrace-go/pmrace/internal/pmem"
@@ -154,6 +155,78 @@ func TestMultipleEventsInOneLabel(t *testing.T) {
 	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: u, StillDirty: alwaysDirty})
 	if len(found) != 2 {
 		t.Fatalf("found %d, want 2 (one per source event)", len(found))
+	}
+}
+
+// TestOnStoreCapturesStackOnlyForNewFindings: the stack is built only for a
+// store that records a new inconsistency, once however many it records, and
+// is stored on every finding of that store.
+func TestOnStoreCapturesStackOnlyForNewFindings(t *testing.T) {
+	d := newDet()
+	calls := 0
+	stack := func() []string {
+		calls++
+		return []string{"target.go:7 target.(*T).Put"}
+	}
+	check := func(lab taint.Label, dirty func(pmem.Addr, uint32) bool) StoreCheck {
+		return StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab, Stack: stack, StillDirty: dirty}
+	}
+
+	found := d.OnStore(check(d.OnDirtyRead(interEvent(10, 20, 64)), alwaysDirty))
+	if len(found) != 1 || calls != 1 {
+		t.Fatalf("new finding: %d found, %d stack calls; want 1 and 1", len(found), calls)
+	}
+	if got := found[0].Stack; len(got) != 1 || got[0] != "target.go:7 target.(*T).Put" {
+		t.Fatalf("stored stack = %q, want the Stack func's result", got)
+	}
+
+	calls = 0
+	if found := d.OnStore(check(d.OnDirtyRead(interEvent(10, 20, 64)), alwaysDirty)); len(found) != 0 || calls != 0 {
+		t.Fatalf("duplicate: %d found, %d stack calls; want 0 and 0", len(found), calls)
+	}
+	if found := d.OnStore(check(d.OnDirtyRead(interEvent(11, 20, 64)), neverDirty)); len(found) != 0 || calls != 0 {
+		t.Fatalf("persisted source: %d found, %d stack calls; want 0 and 0", len(found), calls)
+	}
+
+	u := d.Labels().Union(d.OnDirtyRead(interEvent(12, 20, 64)), d.OnDirtyRead(interEvent(13, 20, 128)))
+	found = d.OnStore(check(u, alwaysDirty))
+	if len(found) != 2 || calls != 1 {
+		t.Fatalf("two new findings in one store: %d found, %d stack calls; want 2 and 1", len(found), calls)
+	}
+}
+
+// TestOnStoreStackPublishedWithFinding: readers of the inconsistency list
+// never see a finding without its stack while stores record concurrently.
+func TestOnStoreStackPublishedWithFinding(t *testing.T) {
+	d := newDet()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				lab := d.OnDirtyRead(interEvent(uint32(100*g+i), 20, 64))
+				d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab,
+					Stack: func() []string { return []string{"s.go:1 f"} }, StillDirty: alwaysDirty})
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for {
+		for _, in := range d.Inconsistencies() {
+			if len(in.Stack) != 1 {
+				t.Fatalf("finding published without its stack: %+v", in)
+			}
+		}
+		select {
+		case <-done:
+			if n := len(d.Inconsistencies()); n != 200 {
+				t.Fatalf("recorded %d findings, want 200", n)
+			}
+			return
+		default:
+		}
 	}
 }
 

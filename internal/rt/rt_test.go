@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -87,6 +88,20 @@ func TestFigure1ValueFlow(t *testing.T) {
 	}
 	if len(in.Stack) == 0 {
 		t.Fatalf("inconsistency must carry a stack trace")
+	}
+	checkNoHookFrames(t, in.Stack)
+}
+
+// checkNoHookFrames fails when a reported stack names a frame of this
+// runtime or of the detector: reports and whitelists see the program's
+// frames only.
+func checkNoHookFrames(t *testing.T, stack []string) {
+	t.Helper()
+	for _, fr := range stack {
+		_, fn, _ := strings.Cut(fr, " ")
+		if strings.HasPrefix(fn, "rt.") || strings.HasPrefix(fn, "core.") {
+			t.Fatalf("stack frame %q names the runtime or the detector: %q", fr, stack)
+		}
 	}
 }
 
@@ -427,6 +442,7 @@ func TestCaptureStackSkipsRuntimeFrames(t *testing.T) {
 			t.Fatalf("empty frame")
 		}
 	}
+	checkNoHookFrames(t, stack)
 }
 
 func TestRedundantStoreDetection(t *testing.T) {
@@ -531,6 +547,21 @@ func BenchmarkHookDirtyReadDetection(b *testing.B) {
 	}
 }
 
+// BenchmarkHookStore64Tainted times a store whose value carries the label of
+// another thread's dirty read: the durable-side-effect check. After the
+// first store every one repeats a known finding.
+func BenchmarkHookStore64Tainted(b *testing.B) {
+	e := NewEnv(pmem.New(1<<20), Config{})
+	w, r := e.Spawn(), e.Spawn()
+	w.Store64(0, 42, taint.None, taint.None) // left unflushed
+	_, lab := r.Load64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Store64(pmem.Addr(1+i%(1<<10))*64, uint64(i)+1, lab, taint.None)
+	}
+}
+
 func TestAccessKindStrings(t *testing.T) {
 	kinds := map[core.AccessKind]string{core.AccLoad: "load", core.AccStore: "store"}
 	for k, want := range kinds {
@@ -552,6 +583,7 @@ func TestExternSideEffect(t *testing.T) {
 	if len(ins) != 1 || !ins[0].External || ins[0].Kind != core.KindInter {
 		t.Fatalf("inconsistencies = %+v", ins)
 	}
+	checkNoHookFrames(t, ins[0].Stack)
 	// Untainted external effects are not findings.
 	t2.ExternSideEffect(taint.None)
 	if len(e.Detector().Inconsistencies()) != 1 {

@@ -8,9 +8,10 @@ import (
 )
 
 // captureStack returns the current call stack as "file.go:line Function"
-// frames, skipping runtime-internal frames. Detected inconsistencies carry
-// these stacks into bug reports (paper §4.1 step 6) and the whitelist matches
-// against them (§4.4).
+// frames, skipping the frames of this runtime and of the detector that
+// calls it back, so the first frame is the instrumented access in the
+// program under test. Detected inconsistencies carry these stacks into bug
+// reports (paper §4.1 step 6) and the whitelist matches against them (§4.4).
 func captureStack() []string {
 	var pcs [32]uintptr
 	n := runtime.Callers(2, pcs[:])
@@ -18,7 +19,8 @@ func captureStack() []string {
 	var out []string
 	for {
 		frame, more := frames.Next()
-		if frame.Function != "" && !strings.Contains(frame.Function, "internal/rt.") {
+		if frame.Function != "" && !strings.Contains(frame.Function, "internal/rt.") &&
+			!strings.Contains(frame.Function, "internal/core.") {
 			fn := frame.Function
 			if i := strings.LastIndexByte(fn, '/'); i >= 0 {
 				fn = fn[i+1:]

@@ -331,7 +331,7 @@ func (t *Thread) ExternSideEffect(lab taint.Label) {
 		Size:     0,
 		ValLab:   lab,
 		External: true,
-		Stack:    captureStack(),
+		Stack:    captureStack,
 		StillDirty: func(a pmem.Addr, epoch uint32) bool {
 			m := e.pool.WordState(a)
 			return m.Dirty && epoch > m.CleanEpoch
@@ -543,7 +543,7 @@ func (t *Thread) checkSideEffect(s site.ID, addr pmem.Addr, n uint64, valLab, ad
 		Size:    n,
 		ValLab:  valLab,
 		AddrLab: addrLab,
-		Stack:   captureStack(),
+		Stack:   captureStack,
 		StillDirty: func(a pmem.Addr, epoch uint32) bool {
 			// The dependency is live while the word has stayed
 			// non-persisted since the observed store: overwrites

@@ -46,6 +46,10 @@ type Table struct {
 	nodes  []node // index 0 unused (Label 0 = None)
 	unions map[[2]Label]Label
 	seq    uint64
+	// events memoises Events per label. A label's event set never changes
+	// once allocated, and tainted stores expand the same labels again and
+	// again.
+	events [][]Event
 }
 
 // NewTable creates an empty label table.
@@ -101,17 +105,43 @@ func (t *Table) UnionAll(labels []Label) Label {
 }
 
 // Events expands a label into its set of leaf events. The result is
-// deduplicated and ordered by event sequence number.
+// deduplicated and ordered by event sequence number. It is memoised and
+// shared between callers: treat it as read-only.
 func (t *Table) Events(l Label) []Event {
 	if l == None {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if int(l) >= len(t.nodes) {
+		return nil
+	}
+	if int(l) < len(t.events) && t.events[l] != nil {
+		return t.events[l]
+	}
+	var out []Event
+	if n := t.nodes[l]; n.l == None && n.r == None {
+		out = []Event{n.ev}
+	} else {
+		out = t.walk(l)
+	}
+	if int(l) >= len(t.events) {
+		t.events = append(t.events, make([][]Event, len(t.nodes)-len(t.events))...)
+	}
+	t.events[l] = out
+	return out
+}
+
+// walk collects the leaf events under a union label, sorted by Seq. Caller
+// holds t.mu.
+func (t *Table) walk(l Label) []Event {
 	seen := map[Label]bool{}
 	var out []Event
 	var walk func(Label)
 	walk = func(l Label) {
+		// A union may name a label this table never allocated: shadow
+		// labels in a restored checkpoint outlive the table that made
+		// them.
 		if l == None || seen[l] || int(l) >= len(t.nodes) {
 			return
 		}

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -198,6 +199,37 @@ func TestUnionCommutativeAssociativeProperty(t *testing.T) {
 	}
 }
 
+// TestEventsMemoStable: a leaf's and a union's expansion read the same from
+// a cold memo and a warm one, and a label allocated after the memo was
+// filled expands correctly.
+func TestEventsMemoStable(t *testing.T) {
+	tb := NewTable()
+	a, b, c := tb.NewLeaf(ev(1)), tb.NewLeaf(ev(2)), tb.NewLeaf(ev(3))
+	u := tb.Union(tb.Union(c, a), tb.Union(b, a))
+	sites := func(evs []Event) []uint32 {
+		var out []uint32
+		for _, e := range evs {
+			out = append(out, e.WriteSite)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		l    Label
+		want []uint32
+	}{{"leaf", b, []uint32{2}}, {"union", u, []uint32{1, 2, 3}}} {
+		cold := sites(tb.Events(tc.l))
+		warm := sites(tb.Events(tc.l))
+		if !slices.Equal(cold, tc.want) || !slices.Equal(warm, tc.want) {
+			t.Errorf("%s: cold %v, warm %v, want %v", tc.name, cold, warm, tc.want)
+		}
+	}
+	later := tb.Union(u, tb.NewLeaf(ev(4)))
+	if got := sites(tb.Events(later)); !slices.Equal(got, []uint32{1, 2, 3, 4}) {
+		t.Errorf("label allocated after the memo filled: %v, want [1 2 3 4]", got)
+	}
+}
+
 func TestConcurrentUse(t *testing.T) {
 	tb := NewTable()
 	done := make(chan Label)
@@ -207,6 +239,9 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				l := tb.NewLeaf(ev(uint32(g*1000 + i)))
 				acc = tb.Union(acc, l)
+				if n := len(tb.Events(acc)); n != i+1 {
+					t.Errorf("label expanded to %d events mid-build, want %d", n, i+1)
+				}
 			}
 			done <- acc
 		}(g)

@@ -84,7 +84,7 @@ const (
 // the key index and the next sequence number are volatile and rebuilt by
 // Recover.
 type WAL struct {
-	mu    sync.Mutex // the log lock
+	mu    sync.Mutex // the log lock, taken through t.LockMutex (Live excepted)
 	index map[uint64]pmem.Addr
 	seq   uint64
 	fixed bool
@@ -209,20 +209,20 @@ func (w *WAL) appendRecord(t *rt.Thread, kind uint64, key string, val []byte) er
 	size := recordSize(len(val))
 	kf := targets.Fingerprint(key)
 
-	w.mu.Lock()
+	t.LockMutex(&w.mu)
 	t.Branch()
 	// WAL-1 (read side): the tail may be another append's store that has
 	// not been flushed yet — the buggy variant flushes it after unlock.
 	tail, tlab := t.Load64(hdrTail)
 	if tail < logBase || tail > t.Env().Pool().Size() {
-		w.mu.Unlock()
+		t.UnlockMutex(&w.mu)
 		return errors.New("pmwal: SERVER_ERROR corrupt tail")
 	}
 	if tail+size > t.Env().Pool().Size() {
 		w.compactLocked(t)
 		tail, tlab = t.Load64(hdrTail)
 		if tail+size > t.Env().Pool().Size() {
-			w.mu.Unlock()
+			t.UnlockMutex(&w.mu)
 			return errors.New("pmwal: SERVER_ERROR log full")
 		}
 	}
@@ -266,7 +266,7 @@ func (w *WAL) appendRecord(t *rt.Thread, kind uint64, key string, val []byte) er
 	case kindTombstone:
 		delete(w.index, kf)
 	}
-	w.mu.Unlock()
+	t.UnlockMutex(&w.mu)
 	if !w.fixed {
 		// WAL-2: the commit marker's fence is issued BEFORE its flush, so
 		// the marker line stays dirty until the flush below executes —
@@ -289,9 +289,9 @@ func (w *WAL) Put(t *rt.Thread, key string, val []byte) error {
 // was deleted.
 func (w *WAL) Delete(t *rt.Thread, key string) bool {
 	kf := targets.Fingerprint(key)
-	w.mu.Lock()
+	t.LockMutex(&w.mu)
 	_, ok := w.index[kf]
-	w.mu.Unlock()
+	t.UnlockMutex(&w.mu)
 	if !ok {
 		return false
 	}
@@ -302,9 +302,9 @@ func (w *WAL) Delete(t *rt.Thread, key string) bool {
 // (checksum mismatch) read as missing, like recovery treats them.
 func (w *WAL) Get(t *rt.Thread, key string) ([]byte, bool) {
 	kf := targets.Fingerprint(key)
-	w.mu.Lock()
+	t.LockMutex(&w.mu)
 	rec, ok := w.index[kf]
-	w.mu.Unlock()
+	t.UnlockMutex(&w.mu)
 	if !ok {
 		return nil, false
 	}
@@ -374,8 +374,8 @@ func (w *WAL) Arith(t *rt.Thread, key, deltaStr string, up bool) error {
 // durably rewinds the tail — the WAL's truncate operation, also triggered
 // by flush_all traffic and by appends running out of log space.
 func (w *WAL) Compact(t *rt.Thread) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	t.LockMutex(&w.mu)
+	defer t.UnlockMutex(&w.mu)
 	w.compactLocked(t)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pmrace-go/pmrace/internal/artifact"
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/pmem"
@@ -408,5 +409,66 @@ func TestCampaignFindsSeededBugs(t *testing.T) {
 	}
 	if n := len(resFixed.DB.Inconsistencies()); n != 0 {
 		t.Fatalf("fixed variant still detected %d inconsistencies: %+v", n, resFixed.DB.Inconsistencies())
+	}
+}
+
+// pmwalSeededGroups are pmwal's seeded bug groups, keyed like the P-CLHT
+// oracle in internal/fuzz: WAL-1 (the dirty tail, written at :259), WAL-2
+// (the dirty commit marker, :252) and WAL-3 (the torn append, :240).
+var pmwalSeededGroups = []string{
+	"inter|pmwal.go:259",
+	"inter|pmwal.go:252",
+	"intra|pmwal.go:240",
+}
+
+// TestPMWALSeededBugs is pmwal's per-group recall oracle: 100-execution
+// protocol-traffic campaigns at one worker, on seeds 1..5, must together
+// confirm every seeded group. The test stops at the first seed that
+// completes the set.
+func TestPMWALSeededBugs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("up to five fuzzing campaigns")
+	}
+	found := map[string]bool{}
+	var missing []string
+	for seed := int64(1); seed <= 5; seed++ {
+		fz, err := fuzz.New("pmwal", fuzz.Options{
+			Workers:  1,
+			Seed:     seed,
+			MaxExecs: 100,
+			Duration: 60 * time.Second,
+			Protocol: true,
+		})
+		if err != nil {
+			t.Fatalf("new: %v", err)
+		}
+		res, err := fz.Run()
+		if err != nil {
+			t.Fatalf("seed %d: run: %v", seed, err)
+		}
+		groups := map[string]bool{}
+		for _, j := range res.DB.Inconsistencies() {
+			if j.Status != core.StatusBug {
+				continue
+			}
+			fp := fuzz.NormalizeFingerprint(artifact.FingerprintInconsistency(j.Inconsistency))
+			kind, rest, _ := strings.Cut(fp, "|")
+			write, _, _ := strings.Cut(rest, "->")
+			groups[kind+"|"+write] = true
+			found[kind+"|"+write] = true
+		}
+		t.Logf("seed %d: %d execs, groups %v", seed, res.Execs, groups)
+		missing = nil
+		for _, g := range pmwalSeededGroups {
+			if !found[g] {
+				missing = append(missing, g)
+			}
+		}
+		if len(missing) == 0 {
+			break
+		}
+	}
+	for _, g := range missing {
+		t.Errorf("seeded group %s not confirmed by any campaign", g)
 	}
 }

@@ -39,6 +39,19 @@ func TestFuzzUnknownTarget(t *testing.T) {
 	if !strings.Contains(err.Error(), "no-such-system") || !strings.Contains(err.Error(), "pclht") {
 		t.Fatalf("error %q does not name the offender and the registered targets", err)
 	}
+	checkPrefixedOnce(t, err)
+	if !strings.HasPrefix(err.Error(), "pmrace: unknown target") {
+		t.Fatalf("error %q does not start with %q", err, "pmrace: unknown target")
+	}
+}
+
+// checkPrefixedOnce fails unless err carries NewCampaign's "pmrace: "
+// prefix exactly once.
+func checkPrefixedOnce(t *testing.T, err error) {
+	t.Helper()
+	if msg := err.Error(); !strings.HasPrefix(msg, "pmrace: ") || strings.Contains(msg, "pmrace: pmrace:") {
+		t.Fatalf("error %q must carry the pmrace: prefix exactly once", msg)
+	}
 }
 
 // TestNewCampaignRejectsBadOptions: option combinations the spec
@@ -49,10 +62,12 @@ func TestNewCampaignRejectsBadOptions(t *testing.T) {
 		"mode outside the table":          {pmrace.WithMode(pmrace.ExploreMode(7))},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if c, err := pmrace.NewCampaign(context.Background(), "pclht", opts...); err == nil {
+			c, err := pmrace.NewCampaign(context.Background(), "pclht", opts...)
+			if err == nil {
 				c.Wait()
 				t.Fatal("NewCampaign succeeded, want an error")
 			}
+			checkPrefixedOnce(t, err)
 		})
 	}
 }
