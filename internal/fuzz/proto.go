@@ -21,7 +21,9 @@ import (
 )
 
 // maxCrashImagesPerExec bounds the pool snapshots taken at protocol crash
-// points in one execution; each is a full pool copy.
+// points in one execution. Each is a full pool copy, replayed through
+// recovery (checkCrashRecovery) on a recycled pool whose reset copies it
+// twice more, into the cache and persisted images.
 const maxCrashImagesPerExec = 4
 
 // protoThreadCount clamps the seed's thread count to the number of
@@ -90,9 +92,9 @@ func (x *Executor) protoWorker(th *rt.Thread, tgt targets.Target, seed *workload
 // checkCrashRecovery replays one crash image through a fresh target's
 // recovery code in the validation sandbox, bounded by one second of wall
 // time, and reports a non-empty failure description when recovery hangs,
-// errors, panics or times out.
+// errors, panics or times out. The sandbox owns and recycles the pool.
 func (x *Executor) checkCrashRecovery(img []byte) string {
-	_, hung, wallTimedOut, err := validate.RunRecovery(x.factory, img, x.opts.HangTimeout, time.Second)
+	hung, wallTimedOut, err := validate.RunRecovery(x.factory, img, x.opts.HangTimeout, time.Second, nil)
 	switch {
 	case wallTimedOut:
 		return "recovery timed out at protocol crash point"

@@ -2,7 +2,6 @@ package pmem
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 )
@@ -202,13 +201,15 @@ type Snapshot struct {
 	cache     []byte
 	persisted []byte
 	meta      []WordMeta
-	shadow    []uint32
 	eadr      bool
 }
 
 // Snapshot captures the pool's current cache image, persisted image and
 // per-word metadata. Pending (flushed but unfenced) lines are not captured;
 // checkpoints are taken at quiescent points where no flush is in flight.
+// Shadow taint labels are not captured either: a label names an event of the
+// taint table that wrote it, and no snapshot outlives that table's
+// execution, so a restored pool starts untainted.
 func (p *Pool) Snapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -217,15 +218,14 @@ func (p *Pool) Snapshot() *Snapshot {
 		cache:     append([]byte(nil), p.cache...),
 		persisted: append([]byte(nil), p.persisted...),
 		meta:      append([]WordMeta(nil), p.meta...),
-		shadow:    append([]uint32(nil), p.shadow...),
 		eadr:      p.eadr,
 	}
 	return s
 }
 
 // Restore resets the pool to a previously captured snapshot. The last-access
-// records and pending flush sets are cleared: the restored pool behaves like
-// a freshly checkpointed process.
+// records, shadow labels and pending flush sets are cleared: the restored
+// pool behaves like a freshly checkpointed process.
 //
 // When the pool's state is already based on the same snapshot (it was
 // created by NewFromSnapshot or previously restored to it), only the cache
@@ -244,46 +244,30 @@ func (p *Pool) Restore(s *Snapshot) {
 		copy(p.cache, s.cache)
 		copy(p.persisted, s.persisted)
 		copy(p.meta, s.meta)
-		copy(p.shadow, s.shadow)
+		clear(p.shadow)
 		clear(p.last)
 		clear(p.touched)
 	}
 	// Reuse the pending map and its per-thread slices: a fuzz campaign
 	// restores once per execution, and rebuilding the map here was the last
 	// per-restore allocation on the hot path.
-	for t, entries := range p.pending {
-		for i := range entries {
-			p.linePending[entries[i].line/LineSize] = 0
-			entries[i].cap = nil
-		}
-		p.pending[t] = entries[:0]
-	}
+	p.clearPending()
 	p.baseSnap = s
 }
 
 // restoreTouched copies back only the lines recorded in the touched bitmap.
 // The caller holds mu.
 func (p *Pool) restoreTouched(s *Snapshot) {
-	for wi, w := range p.touched {
-		if w == 0 {
-			continue
-		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			line := (Addr(wi)*64 + Addr(b)) * LineSize
-			end := line + LineSize
-			copy(p.cache[line:end], s.cache[line:end])
-			copy(p.persisted[line:end], s.persisted[line:end])
-			wFirst, wLast := line/WordSize, (end-1)/WordSize
-			copy(p.meta[wFirst:wLast+1], s.meta[wFirst:wLast+1])
-			copy(p.shadow[wFirst:wLast+1], s.shadow[wFirst:wLast+1])
-			for i := wFirst; i <= wLast; i++ {
-				p.last[i] = Accessor{}
-			}
-		}
-		p.touched[wi] = 0
-	}
+	p.eachTouchedLine(func(line Addr) {
+		end := line + LineSize
+		copy(p.cache[line:end], s.cache[line:end])
+		copy(p.persisted[line:end], s.persisted[line:end])
+		wFirst, wEnd := line/WordSize, end/WordSize
+		copy(p.meta[wFirst:wEnd], s.meta[wFirst:wEnd])
+		clear(p.shadow[wFirst:wEnd])
+		clear(p.last[wFirst:wEnd])
+	})
+	clear(p.touched)
 }
 
 // NewFromSnapshot creates an independent pool initialized from a snapshot,

@@ -138,12 +138,7 @@ func New(size uint64) *Pool { return NewWithOptions(size, Options{}) }
 
 // NewWithOptions creates a pool with explicit options.
 func NewWithOptions(size uint64, opt Options) *Pool {
-	if size == 0 {
-		size = LineSize
-	}
-	if rem := size % LineSize; rem != 0 {
-		size += LineSize - rem
-	}
+	size = roundSize(size)
 	lines := size / LineSize
 	p := &Pool{
 		size:        size,
@@ -163,17 +158,103 @@ func NewWithOptions(size uint64, opt Options) *Pool {
 	return p
 }
 
+// roundSize is the pool size New allocates for a requested size: at least
+// one line, rounded up to a multiple of the line size.
+func roundSize(size uint64) uint64 {
+	if size == 0 {
+		return LineSize
+	}
+	if rem := size % LineSize; rem != 0 {
+		size += LineSize - rem
+	}
+	return size
+}
+
 // EADR reports whether the pool models battery-backed (persistent) caches.
 func (p *Pool) EADR() bool { return p.eadr }
 
+// maxFreePerSize bounds the memory the free list keeps per size (8 pools
+// of 256 KiB hold about 14 MB); it is a cap, not a measured working set.
+// Each validating goroutine holds at most one recovery pool at a time, so
+// the list grows to about the number of validating workers.
+const maxFreePerSize = 8
+
+// freePools holds released recovery pools keyed by size. A campaign server
+// mixes targets whose pools differ in size (256 KiB pmwal next to 512 KiB
+// pools), so one untyped free list would mostly hand out the wrong size.
+var freePools = struct {
+	mu     sync.Mutex
+	bySize map[uint64][]*Pool
+}{bySize: make(map[uint64][]*Pool)}
+
 // FromImage creates a pool whose cache and persisted images both equal the
 // given crash image, as if the file had been re-mapped after a restart. All
-// words start clean with no writer, matching a freshly mapped file.
+// words start clean with no writer and at store epoch 0, matching a freshly
+// mapped file. The pool is a released one of the same rounded size when the
+// free list has one (see Release): resetting it costs one copy of the image
+// plus the lines its previous user touched, where a new pool allocates and
+// zeroes about seven times the image size. Either way the result is
+// indistinguishable from a new pool holding the image.
 func FromImage(img []byte) *Pool {
-	p := New(uint64(len(img)))
-	copy(p.cache, img)
-	copy(p.persisted, img)
+	size := roundSize(uint64(len(img)))
+	freePools.mu.Lock()
+	free := freePools.bySize[size]
+	var p *Pool
+	if n := len(free); n > 0 {
+		p = free[n-1]
+		free[n-1] = nil
+		freePools.bySize[size] = free[:n-1]
+	}
+	freePools.mu.Unlock()
+	if p == nil {
+		p = New(size)
+	}
+	p.resetToImage(img)
 	return p
+}
+
+// resetToImage gives a new or released pool the state FromImage promises,
+// in one critical section. Only the touched lines can hold metadata, labels
+// or accessor records (every writer of those marks its line), so only they
+// are reset; the two data images are overwritten in full. On a new pool the
+// bitmap and pending sets are empty, so only the copy does work.
+func (p *Pool) resetToImage(img []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := copy(p.cache, img)
+	clear(p.cache[n:])
+	copy(p.persisted, img)
+	clear(p.persisted[n:])
+	p.eachTouchedLine(func(line Addr) {
+		wFirst, wEnd := line/WordSize, (line+LineSize)/WordSize
+		for i := wFirst; i < wEnd; i++ {
+			p.meta[i] = WordMeta{Writer: NoThread}
+		}
+		clear(p.shadow[wFirst:wEnd])
+		clear(p.last[wFirst:wEnd])
+	})
+	clear(p.touched)
+	p.clearPending()
+}
+
+// Release hands a pool from FromImage back for reuse by a later FromImage.
+// The caller must not touch the pool, or anything still holding it (an
+// rt.Env), afterwards. Release does nothing for an eADR pool or one based on
+// a snapshot: FromImage never builds those, and executors recycle their
+// checkpoint pools themselves. A pool must be released at most once; a pool
+// that is never released is simply not reused.
+func (p *Pool) Release() {
+	p.mu.Lock()
+	skip := p.eadr || p.baseSnap != nil
+	p.mu.Unlock()
+	if skip {
+		return
+	}
+	freePools.mu.Lock()
+	defer freePools.mu.Unlock()
+	if free := freePools.bySize[p.size]; len(free) < maxFreePerSize {
+		freePools.bySize[p.size] = append(free, p)
+	}
 }
 
 // Size returns the pool size in bytes.
@@ -186,6 +267,30 @@ func (p *Pool) check(addr Addr, n uint64) {
 }
 
 func lineOf(addr Addr) Addr { return addr &^ (LineSize - 1) }
+
+// eachTouchedLine calls fn with the offset of every line set in the touched
+// bitmap, in address order. The caller holds mu.
+func (p *Pool) eachTouchedLine(fn func(line Addr)) {
+	for wi, w := range p.touched {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &^= 1 << b
+			fn((Addr(wi)*64 + Addr(b)) * LineSize)
+		}
+	}
+}
+
+// clearPending drops every staged flush, keeping the map and its per-thread
+// slices for reuse. The caller holds mu.
+func (p *Pool) clearPending() {
+	for t, entries := range p.pending {
+		for i := range entries {
+			p.linePending[entries[i].line/LineSize] = 0
+			entries[i].cap = nil
+		}
+		p.pending[t] = entries[:0]
+	}
+}
 
 // markTouched records that the lines covering [addr, addr+n) diverged from
 // the base snapshot. The caller holds mu.
@@ -779,20 +884,15 @@ func (p *Pool) DirtySetHash() uint64 {
 	defer p.mu.Unlock()
 	h := uint64(0)
 	n := uint64(0)
-	for wi, w := range p.touched {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			line := (Addr(wi)*64 + Addr(b)) * LineSize
-			for word := line / WordSize; word < (line+LineSize)/WordSize; word++ {
-				if p.meta[word].Dirty {
-					h ^= mix64(uint64(line))
-					n++
-					break
-				}
+	p.eachTouchedLine(func(line Addr) {
+		for word := line / WordSize; word < (line+LineSize)/WordSize; word++ {
+			if p.meta[word].Dirty {
+				h ^= mix64(uint64(line))
+				n++
+				return
 			}
 		}
-	}
+	})
 	return h ^ mix64(n)
 }
 

@@ -7,7 +7,8 @@
 //     forever or panics becomes a StatusBug verdict with RecoveryHung or
 //     RecoveryErr populated instead of wedging the campaign; the abandoned
 //     goroutine's environment is cancelled so it stops mutating its pool at
-//     its next hook call.
+//     its next hook call. Every other run's pool is released for reuse by
+//     the next run (pmem.Pool.Release); an abandoned pool never is.
 //
 //   - A finding is judged against a *list* of enumerated crash states
 //     (pmem.CrashStates) rather than the single adversarial image, and the

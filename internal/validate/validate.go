@@ -176,7 +176,8 @@ func Sync(factory targets.Factory, states []pmem.CrashState, si *core.SyncIncons
 }
 
 // judgeState runs one state's recovery under the watchdog and applies the
-// caller's oracle to the recovered environment when recovery completed.
+// caller's oracle to the recovered environment when recovery completed; the
+// oracle runs inside RunRecovery, before the pool is released.
 // parent is the enclosing validate span; each state records a
 // validate_state child under it.
 func (o Options) judgeState(factory targets.Factory, st pmem.CrashState, parent *obs.SpanCtx, oracle func(*rt.Env) core.Status) StateVerdict {
@@ -184,7 +185,10 @@ func (o Options) judgeState(factory targets.Factory, st pmem.CrashState, parent 
 	v := StateVerdict{State: st.Name}
 	ssp := parent.Child(obs.SpanValidateState)
 	ssp.SetAttr("state", st.Name)
-	env, hung, wallTimedOut, err := RunRecovery(factory, st.Img, o.HangTimeout, o.WallTimeout)
+	var status core.Status
+	hung, wallTimedOut, err := RunRecovery(factory, st.Img, o.HangTimeout, o.WallTimeout, func(env *rt.Env) {
+		status = oracle(env)
+	})
 	v.Latency = time.Since(start)
 	reg := o.Obs.Registry()
 	reg.Histogram(obs.HValidateStateLatency).Observe(v.Latency)
@@ -202,7 +206,7 @@ func (o Options) judgeState(factory targets.Factory, st pmem.CrashState, parent 
 		// Recovery could not complete: the state was not fixed.
 		v.Status, v.RecoveryErr = core.StatusBug, err
 	default:
-		v.Status = oracle(env)
+		v.Status = status
 	}
 	ssp.SetAttr("status", v.Status.String())
 	if v.RecoveryHung {
@@ -218,9 +222,9 @@ type recoveryResult struct {
 	err  error
 }
 
-// RunRecovery is the recovery sandbox: it restarts the target on a fresh
-// pool holding the crash image and runs its recovery procedure in a
-// watchdog-supervised goroutine. Every word of that pool starts at store
+// RunRecovery is the recovery sandbox: it restarts the target on a pool
+// holding the crash image (pmem.FromImage) and runs its recovery procedure in
+// a watchdog-supervised goroutine. Every word of that pool starts at store
 // epoch 0, so afterwards env.Pool().Overwritten tells which ranges recovery
 // wrote. Spin-lock hangs (rt.HangError) and recovery panics become results;
 // a run exceeding wallTimeout is abandoned — its environment is cancelled so
@@ -229,14 +233,21 @@ type recoveryResult struct {
 // and DefaultWallTimeout. The image is fully copied before the goroutine
 // starts, so the caller may recycle it as soon as RunRecovery returns, even
 // after a wall timeout.
-func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout time.Duration) (env *rt.Env, hung, wallTimedOut bool, err error) {
+//
+// inspect, when non-nil, is called with the recovered environment if
+// recovery returned without hanging or failing; it must not keep the
+// environment or its pool. RunRecovery owns the pool's whole lifetime: after
+// the inspection it releases the pool for the next run (pmem.Pool.Release).
+// The one exception is a wall timeout: the abandoned goroutine may still
+// write until its next hook call, so that pool is never reused.
+func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout time.Duration, inspect func(*rt.Env)) (hung, wallTimedOut bool, err error) {
 	if hangTimeout <= 0 {
 		hangTimeout = rt.DefaultHangTimeout
 	}
 	if wallTimeout <= 0 {
 		wallTimeout = DefaultWallTimeout
 	}
-	env = rt.NewEnv(pmem.FromImage(img), rt.Config{HangTimeout: hangTimeout})
+	env := rt.NewEnv(pmem.FromImage(img), rt.Config{HangTimeout: hangTimeout})
 	// Buffered so an abandoned goroutine's send never blocks: the watchdog
 	// result channel must not leak the recovery goroutine on top of the
 	// hang it just detected.
@@ -263,9 +274,15 @@ func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout t
 	defer timer.Stop()
 	select {
 	case r := <-done:
-		return env, r.hung, false, r.err
+		// The goroutine has stopped touching the pool: its send is the
+		// last thing it does.
+		if inspect != nil && !r.hung && r.err == nil {
+			inspect(env)
+		}
+		env.Pool().Release()
+		return r.hung, false, r.err
 	case <-timer.C:
 		env.Cancel()
-		return env, true, true, fmt.Errorf("validate: recovery exceeded wall timeout %s", wallTimeout)
+		return true, true, fmt.Errorf("validate: recovery exceeded wall timeout %s", wallTimeout)
 	}
 }

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"strings"
@@ -360,5 +361,76 @@ func TestDefaultHangTimeoutMatchesRuntime(t *testing.T) {
 	}
 	if res.Status != core.StatusValidatedFP {
 		t.Fatalf("status = %v, want validated FP", res.Status)
+	}
+}
+
+// TestRecoveryPoolNotReusedAfterWallTimeout: a pool whose recovery the
+// watchdog abandoned may still be written by that goroutine until its next
+// hook call, so RunRecovery must never hand it to a later run. The runs that
+// follow release their pools normally; each inspection must see exactly its
+// own image on a pool that is not the abandoned one.
+func TestRecoveryPoolNotReusedAfterWallTimeout(t *testing.T) {
+	const size = 4096
+	base := runtime.NumGoroutine()
+	var abandoned atomic.Pointer[pmem.Pool]
+	spin := factoryOf(func(th *rt.Thread) error {
+		abandoned.Store(th.Env().Pool())
+		for i := uint64(0); ; i++ {
+			th.Store64(pmem.Addr(i%(size/8))*8, ^i, taint.None, taint.None)
+		}
+	})
+	hung, wallTimedOut, err := RunRecovery(spin, make([]byte, size), time.Minute, 50*time.Millisecond, func(*rt.Env) {
+		t.Errorf("inspection ran after a wall timeout")
+	})
+	if !hung || !wallTimedOut || err == nil {
+		t.Fatalf("hung=%v wallTimedOut=%v err=%v, want a wall-timeout hang", hung, wallTimedOut, err)
+	}
+	bad := abandoned.Load()
+	if bad == nil {
+		t.Fatalf("spinning recovery never started")
+	}
+
+	idle := factoryOf(func(*rt.Thread) error { return nil })
+	for run := 0; run < 16; run++ {
+		img := make([]byte, size)
+		for i := range img {
+			img[i] = byte(run*31 + i)
+		}
+		inspected := false
+		_, _, err := RunRecovery(idle, img, 0, 0, func(env *rt.Env) {
+			inspected = true
+			p := env.Pool()
+			if p == bad {
+				t.Fatalf("run %d: got the abandoned pool back", run)
+			}
+			if got := p.LoadBytes(0, size); !bytes.Equal(got, img) {
+				t.Fatalf("run %d: pool does not hold its own image", run)
+			}
+			if !p.PersistedEquals(0, size) {
+				t.Fatalf("run %d: persisted image differs from the cache", run)
+			}
+			for a := pmem.Addr(0); a < size; a += 8 {
+				if p.Overwritten(pmem.Range{Off: a, Len: 8}) {
+					t.Fatalf("run %d: word %#x overwritten by a recovery that stored nothing", run, a)
+				}
+			}
+		})
+		if err != nil || !inspected {
+			t.Fatalf("run %d: err=%v inspected=%v", run, err, inspected)
+		}
+	}
+	waitGoroutines(t, base)
+}
+
+// BenchmarkRunRecovery is one validation replay of a pmwal-sized crash image
+// with a recovery that does nothing: the sandbox's own cost per crash state.
+func BenchmarkRunRecovery(b *testing.B) {
+	img := make([]byte, 256<<10)
+	f := factoryOf(func(*rt.Thread) error { return nil })
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := RunRecovery(f, img, 0, 0, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
