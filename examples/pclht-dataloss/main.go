@@ -164,7 +164,7 @@ func statsRun(ht *pclht.HT) map[pmem.Addr]*sched.AddrStats {
 	}
 	a.Exit()
 	b.Exit()
-	return env.Stats()
+	return env.TakeStats()
 }
 
 // entryForHtOff picks the hottest shared-address entry — the global table

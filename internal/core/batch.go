@@ -64,7 +64,6 @@ func NewBatchAnalyzer(det *Detector, alias *cover.Bitmap, collectStats bool) *Ba
 		det:          det,
 		alias:        alias,
 		collectStats: collectStats,
-		stats:        make(map[pmem.Addr]*sched.AddrStats),
 		clocks:       make(map[pmem.ThreadID]uint32),
 	}
 }
@@ -90,6 +89,9 @@ func (b *BatchAnalyzer) Process(tid pmem.ThreadID, clock uint32, recs []LogRecor
 		b.clocks[tid] = clock + 1
 	}
 	if b.collectStats {
+		if b.stats == nil {
+			b.stats = make(map[pmem.Addr]*sched.AddrStats)
+		}
 		for i := range recs {
 			r := &recs[i]
 			st, ok := b.stats[r.Addr]
@@ -103,18 +105,15 @@ func (b *BatchAnalyzer) Process(tid pmem.ThreadID, clock uint32, recs []LogRecor
 	b.statsMu.Unlock()
 }
 
-// Stats returns a deep copy of the per-address statistics accumulated so far.
+// TakeStats hands over the per-address statistics accumulated so far and
+// starts an empty set: the caller owns the returned map and its entries.
 // Statistics become visible when a thread's log drains (sync points, full
-// log, thread exit), so callers read them at quiescent points.
-func (b *BatchAnalyzer) Stats() map[pmem.Addr]*sched.AddrStats {
+// log, thread exit), so callers take them at quiescent points.
+func (b *BatchAnalyzer) TakeStats() map[pmem.Addr]*sched.AddrStats {
 	b.statsMu.Lock()
 	defer b.statsMu.Unlock()
-	out := make(map[pmem.Addr]*sched.AddrStats, len(b.stats))
-	for a, st := range b.stats {
-		c := sched.NewAddrStats()
-		c.Merge(st)
-		out[a] = c
-	}
+	out := b.stats
+	b.stats = nil
 	return out
 }
 

@@ -209,17 +209,14 @@ func (si *SyncInconsistency) Interleaving() []Access {
 	return []Access{{Seq: 1, Thread: si.Thread, Kind: AccStore, Addr: si.Addr, Site: si.Site}}
 }
 
-// DedupKey returns the (variable, site) key the result database dedups by.
-func (si *SyncInconsistency) DedupKey() string {
-	return fmt.Sprintf("%s@%d", si.Var.Name, si.Site)
-}
-
 // syncKey is the (variable name, update site) pair sync inconsistencies are
-// deduplicated by.
+// deduplicated by, in the detector and in the result database.
 type syncKey struct {
 	name string
 	site site.ID
 }
+
+func (si *SyncInconsistency) key() syncKey { return syncKey{si.Var.Name, si.Site} }
 
 // Detector implements the runtime PM checkers for one fuzz campaign.
 type Detector struct {
@@ -360,7 +357,12 @@ type StoreCheck struct {
 	// once, and only for a store that records a new inconsistency: most
 	// tainted stores repeat a known finding, and a symbolized stack costs
 	// far more than the check itself.
-	Stack      func() []string
+	Stack func() []string
+	// Known, when set, reports whether a finding key is already recorded
+	// beyond this detector (the campaign's dedup database). OnStore then
+	// records the finding without calling Stack: nothing reads the stack
+	// of a duplicate. It is called under the detector's lock.
+	Known      func(key [3]uint32) bool
 	StillDirty func(addr pmem.Addr, epoch uint32) bool
 }
 
@@ -404,8 +406,9 @@ func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 				continue
 			}
 			// A new finding: the stack is captured once per store, before
-			// the entry becomes visible to readers of d.incons.
-			if !captured && sc.Stack != nil {
+			// the entry becomes visible to readers of d.incons, unless the
+			// campaign already holds the finding.
+			if !captured && sc.Stack != nil && (sc.Known == nil || !sc.Known(key)) {
 				stack, captured = sc.Stack(), true
 			}
 			in := &Inconsistency{

@@ -195,6 +195,31 @@ func TestOnStoreCapturesStackOnlyForNewFindings(t *testing.T) {
 	}
 }
 
+// TestOnStoreSkipsStackForKnownFindings: a finding the campaign already
+// holds is recorded without calling Stack; a new one still gets its stack.
+func TestOnStoreSkipsStackForKnownFindings(t *testing.T) {
+	d := newDet()
+	calls := 0
+	stack := func() []string {
+		calls++
+		return []string{"target.go:7 target.(*T).Put"}
+	}
+	known := map[[3]uint32]bool{inconKey(10, 99, KindInter): true}
+	check := func(lab taint.Label) StoreCheck {
+		return StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab, Stack: stack,
+			Known: func(k [3]uint32) bool { return known[k] }, StillDirty: alwaysDirty}
+	}
+
+	found := d.OnStore(check(d.OnDirtyRead(interEvent(10, 20, 64))))
+	if len(found) != 1 || calls != 0 || found[0].Stack != nil {
+		t.Fatalf("known finding: %d found, %d stack calls, stack %q; want 1, 0, nil", len(found), calls, found[0].Stack)
+	}
+	found = d.OnStore(check(d.OnDirtyRead(interEvent(11, 20, 64))))
+	if len(found) != 1 || calls != 1 || len(found[0].Stack) != 1 {
+		t.Fatalf("new finding: %d found, %d stack calls, stack %q; want 1, 1, one frame", len(found), calls, found[0].Stack)
+	}
+}
+
 // TestOnStoreStackPublishedWithFinding: readers of the inconsistency list
 // never see a finding without its stack while stores record concurrently.
 func TestOnStoreStackPublishedWithFinding(t *testing.T) {

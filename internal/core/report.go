@@ -145,8 +145,8 @@ type DB struct {
 	em     *obs.Emitter
 	incons map[[3]uint32]*JudgedInconsistency
 	order  [][3]uint32
-	syncs  map[string]*JudgedSync // key: varName + site
-	syncO  []string
+	syncs  map[syncKey]*JudgedSync
+	syncO  []syncKey
 	others []OtherFinding
 }
 
@@ -154,7 +154,7 @@ type DB struct {
 func NewDB() *DB {
 	return &DB{
 		incons: make(map[[3]uint32]*JudgedInconsistency),
-		syncs:  make(map[string]*JudgedSync),
+		syncs:  make(map[syncKey]*JudgedSync),
 	}
 }
 
@@ -219,7 +219,7 @@ func (db *DB) HasInconsistency(key [3]uint32) bool {
 func (db *DB) HasSync(si *SyncInconsistency) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	_, ok := db.syncs[si.DedupKey()]
+	_, ok := db.syncs[si.key()]
 	return ok
 }
 
@@ -227,7 +227,7 @@ func (db *DB) HasSync(si *SyncInconsistency) bool {
 // variable and site.
 func (db *DB) MergeSync(si *SyncInconsistency) (*JudgedSync, bool) {
 	db.mu.Lock()
-	key := si.DedupKey()
+	key := si.key()
 	if prev, ok := db.syncs[key]; ok {
 		prev.Count += si.Count
 		db.mu.Unlock()

@@ -47,8 +47,10 @@ type ExecResult struct {
 	Redundant       []*core.RedundantStore
 	Hangs           []rt.HangReport
 	Coverage        *cover.Coverage
-	Stats           map[pmem.Addr]*sched.AddrStats
-	Outcome         *sched.Outcome // set when the PM-aware strategy ran
+	// Stats is the execution's per-address access statistics (nil when
+	// not collected). The result owns them: nothing else references them.
+	Stats   map[pmem.Addr]*sched.AddrStats
+	Outcome *sched.Outcome // set when the PM-aware strategy ran
 	// Signature is the execution's outcome fingerprint (alias-coverage
 	// hash, dirty-word set hash); the fuzzer's interleaving-equivalence
 	// pruning keys on it.
@@ -92,8 +94,9 @@ type ExecOptions struct {
 	MaxCrashStates int
 	// KnownInconsistency and KnownSync, when set, report whether a finding
 	// fingerprint is already in the campaign's dedup database. Run then
-	// skips the forensic capture — crash-state enumeration, PM diff and
-	// interleaving — for duplicates, which the merge would recycle unread.
+	// skips the forensic capture — call stack, crash-state enumeration,
+	// PM diff and interleaving — for duplicates, which the merge would
+	// recycle unread.
 	// The predicates may only ever turn false→true (the database grows
 	// monotonically), so a stale answer costs one redundant capture, never
 	// a lost one.
@@ -226,7 +229,7 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 
 	// Per-address statistics only feed interleaving-queue construction,
 	// which happens before the PM-aware tier runs — an interleaved
-	// execution re-collecting them would merge thousands of map entries
+	// execution re-collecting them would merge thousands of entries
 	// per run that nothing reads (the paper decouples input generation
 	// from interleaving exploration for exactly this reason).
 	collectStats := x.opts.CollectStats
@@ -235,9 +238,11 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 	}
 
 	env := rt.NewEnv(pool, rt.Config{
-		Strategy:     strat,
-		HangTimeout:  x.opts.HangTimeout,
-		CollectStats: collectStats,
+		Strategy:           strat,
+		HangTimeout:        x.opts.HangTimeout,
+		CollectStats:       collectStats,
+		KnownInconsistency: x.opts.KnownInconsistency,
+		KnownSync:          x.opts.KnownSync,
 		OnInconsistency: func(e *rt.Env, in *core.Inconsistency) {
 			if x.opts.KnownInconsistency != nil && x.opts.KnownInconsistency(in.Key()) {
 				// Duplicate fingerprint: the merge only counts it, so
@@ -385,9 +390,7 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 	res.Candidates = env.Detector().Candidates()
 	res.Redundant = env.Detector().RedundantStores()
 	res.Coverage = env.Coverage()
-	if collectStats {
-		res.Stats = env.Stats()
-	}
+	res.Stats = env.TakeStats()
 	if pm, ok := strat.(*sched.PMAware); ok {
 		o := pm.Outcome()
 		res.Outcome = &o

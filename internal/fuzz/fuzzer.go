@@ -826,13 +826,14 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 			f.candIntra++
 		}
 	}
+	// The executor handed the execution's statistics over, so an address
+	// the campaign has not seen adopts them as its aggregate.
 	for addr, st := range res.Stats {
-		agg, ok := f.stats[addr]
-		if !ok {
-			agg = sched.NewAddrStats()
-			f.stats[addr] = agg
+		if agg, ok := f.stats[addr]; ok {
+			agg.Merge(st)
+		} else {
+			f.stats[addr] = st
 		}
-		agg.Merge(st)
 	}
 	newBits := f.cov.Merge(res.Coverage)
 	f.execs++

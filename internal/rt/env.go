@@ -34,6 +34,13 @@ type Config struct {
 	OnInconsistency func(*Env, *core.Inconsistency)
 	// OnSync is the synchronization-inconsistency analogue.
 	OnSync func(*Env, *core.SyncInconsistency)
+	// KnownInconsistency and KnownSync, when set, report whether a finding
+	// is already recorded beyond this environment (the campaign's dedup
+	// database); the hooks then skip capturing its stack, which nothing
+	// reads for a duplicate. KnownInconsistency is called under the
+	// detector's lock.
+	KnownInconsistency func([3]uint32) bool
+	KnownSync          func(*core.SyncInconsistency) bool
 	// OnHang is invoked when a spin lock exceeds HangTimeout.
 	OnHang func(*Env, HangReport)
 	// CollectStats enables per-address access statistics (needed to build
@@ -113,6 +120,23 @@ const unownedLockPoll = time.Millisecond
 
 // NewEnv creates an environment over the given pool.
 func NewEnv(pool *pmem.Pool, cfg Config) *Env {
+	return makeEnv(pool, cfg, cover.New())
+}
+
+// recoverySink is the coverage every recovery environment records into.
+// Nothing reads it: sharing it spares each recovery run two 8 KiB bitmaps.
+// Its bitmaps are atomic, so concurrent runs may write it.
+var recoverySink = cover.New()
+
+// NewRecoveryEnv creates an environment for running a target's recovery on
+// a crash image (post-failure validation, protocol crash points), where only
+// the pool is inspected afterwards. Its coverage goes to a process-wide sink
+// nobody reads; it collects no statistics and reports no findings.
+func NewRecoveryEnv(pool *pmem.Pool, hangTimeout time.Duration) *Env {
+	return makeEnv(pool, Config{HangTimeout: hangTimeout}, recoverySink)
+}
+
+func makeEnv(pool *pmem.Pool, cfg Config, cov *cover.Coverage) *Env {
 	if cfg.Strategy == nil {
 		cfg.Strategy = sched.None{}
 	}
@@ -124,7 +148,7 @@ func NewEnv(pool *pmem.Pool, cfg Config) *Env {
 		pool:   pool,
 		labels: labels,
 		det:    core.NewDetector(labels),
-		cov:    cover.New(),
+		cov:    cov,
 		strat:  cfg.Strategy,
 		cfg:    cfg,
 	}
@@ -342,11 +366,13 @@ func (e *Env) lockUnacquirable(addr pmem.Addr, self pmem.ThreadID) bool {
 	return !live
 }
 
-// Stats returns the per-address access statistics collected so far. With the
-// epoch-log hooks, statistics become visible when a thread's log drains (sync
-// points, full log, thread exit); callers read them at quiescent points.
-func (e *Env) Stats() map[pmem.Addr]*sched.AddrStats {
-	return e.batch.Stats()
+// TakeStats hands over the per-address access statistics collected so far;
+// the caller owns them, and the environment starts an empty set. With the
+// epoch-log hooks, statistics become visible when a thread's log drains
+// (sync points, full log, thread exit); callers take them at quiescent
+// points.
+func (e *Env) TakeStats() map[pmem.Addr]*sched.AddrStats {
+	return e.batch.TakeStats()
 }
 
 // Batch returns the environment's batch analyzer; tests use it to inspect

@@ -273,6 +273,27 @@ func TestSyncVarAnnotationTriggersCallback(t *testing.T) {
 	}
 }
 
+// TestSyncVarStackOnlyForUnknownFindings: a sync finding the campaign
+// already holds reaches the callback without a captured stack.
+func TestSyncVarStackOnlyForUnknownFindings(t *testing.T) {
+	var syncs []*core.SyncInconsistency
+	e := newEnv(t, Config{
+		// The acquire (1) is known, the release (0) is not.
+		KnownSync: func(si *core.SyncInconsistency) bool { return si.NewVal == 1 },
+		OnSync:    func(_ *Env, si *core.SyncInconsistency) { syncs = append(syncs, si) },
+	})
+	e.AnnotateSyncVar(core.SyncVar{Name: "bucket-lock", Addr: 64, Size: 8, InitVal: 0})
+	t1 := e.Spawn()
+	t1.SpinLock(64)
+	t1.SpinUnlock(64)
+	if len(syncs) != 2 {
+		t.Fatalf("got %d sync findings, want 2", len(syncs))
+	}
+	if syncs[0].Stack != nil || len(syncs[1].Stack) == 0 {
+		t.Fatalf("stacks = %q / %q, want none for the known acquire and one for the release", syncs[0].Stack, syncs[1].Stack)
+	}
+}
+
 func TestBranchCoverage(t *testing.T) {
 	e := newEnv(t, Config{})
 	t1 := e.Spawn()
@@ -338,10 +359,14 @@ func TestStatsCollection(t *testing.T) {
 	t2.Load64(64)
 	t1.Exit()
 	t2.Exit()
-	stats := e.Stats()
+	stats := e.TakeStats()
 	st, ok := stats[64]
-	if !ok || !st.Shared() || st.Total != 2 {
+	if !ok || !st.Shared() || st.Total != 2 || len(st.Loads) != 1 || len(st.Stores) != 1 {
 		t.Fatalf("stats = %+v", stats)
+	}
+	// The statistics were handed over: the environment keeps none.
+	if again := e.TakeStats(); len(again) != 0 {
+		t.Fatalf("second TakeStats = %+v, want empty", again)
 	}
 }
 
@@ -349,7 +374,7 @@ func TestStatsDisabledByDefault(t *testing.T) {
 	e := newEnv(t, Config{})
 	t1 := e.Spawn()
 	t1.Store64(64, 1, taint.None, taint.None)
-	if len(e.Stats()) != 0 {
+	if len(e.TakeStats()) != 0 {
 		t.Fatalf("stats must be off unless enabled")
 	}
 }

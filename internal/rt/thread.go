@@ -332,6 +332,7 @@ func (t *Thread) ExternSideEffect(lab taint.Label) {
 		ValLab:   lab,
 		External: true,
 		Stack:    captureStack,
+		Known:    e.cfg.KnownInconsistency,
 		StillDirty: func(a pmem.Addr, epoch uint32) bool {
 			m := e.pool.WordState(a)
 			return m.Dirty && epoch > m.CleanEpoch
@@ -544,6 +545,7 @@ func (t *Thread) checkSideEffect(s site.ID, addr pmem.Addr, n uint64, valLab, ad
 		ValLab:  valLab,
 		AddrLab: addrLab,
 		Stack:   captureStack,
+		Known:   e.cfg.KnownInconsistency,
 		StillDirty: func(a pmem.Addr, epoch uint32) bool {
 			// The dependency is live while the word has stayed
 			// non-persisted since the observed store: overwrites
@@ -565,10 +567,13 @@ func (t *Thread) checkSyncVar(s site.ID, addr pmem.Addr, n uint64, old, new uint
 		return
 	}
 	si := t.env.det.OnSyncStore(t.ID, s, addr, n, old, new, nil)
-	if si != nil {
+	if si == nil {
+		return
+	}
+	if known := t.env.cfg.KnownSync; known == nil || !known(si) {
 		si.Stack = captureStack()
 	}
-	if si != nil && t.env.cfg.OnSync != nil {
+	if t.env.cfg.OnSync != nil {
 		t.env.cfg.OnSync(t.env, si)
 	}
 }

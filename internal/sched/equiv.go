@@ -26,10 +26,10 @@ func EntrySignature(e *Entry, skip int) uint64 {
 	h := mix64(uint64(e.Addr) ^ 0x9e3779b97f4a7c15)
 	h ^= mix64(uint64(skip)<<1 | 1)
 	var loads, stores uint64
-	for s := range e.LoadSites {
+	for _, s := range e.LoadSites {
 		loads ^= mix64(uint64(s) | 1<<40)
 	}
-	for s := range e.StoreSites {
+	for _, s := range e.StoreSites {
 		stores ^= mix64(uint64(s) | 1<<41)
 	}
 	return mix64(h ^ loads*0xbf58476d1ce4e5b9 ^ stores*0x94d049bb133111eb)

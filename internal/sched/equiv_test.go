@@ -113,14 +113,14 @@ func TestEquivBugRoundKeepsClass(t *testing.T) {
 	}
 }
 
-// EntrySignature must be invariant under site-set iteration order (Go maps
-// randomize it) and sensitive to every component it folds.
+// EntrySignature must be deterministic and sensitive to every component it
+// folds.
 func TestEntrySignatureComponents(t *testing.T) {
 	mk := func() *Entry {
 		return &Entry{
 			Addr:       64,
-			LoadSites:  map[site.ID]struct{}{1: {}, 2: {}, 3: {}},
-			StoreSites: map[site.ID]struct{}{9: {}, 10: {}},
+			LoadSites:  []site.ID{1, 2, 3},
+			StoreSites: []site.ID{9, 10},
 		}
 	}
 	base := EntrySignature(mk(), 0)
@@ -138,18 +138,18 @@ func TestEntrySignatureComponents(t *testing.T) {
 		t.Fatal("address not folded into signature")
 	}
 	e = mk()
-	delete(e.LoadSites, 3)
+	e.LoadSites = e.LoadSites[:2]
 	if EntrySignature(e, 0) == base {
 		t.Fatal("load-site set not folded into signature")
 	}
 	e = mk()
-	e.StoreSites[11] = struct{}{}
+	e.StoreSites = append(e.StoreSites, 11)
 	if EntrySignature(e, 0) == base {
 		t.Fatal("store-site set not folded into signature")
 	}
 	// Load sites and store sites must not be interchangeable.
-	a := &Entry{Addr: 8, LoadSites: map[site.ID]struct{}{5: {}}, StoreSites: map[site.ID]struct{}{6: {}}}
-	b := &Entry{Addr: 8, LoadSites: map[site.ID]struct{}{6: {}}, StoreSites: map[site.ID]struct{}{5: {}}}
+	a := &Entry{Addr: 8, LoadSites: []site.ID{5}, StoreSites: []site.ID{6}}
+	b := &Entry{Addr: 8, LoadSites: []site.ID{6}, StoreSites: []site.ID{5}}
 	if EntrySignature(a, 0) == EntrySignature(b, 0) {
 		t.Fatal("swapping load and store site sets keeps the signature")
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,7 +202,7 @@ func (p *PMAware) BeforeLoad(t pmem.ThreadID, addr pmem.Addr, s site.ID) {
 	if p.entry == nil || !p.armed.Load() || addr != p.entry.Addr {
 		return
 	}
-	if _, ok := p.entry.LoadSites[s]; !ok {
+	if !slices.Contains(p.entry.LoadSites, s) {
 		return
 	}
 	p.condWait(t)
@@ -216,7 +217,7 @@ func (p *PMAware) AfterStore(t pmem.ThreadID, addr pmem.Addr, s site.ID) {
 	if p.entry == nil || !p.armed.Load() || addr != p.entry.Addr {
 		return
 	}
-	if _, ok := p.entry.StoreSites[s]; !ok {
+	if !slices.Contains(p.entry.StoreSites, s) {
 		return
 	}
 	p.condSignal(t)
@@ -243,12 +244,8 @@ func (p *PMAware) Describe() Description {
 	}
 	d.Addr = p.entry.Addr
 	d.Priority = p.entry.Priority
-	for s := range p.entry.LoadSites {
-		d.LoadSites = append(d.LoadSites, s)
-	}
-	for s := range p.entry.StoreSites {
-		d.StoreSites = append(d.StoreSites, s)
-	}
+	d.LoadSites = slices.Clone(p.entry.LoadSites)
+	d.StoreSites = slices.Clone(p.entry.StoreSites)
 	return d
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -13,58 +14,120 @@ import (
 // executions of a seed. The runtime records every instrumented load and
 // store; the fuzzer folds the records into the priority queue of shared data
 // accesses from which sync points are selected (paper §4.2.2).
+//
+// Loads and Stores are the sorted, duplicate-free sets of sites that loaded
+// and stored the address. A site slice, once stored, is never written
+// again: adding a site replaces the slice with a new one. A queue Entry can
+// therefore share the slices while the aggregate keeps growing.
 type AddrStats struct {
-	Loads   map[site.ID]int
-	Stores  map[site.ID]int
-	Threads map[pmem.ThreadID]struct{}
-	Total   int
+	Loads  []site.ID
+	Stores []site.ID
+	Total  int
+
+	// first is the first thread seen (valid when Total > 0); shared is set
+	// once a second thread is seen. Together they answer Shared without
+	// keeping the thread set.
+	first  pmem.ThreadID
+	shared bool
 }
 
 // NewAddrStats creates empty per-address statistics.
-func NewAddrStats() *AddrStats {
-	return &AddrStats{
-		Loads:   make(map[site.ID]int),
-		Stores:  make(map[site.ID]int),
-		Threads: make(map[pmem.ThreadID]struct{}),
-	}
-}
+func NewAddrStats() *AddrStats { return &AddrStats{} }
 
 // Record adds one access.
 func (a *AddrStats) Record(t pmem.ThreadID, s site.ID, isStore bool) {
 	if isStore {
-		a.Stores[s]++
+		a.Stores = insertSite(a.Stores, s)
 	} else {
-		a.Loads[s]++
+		a.Loads = insertSite(a.Loads, s)
 	}
-	a.Threads[t] = struct{}{}
+	a.noteThread(t)
 	a.Total++
+}
+
+// noteThread folds thread t into the first/shared pair. Call it before
+// Total grows.
+func (a *AddrStats) noteThread(t pmem.ThreadID) {
+	if a.Total == 0 {
+		a.first = t
+	} else if t != a.first {
+		a.shared = true
+	}
 }
 
 // Shared reports whether the address was accessed by more than one thread
 // (the "shared data access" selection principle).
-func (a *AddrStats) Shared() bool { return len(a.Threads) > 1 }
+func (a *AddrStats) Shared() bool { return a.shared }
 
-// Merge folds other into a.
+// Merge folds other into a. It never writes into other's site slices, nor
+// into a's: sites other adds make new slices.
 func (a *AddrStats) Merge(other *AddrStats) {
-	for s, n := range other.Loads {
-		a.Loads[s] += n
+	if other.Total == 0 {
+		return
 	}
-	for s, n := range other.Stores {
-		a.Stores[s] += n
-	}
-	for t := range other.Threads {
-		a.Threads[t] = struct{}{}
-	}
+	a.Loads = unionSites(a.Loads, other.Loads)
+	a.Stores = unionSites(a.Stores, other.Stores)
+	a.shared = a.shared || other.shared
+	a.noteThread(other.first)
 	a.Total += other.Total
+}
+
+// insertSite returns the sorted set with s added: set itself when s is
+// already in it, otherwise a new slice.
+func insertSite(set []site.ID, s site.ID) []site.ID {
+	i, found := slices.BinarySearch(set, s)
+	if found {
+		return set
+	}
+	out := make([]site.ID, len(set)+1)
+	copy(out, set[:i])
+	out[i] = s
+	copy(out[i+1:], set[i:])
+	return out
+}
+
+// unionSites returns the sorted union of two sorted sets: a itself when b
+// adds nothing, b itself when a is empty, otherwise a new slice.
+func unionSites(a, b []site.ID) []site.ID {
+	if len(a) == 0 {
+		return b
+	}
+	extra, i := 0, 0
+	for _, s := range b {
+		for i < len(a) && a[i] < s {
+			i++
+		}
+		if i == len(a) || a[i] != s {
+			extra++
+		}
+	}
+	if extra == 0 {
+		return a
+	}
+	out := make([]site.ID, 0, len(a)+extra)
+	i = 0
+	for _, s := range b {
+		for i < len(a) && a[i] < s {
+			out = append(out, a[i])
+			i++
+		}
+		if i < len(a) && a[i] == s {
+			i++
+		}
+		out = append(out, s)
+	}
+	return append(out, a[i:]...)
 }
 
 // Entry is one priority-queue element: a PM address with the load and store
 // instructions that access it. The loads become sync points (cond_wait is
-// injected before them); the stores trigger cond_signal.
+// injected before them); the stores trigger cond_signal. LoadSites and
+// StoreSites are sorted and read-only: they may be the statistics' own
+// slices.
 type Entry struct {
 	Addr       pmem.Addr
-	LoadSites  map[site.ID]struct{}
-	StoreSites map[site.ID]struct{}
+	LoadSites  []site.ID
+	StoreSites []site.ID
 	Priority   int
 }
 
@@ -103,19 +166,12 @@ func BuildQueue(stats map[pmem.Addr]*AddrStats) *Queue {
 		if !st.Shared() || len(st.Loads) == 0 || len(st.Stores) == 0 {
 			continue
 		}
-		e := &Entry{
+		q.entries = append(q.entries, &Entry{
 			Addr:       addr,
-			LoadSites:  make(map[site.ID]struct{}, len(st.Loads)),
-			StoreSites: make(map[site.ID]struct{}, len(st.Stores)),
+			LoadSites:  st.Loads,
+			StoreSites: st.Stores,
 			Priority:   st.Total,
-		}
-		for s := range st.Loads {
-			e.LoadSites[s] = struct{}{}
-		}
-		for s := range st.Stores {
-			e.StoreSites[s] = struct{}{}
-		}
-		q.entries = append(q.entries, e)
+		})
 	}
 	sort.Slice(q.entries, func(i, j int) bool {
 		if q.entries[i].Priority != q.entries[j].Priority {

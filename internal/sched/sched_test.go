@@ -2,6 +2,7 @@ package sched
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,13 +21,9 @@ func testConfig() Config {
 }
 
 func entryFor(addr pmem.Addr, loads, stores []site.ID) *Entry {
-	e := &Entry{Addr: addr, LoadSites: map[site.ID]struct{}{}, StoreSites: map[site.ID]struct{}{}}
-	for _, s := range loads {
-		e.LoadSites[s] = struct{}{}
-	}
-	for _, s := range stores {
-		e.StoreSites[s] = struct{}{}
-	}
+	e := &Entry{Addr: addr, LoadSites: slices.Clone(loads), StoreSites: slices.Clone(stores)}
+	slices.Sort(e.LoadSites)
+	slices.Sort(e.StoreSites)
 	return e
 }
 
@@ -40,8 +37,12 @@ func TestAddrStatsRecordAndShared(t *testing.T) {
 	if !st.Shared() || st.Total != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.Loads[10] != 1 || st.Stores[11] != 1 {
-		t.Fatalf("site counts wrong: %+v", st)
+	st.Record(1, 10, false)
+	if !st.Shared() || st.Total != 3 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if !slices.Equal(st.Loads, []site.ID{10}) || !slices.Equal(st.Stores, []site.ID{11}) {
+		t.Fatalf("site sets wrong: %+v", st)
 	}
 }
 
@@ -51,8 +52,11 @@ func TestAddrStatsMerge(t *testing.T) {
 	b.Record(2, 10, false)
 	b.Record(2, 11, true)
 	a.Merge(b)
-	if a.Total != 3 || a.Loads[10] != 2 || !a.Shared() {
+	if a.Total != 3 || !a.Shared() {
 		t.Fatalf("merged = %+v", a)
+	}
+	if !slices.Equal(a.Loads, []site.ID{10}) || !slices.Equal(a.Stores, []site.ID{11}) {
+		t.Fatalf("merged site sets = %+v", a)
 	}
 }
 

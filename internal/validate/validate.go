@@ -247,7 +247,7 @@ func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout t
 	if wallTimeout <= 0 {
 		wallTimeout = DefaultWallTimeout
 	}
-	env := rt.NewEnv(pmem.FromImage(img), rt.Config{HangTimeout: hangTimeout})
+	env := rt.NewRecoveryEnv(pmem.FromImage(img), hangTimeout)
 	// Buffered so an abandoned goroutine's send never blocks: the watchdog
 	// result channel must not leak the recovery goroutine on top of the
 	// hang it just detected.
