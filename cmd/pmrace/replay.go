@@ -27,16 +27,10 @@ func replayArtifact(dir, fallbackTarget string) int {
 	if targetName == "" {
 		targetName = fallbackTarget
 	}
-	if _, err := targets.New(targetName); err != nil {
+	factory, err := targets.Lookup(targetName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmrace: artifact: %v\n", err)
 		return 2
-	}
-	factory := func() targets.Target {
-		t, err := targets.New(targetName)
-		if err != nil {
-			panic(err)
-		}
-		return t
 	}
 	fmt.Printf("replaying artifact %s against %s\n", dir, targetName)
 	fmt.Printf("  recorded: [%s/%s] %s\n", b.Bug.Kind, b.Bug.Status, b.Bug.Fingerprint)
@@ -70,14 +64,8 @@ func replaySeed(targetName, path string, threads int) error {
 	if seed.Empty() {
 		return fmt.Errorf("seed %s contains no operations", path)
 	}
-	factory := func() targets.Target {
-		t, err := targets.New(targetName)
-		if err != nil {
-			panic(err)
-		}
-		return t
-	}
-	if _, err := targets.New(targetName); err != nil {
+	factory, err := targets.Lookup(targetName)
+	if err != nil {
 		return err
 	}
 	x := fuzz.NewExecutor(factory, fuzz.ExecOptions{

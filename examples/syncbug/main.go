@@ -97,11 +97,8 @@ func main() {
 		log.Fatal("no segment-lock image captured")
 	}
 	ht2 := cceh.New()
-	hung := false
-	env2 := rt.NewEnv(pmem.FromImage(bugImg), rt.Config{
-		HangTimeout: 50 * time.Millisecond,
-		OnHang:      func(*rt.Env, rt.HangReport) { hung = true },
-	})
+	var hung *rt.HangReport
+	env2 := rt.NewEnv(pmem.FromImage(bugImg), rt.Config{HangTimeout: 50 * time.Millisecond})
 	th2 := env2.Spawn()
 	if err := ht2.Recover(th2); err != nil {
 		log.Fatal(err)
@@ -109,17 +106,19 @@ func main() {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(rt.HangError); !ok {
+				herr, ok := r.(rt.HangError)
+				if !ok {
 					panic(r)
 				}
+				hung = &herr.Report
 			}
 		}()
 		for i := 0; i < 200; i++ {
 			ht2.Put(th2, fmt.Sprintf("key%04d", i), "after-crash")
 		}
 	}()
-	if hung {
-		fmt.Println("  a writer hung acquiring the restored lock — the PM Execution Context Bug manifests")
+	if hung != nil {
+		fmt.Printf("  a writer hung acquiring the restored lock at %s — the PM Execution Context Bug manifests\n", hung.Site)
 	} else {
 		fmt.Println("  (the workload avoided the locked segment this run)")
 	}

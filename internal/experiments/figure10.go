@@ -49,7 +49,10 @@ func RunFigure10(budget api.CampaignSpec) ([]Figure10Row, error) {
 	}
 	var rows []Figure10Row
 	for _, name := range Systems() {
-		factory := factoryFor(name)
+		factory, err := targets.Lookup(name)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: figure 10: %w", err)
+		}
 		for _, gen := range gens {
 			row := Figure10Row{System: displayName(name), Generator: gen.name}
 			for _, useCP := range []bool{true, false} {
@@ -67,16 +70,6 @@ func RunFigure10(budget api.CampaignSpec) ([]Figure10Row, error) {
 		}
 	}
 	return rows, nil
-}
-
-func factoryFor(name string) targets.Factory {
-	return func() targets.Target {
-		t, err := targets.New(name)
-		if err != nil {
-			panic(err)
-		}
-		return t
-	}
 }
 
 func measureRate(factory targets.Factory, mut fuzz.Mutator, seed int64, execs int, useCP bool) (float64, error) {

@@ -74,7 +74,8 @@ const maxDirtyWords = 256
 
 // ExecOptions configure the campaign executor.
 type ExecOptions struct {
-	// HangTimeout bounds lock acquisition during the workload.
+	// HangTimeout bounds lock acquisition during the workload. Zero
+	// selects rt.DefaultHangTimeout.
 	HangTimeout time.Duration
 	// UseCheckpoints enables the in-memory pool checkpoint: the pool is
 	// initialized once, snapshotted, and every execution starts from a
@@ -128,9 +129,6 @@ type Executor struct {
 
 // NewExecutor creates an executor for the target factory.
 func NewExecutor(factory targets.Factory, opts ExecOptions) *Executor {
-	if opts.HangTimeout <= 0 {
-		opts.HangTimeout = 80 * time.Millisecond
-	}
 	if opts.MaxCrashStates <= 0 {
 		opts.MaxCrashStates = 1
 	}
@@ -197,14 +195,17 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 	// goroutines, concurrent with the worker's own spans — each capture
 	// gets a detail lane of its own so lanes keep nesting properly.
 	var subLane atomic.Int32
-	crashSpan := func() obs.SpanCtx {
-		if !sp.Active() {
-			return obs.SpanCtx{}
+	captureCrash := func(p *pmem.Pool, side pmem.Range) ([]pmem.CrashState, []pmem.DirtyWord) {
+		var csp obs.SpanCtx
+		if sp.Active() {
+			l := obs.LaneExecDetailBase + lane*16 + int(subLane.Add(1)%14)
+			csp = x.tr.Start(l, obs.SpanCrashStateEnum)
+			csp.SetExec(execID)
 		}
-		l := obs.LaneExecDetailBase + lane*16 + int(subLane.Add(1)%14)
-		csp := x.tr.Start(l, obs.SpanCrashStateEnum)
-		csp.SetExec(execID)
-		return csp
+		states := p.CrashStates([]pmem.Range{side}, x.opts.MaxCrashStates)
+		csp.SetAttr("states", strconv.Itoa(len(states)))
+		csp.End()
+		return states, p.DirtyWords(maxDirtyWords)
 	}
 
 	var pool *pmem.Pool
@@ -253,11 +254,7 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 				return
 			}
 			in.Input = seed.Encode()
-			csp := crashSpan()
-			states := e.Pool().CrashStates([]pmem.Range{in.SideEffect}, x.opts.MaxCrashStates)
-			csp.SetAttr("states", strconv.Itoa(len(states)))
-			csp.End()
-			dirty := e.Pool().DirtyWords(maxDirtyWords)
+			states, dirty := captureCrash(e.Pool(), in.SideEffect)
 			mu.Lock()
 			res.Inconsistencies = append(res.Inconsistencies, CapturedInconsistency{In: in, States: states, Trace: in.Interleaving(), Dirty: dirty})
 			mu.Unlock()
@@ -270,18 +267,9 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 				return
 			}
 			si.Input = seed.Encode()
-			csp := crashSpan()
-			states := e.Pool().CrashStates([]pmem.Range{{Off: si.Addr, Len: 8}}, x.opts.MaxCrashStates)
-			csp.SetAttr("states", strconv.Itoa(len(states)))
-			csp.End()
-			dirty := e.Pool().DirtyWords(maxDirtyWords)
+			states, dirty := captureCrash(e.Pool(), pmem.Range{Off: si.Addr, Len: 8})
 			mu.Lock()
 			res.Syncs = append(res.Syncs, CapturedSync{Si: si, States: states, Trace: si.Interleaving(), Dirty: dirty})
-			mu.Unlock()
-		},
-		OnHang: func(_ *rt.Env, h rt.HangReport) {
-			mu.Lock()
-			res.Hangs = append(res.Hangs, h)
 			mu.Unlock()
 		},
 	})
@@ -301,59 +289,21 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 	}
 	res.SetupDuration = time.Since(setupStart)
 
-	// Workload phase: one goroutine per driver thread. A start barrier
-	// makes the threads actually overlap: without it, goroutine startup
-	// latency exceeds a short workload's runtime and the execution
-	// degenerates to sequential order with no cross-thread windows.
-	gate := make(chan struct{})
-	var ready sync.WaitGroup
-	var wg sync.WaitGroup
+	// Workload phase: one goroutine per driver thread. Protocol mode plays
+	// recorded connection byte streams through the wire parser, each
+	// driver thread a server worker; synthetic mode runs one operation
+	// vector per thread.
+	var bodies []func(*rt.Thread)
 	if seed.Proto != nil && len(seed.Proto.Streams) > 0 {
-		// Protocol mode: each driver thread is a server worker playing
-		// recorded connection byte streams through the wire parser.
 		nthreads := protoThreadCount(seed)
-		env.BeginExec(nthreads)
 		for ti := 0; ti < nthreads; ti++ {
-			wg.Add(1)
-			ready.Add(1)
-			go func(ti int) {
-				defer wg.Done()
-				th := env.Spawn()
-				defer th.Exit()
-				ready.Done()
-				<-gate
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(rt.HangError); !ok {
-							panic(r)
-						}
-					}
-				}()
+			bodies = append(bodies, func(th *rt.Thread) {
 				x.protoWorker(th, tgt, seed, ti, nthreads, res, &mu)
-			}(ti)
+			})
 		}
 	} else {
-		parts := seed.Split()
-		env.BeginExec(len(parts))
-		for _, ops := range parts {
-			wg.Add(1)
-			ready.Add(1)
-			go func(ops []workload.Op) {
-				defer wg.Done()
-				th := env.Spawn()
-				defer th.Exit()
-				ready.Done()
-				<-gate
-				defer func() {
-					// A hung thread abandons its remaining
-					// operations; the hang was already reported
-					// through OnHang.
-					if r := recover(); r != nil {
-						if _, ok := r.(rt.HangError); !ok {
-							panic(r)
-						}
-					}
-				}()
+		for _, ops := range seed.Split() {
+			bodies = append(bodies, func(th *rt.Thread) {
 				for _, op := range ops {
 					if execErr := tgt.Exec(th, op); execErr != nil {
 						mu.Lock()
@@ -361,8 +311,40 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 						mu.Unlock()
 					}
 				}
-			}(ops)
+			})
 		}
+	}
+	// A start barrier makes the threads actually overlap: without it,
+	// goroutine startup latency exceeds a short workload's runtime and the
+	// execution degenerates to sequential order with no cross-thread
+	// windows.
+	gate := make(chan struct{})
+	var ready sync.WaitGroup
+	var wg sync.WaitGroup
+	env.BeginExec(len(bodies))
+	for _, body := range bodies {
+		wg.Add(1)
+		ready.Add(1)
+		go func() {
+			defer wg.Done()
+			th := env.Spawn()
+			defer th.Exit()
+			ready.Done()
+			<-gate
+			defer func() {
+				// A hung thread abandons its remaining work.
+				if r := recover(); r != nil {
+					h, ok := r.(rt.HangError)
+					if !ok {
+						panic(r)
+					}
+					mu.Lock()
+					res.Hangs = append(res.Hangs, h.Report)
+					mu.Unlock()
+				}
+			}()
+			body(th)
+		}()
 	}
 	ready.Wait()
 	close(gate)

@@ -2,12 +2,14 @@ package fuzz
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/obs"
 	"github.com/pmrace-go/pmrace/internal/sched"
+	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/targets"
 	_ "github.com/pmrace-go/pmrace/internal/targets/pclht"
 	"github.com/pmrace-go/pmrace/internal/workload"
@@ -84,13 +86,11 @@ func TestByteMutatorProducesErrors(t *testing.T) {
 
 func pclhtFactory(t *testing.T) targets.Factory {
 	t.Helper()
-	return func() targets.Target {
-		tgt, err := targets.New("pclht")
-		if err != nil {
-			panic(err)
-		}
-		return tgt
+	f, err := targets.Lookup("pclht")
+	if err != nil {
+		t.Fatal(err)
 	}
+	return f
 }
 
 func TestExecutorRunsSeedSequentially(t *testing.T) {
@@ -108,6 +108,38 @@ func TestExecutorRunsSeedSequentially(t *testing.T) {
 	}
 	if len(res.Stats) == 0 {
 		t.Fatalf("stats must be collected")
+	}
+}
+
+// TestExecutorRecordsHangs: a P-CLHT replace of an absent key leaks its
+// bucket lock (paper Table 2, Bug 5), so the same thread's later insert into
+// that bucket hangs. The executor records the hang from the rt.HangError it
+// recovers: the hung thread, the lock word the replace acquired, and the
+// insert's bucket-lock site.
+func TestExecutorRecordsHangs(t *testing.T) {
+	x := NewExecutor(pclhtFactory(t), ExecOptions{HangTimeout: 50 * time.Millisecond})
+	res, err := x.Run(workload.Decode("replace k v\nset k v\n", 1), sched.None{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(res.Hangs) != 1 {
+		t.Fatalf("hangs = %+v, want one", res.Hangs)
+	}
+	h := res.Hangs[0]
+	if !strings.HasSuffix(h.Site, "pclht.go:201") {
+		t.Errorf("hang site = %q, want the insert's bucket lock at pclht.go:201", h.Site)
+	}
+	var leak *core.SyncInconsistency
+	for _, c := range res.Syncs {
+		if c.Si.Var.Name == "bucket-lock" && strings.HasSuffix(site.Lookup(c.Si.Site).String(), "pclht.go:242") {
+			leak = c.Si
+		}
+	}
+	if leak == nil {
+		t.Fatalf("no bucket-lock acquisition recorded at the replace's pclht.go:242")
+	}
+	if h.Thread != leak.Thread || h.Addr != leak.Addr {
+		t.Errorf("hang = thread %d at %#x, want thread %d at the leaked lock %#x", h.Thread, h.Addr, leak.Thread, leak.Addr)
 	}
 }
 

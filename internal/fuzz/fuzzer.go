@@ -121,7 +121,8 @@ type Options struct {
 	// mutated by the protocol generator/mutator, with mid-request crash
 	// points validated against the target's recovery code.
 	Protocol bool
-	// HangTimeout bounds lock acquisition per thread.
+	// HangTimeout bounds lock acquisition per thread. Zero selects
+	// rt.DefaultHangTimeout.
 	HangTimeout time.Duration
 	// EADR fuzzes against a platform with battery-backed caches (paper
 	// §6.6): no store is ever non-persisted, so PM Inter-thread
@@ -178,9 +179,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxInterleavingsPerSeed <= 0 {
 		o.MaxInterleavingsPerSeed = 6
-	}
-	if o.HangTimeout <= 0 {
-		o.HangTimeout = 80 * time.Millisecond
 	}
 	if o.MaxCrashStates <= 0 {
 		o.MaxCrashStates = 1
@@ -273,15 +271,9 @@ type Fuzzer struct {
 
 // New creates a fuzzer for a registered target name.
 func New(targetName string, opts Options) (*Fuzzer, error) {
-	if _, err := targets.New(targetName); err != nil {
+	factory, err := targets.Lookup(targetName)
+	if err != nil {
 		return nil, err
-	}
-	factory := func() targets.Target {
-		t, err := targets.New(targetName)
-		if err != nil {
-			panic(err) // cannot happen: validated above
-		}
-		return t
 	}
 	return NewWithFactory(factory, opts), nil
 }

@@ -9,15 +9,14 @@ import (
 	"github.com/pmrace-go/pmrace/internal/cover"
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/sched"
-	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/taint"
 )
 
-// DefaultHangTimeout is the spin-lock hang bound used when Config leaves
-// HangTimeout zero. It is the single source of the default: the runtime and
-// post-failure validation both inherit it, so the two layers cannot disagree
-// about when a spinning thread counts as hung.
-const DefaultHangTimeout = 250 * time.Millisecond
+// DefaultHangTimeout is the spin-lock hang bound used when a HangTimeout is
+// left zero. It is the single source of the default: the runtime, the fuzz
+// campaign and executor, and post-failure validation all inherit it, so no
+// two layers disagree about when a spinning thread counts as hung.
+const DefaultHangTimeout = 80 * time.Millisecond
 
 // Config configures an execution environment.
 type Config struct {
@@ -41,8 +40,6 @@ type Config struct {
 	// detector's lock.
 	KnownInconsistency func([3]uint32) bool
 	KnownSync          func(*core.SyncInconsistency) bool
-	// OnHang is invoked when a spin lock exceeds HangTimeout.
-	OnHang func(*Env, HangReport)
 	// CollectStats enables per-address access statistics (needed to build
 	// the priority queue; costs memory on large pools).
 	CollectStats bool
@@ -53,7 +50,6 @@ type HangReport struct {
 	Thread pmem.ThreadID
 	Addr   pmem.Addr
 	Site   string
-	Stack  []string
 }
 
 // Env is one instrumented execution environment: a pool plus the detection
@@ -80,24 +76,22 @@ type Env struct {
 	// from mutating its pool after the wall-clock deadline expired.
 	cancelled atomic.Bool
 
-	threadsMu sync.Mutex
-	nextTID   pmem.ThreadID
-
-	// lockMu guards the volatile lock-ownership bookkeeping below. It is
-	// not part of the PM image: holders are recorded so a thread spinning
-	// on a lock whose owner has already exited — a leaked lock from a
-	// missing-unlock bug, or an owner abandoned after its own hang — can
-	// fail fast instead of burning the full hang timeout. A held lock
-	// with NO recorded holder (e.g. a persistent lock word left set in a
-	// crash image that recovery then trips over) keeps the timeout path:
-	// absence of an owner is exactly the recovery-hang case the timeout
-	// exists to report.
+	// lockMu guards thread-ID assignment (nextTID) and the volatile
+	// lock-ownership bookkeeping below, which is not part of the PM image:
+	// holders are recorded so a thread spinning on a lock whose owner has
+	// already exited — a leaked lock from a missing-unlock bug, or an owner
+	// abandoned after its own hang — can fail fast instead of burning the
+	// full hang timeout. A held lock with NO recorded holder (e.g. a
+	// persistent lock word left set in a crash image that recovery then
+	// trips over) keeps the timeout path: absence of an owner is exactly
+	// the recovery-hang case the timeout exists to report.
 	//
 	// It also guards parking: a thread blocked on a lock held by another
 	// live thread records itself in spinWaiters or mutexWaiters and is
 	// reported to the strategy as parked. Parking and waking both happen
 	// under lockMu, so the strategy never sees a woken thread as parked.
 	lockMu       sync.Mutex
+	nextTID      pmem.ThreadID
 	lockHolders  map[pmem.Addr]pmem.ThreadID
 	liveThreads  map[pmem.ThreadID]struct{}
 	spinWaiters  map[pmem.Addr]*lockWaiters
@@ -186,15 +180,13 @@ func (e *Env) EndExec() { e.strat.EndExec() }
 
 // Spawn allocates the next thread handle and registers it with the strategy.
 func (e *Env) Spawn() *Thread {
-	e.threadsMu.Lock()
+	e.lockMu.Lock()
 	id := e.nextTID
 	e.nextTID++
-	e.threadsMu.Unlock()
-	e.lockMu.Lock()
 	e.liveThreads[id] = struct{}{}
 	e.lockMu.Unlock()
 	e.strat.ThreadStart(id)
-	return &Thread{ID: id, env: e, sites: site.NewCache()}
+	return &Thread{ID: id, env: e}
 }
 
 // AnnotateSyncVar registers a persistent synchronization variable annotation

@@ -234,22 +234,19 @@ func TestSpinLockRoundTrip(t *testing.T) {
 }
 
 func TestSpinLockHangDetection(t *testing.T) {
-	var hang *HangReport
-	e := newEnv(t, Config{
-		HangTimeout: 20 * time.Millisecond,
-		OnHang:      func(_ *Env, h HangReport) { hang = &h },
-	})
+	e := newEnv(t, Config{HangTimeout: 20 * time.Millisecond})
 	t1, t2 := e.Spawn(), e.Spawn()
 	t1.SpinLock(64) // held and never released
 	defer func() {
 		r := recover()
-		if _, ok := r.(HangError); !ok {
+		herr, ok := r.(HangError)
+		if !ok {
 			t.Fatalf("expected HangError panic, got %v", r)
 		}
-		if hang == nil || hang.Thread != t2.ID || hang.Addr != 64 {
+		if hang := herr.Report; hang.Thread != t2.ID || hang.Addr != 64 || hang.Site == "" {
 			t.Fatalf("hang report = %+v", hang)
 		}
-		if herr, _ := r.(HangError); herr.Error() == "" {
+		if herr.Error() == "" {
 			t.Fatalf("HangError must format")
 		}
 	}()

@@ -39,10 +39,6 @@ type Thread struct {
 	ID  pmem.ThreadID
 	env *Env
 
-	// sites caches PC→site-ID resolutions so steady-state hook calls
-	// never touch the shared registry. Single-goroutine, like the Thread.
-	sites *site.Cache
-
 	// log is the thread's epoch-append access log: hooks append one record
 	// per access with no lock and no inline analysis; the deferred
 	// analyses (alias pairs, statistics, redundant stores) run in batches
@@ -80,16 +76,17 @@ func (h HangError) Error() string {
 }
 
 // siteFromPC resolves a hook's instrumented call site from the raw return PC
-// the hook captured with site.ReturnPC. Kept out of line so the fallback's
-// unwind depth is fixed whether or not the compiler would inline it: Here(1)
-// resolves the caller of this function's caller, i.e. the instrumented site.
+// the hook captured with site.ReturnPC, through the global registry's
+// lock-free map. Kept out of line so the fallback's unwind depth is fixed
+// whether or not the compiler would inline it: Here(1) resolves the caller of
+// this function's caller, i.e. the instrumented site.
 //
 //go:noinline
-func (t *Thread) siteFromPC(pc uintptr) site.ID {
+func siteFromPC(pc uintptr) site.ID {
 	if fastPC && pc != 0 {
-		return t.sites.ForPC(pc)
+		return site.ResolvePC(pc)
 	}
-	return t.sites.Here(1)
+	return site.Here(1)
 }
 
 // logAccess appends one record to the thread's access log, draining first if
@@ -123,7 +120,7 @@ func (t *Thread) drainLog() {
 //
 //go:noinline
 func (t *Thread) Load64(addr pmem.Addr) (uint64, taint.Label) {
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	return t.load64At(addr, s)
 }
 
@@ -166,7 +163,7 @@ func (t *Thread) dirtyRead(lab taint.Label, waddr pmem.Addr, meta pmem.WordMeta,
 //
 //go:noinline
 func (t *Thread) LoadBytes(addr pmem.Addr, n uint64) ([]byte, taint.Label) {
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	e := t.env
 	e.checkCancel()
 	if !e.stratNone {
@@ -192,7 +189,7 @@ func (t *Thread) LoadBytes(addr pmem.Addr, n uint64) ([]byte, taint.Label) {
 //
 //go:noinline
 func (t *Thread) Store64(addr pmem.Addr, val uint64, valLab, addrLab taint.Label) {
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	t.store64At(addr, val, valLab, addrLab, s)
 }
 
@@ -228,7 +225,7 @@ func (t *Thread) StoreBytes(addr pmem.Addr, data []byte, valLab, addrLab taint.L
 	if len(data) == 0 {
 		return
 	}
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	e := t.env
 	e.checkCancel()
 	n := uint64(len(data))
@@ -249,7 +246,7 @@ func (t *Thread) StoreBytes(addr pmem.Addr, data []byte, valLab, addrLab taint.L
 //
 //go:noinline
 func (t *Thread) NTStore64(addr pmem.Addr, val uint64, valLab, addrLab taint.Label) {
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	e := t.env
 	e.checkCancel()
 	if !e.stratNone {
@@ -269,7 +266,7 @@ func (t *Thread) NTStoreBytes(addr pmem.Addr, data []byte, valLab, addrLab taint
 	if len(data) == 0 {
 		return
 	}
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	e := t.env
 	e.checkCancel()
 	n := uint64(len(data))
@@ -287,7 +284,7 @@ func (t *Thread) NTStoreBytes(addr pmem.Addr, data []byte, valLab, addrLab taint
 //
 //go:noinline
 func (t *Thread) CAS64(addr pmem.Addr, old, new uint64, valLab, addrLab taint.Label) (bool, uint64, taint.Label) {
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	return t.cas64At(addr, old, new, valLab, addrLab, s)
 }
 
@@ -321,7 +318,7 @@ func (t *Thread) ExternSideEffect(lab taint.Label) {
 	if lab == taint.None {
 		return
 	}
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	t.drainLog()
 	e := t.env
 	found := e.det.OnStore(core.StoreCheck{
@@ -352,7 +349,7 @@ func (t *Thread) ExternSideEffect(lab taint.Label) {
 //
 //go:noinline
 func (t *Thread) Flush(addr pmem.Addr, n uint64) {
-	t.flushAt(t.siteFromPC(site.ReturnPC()), addr, n)
+	t.flushAt(siteFromPC(site.ReturnPC()), addr, n)
 }
 
 func (t *Thread) flushAt(s site.ID, addr pmem.Addr, n uint64) {
@@ -374,7 +371,7 @@ func (t *Thread) Fence() {
 //
 //go:noinline
 func (t *Thread) Persist(addr pmem.Addr, n uint64) {
-	t.flushAt(t.siteFromPC(site.ReturnPC()), addr, n)
+	t.flushAt(siteFromPC(site.ReturnPC()), addr, n)
 	t.env.pool.Fence(t.ID)
 	t.drainLog()
 }
@@ -386,7 +383,7 @@ func (t *Thread) Persist(addr pmem.Addr, n uint64) {
 //
 //go:noinline
 func (t *Thread) Branch() {
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	t.env.cov.Branch.Set(cover.EdgeHash(t.branchPrev, uint32(s)))
 	t.branchPrev = uint32(s)
 }
@@ -403,7 +400,7 @@ func (t *Thread) Branch() {
 //
 //go:noinline
 func (t *Thread) SpinLock(addr pmem.Addr) {
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	t.drainLog()
 	deadline := time.Now().Add(t.env.cfg.HangTimeout)
 	spins := 0
@@ -437,16 +434,11 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 		// Past the yield phase every wake-up re-checks at once.
 		if (spins%32 == 0 || spins >= yieldSpins) && (t.env.lockUnacquirable(addr, t.ID) || time.Now().After(deadline)) {
 			t.drainLog()
-			rep := HangReport{
+			panic(HangError{Report: HangReport{
 				Thread: t.ID,
 				Addr:   addr,
 				Site:   site.Lookup(s).String(),
-				Stack:  captureStack(),
-			}
-			if t.env.cfg.OnHang != nil {
-				t.env.cfg.OnHang(t.env, rep)
-			}
-			panic(HangError{Report: rep})
+			}})
 		}
 		if spins < yieldSpins {
 			runtime.Gosched()
@@ -472,7 +464,7 @@ const yieldSpins = 128
 //
 //go:noinline
 func (t *Thread) SpinUnlock(addr pmem.Addr) {
-	s := t.siteFromPC(site.ReturnPC())
+	s := siteFromPC(site.ReturnPC())
 	e := t.env
 	t.store64NoSignal(addr, 0, taint.None, taint.None, s)
 	woke := e.noteLockReleased(addr, t.ID)

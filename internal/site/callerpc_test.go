@@ -6,9 +6,9 @@ import "testing"
 // both capture paths from the same frame. Must stay noinline like real hooks.
 //
 //go:noinline
-func fpHook(c *Cache) (fast, slow ID) {
-	fast = c.ForPC(ReturnPC())
-	slow = c.Here(0)
+func fpHook(r *Registry) (fast, slow ID) {
+	fast = r.ResolvePC(ReturnPC())
+	slow = r.Here(1)
 	return fast, slow
 }
 
@@ -26,17 +26,18 @@ func TestReturnPCMatchesRuntimeCallers(t *testing.T) {
 	if !VerifyReturnPC() {
 		t.Skip("frame-pointer fast path unavailable on this build")
 	}
-	c := NewCacheFor(NewRegistry())
+	r := NewRegistry()
 	var first ID
 	// Repeated calls from one site: iteration 0 exercises the registry cold
-	// path, the rest must hit the cache and keep resolving identically.
+	// path, the rest must hit the published map and keep resolving
+	// identically.
 	for i := 0; i < 3; i++ {
-		fast, slow := fpHook(c)
+		fast, slow := fpHook(r)
 		if fast == Unknown {
 			t.Fatal("fast path resolved to Unknown")
 		}
 		if fast != slow {
-			t.Fatalf("ForPC(ReturnPC()) = %d, Here(0) = %d: capture paths disagree", fast, slow)
+			t.Fatalf("ResolvePC(ReturnPC()) = %d, Here(1) = %d: capture paths disagree", fast, slow)
 		}
 		if i == 0 {
 			first = fast

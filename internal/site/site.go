@@ -68,6 +68,11 @@ func Here(skip int) ID { return global.Here(skip + 2) }
 // Lookup returns the Info recorded for a global-registry site ID.
 func Lookup(id ID) Info { return global.Lookup(id) }
 
+// ResolvePC returns the global-registry ID for a raw return PC (from
+// runtime.Callers or ReturnPC); both capture paths produce the same PC for a
+// given call site, so they share one registry entry.
+func ResolvePC(pc uintptr) ID { return global.ResolvePC(pc) }
+
 // Named returns a stable global-registry ID for a symbolic location, used by
 // tests and synthetic workloads that have no meaningful program counter.
 func Named(name string) ID { return global.Named(name) }
@@ -166,55 +171,6 @@ func (r *Registry) Lookup(id ID) Info {
 // Count returns the number of registered sites.
 func (r *Registry) Count() int {
 	return len(*r.infos.Load()) - 1
-}
-
-// cacheSize is the number of direct-mapped entries in a Cache. Instrumented
-// targets have at most a few hundred distinct hook call sites; 256 entries
-// keep the steady-state miss rate near zero.
-const cacheSize = 256
-
-// Cache is a small direct-mapped PC→ID cache in front of a Registry. Each
-// simulated thread owns one, so steady-state hook calls resolve their site ID
-// without touching the shared registry at all — not even its lock-free map
-// load. A Cache is not safe for concurrent use; it is as thread-local as the
-// rt.Thread that embeds it.
-type Cache struct {
-	reg *Registry
-	pcs [cacheSize]uintptr
-	ids [cacheSize]ID
-}
-
-// NewCache creates a PC cache over the global registry.
-func NewCache() *Cache { return &Cache{reg: global} }
-
-// NewCacheFor creates a PC cache over an explicit registry.
-func NewCacheFor(r *Registry) *Cache { return &Cache{reg: r} }
-
-// Here resolves the caller at the given skip depth to a stable ID, consulting
-// the cache first. skip follows the same convention as the package-level
-// Here: skip 0 identifies the direct caller of the function calling Here.
-func (c *Cache) Here(skip int) ID {
-	var pcs [1]uintptr
-	if runtime.Callers(skip+3, pcs[:]) == 0 {
-		return Unknown
-	}
-	return c.ForPC(pcs[0])
-}
-
-// ForPC resolves a raw return PC (from runtime.Callers or ReturnPC) to a
-// stable ID through the cache. Both capture paths produce the same PC value
-// for a given call site, so they share cache slots and registry entries.
-func (c *Cache) ForPC(pc uintptr) ID {
-	// Return PCs are instruction-aligned; drop the low bits so adjacent
-	// call sites spread over distinct slots.
-	slot := (pc >> 3) % cacheSize
-	if c.pcs[slot] == pc {
-		return c.ids[slot]
-	}
-	id := c.reg.ResolvePC(pc)
-	c.pcs[slot] = pc
-	c.ids[slot] = id
-	return id
 }
 
 // returnPCProbe compares the two caller-PC capture mechanisms from one frame:

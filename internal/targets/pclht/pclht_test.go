@@ -92,12 +92,8 @@ func TestUpdateExistingKey(t *testing.T) {
 // concurrency bug (Table 2, Bug 5): update on an absent key leaks the bucket
 // lock and later writers hang.
 func TestBug5UpdateMissingKeyLeaksLock(t *testing.T) {
-	var hung *rt.HangReport
 	h := New()
-	env := rt.NewEnv(pmem.New(h.PoolSize()), rt.Config{
-		HangTimeout: 20 * time.Millisecond,
-		OnHang:      func(_ *rt.Env, r rt.HangReport) { hung = &r },
-	})
+	env := rt.NewEnv(pmem.New(h.PoolSize()), rt.Config{HangTimeout: 20 * time.Millisecond})
 	th := env.Spawn()
 	if err := h.Setup(th); err != nil {
 		t.Fatalf("setup: %v", err)
@@ -106,11 +102,12 @@ func TestBug5UpdateMissingKeyLeaksLock(t *testing.T) {
 		t.Fatalf("update of absent key must fail")
 	}
 	defer func() {
-		if _, ok := recover().(rt.HangError); !ok {
+		herr, ok := recover().(rt.HangError)
+		if !ok {
 			t.Fatalf("expected hang from leaked bucket lock")
 		}
-		if hung == nil {
-			t.Fatalf("OnHang must fire")
+		if herr.Report.Thread != th.ID || herr.Report.Addr == 0 {
+			t.Fatalf("hang report = %+v", herr.Report)
 		}
 	}()
 	h.Put(th, "absent", "v") // same bucket: hangs on the leaked lock

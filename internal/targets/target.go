@@ -60,13 +60,22 @@ func Has(name string) bool {
 	return ok
 }
 
-// New instantiates a registered target.
-func New(name string) (Target, error) {
+// Lookup returns the factory registered under name.
+func Lookup(name string) (Factory, error) {
 	regMu.Lock()
 	f, ok := registry[name]
 	regMu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("targets: unknown target %q (have %v)", name, Names())
+	}
+	return f, nil
+}
+
+// New instantiates a registered target.
+func New(name string) (Target, error) {
+	f, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(), nil
 }

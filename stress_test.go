@@ -1,5 +1,5 @@
 // Race stress tests for the shared hot-path structures: the lock-free
-// coverage bitmap, the site registry (shared and per-thread-cached paths)
+// coverage bitmap, the site registry (return-PC and runtime.Callers paths)
 // and the pmem pool, each hammered from 8 goroutines. Run under the race
 // detector (`go test -race -run HotPathRace`); CI does.
 package pmrace_test
@@ -48,9 +48,23 @@ func TestHotPathRaceBitmap(t *testing.T) {
 	}
 }
 
+// resolveCaller resolves its caller's call site the way a runtime hook does:
+// the frame-pointer return PC through the registry's lock-free map, or the
+// runtime.Callers unwind where that path is unavailable.
+//
+//go:noinline
+func resolveCaller() site.ID {
+	if pc := site.ReturnPC(); pc != 0 && returnPCVerified {
+		return site.ResolvePC(pc)
+	}
+	return site.Here(0)
+}
+
+var returnPCVerified = site.VerifyReturnPC()
+
 // TestHotPathRaceSites hammers the registry's copy-on-write publication from
-// concurrent Here calls plus per-goroutine caches, checking all goroutines
-// resolve one call site to one ID.
+// concurrent hook-style resolutions plus runtime.Callers lookups, checking all
+// goroutines resolve one call site to one ID.
 func TestHotPathRaceSites(t *testing.T) {
 	ids := make([]site.ID, stressGoroutines)
 	var wg sync.WaitGroup
@@ -58,12 +72,11 @@ func TestHotPathRaceSites(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := site.NewCache()
 			var last site.ID
 			for i := 0; i < 20000; i++ {
-				last = c.Here(0)
+				last = resolveCaller()
 				if i%64 == 0 {
-					site.Here(0) // uncached registry path
+					site.Here(0) // runtime.Callers path
 					site.Lookup(last)
 				}
 			}
