@@ -122,6 +122,6 @@ func reportExec(label string, res *fuzz.ExecResult) {
 		fmt.Printf("  [Sync] %q updated at %s\n", s.Si.Var.Name, site.Lookup(s.Si.Site))
 	}
 	for _, h := range res.Hangs {
-		fmt.Printf("  [hang] thread %d at %s\n", h.Thread, h.Site)
+		fmt.Printf("  [hang] thread %d at %s: %s\n", h.Thread, h.Site, h.Reason)
 	}
 }

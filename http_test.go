@@ -112,6 +112,16 @@ func TestCampaignHTTPIntrospection(t *testing.T) {
 		!strings.Contains(metrics, `campaign="`+localID+`",target="pclht"`) {
 		t.Fatalf("/metrics missing the campaign's labelled exec counter:\n%s", metrics)
 	}
+	// Hang reasons and timer exits are exported from the start, zero or not.
+	for _, name := range []string{
+		"rt_lock_hangs_cycle_total", "rt_lock_hangs_dead_owner_total",
+		"rt_lock_hangs_own_lock_total", "rt_lock_hangs_deadline_total",
+		"sched_cond_wait_timeouts_total", "sched_writer_stall_timeouts_total",
+	} {
+		if !strings.Contains(metrics, "# TYPE pmrace_"+name+" counter") {
+			t.Errorf("/metrics missing %s", name)
+		}
+	}
 	get("/debug/pprof/cmdline", "text/plain")
 
 	// The campaign closing its emitter ends the stream; join the reader.

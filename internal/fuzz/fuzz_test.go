@@ -8,6 +8,7 @@ import (
 
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/obs"
+	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/targets"
@@ -115,7 +116,8 @@ func TestExecutorRunsSeedSequentially(t *testing.T) {
 // bucket lock (paper Table 2, Bug 5), so the same thread's later insert into
 // that bucket hangs. The executor records the hang from the rt.HangError it
 // recovers: the hung thread, the lock word the replace acquired, and the
-// insert's bucket-lock site.
+// insert's bucket-lock site. The thread already holds that lock, so the hang
+// is an own-lock fast failure, not the 50 ms deadline.
 func TestExecutorRecordsHangs(t *testing.T) {
 	x := NewExecutor(pclhtFactory(t), ExecOptions{HangTimeout: 50 * time.Millisecond})
 	res, err := x.Run(workload.Decode("replace k v\nset k v\n", 1), sched.None{})
@@ -126,6 +128,9 @@ func TestExecutorRecordsHangs(t *testing.T) {
 		t.Fatalf("hangs = %+v, want one", res.Hangs)
 	}
 	h := res.Hangs[0]
+	if h.Reason != rt.HangOwnLock {
+		t.Errorf("hang reason = %q, want %q", h.Reason, rt.HangOwnLock)
+	}
 	if !strings.HasSuffix(h.Site, "pclht.go:201") {
 		t.Errorf("hang site = %q, want the insert's bucket lock at pclht.go:201", h.Site)
 	}
@@ -163,6 +168,34 @@ func TestExecutorCheckpointFasterSetup(t *testing.T) {
 	// and produce a usable execution.
 	if r1.Duration <= 0 || r2.Duration <= 0 {
 		t.Fatalf("durations: %v %v", r1.Duration, r2.Duration)
+	}
+}
+
+// BenchmarkExecutorRun is one two-thread P-CLHT execution under sched.None,
+// restored from the checkpoint with statistics on, in a campaign's steady
+// state: every finding is already in the dedup database, so no crash state is
+// captured. B/op is what one execution allocates.
+func BenchmarkExecutorRun(b *testing.B) {
+	f, err := targets.Lookup("pclht")
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := NewExecutor(f, ExecOptions{
+		UseCheckpoints:     true,
+		CollectStats:       true,
+		KnownInconsistency: func([3]uint32) bool { return true },
+		KnownSync:          func(*core.SyncInconsistency) bool { return true },
+	})
+	seed := workload.NewGenerator(5, 8, 2).NewSeed(10)
+	if _, err := x.Run(seed, sched.None{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := x.Run(seed, sched.None{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

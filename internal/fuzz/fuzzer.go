@@ -15,6 +15,7 @@ import (
 	"github.com/pmrace-go/pmrace/internal/obs"
 	"github.com/pmrace-go/pmrace/internal/pmdk"
 	"github.com/pmrace-go/pmrace/internal/pmem"
+	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/targets"
@@ -235,10 +236,14 @@ type Fuzzer struct {
 	valErr error // first validation-worker error; guarded by mu
 
 	// em is the observability hub; every campaign has one (sink-less by
-	// default). It derives the campaign's event metrics; mPruned counts
-	// the one fuzzer fact that has no event.
-	em      *obs.Emitter
-	mPruned *obs.Counter
+	// default). It derives the campaign's event metrics; the counters below
+	// count the fuzzer facts that have no event: pruned interleavings,
+	// hangs by rt.HangReport.Reason, and PM-aware waits that timed out.
+	em                   *obs.Emitter
+	mPruned              *obs.Counter
+	mHangs               map[string]*obs.Counter
+	mCondWaitTimeouts    *obs.Counter
+	mWriterStallTimeouts *obs.Counter
 
 	// tr records lifecycle spans for sampled executions; nil (inert) unless
 	// SetTracer attached one.
@@ -320,14 +325,23 @@ func NewWithFactory(factory targets.Factory, opts Options) *Fuzzer {
 }
 
 // SetEmitter replaces the campaign's observability emitter and rewires the
-// producer layers (executor, detection DB, pruned-interleaving counter) to
-// it. Call before Run; the campaign session API uses this to attach the
-// caller's sinks and event channel.
+// producer layers (executor, detection DB, the fuzzer's own counters) to it.
+// Call before Run; the campaign session API uses this to attach the caller's
+// sinks and event channel.
 func (f *Fuzzer) SetEmitter(em *obs.Emitter) {
 	f.em = em
 	f.exec.SetEmitter(em)
 	f.db.SetEmitter(em)
-	f.mPruned = em.Registry().Counter(obs.MInterleavingsPruned)
+	reg := em.Registry()
+	f.mPruned = reg.Counter(obs.MInterleavingsPruned)
+	f.mHangs = map[string]*obs.Counter{
+		rt.HangCycle:     reg.Counter(obs.MLockHangsCycle),
+		rt.HangDeadOwner: reg.Counter(obs.MLockHangsDeadOwner),
+		rt.HangOwnLock:   reg.Counter(obs.MLockHangsOwnLock),
+		rt.HangDeadline:  reg.Counter(obs.MLockHangsDeadline),
+	}
+	f.mCondWaitTimeouts = reg.Counter(obs.MCondWaitTimeouts)
+	f.mWriterStallTimeouts = reg.Counter(obs.MWriterStallTimeouts)
 }
 
 // Emitter returns the campaign's observability emitter.
@@ -770,6 +784,11 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 	hungThisExec := map[string]bool{}
 	for _, h := range res.Hangs {
 		hungThisExec[h.Site] = true
+		f.mHangs[h.Reason].Inc()
+	}
+	if o := res.Outcome; o != nil {
+		f.mCondWaitTimeouts.Add(int64(o.CondWaitTimeouts))
+		f.mWriterStallTimeouts.Add(int64(o.WriterStallTimeouts))
 	}
 	for s := range hungThisExec {
 		f.hangExecs[s]++

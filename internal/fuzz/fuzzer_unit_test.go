@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/core"
+	"github.com/pmrace-go/pmrace/internal/obs"
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/sched"
@@ -125,6 +126,28 @@ func TestRunOneMergesEverything(t *testing.T) {
 	}
 	if out.improved {
 		t.Fatalf("identical executions must stop improving coverage")
+	}
+}
+
+// TestRunOneCountsHangsByReason: a P-CLHT replace of an absent key leaks its
+// bucket lock and the same thread's insert then hangs on it; the hang lands
+// in the own-lock counter and in no other reason's.
+func TestRunOneCountsHangsByReason(t *testing.T) {
+	f := NewWithFactory(pclhtFactory(t), Options{MaxExecs: 1, Duration: 10 * time.Second})
+	f.start = time.Now()
+	if _, err := f.runOne(workload.Decode("replace k v\nset k v\n", 1), sched.None{}, 0); err != nil {
+		t.Fatalf("runOne: %v", err)
+	}
+	reg := f.Emitter().Registry()
+	for name, want := range map[string]int64{
+		obs.MLockHangsOwnLock:   1,
+		obs.MLockHangsCycle:     0,
+		obs.MLockHangsDeadOwner: 0,
+		obs.MLockHangsDeadline:  0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

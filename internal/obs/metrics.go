@@ -24,6 +24,14 @@ const (
 	MValidations          = "validate_runs_total"
 	MValidateCrashStates  = "validate_crash_states_total"
 	MValidateWallTimeouts = "validate_wall_timeouts_total"
+	// Spin-lock hangs, one series per rt.HangReport.Reason, and the
+	// PM-aware waits that ended on their timer instead of an event.
+	MLockHangsCycle       = "rt_lock_hangs_cycle_total"
+	MLockHangsDeadOwner   = "rt_lock_hangs_dead_owner_total"
+	MLockHangsOwnLock     = "rt_lock_hangs_own_lock_total"
+	MLockHangsDeadline    = "rt_lock_hangs_deadline_total"
+	MCondWaitTimeouts     = "sched_cond_wait_timeouts_total"
+	MWriterStallTimeouts  = "sched_writer_stall_timeouts_total"
 	MEventsDropped        = "obs_events_dropped_total"
 	MSSEDropped           = "obs_sse_dropped_total"
 	GQueueDepth           = "serve_queue_depth"

@@ -50,7 +50,25 @@ type HangReport struct {
 	Thread pmem.ThreadID
 	Addr   pmem.Addr
 	Site   string
+	// Reason says why the wait ended: HangCycle, HangDeadOwner,
+	// HangOwnLock or HangDeadline.
+	Reason string
 }
+
+// Hang reasons. The first three are fast failures, decided the moment the
+// lock can never be granted; HangDeadline is the hang timeout expiring.
+const (
+	// HangCycle: the lock's holder waits, through a chain of parked
+	// spin-lock waiters, on a lock the waiter holds (a deadlock cycle).
+	HangCycle = "cycle"
+	// HangDeadOwner: the lock's recorded holder has exited.
+	HangDeadOwner = "dead owner"
+	// HangOwnLock: the waiter already holds the (non-recursive) lock.
+	HangOwnLock = "own lock"
+	// HangDeadline: the hang timeout expired, e.g. on a lock word with no
+	// recorded holder or a holder blocked outside the spin locks.
+	HangDeadline = "deadline"
+)
 
 // Env is one instrumented execution environment: a pool plus the detection
 // and exploration machinery shared by all threads of a fuzz campaign
@@ -77,24 +95,29 @@ type Env struct {
 	cancelled atomic.Bool
 
 	// lockMu guards thread-ID assignment (nextTID) and the volatile
-	// lock-ownership bookkeeping below, which is not part of the PM image:
-	// holders are recorded so a thread spinning on a lock whose owner has
-	// already exited — a leaked lock from a missing-unlock bug, or an owner
-	// abandoned after its own hang — can fail fast instead of burning the
-	// full hang timeout. A held lock with NO recorded holder (e.g. a
+	// lock-ownership bookkeeping below, which is not part of the PM image.
+	// Holders and parked waits are recorded so a spin-lock waiter fails
+	// fast, instead of burning the full hang timeout, when no live thread
+	// can ever release the lock: its holder is the waiter itself, its
+	// holder has exited (a leaked lock from a missing-unlock bug, or an
+	// owner abandoned after its own hang), or its holder is parked, through
+	// a chain of parked waiters, on a lock the waiter holds (a deadlock
+	// cycle, see cycleLocked). A held lock with NO recorded holder (e.g. a
 	// persistent lock word left set in a crash image that recovery then
 	// trips over) keeps the timeout path: absence of an owner is exactly
 	// the recovery-hang case the timeout exists to report.
 	//
 	// It also guards parking: a thread blocked on a lock held by another
-	// live thread records itself in spinWaiters or mutexWaiters and is
-	// reported to the strategy as parked. Parking and waking both happen
-	// under lockMu, so the strategy never sees a woken thread as parked.
+	// live thread records itself in spinWaiters (and its edge in parkedOn)
+	// or mutexWaiters and is reported to the strategy as parked. Parking
+	// and waking both happen under lockMu, so the strategy never sees a
+	// woken thread as parked, and no stale parkedOn edge outlives a wake.
 	lockMu       sync.Mutex
 	nextTID      pmem.ThreadID
 	lockHolders  map[pmem.Addr]pmem.ThreadID
 	liveThreads  map[pmem.ThreadID]struct{}
 	spinWaiters  map[pmem.Addr]*lockWaiters
+	parkedOn     map[pmem.ThreadID]pmem.Addr
 	mutexHolders map[*sync.Mutex]pmem.ThreadID
 	mutexWaiters map[*sync.Mutex][]pmem.ThreadID
 }
@@ -150,6 +173,7 @@ func makeEnv(pool *pmem.Pool, cfg Config, cov *cover.Coverage) *Env {
 	e.lockHolders = make(map[pmem.Addr]pmem.ThreadID)
 	e.liveThreads = make(map[pmem.ThreadID]struct{})
 	e.spinWaiters = make(map[pmem.Addr]*lockWaiters)
+	e.parkedOn = make(map[pmem.ThreadID]pmem.Addr)
 	e.mutexHolders = make(map[*sync.Mutex]pmem.ThreadID)
 	e.mutexWaiters = make(map[*sync.Mutex][]pmem.ThreadID)
 	e.batch = core.NewBatchAnalyzer(e.det, e.cov.Alias, cfg.CollectStats)
@@ -178,7 +202,8 @@ func (e *Env) BeginExec(n int) { e.strat.BeginExec(n) }
 // EndExec notifies the strategy that the execution finished.
 func (e *Env) EndExec() { e.strat.EndExec() }
 
-// Spawn allocates the next thread handle and registers it with the strategy.
+// Spawn allocates the next thread handle, with an access log from logPool,
+// and registers it with the strategy.
 func (e *Env) Spawn() *Thread {
 	e.lockMu.Lock()
 	id := e.nextTID
@@ -186,7 +211,7 @@ func (e *Env) Spawn() *Thread {
 	e.liveThreads[id] = struct{}{}
 	e.lockMu.Unlock()
 	e.strat.ThreadStart(id)
-	return &Thread{ID: id, env: e}
+	return &Thread{ID: id, env: e, log: logPool.Get().(*[logSize]core.LogRecord)}
 }
 
 // AnnotateSyncVar registers a persistent synchronization variable annotation
@@ -259,9 +284,9 @@ func (e *Env) setParked(t pmem.ThreadID, parked bool) {
 // parkOnLock blocks thread self on the held lock word at addr until the
 // word's holder releases it or exits, the environment is cancelled, or the
 // hang deadline passes. It returns at once when the word is free or when its
-// holder cannot release it (self, or exited): the caller re-checks the lock
-// and fails fast. A word held with no recorded holder is re-checked every
-// unownedLockPoll instead.
+// holder cannot release it (self, exited, or waiting in a cycle back to
+// self): the caller re-checks the lock and fails fast. A word held with no
+// recorded holder is re-checked every unownedLockPoll instead.
 func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time) {
 	e.lockMu.Lock()
 	if e.cancelled.Load() || e.pool.Load64(addr) == 0 {
@@ -274,7 +299,7 @@ func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time)
 		<-time.After(min(time.Until(deadline), unownedLockPoll))
 		return
 	}
-	if !e.parkable(holder, self) {
+	if !e.parkable(holder, self) || e.cycleLocked(addr, self) {
 		e.lockMu.Unlock()
 		return
 	}
@@ -284,6 +309,7 @@ func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time)
 		e.spinWaiters[addr] = w
 	}
 	w.threads = append(w.threads, self)
+	e.parkedOn[self] = addr
 	e.setParked(self, true)
 	e.lockMu.Unlock()
 
@@ -298,6 +324,7 @@ func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time)
 			for i, id := range w.threads {
 				if id == self {
 					w.threads = append(w.threads[:i], w.threads[i+1:]...)
+					delete(e.parkedOn, self)
 					e.setParked(self, false)
 					break
 				}
@@ -311,8 +338,8 @@ func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time)
 }
 
 // wakeSpinLocked wakes every thread parked on the lock word at addr,
-// clearing their parked state before they can run. It reports whether any
-// thread was woken. The caller holds lockMu.
+// clearing their parked state and wait edges before they can run. It reports
+// whether any thread was woken. The caller holds lockMu.
 func (e *Env) wakeSpinLocked(addr pmem.Addr) bool {
 	w := e.spinWaiters[addr]
 	if w == nil {
@@ -320,6 +347,7 @@ func (e *Env) wakeSpinLocked(addr pmem.Addr) bool {
 	}
 	delete(e.spinWaiters, addr)
 	for _, id := range w.threads {
+		delete(e.parkedOn, id)
 		e.setParked(id, false)
 	}
 	close(w.wake)
@@ -338,24 +366,53 @@ func (e *Env) unparkMutexLocked(mu *sync.Mutex) bool {
 	return len(ws) > 0
 }
 
-// lockUnacquirable reports whether the lock word can never be granted to
-// thread self: its recorded owner has exited (no live thread can release
-// it), or the owner is self (the locks are non-recursive, so a thread
-// spinning on a lock it already holds — the classic consequence of a
-// missing-unlock bug earlier in its own op stream — waits forever). Either
-// way the waiter is hung no matter how long it spins.
-func (e *Env) lockUnacquirable(addr pmem.Addr, self pmem.ThreadID) bool {
+// lockUnacquirable reports why the lock word can never be granted to thread
+// self, or "" while some live thread may still release it: its recorded owner
+// is self (the locks are non-recursive, so a thread spinning on a lock it
+// already holds — the classic consequence of a missing-unlock bug earlier in
+// its own op stream — waits forever), has exited, or waits in a cycle back to
+// self. Each way the waiter is hung no matter how long it spins.
+func (e *Env) lockUnacquirable(addr pmem.Addr, self pmem.ThreadID) string {
 	e.lockMu.Lock()
 	defer e.lockMu.Unlock()
 	holder, held := e.lockHolders[addr]
-	if !held {
-		return false
+	switch {
+	case !held:
+		return ""
+	case holder == self:
+		return HangOwnLock
 	}
-	if holder == self {
-		return true
+	if _, live := e.liveThreads[holder]; !live {
+		return HangDeadOwner
 	}
-	_, live := e.liveThreads[holder]
-	return !live
+	if e.cycleLocked(addr, self) {
+		return HangCycle
+	}
+	return ""
+}
+
+// cycleLocked reports whether thread self, waiting on the lock word at addr,
+// closes a deadlock cycle: addr's holder is parked on a lock whose holder is
+// parked on a lock ... that self holds. Only parked spin-lock waits are
+// edges, and every wake clears its edge under lockMu, so each edge is a wait
+// still in progress. The walk is bounded by the number of live threads. The
+// caller holds lockMu.
+func (e *Env) cycleLocked(addr pmem.Addr, self pmem.ThreadID) bool {
+	for range len(e.liveThreads) {
+		holder, held := e.lockHolders[addr]
+		if !held {
+			return false
+		}
+		if holder == self {
+			return true
+		}
+		next, parked := e.parkedOn[holder]
+		if !parked {
+			return false
+		}
+		addr = next
+	}
+	return false
 }
 
 // TakeStats hands over the per-address access statistics collected so far;

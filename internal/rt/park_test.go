@@ -9,6 +9,7 @@ import (
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/site"
+	"github.com/pmrace-go/pmrace/internal/taint"
 )
 
 // parkRecorder is a strategy that records which threads the runtime reports
@@ -90,6 +91,17 @@ func within(t *testing.T, ch <-chan any, d time.Duration, what string) any {
 	}
 }
 
+// hangReason returns the reason of the HangError v, failing the test when v
+// is anything else.
+func hangReason(t *testing.T, v any, what string) string {
+	t.Helper()
+	h, ok := v.(HangError)
+	if !ok {
+		t.Fatalf("%s panicked %v, want HangError", what, v)
+	}
+	return h.Report.Reason
+}
+
 func newParkEnv(t *testing.T) (*Env, *parkRecorder) {
 	r := newParkRecorder()
 	return newEnv(t, Config{Strategy: r, HangTimeout: 10 * time.Second}), r
@@ -122,8 +134,8 @@ func TestParkedSpinLockFailsFastOnHolderExit(t *testing.T) {
 	waitParked(t, r, t2.ID)
 	t1.Exit() // leaks the lock
 	v := within(t, done, time.Second, "SpinLock on a leaked lock")
-	if _, ok := v.(HangError); !ok {
-		t.Fatalf("SpinLock on a leaked lock panicked %v, want HangError", v)
+	if r := hangReason(t, v, "SpinLock on a leaked lock"); r != HangDeadOwner {
+		t.Fatalf("hang reason = %q, want %q", r, HangDeadOwner)
 	}
 	if r.isParked(t2.ID) {
 		t.Fatalf("woken thread is still reported parked")
@@ -151,11 +163,133 @@ func TestSpinLockNeverParksOnOwnLock(t *testing.T) {
 	t1 := e.Spawn()
 	t1.SpinLock(64)
 	v := within(t, spinLockAsync(t1, 64), time.Second, "SpinLock on an own lock")
-	if _, ok := v.(HangError); !ok {
-		t.Fatalf("re-locking panicked %v, want HangError", v)
+	if r := hangReason(t, v, "re-locking"); r != HangOwnLock {
+		t.Fatalf("hang reason = %q, want %q", r, HangOwnLock)
 	}
 	if r.isParked(t1.ID) {
 		t.Fatalf("a thread spinning on its own lock was reported parked")
+	}
+}
+
+// testSpinLockCycle builds a ring of n threads: thread i holds lock word
+// lock(i) and waits for lock(i+1 mod n). The last waiter closes the cycle and
+// must fail fast with reason cycle, though the hang timeout is 10 s. Exiting
+// it, as the executor does with a hung thread, leaks its lock, and the others
+// then fail one after another on a dead owner.
+func testSpinLockCycle(t *testing.T, n int) {
+	e, r := newParkEnv(t)
+	lock := func(i int) pmem.Addr { return pmem.Addr(64 * (1 + i%n)) }
+	ths := make([]*Thread, n)
+	for i := range ths {
+		ths[i] = e.Spawn()
+		ths[i].SpinLock(lock(i))
+	}
+	done := make([]<-chan any, n)
+	for i := range n - 1 {
+		done[i] = spinLockAsync(ths[i], lock(i+1))
+		waitParked(t, r, ths[i].ID)
+	}
+	done[n-1] = spinLockAsync(ths[n-1], lock(n))
+	v := within(t, done[n-1], time.Second, "SpinLock closing the cycle")
+	if got := hangReason(t, v, "SpinLock closing the cycle"); got != HangCycle {
+		t.Fatalf("hang reason = %q, want %q", got, HangCycle)
+	}
+	ths[n-1].Exit()
+	for i := n - 2; i >= 0; i-- {
+		v := within(t, done[i], time.Second, "SpinLock behind the cycle")
+		if got := hangReason(t, v, "SpinLock behind the cycle"); got != HangDeadOwner {
+			t.Fatalf("thread %d: hang reason = %q, want %q", ths[i].ID, got, HangDeadOwner)
+		}
+		ths[i].Exit()
+	}
+	for _, th := range ths {
+		if r.isParked(th.ID) {
+			t.Fatalf("thread %d is still reported parked after the cycle", th.ID)
+		}
+	}
+	if n := r.staleHooks(); n != 0 {
+		t.Fatalf("%d hook calls from a thread reported parked", n)
+	}
+}
+
+func TestSpinLockCycleABBA(t *testing.T) { testSpinLockCycle(t, 2) }
+
+func TestSpinLockCycleRing(t *testing.T) { testSpinLockCycle(t, 3) }
+
+// TestSpinLockParkRefusesCycle: a holder may park on one of the waiter's
+// locks between the waiter's last fast-fail check and its park. parkOnLock
+// must then return at once rather than park both threads until the deadline;
+// SpinLock's re-check names the cycle.
+func TestSpinLockParkRefusesCycle(t *testing.T) {
+	e, r := newParkEnv(t)
+	a, b := e.Spawn(), e.Spawn()
+	a.SpinLock(64)
+	b.SpinLock(128)
+	doneA := spinLockAsync(a, 128)
+	waitParked(t, r, a.ID)
+	parked := make(chan any, 1)
+	go func() {
+		e.parkOnLock(64, b.ID, time.Now().Add(10*time.Second))
+		parked <- nil
+	}()
+	within(t, parked, time.Second, "parkOnLock closing a cycle")
+	if r.isParked(b.ID) {
+		t.Fatalf("a waiter closing a cycle is reported parked")
+	}
+	if got := e.lockUnacquirable(64, b.ID); got != HangCycle {
+		t.Fatalf("lockUnacquirable = %q, want %q", got, HangCycle)
+	}
+	b.Exit()
+	if got := hangReason(t, within(t, doneA, time.Second, "A's SpinLock"), "A's SpinLock"); got != HangDeadOwner {
+		t.Fatalf("hang reason = %q, want %q", got, HangDeadOwner)
+	}
+}
+
+// TestSpinLockNoFalseCycleAfterWake: a wake clears the woken thread's wait
+// edge. A parks on L1 held by B; B releases L1 and A is granted it, then
+// hands it back to B. If A's edge to L1 survived the wake, B waiting on L2,
+// which A holds, would see the chain L2 → A → L1 → B and hang on a cycle that
+// does not exist. B must park instead, and proceed once A unlocks L2.
+func TestSpinLockNoFalseCycleAfterWake(t *testing.T) {
+	const l1, l2 = 64, 128
+	e, r := newParkEnv(t)
+	a, b := e.Spawn(), e.Spawn()
+	a.SpinLock(l2)
+	b.SpinLock(l1)
+	doneA := spinLockAsync(a, l1)
+	waitParked(t, r, a.ID)
+	b.SpinUnlock(l1)
+	if v := within(t, doneA, time.Second, "A's SpinLock"); v != nil {
+		t.Fatalf("A's SpinLock panicked: %v", v)
+	}
+	a.SpinUnlock(l1)
+	b.SpinLock(l1)
+	doneB := spinLockAsync(b, l2)
+	waitParked(t, r, b.ID)
+	a.SpinUnlock(l2)
+	if v := within(t, doneB, time.Second, "B's SpinLock"); v != nil {
+		t.Fatalf("B's SpinLock panicked: %v", v)
+	}
+	if n := r.staleHooks(); n != 0 {
+		t.Fatalf("%d hook calls from a thread reported parked", n)
+	}
+}
+
+// TestSpinLockUnownedTakesDeadline: a lock word set by a plain store has no
+// recorded holder (a lock left set in a crash image), so no fast-fail rule
+// applies and the wait ends on the hang deadline.
+func TestSpinLockUnownedTakesDeadline(t *testing.T) {
+	const timeout = 30 * time.Millisecond
+	e := newEnv(t, Config{Strategy: newParkRecorder(), HangTimeout: timeout})
+	th := e.Spawn()
+	th.Store64(64, 1, taint.None, taint.None)
+	start := time.Now()
+	v := within(t, spinLockAsync(th, 64), 5*time.Second, "SpinLock on an unowned lock")
+	if got := hangReason(t, v, "SpinLock on an unowned lock"); got != HangDeadline {
+		t.Fatalf("hang reason = %q, want %q", got, HangDeadline)
+	}
+	if d := time.Since(start); d < timeout {
+		t.Fatalf("unowned lock hung after %v, before the %v deadline", d, timeout)
 	}
 }
 

@@ -243,7 +243,7 @@ func TestSpinLockHangDetection(t *testing.T) {
 		if !ok {
 			t.Fatalf("expected HangError panic, got %v", r)
 		}
-		if hang := herr.Report; hang.Thread != t2.ID || hang.Addr != 64 || hang.Site == "" {
+		if hang := herr.Report; hang.Thread != t2.ID || hang.Addr != 64 || hang.Site == "" || hang.Reason != HangDeadline {
 			t.Fatalf("hang report = %+v", hang)
 		}
 		if herr.Error() == "" {
@@ -251,6 +251,32 @@ func TestSpinLockHangDetection(t *testing.T) {
 		}
 	}()
 	t2.SpinLock(64)
+}
+
+// TestHookAfterExitStillDrains: Exit hands the thread's access log back for
+// reuse, and the next Spawn may take the same one. A hook on the exited
+// thread must take a fresh log, not write into the one now in use, and its
+// accesses must still drain to the batch analyzer.
+func TestHookAfterExitStillDrains(t *testing.T) {
+	e := newEnv(t, Config{CollectStats: true})
+	t1 := e.Spawn()
+	t1.Store64(64, 1, taint.None, taint.None)
+	t1.Exit()
+	t2 := e.Spawn()
+	t1.Store64(128, 2, taint.None, taint.None)
+	t2.Store64(192, 3, taint.None, taint.None)
+	t1.Load64(256)
+	t2.Fence()
+	t1.Fence()
+	if _, records := e.Batch().Counts(); records != 4 {
+		t.Fatalf("batch analyzer saw %d records, want 4", records)
+	}
+	stats := e.TakeStats()
+	for _, addr := range []pmem.Addr{64, 128, 192, 256} {
+		if stats[addr] == nil {
+			t.Errorf("no statistics for %d: its access never drained", addr)
+		}
+	}
 }
 
 func TestSyncVarAnnotationTriggersCallback(t *testing.T) {

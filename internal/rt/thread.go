@@ -22,6 +22,11 @@ var fastPC = site.VerifyReturnPC()
 // only sets drain granularity, never drops records.
 const logSize = 256
 
+// logPool recycles access logs: Spawn takes one, Exit returns it after its
+// final drain, so executions and recovery runs do not allocate ~8 KiB per
+// thread.
+var logPool = sync.Pool{New: func() any { return new([logSize]core.LogRecord) }}
+
 // Thread is the hook handle one simulated program thread uses for every PM
 // access. Each hook call site is one "instrumented instruction": the hook
 // resolves its caller to a site ID that plays the role of PMRace's LLVM
@@ -44,8 +49,11 @@ type Thread struct {
 	// analyses (alias pairs, statistics, redundant stores) run in batches
 	// when the log drains at a sync point (lock, unlock, fence, exit) or
 	// when it fills. clock is the FastTrack-style epoch counter advancing
-	// once per drain, so all records of a batch share one epoch.
-	log   [logSize]core.LogRecord
+	// once per drain, so all records of a batch share one epoch. The log
+	// comes from logPool; Exit returns it and leaves log nil with logN at
+	// logSize, so a hook after Exit sees a full log and its drain takes a
+	// fresh one, without an extra branch on the append path.
+	log   *[logSize]core.LogRecord
 	logN  int
 	clock uint32
 
@@ -55,24 +63,26 @@ type Thread struct {
 // Env returns the environment the thread runs in.
 func (t *Thread) Env() *Env { return t.env }
 
-// Exit drains the thread's access log and unregisters the thread from the
-// interleaving strategy. It is a sync point: after Exit, every deferred
-// analysis result from this thread is published.
+// Exit drains the thread's access log, returns it to logPool and unregisters
+// the thread from the interleaving strategy. It is a sync point: after Exit,
+// every deferred analysis result from this thread is published.
 func (t *Thread) Exit() {
 	t.drainLog()
+	logPool.Put(t.log)
+	t.log, t.logN = nil, logSize
 	t.env.noteThreadExit(t.ID)
 	t.env.strat.ThreadExit(t.ID)
 }
 
-// HangError is panicked when a spin lock exceeds the hang timeout; the
-// campaign executor recovers it and records a hang (e.g. a deadlock from a
-// conventional concurrency bug, or a never-released persistent lock after
-// recovery).
+// HangError is panicked when a spin lock can never be granted or exceeds the
+// hang timeout; the campaign executor recovers it and records a hang (e.g. a
+// deadlock from a conventional concurrency bug, or a never-released
+// persistent lock after recovery).
 type HangError struct{ Report HangReport }
 
 // Error implements error.
 func (h HangError) Error() string {
-	return fmt.Sprintf("rt: thread %d hung acquiring lock at PM offset %#x (%s)", h.Report.Thread, h.Report.Addr, h.Report.Site)
+	return fmt.Sprintf("rt: thread %d hung acquiring lock at PM offset %#x (%s): %s", h.Report.Thread, h.Report.Addr, h.Report.Site, h.Report.Reason)
 }
 
 // siteFromPC resolves a hook's instrumented call site from the raw return PC
@@ -100,9 +110,14 @@ func (t *Thread) logAccess(addr pmem.Addr, prev pmem.Accessor, s site.ID, kind u
 }
 
 // drainLog hands the accumulated records to the environment's batch analyzer
-// and advances the thread's epoch clock.
+// and advances the thread's epoch clock. On a thread past Exit, which holds
+// no log, it takes a fresh one instead.
 func (t *Thread) drainLog() {
 	if t.logN == 0 {
+		return
+	}
+	if t.log == nil {
+		t.log, t.logN = logPool.Get().(*[logSize]core.LogRecord), 0
 		return
 	}
 	t.env.batch.Process(t.ID, t.clock, t.log[:t.logN])
@@ -423,22 +438,30 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 		}
 		t.env.checkCancel()
 		spins++
-		// A lock whose recorded owner has exited — or whose owner is
-		// this very thread, spinning on a lock it leaked earlier in
-		// its own op stream — can never be granted; waiting out the
-		// full hang timeout would report the same hang ~80ms later
-		// (and cascade across every thread queued behind the leak).
-		// Fail fast instead. Locks with no recorded owner — e.g. a
-		// persistent lock word set in a crash image that recovery
-		// trips over — still take the timeout path.
+		// A lock that can never be granted — its owner is this very
+		// thread (a lock it leaked earlier in its own op stream), has
+		// exited, or waits in a cycle of parked spin-lock waiters back
+		// to this thread — fails fast: waiting out the full hang
+		// timeout would report the same hang ~80ms later (and cascade
+		// across every thread queued behind the leak). Locks with no
+		// recorded owner — e.g. a persistent lock word set in a crash
+		// image that recovery trips over — and owners blocked outside
+		// the spin locks still take the timeout path.
 		// Past the yield phase every wake-up re-checks at once.
-		if (spins%32 == 0 || spins >= yieldSpins) && (t.env.lockUnacquirable(addr, t.ID) || time.Now().After(deadline)) {
-			t.drainLog()
-			panic(HangError{Report: HangReport{
-				Thread: t.ID,
-				Addr:   addr,
-				Site:   site.Lookup(s).String(),
-			}})
+		if spins%32 == 0 || spins >= yieldSpins {
+			reason := t.env.lockUnacquirable(addr, t.ID)
+			if reason == "" && time.Now().After(deadline) {
+				reason = HangDeadline
+			}
+			if reason != "" {
+				t.drainLog()
+				panic(HangError{Report: HangReport{
+					Thread: t.ID,
+					Addr:   addr,
+					Site:   site.Lookup(s).String(),
+					Reason: reason,
+				}})
+			}
 		}
 		if spins < yieldSpins {
 			runtime.Gosched()

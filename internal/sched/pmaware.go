@@ -59,6 +59,11 @@ type Outcome struct {
 	// PrivilegedUsed reports whether a privileged thread was selected
 	// because all threads blocked (Pitfall-2).
 	PrivilegedUsed bool
+	// CondWaitTimeouts counts cond_waits that ended on MaxWait, and
+	// WriterStallTimeouts writer stalls that ended on WriterWait, rather
+	// than on an event.
+	CondWaitTimeouts    int
+	WriterStallTimeouts int
 }
 
 type waiterState struct {
@@ -98,6 +103,9 @@ type PMAware struct {
 	privUsed atomic.Bool
 	waits    atomic.Int32
 	waiting  atomic.Int32 // threads currently inside cond_wait
+
+	waitTimeouts  atomic.Int32
+	stallTimeouts atomic.Int32
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -252,10 +260,12 @@ func (p *PMAware) Describe() Description {
 // Outcome returns the campaign summary used for skip bookkeeping.
 func (p *PMAware) Outcome() Outcome {
 	return Outcome{
-		CondWaits:      int(p.waits.Load()),
-		Signalled:      p.signal.Load(),
-		Disabled:       p.disabled.Load(),
-		PrivilegedUsed: p.privUsed.Load(),
+		CondWaits:           int(p.waits.Load()),
+		Signalled:           p.signal.Load(),
+		Disabled:            p.disabled.Load(),
+		PrivilegedUsed:      p.privUsed.Load(),
+		CondWaitTimeouts:    int(p.waitTimeouts.Load()),
+		WriterStallTimeouts: int(p.stallTimeouts.Load()),
 	}
 }
 
@@ -297,6 +307,7 @@ func (p *PMAware) condWait(t pmem.ThreadID) {
 		case <-wake:
 		case <-timer.C:
 			// Pitfall-3: this thread blocked too long.
+			p.waitTimeouts.Add(1)
 			p.disable()
 			return
 		}
@@ -415,6 +426,7 @@ func (p *PMAware) condSignal(writer pmem.ThreadID) {
 		select {
 		case <-wake:
 		case <-timer.C:
+			p.stallTimeouts.Add(1)
 			return
 		}
 	}

@@ -274,8 +274,8 @@ func TestPMAwareBlockedThreadDisablesSyncPoint(t *testing.T) {
 		t.Fatalf("blocked thread must give up after MaxWait")
 	}
 	out := p.Outcome()
-	if !out.Disabled || out.CondWaits != 1 {
-		t.Fatalf("outcome = %+v, want disabled with one wait", out)
+	if !out.Disabled || out.CondWaits != 1 || out.CondWaitTimeouts != 1 {
+		t.Fatalf("outcome = %+v, want disabled with one wait, ended by MaxWait", out)
 	}
 	// Once disabled, further waits return immediately.
 	start := time.Now()
@@ -366,8 +366,8 @@ func TestPMAwareQuiescentWaitDisables(t *testing.T) {
 	p.Park(2, true)
 	returnsWithin(t, time.Second, "quiescent cond_wait", func() { p.BeforeLoad(1, 64, loadSite) })
 	out := p.Outcome()
-	if !out.Disabled || out.CondWaits != 1 || out.PrivilegedUsed {
-		t.Fatalf("outcome = %+v, want disabled with one wait and no privileged thread", out)
+	if !out.Disabled || out.CondWaits != 1 || out.PrivilegedUsed || out.CondWaitTimeouts != 0 {
+		t.Fatalf("outcome = %+v, want disabled with one wait, no privileged thread and no timer exit", out)
 	}
 }
 
@@ -405,7 +405,7 @@ func TestPMAwareUnparkedThreadKeepsWaiting(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < cfg.MaxWait {
 		t.Fatalf("wait ended after %v, before MaxWait %v, with a runnable thread", elapsed, cfg.MaxWait)
 	}
-	if out := p.Outcome(); !out.Disabled {
+	if out := p.Outcome(); !out.Disabled || out.CondWaitTimeouts != 1 {
 		t.Fatalf("outcome = %+v, want disabled by MaxWait", out)
 	}
 }
@@ -427,8 +427,32 @@ func TestPMAwareWriterStallEndsWhenOthersPark(t *testing.T) {
 	waitFor(t, func() bool { return p.waiting.Load() != 0 })
 	returnsWithin(t, time.Second, "writer stall", func() { p.AfterStore(2, 64, storeSite) })
 	<-read
-	if out := p.Outcome(); !out.Signalled || out.Disabled {
-		t.Fatalf("outcome = %+v, want signalled", out)
+	if out := p.Outcome(); !out.Signalled || out.Disabled || out.WriterStallTimeouts != 0 {
+		t.Fatalf("outcome = %+v, want signalled with no timer exit", out)
+	}
+}
+
+// TestPMAwareWriterStallTimesOut: with the reader still running after its
+// load, only WriterWait ends the stall, and the outcome counts it.
+func TestPMAwareWriterStallTimesOut(t *testing.T) {
+	loadSite, storeSite := site.Named("wt-load"), site.Named("wt-store")
+	cfg := testConfig()
+	cfg.WriterWait, cfg.MaxWait = time.Millisecond, 10*time.Second
+	p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{storeSite}), 0)
+	p.BeginExec(2)
+	p.ThreadStart(1)
+	p.ThreadStart(2)
+	read := make(chan struct{})
+	go func() {
+		p.BeforeLoad(1, 64, loadSite)
+		close(read)
+	}()
+	waitFor(t, func() bool { return p.waiting.Load() != 0 })
+	returnsWithin(t, time.Second, "writer stall", func() { p.AfterStore(2, 64, storeSite) })
+	<-read
+	out := p.Outcome()
+	if !out.Signalled || out.WriterStallTimeouts != 1 || out.CondWaitTimeouts != 0 {
+		t.Fatalf("outcome = %+v, want signalled, one writer-stall timer exit and no cond_wait one", out)
 	}
 }
 

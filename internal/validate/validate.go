@@ -268,7 +268,9 @@ func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout t
 		}()
 		tgt := factory()
 		th := env.Spawn()
-		done <- recoveryResult{err: tgt.Recover(th)}
+		err := tgt.Recover(th)
+		th.Exit()
+		done <- recoveryResult{err: err}
 	}()
 	timer := time.NewTimer(wallTimeout)
 	defer timer.Stop()
