@@ -220,6 +220,10 @@ func (si *SyncInconsistency) key() syncKey { return syncKey{si.Var.Name, si.Site
 
 // Detector implements the runtime PM checkers for one fuzz campaign.
 type Detector struct {
+	// mu guards the fields below labels. OnStore may hold it while it
+	// expands a label and calls the store's WordState, Known and Stack
+	// callbacks, so it is taken before the label table's lock, the pool's
+	// and the campaign database's, never after.
 	mu     sync.Mutex
 	labels *taint.Table
 
@@ -362,8 +366,17 @@ type StoreCheck struct {
 	// beyond this detector (the campaign's dedup database). OnStore then
 	// records the finding without calling Stack: nothing reads the stack
 	// of a duplicate. It is called under the detector's lock.
-	Known      func(key [3]uint32) bool
-	StillDirty func(addr pmem.Addr, epoch uint32) bool
+	Known func(key [3]uint32) bool
+	// WordState returns the persistency state of a lineage event's word.
+	// An event is live while its word has stayed non-persisted since the
+	// observed store: the word is dirty and the event's epoch is past its
+	// CleanEpoch (overwrites keep the observed value lost on crash; only
+	// a flush settles it). OnStore calls it once per run of lineage
+	// events on one word, under the detector's lock once an earlier event
+	// has reached the findings; the runtime passes the pool's WordState,
+	// so the lock order is detector, then pool. Nil treats every event
+	// as live.
+	WordState func(addr pmem.Addr) pmem.WordMeta
 }
 
 // OnStore checks a PM store for durable side effects based on non-persisted
@@ -373,10 +386,20 @@ type StoreCheck struct {
 // inside the stored range itself are skipped: overwriting the dependent
 // non-persisted data is not a side effect (Definition 2). It returns the
 // newly recorded inconsistencies (empty when all were duplicates or stale).
+//
+// A lineage can run to hundreds of events, mostly in runs on one word and
+// one finding key, so the store takes the detector's lock at most once, and
+// an event on the word or key of the last one looked up reuses that lookup.
 func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
-	var found []*Inconsistency
-	var stack []string
-	captured := false
+	var (
+		found    []*Inconsistency
+		stack    storeStack
+		word     pmem.Addr // the last word looked up, and its state
+		state    pmem.WordMeta
+		haveWord bool
+		prev     *Inconsistency // the last finding looked up
+		locked   bool
+	)
 	for _, pair := range [2]struct {
 		lab  taint.Label
 		flow FlowKind
@@ -391,46 +414,75 @@ func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 			if !sc.External && ev.Addr >= sc.Addr&^7 && ev.Addr < sc.Addr+sc.Size {
 				continue
 			}
-			if sc.StillDirty != nil && !sc.StillDirty(ev.Addr, ev.Epoch) {
-				continue
+			if sc.WordState != nil {
+				if !haveWord || word != ev.Addr {
+					word, state, haveWord = ev.Addr, sc.WordState(ev.Addr), true
+				}
+				if !state.Dirty || ev.Epoch <= state.CleanEpoch {
+					continue
+				}
 			}
 			kind := KindIntra
 			if ev.Inter() {
 				kind = KindInter
 			}
-			key := inconKey(ev.WriteSite, sc.Site, kind)
-			d.mu.Lock()
-			if prev, ok := d.incons[key]; ok {
-				prev.Count++
-				d.mu.Unlock()
+			// Most tainted stores reach no finding (their words are
+			// settled), so the lock is taken at the first event that does.
+			if !locked {
+				d.mu.Lock()
+				locked = true
+			}
+			if prev != nil && prev.Event.WriteSite == ev.WriteSite && prev.Kind == kind {
+				prev.Count++ // the same key: the store site is the same
 				continue
 			}
-			// A new finding: the stack is captured once per store, before
-			// the entry becomes visible to readers of d.incons, unless the
-			// campaign already holds the finding.
-			if !captured && sc.Stack != nil && (sc.Known == nil || !sc.Known(key)) {
-				stack, captured = sc.Stack(), true
+			key := inconKey(ev.WriteSite, sc.Site, kind)
+			if p, ok := d.incons[key]; ok {
+				p.Count++
+				prev = p
+				continue
 			}
-			in := &Inconsistency{
-				Kind:        kind,
-				Event:       ev,
-				StoreSite:   sc.Site,
-				StoreThread: sc.Thread,
-				External:    sc.External,
-				SideEffect:  pmem.Range{Off: sc.Addr, Len: sc.Size},
-				DirtyRange:  pmem.Range{Off: ev.Addr, Len: pmem.WordSize},
-				Flow:        pair.flow,
-				Stack:       stack,
-				Lineage:     lineage,
-				Count:       1,
-			}
-			d.incons[key] = in
-			d.inconOrd = append(d.inconOrd, key)
-			d.mu.Unlock()
-			found = append(found, in)
+			prev = d.newFinding(&sc, &stack, key, kind, ev, pair.flow, lineage)
+			found = append(found, prev)
 		}
 	}
+	if locked {
+		d.mu.Unlock()
+	}
 	return found
+}
+
+// storeStack is a store's call stack, captured at most once.
+type storeStack struct {
+	frames   []string
+	captured bool
+}
+
+// newFinding records the store's first occurrence of finding key, caused by
+// lineage event ev. Caller holds d.mu.
+func (d *Detector) newFinding(sc *StoreCheck, stack *storeStack, key [3]uint32, kind Kind, ev taint.Event, flow FlowKind, lineage []taint.Event) *Inconsistency {
+	// The stack is captured once per store, before the entry becomes
+	// visible to readers of d.incons, unless the campaign already holds
+	// the finding.
+	if !stack.captured && sc.Stack != nil && (sc.Known == nil || !sc.Known(key)) {
+		stack.frames, stack.captured = sc.Stack(), true
+	}
+	in := &Inconsistency{
+		Kind:        kind,
+		Event:       ev,
+		StoreSite:   sc.Site,
+		StoreThread: sc.Thread,
+		External:    sc.External,
+		SideEffect:  pmem.Range{Off: sc.Addr, Len: sc.Size},
+		DirtyRange:  pmem.Range{Off: ev.Addr, Len: pmem.WordSize},
+		Flow:        flow,
+		Stack:       stack.frames,
+		Lineage:     lineage,
+		Count:       1,
+	}
+	d.incons[key] = in
+	d.inconOrd = append(d.inconOrd, key)
+	return in
 }
 
 // OnSyncStore checks whether a store touches an annotated synchronization

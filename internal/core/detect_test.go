@@ -19,8 +19,10 @@ func intraEvent(writeSite, readSite uint32, addr uint64) taint.Event {
 	return taint.Event{Addr: addr, Epoch: 1, WriteSite: writeSite, ReadSite: readSite, Writer: 3, Reader: 3}
 }
 
-func alwaysDirty(pmem.Addr, uint32) bool { return true }
-func neverDirty(pmem.Addr, uint32) bool  { return false }
+// alwaysDirty keeps every test event (epoch 1) live; neverDirty settles
+// them all.
+func alwaysDirty(pmem.Addr) pmem.WordMeta { return pmem.WordMeta{Dirty: true} }
+func neverDirty(pmem.Addr) pmem.WordMeta  { return pmem.WordMeta{} }
 
 func TestOnDirtyReadRecordsCandidate(t *testing.T) {
 	d := newDet()
@@ -64,7 +66,7 @@ func TestOnStoreConfirmsInterInconsistency(t *testing.T) {
 	lab := d.OnDirtyRead(interEvent(10, 20, 64))
 	found := d.OnStore(StoreCheck{
 		Thread: 2, Site: 99, Addr: 256, Size: 8,
-		ValLab: lab, StillDirty: alwaysDirty,
+		ValLab: lab, WordState: alwaysDirty,
 	})
 	if len(found) != 1 {
 		t.Fatalf("found %d inconsistencies, want 1", len(found))
@@ -86,7 +88,7 @@ func TestOnStoreAddressFlow(t *testing.T) {
 	lab := d.OnDirtyRead(interEvent(10, 20, 64))
 	found := d.OnStore(StoreCheck{
 		Thread: 2, Site: 99, Addr: 512, Size: 16,
-		AddrLab: lab, StillDirty: alwaysDirty,
+		AddrLab: lab, WordState: alwaysDirty,
 	})
 	if len(found) != 1 || found[0].Flow != FlowAddress {
 		t.Fatalf("found = %+v, want one address-flow inconsistency", found)
@@ -96,7 +98,7 @@ func TestOnStoreAddressFlow(t *testing.T) {
 func TestOnStoreIntraClassification(t *testing.T) {
 	d := newDet()
 	lab := d.OnDirtyRead(intraEvent(10, 20, 64))
-	found := d.OnStore(StoreCheck{Thread: 3, Site: 99, Addr: 256, Size: 8, ValLab: lab, StillDirty: alwaysDirty})
+	found := d.OnStore(StoreCheck{Thread: 3, Site: 99, Addr: 256, Size: 8, ValLab: lab, WordState: alwaysDirty})
 	if len(found) != 1 || found[0].Kind != KindIntra {
 		t.Fatalf("found = %+v, want intra", found)
 	}
@@ -105,7 +107,7 @@ func TestOnStoreIntraClassification(t *testing.T) {
 func TestOnStoreSkipsPersistedEvents(t *testing.T) {
 	d := newDet()
 	lab := d.OnDirtyRead(interEvent(10, 20, 64))
-	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab, StillDirty: neverDirty})
+	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab, WordState: neverDirty})
 	if len(found) != 0 {
 		t.Fatalf("persisted dependency must not be an inconsistency, got %+v", found)
 	}
@@ -118,7 +120,7 @@ func TestOnStoreSkipsSelfOverwrite(t *testing.T) {
 	d := newDet()
 	lab := d.OnDirtyRead(interEvent(10, 20, 64))
 	// Storing over the dependent word itself is not a side effect.
-	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 64, Size: 8, ValLab: lab, StillDirty: alwaysDirty})
+	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 64, Size: 8, ValLab: lab, WordState: alwaysDirty})
 	if len(found) != 0 {
 		t.Fatalf("self-overwrite must be skipped, got %+v", found)
 	}
@@ -126,7 +128,7 @@ func TestOnStoreSkipsSelfOverwrite(t *testing.T) {
 
 func TestOnStoreUntaintedIsNoop(t *testing.T) {
 	d := newDet()
-	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 64, Size: 8, StillDirty: alwaysDirty})
+	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 64, Size: 8, WordState: alwaysDirty})
 	if len(found) != 0 {
 		t.Fatalf("untainted store must not report, got %+v", found)
 	}
@@ -135,9 +137,9 @@ func TestOnStoreUntaintedIsNoop(t *testing.T) {
 func TestInconsistencyDeduplication(t *testing.T) {
 	d := newDet()
 	lab1 := d.OnDirtyRead(interEvent(10, 20, 64))
-	d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab1, StillDirty: alwaysDirty})
+	d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab1, WordState: alwaysDirty})
 	lab2 := d.OnDirtyRead(interEvent(10, 20, 64))
-	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab2, StillDirty: alwaysDirty})
+	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab2, WordState: alwaysDirty})
 	if len(found) != 0 {
 		t.Fatalf("duplicate must not be re-reported")
 	}
@@ -152,7 +154,7 @@ func TestMultipleEventsInOneLabel(t *testing.T) {
 	a := d.OnDirtyRead(interEvent(10, 20, 64))
 	b := d.OnDirtyRead(interEvent(11, 21, 128))
 	u := d.Labels().Union(a, b)
-	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: u, StillDirty: alwaysDirty})
+	found := d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: u, WordState: alwaysDirty})
 	if len(found) != 2 {
 		t.Fatalf("found %d, want 2 (one per source event)", len(found))
 	}
@@ -168,8 +170,8 @@ func TestOnStoreCapturesStackOnlyForNewFindings(t *testing.T) {
 		calls++
 		return []string{"target.go:7 target.(*T).Put"}
 	}
-	check := func(lab taint.Label, dirty func(pmem.Addr, uint32) bool) StoreCheck {
-		return StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab, Stack: stack, StillDirty: dirty}
+	check := func(lab taint.Label, dirty func(pmem.Addr) pmem.WordMeta) StoreCheck {
+		return StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab, Stack: stack, WordState: dirty}
 	}
 
 	found := d.OnStore(check(d.OnDirtyRead(interEvent(10, 20, 64)), alwaysDirty))
@@ -207,7 +209,7 @@ func TestOnStoreSkipsStackForKnownFindings(t *testing.T) {
 	known := map[[3]uint32]bool{inconKey(10, 99, KindInter): true}
 	check := func(lab taint.Label) StoreCheck {
 		return StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab, Stack: stack,
-			Known: func(k [3]uint32) bool { return known[k] }, StillDirty: alwaysDirty}
+			Known: func(k [3]uint32) bool { return known[k] }, WordState: alwaysDirty}
 	}
 
 	found := d.OnStore(check(d.OnDirtyRead(interEvent(10, 20, 64))))
@@ -232,7 +234,7 @@ func TestOnStoreStackPublishedWithFinding(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				lab := d.OnDirtyRead(interEvent(uint32(100*g+i), 20, 64))
 				d.OnStore(StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab,
-					Stack: func() []string { return []string{"s.go:1 f"} }, StillDirty: alwaysDirty})
+					Stack: func() []string { return []string{"s.go:1 f"} }, WordState: alwaysDirty})
 			}
 		}(g)
 	}
@@ -402,7 +404,7 @@ func TestWhitelistMatchInconsistencyBySite(t *testing.T) {
 	redo := site.Named("redo-log-alloc")
 	d := newDet()
 	lab := d.OnDirtyRead(taint.Event{Addr: 64, Epoch: 1, WriteSite: uint32(redo), ReadSite: 2, Writer: 1, Reader: 2})
-	found := d.OnStore(StoreCheck{Thread: 2, Site: 9, Addr: 256, Size: 8, ValLab: lab, StillDirty: alwaysDirty})
+	found := d.OnStore(StoreCheck{Thread: 2, Site: 9, Addr: 256, Size: 8, ValLab: lab, WordState: alwaysDirty})
 	if len(found) != 1 {
 		t.Fatalf("setup failed")
 	}

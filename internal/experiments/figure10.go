@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"github.com/pmrace-go/pmrace/api"
+	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
+	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/targets"
 	"github.com/pmrace-go/pmrace/internal/workload"
@@ -72,11 +74,18 @@ func RunFigure10(budget api.CampaignSpec) ([]Figure10Row, error) {
 	return rows, nil
 }
 
+// measureRate times execs mutated executions. Like a campaign, it keeps a
+// dedup database: duplicate findings skip the forensic capture, and captured
+// crash states go back to the buffer pool, so the rate measures fuzzing, not
+// crash-image copies.
 func measureRate(factory targets.Factory, mut fuzz.Mutator, seed int64, execs int, useCP bool) (float64, error) {
+	db := core.NewDB()
 	x := fuzz.NewExecutor(factory, fuzz.ExecOptions{
-		UseCheckpoints: useCP,
-		CollectStats:   false,
-		HangTimeout:    50 * time.Millisecond,
+		UseCheckpoints:     useCP,
+		CollectStats:       false,
+		HangTimeout:        50 * time.Millisecond,
+		KnownInconsistency: db.HasInconsistency,
+		KnownSync:          db.HasSync,
 	})
 	rng := rand.New(rand.NewSource(seed))
 	gen := workload.NewGenerator(seed, 16, 4)
@@ -88,8 +97,17 @@ func measureRate(factory targets.Factory, mut fuzz.Mutator, seed int64, execs in
 		if len(corpus) > 8 {
 			corpus = corpus[1:]
 		}
-		if _, err := x.Run(s, sched.None{}); err != nil {
+		res, err := x.Run(s, sched.None{})
+		if err != nil {
 			return 0, err
+		}
+		for _, c := range res.Inconsistencies {
+			db.MergeInconsistency(c.In)
+			pmem.RecycleStates(c.States)
+		}
+		for _, c := range res.Syncs {
+			db.MergeSync(c.Si)
+			pmem.RecycleStates(c.States)
 		}
 	}
 	elapsed := time.Since(start)

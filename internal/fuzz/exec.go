@@ -65,6 +65,10 @@ type ExecResult struct {
 	// panicked or timed out.
 	CrashImages   [][]byte
 	CrashFailures []string
+	// Input is the seed's encoding, made once by the first captured
+	// finding (empty when none was captured). Every finding new to the
+	// campaign is captured, so its validation job reuses this string.
+	Input string
 }
 
 // maxDirtyWords bounds the PM-state diff captured per detection; a resize in
@@ -253,9 +257,12 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 				mu.Unlock()
 				return
 			}
-			in.Input = seed.Encode()
 			states, dirty := captureCrash(e.Pool(), in.SideEffect)
 			mu.Lock()
+			if res.Input == "" {
+				res.Input = seed.Encode()
+			}
+			in.Input = res.Input
 			res.Inconsistencies = append(res.Inconsistencies, CapturedInconsistency{In: in, States: states, Trace: in.Interleaving(), Dirty: dirty})
 			mu.Unlock()
 		},
@@ -266,9 +273,12 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 				mu.Unlock()
 				return
 			}
-			si.Input = seed.Encode()
 			states, dirty := captureCrash(e.Pool(), pmem.Range{Off: si.Addr, Len: 8})
 			mu.Lock()
+			if res.Input == "" {
+				res.Input = seed.Encode()
+			}
+			si.Input = res.Input
 			res.Syncs = append(res.Syncs, CapturedSync{Si: si, States: states, Trace: si.Interleaving(), Dirty: dirty})
 			mu.Unlock()
 		},

@@ -767,10 +767,9 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 		pmem.RecycleStates(states)
 	}
 	if len(jobs) > 0 {
-		enc := seed.Encode()
 		sd := describeStrategy(strat)
 		for _, job := range jobs {
-			job.seed = enc
+			job.seed = res.Input
 			job.sd = sd
 			if f.valCh != nil {
 				f.valCh <- job

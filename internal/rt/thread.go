@@ -337,18 +337,15 @@ func (t *Thread) ExternSideEffect(lab taint.Label) {
 	t.drainLog()
 	e := t.env
 	found := e.det.OnStore(core.StoreCheck{
-		Thread:   t.ID,
-		Site:     s,
-		Addr:     0,
-		Size:     0,
-		ValLab:   lab,
-		External: true,
-		Stack:    captureStack,
-		Known:    e.cfg.KnownInconsistency,
-		StillDirty: func(a pmem.Addr, epoch uint32) bool {
-			m := e.pool.WordState(a)
-			return m.Dirty && epoch > m.CleanEpoch
-		},
+		Thread:    t.ID,
+		Site:      s,
+		Addr:      0,
+		Size:      0,
+		ValLab:    lab,
+		External:  true,
+		Stack:     captureStack,
+		Known:     e.cfg.KnownInconsistency,
+		WordState: e.pool.WordState,
 	})
 	if e.cfg.OnInconsistency != nil {
 		for _, in := range found {
@@ -417,7 +414,9 @@ func (t *Thread) Branch() {
 func (t *Thread) SpinLock(addr pmem.Addr) {
 	s := siteFromPC(site.ReturnPC())
 	t.drainLog()
-	deadline := time.Now().Add(t.env.cfg.HangTimeout)
+	// The hang deadline is taken at the first contended iteration:
+	// most acquisitions never wait, and they skip the clock read.
+	var deadline time.Time
 	spins := 0
 	for {
 		// Test-and-test-and-set: attempt the fully instrumented CAS
@@ -437,6 +436,9 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 			continue
 		}
 		t.env.checkCancel()
+		if spins == 0 {
+			deadline = time.Now().Add(t.env.cfg.HangTimeout)
+		}
 		spins++
 		// A lock that can never be granted — its owner is this very
 		// thread (a lock it leaked earlier in its own op stream), has
@@ -553,22 +555,15 @@ func (t *Thread) checkSideEffect(s site.ID, addr pmem.Addr, n uint64, valLab, ad
 	}
 	e := t.env
 	found := e.det.OnStore(core.StoreCheck{
-		Thread:  t.ID,
-		Site:    s,
-		Addr:    addr,
-		Size:    n,
-		ValLab:  valLab,
-		AddrLab: addrLab,
-		Stack:   captureStack,
-		Known:   e.cfg.KnownInconsistency,
-		StillDirty: func(a pmem.Addr, epoch uint32) bool {
-			// The dependency is live while the word has stayed
-			// non-persisted since the observed store: overwrites
-			// keep the observed value lost on crash; only a flush
-			// (raising CleanEpoch past the event) settles it.
-			m := e.pool.WordState(a)
-			return m.Dirty && epoch > m.CleanEpoch
-		},
+		Thread:    t.ID,
+		Site:      s,
+		Addr:      addr,
+		Size:      n,
+		ValLab:    valLab,
+		AddrLab:   addrLab,
+		Stack:     captureStack,
+		Known:     e.cfg.KnownInconsistency,
+		WordState: e.pool.WordState,
 	})
 	if e.cfg.OnInconsistency != nil {
 		for _, in := range found {

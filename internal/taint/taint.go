@@ -1,6 +1,10 @@
 package taint
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // Label identifies a set of taint sources. The zero label is the empty set.
 type Label uint32
@@ -50,6 +54,12 @@ type Table struct {
 	// once allocated, and tainted stores expand the same labels again and
 	// again.
 	events [][]Event
+	// mark, gen, stack and leaves are walk's visited stamps, current
+	// stamp, work stack and leaf buffer, reused across walks.
+	mark   []uint32
+	gen    uint32
+	stack  []Label
+	leaves []Event
 }
 
 // NewTable creates an empty label table.
@@ -107,6 +117,15 @@ func (t *Table) UnionAll(labels []Label) Label {
 // Events expands a label into its set of leaf events. The result is
 // deduplicated and ordered by event sequence number. It is memoised and
 // shared between callers: treat it as read-only.
+//
+// A union whose children are both expanded already costs one linear merge
+// of the children's sets. The common case is a taint chain: a tainted store
+// expands its label, and the chain's next link is a union of that label and
+// one fresh leaf. Any other union falls back to a walk of its subgraph.
+// Either way the result slice is the only allocation. A child label that
+// was not allocated before its union is treated as None: shadow labels in a
+// restored checkpoint outlive the table that made them, and a union's event
+// set must not change when this table later allocates the same number.
 func (t *Table) Events(l Label) []Event {
 	if l == None {
 		return nil
@@ -119,50 +138,107 @@ func (t *Table) Events(l Label) []Event {
 	if int(l) < len(t.events) && t.events[l] != nil {
 		return t.events[l]
 	}
-	var out []Event
-	if n := t.nodes[l]; n.l == None && n.r == None {
-		out = []Event{n.ev}
-	} else {
-		out = t.walk(l)
-	}
-	if int(l) >= len(t.events) {
-		t.events = append(t.events, make([][]Event, len(t.nodes)-len(t.events))...)
+	out := t.expand(l)
+	if n := len(t.nodes); len(t.events) < n {
+		// t.events only ever grows, so the elements past its length
+		// are still nil.
+		t.events = slices.Grow(t.events, n-len(t.events))[:n]
 	}
 	t.events[l] = out
 	return out
 }
 
-// walk collects the leaf events under a union label, sorted by Seq. Caller
+// expand computes the event set of an allocated, unmemoised label. Caller
 // holds t.mu.
+func (t *Table) expand(l Label) []Event {
+	n := t.nodes[l]
+	if n.l == None && n.r == None {
+		return []Event{n.ev}
+	}
+	var la, lb [1]Event
+	a, aok := t.childSet(n.l, l, &la)
+	b, bok := t.childSet(n.r, l, &lb)
+	if !aok || !bok {
+		return t.walk(l)
+	}
+	return merge(a, b)
+}
+
+// childSet returns the event set of child c of union parent without a walk:
+// empty for None or a label allocated after the union, the memoised set, or
+// a leaf's event copied into buf. ok is false for an unmemoised union.
+// Caller holds t.mu.
+func (t *Table) childSet(c, parent Label, buf *[1]Event) (set []Event, ok bool) {
+	if c == None || c >= parent {
+		return nil, true
+	}
+	if int(c) < len(t.events) && t.events[c] != nil {
+		return t.events[c], true
+	}
+	if n := &t.nodes[c]; n.l == None && n.r == None {
+		buf[0] = n.ev
+		return buf[:], true
+	}
+	return nil, false
+}
+
+// merge unions two event sets that are sorted by Seq and deduplicated into
+// a new one. Sequence numbers are unique per leaf, so equal Seq means the
+// same event.
+func merge(a, b []Event) []Event {
+	out := make([]Event, 0, len(a)+len(b))
+	if len(a) > 0 && len(b) > 0 && b[0].Seq < a[0].Seq {
+		a, b = b, a
+	}
+	// Merge only while the runs overlap, then copy the rest whole: a
+	// chain link (a label unioned with a leaf newer than all its events)
+	// is two disjoint runs and skips the loop.
+	for len(a) > 0 && len(b) > 0 && a[len(a)-1].Seq >= b[0].Seq {
+		switch {
+		case a[0].Seq < b[0].Seq:
+			out, a = append(out, a[0]), a[1:]
+		case b[0].Seq < a[0].Seq:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// walk collects the leaf events under a union label, sorted by Seq: an
+// iterative depth-first walk over the table's reusable visited stamps and
+// work stack. Caller holds t.mu.
 func (t *Table) walk(l Label) []Event {
-	seen := map[Label]bool{}
-	var out []Event
-	var walk func(Label)
-	walk = func(l Label) {
-		// A union may name a label this table never allocated: shadow
-		// labels in a restored checkpoint outlive the table that made
-		// them.
-		if l == None || seen[l] || int(l) >= len(t.nodes) {
-			return
-		}
-		seen[l] = true
-		n := t.nodes[l]
+	if len(t.mark) < len(t.nodes) {
+		t.mark = slices.Grow(t.mark, len(t.nodes)-len(t.mark))[:len(t.nodes)]
+	}
+	t.gen++
+	if t.gen == 0 {
+		clear(t.mark)
+		t.gen = 1
+	}
+	leaves, stack := t.leaves[:0], append(t.stack[:0], l)
+	t.mark[l] = t.gen
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := &t.nodes[x]
 		if n.l == None && n.r == None {
-			out = append(out, n.ev)
-			return
+			leaves = append(leaves, n.ev)
+			continue
 		}
-		walk(n.l)
-		walk(n.r)
-	}
-	walk(l)
-	// Insertion order of the walk may interleave; sort by Seq for
-	// deterministic reports.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Seq < out[j-1].Seq; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		for _, c := range [2]Label{n.l, n.r} {
+			if c != None && c < x && t.mark[c] != t.gen {
+				t.mark[c] = t.gen
+				stack = append(stack, c)
+			}
 		}
 	}
-	return out
+	t.leaves, t.stack = leaves[:0], stack[:0]
+	slices.SortFunc(leaves, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	return slices.Clone(leaves)
 }
 
 // Has reports whether the label's event set contains an event with the given

@@ -1,6 +1,8 @@
 package taint
 
 import (
+	"cmp"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -262,5 +264,116 @@ func BenchmarkUnion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.Union(a, c)
+	}
+}
+
+// refEvents is the reference expansion: a recursive set walk over the node
+// graph in which a child label not allocated before its union counts as
+// None, sorted by Seq.
+func refEvents(tb *Table, l Label) []Event {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	if l == None || int(l) >= len(tb.nodes) {
+		return nil
+	}
+	seen := map[Label]bool{}
+	var out []Event
+	var visit func(x, limit Label)
+	visit = func(x, limit Label) {
+		if x == None || x >= limit || seen[x] {
+			return
+		}
+		seen[x] = true
+		n := tb.nodes[x]
+		if n.l == None && n.r == None {
+			out = append(out, n.ev)
+			return
+		}
+		visit(n.l, x)
+		visit(n.r, x)
+	}
+	visit(l, l+1)
+	slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
+}
+
+// checkEvents compares Events against the reference for every label,
+// visiting them in the given order; the order decides which unions merge
+// memoised children and which walk.
+func checkEvents(t *testing.T, tb *Table, order []Label) {
+	t.Helper()
+	for _, l := range order {
+		got, want := tb.Events(l), refEvents(tb, l)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Events(%d) = %d events, reference %d:\n got %v\nwant %v", l, len(got), len(want), got, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i-1].Seq >= got[i].Seq {
+				t.Fatalf("Events(%d) not strictly ordered by Seq at %d: %v", l, i, got)
+			}
+		}
+	}
+}
+
+// TestEventsMatchesReferenceWalk: on random label DAGs — long chains,
+// diamonds, unions naming labels the table had not allocated yet — Events
+// equals the reference set walk whichever labels were expanded first.
+func TestEventsMatchesReferenceWalk(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewTable()
+		var labels []Label
+		pick := func() Label { return labels[rng.Intn(len(labels))] }
+		for i := 0; i < 400; i++ {
+			switch r := rng.Intn(10); {
+			case len(labels) < 2 || r < 3:
+				labels = append(labels, tb.NewLeaf(ev(uint32(rng.Intn(50)))))
+			case r < 4:
+				// A union naming a label the table has not
+				// allocated yet: the later allocation must not
+				// join the union's set.
+				stale := Label(tb.Size() + 1 + rng.Intn(8))
+				labels = append(labels, tb.Union(pick(), stale))
+			case r < 5:
+				// Diamond: two unions sharing a child, joined.
+				a, b, c := pick(), pick(), pick()
+				labels = append(labels, tb.Union(tb.Union(a, b), tb.Union(b, c)))
+			default:
+				labels = append(labels, tb.Union(pick(), pick()))
+			}
+			if rng.Intn(4) == 0 {
+				checkEvents(t, tb, []Label{pick()})
+			}
+		}
+		order := slices.Clone(labels)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		checkEvents(t, tb, append(order, Label(tb.Size()+1)))
+	}
+}
+
+// TestEventsLongChain: a 2,000-link taint chain — one fresh leaf unioned
+// into the running label per link, as an allocator's unflushed bump pointer
+// builds — expands correctly when expanded link by link (each link merges
+// its parent's set with the new leaf), only at the end (the walk), and in a
+// sparse mix of both. The reference walk is quadratic over a chain, so link by
+// link only the first 300 links are compared as they are built.
+func TestEventsLongChain(t *testing.T) {
+	const links = 2000
+	for _, every := range []int{1, links, 37} {
+		tb := NewTable()
+		acc := None
+		for i := 0; i < links; i++ {
+			acc = tb.Union(acc, tb.NewLeaf(ev(uint32(i))))
+			switch {
+			case every == 1 && i >= 300:
+				tb.Events(acc)
+			case (i+1)%every == 0:
+				checkEvents(t, tb, []Label{acc})
+			}
+		}
+		checkEvents(t, tb, []Label{acc})
+		if n := len(tb.Events(acc)); n != links {
+			t.Fatalf("every %d: chain expanded to %d events, want %d", every, n, links)
+		}
 	}
 }

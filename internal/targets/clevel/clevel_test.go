@@ -3,8 +3,10 @@ package clevel
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/pmrace-go/pmrace/internal/core"
+	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/pmdk"
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
@@ -199,5 +201,37 @@ func TestRecoverEmptyPoolFails(t *testing.T) {
 	env := rt.NewEnv(pmem.New(h.PoolSize()), rt.Config{})
 	if err := h.Recover(env.Spawn()); err == nil {
 		t.Fatalf("recover on empty pool must fail")
+	}
+}
+
+// TestCampaignFindingsPinned pins what a 300-execution, one-worker campaign
+// reports on clevel: the allocator's unflushed bump pointer feeds a taint
+// chain into every later allocation, and its inter- and intra-thread
+// findings must each come out as one whitelisted false positive, with no
+// bug, whatever the cost of expanding those chains.
+func TestCampaignFindingsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fuzzing campaigns")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		fz, err := fuzz.New("clevel", fuzz.Options{
+			Threads:  4,
+			MaxExecs: 300,
+			Duration: time.Minute,
+			Seed:     seed,
+			Workers:  1,
+		})
+		if err != nil {
+			t.Fatalf("new: %v", err)
+		}
+		res, err := fz.Run()
+		if err != nil {
+			t.Fatalf("seed %d: run: %v", seed, err)
+		}
+		c := res.Counts
+		if res.Execs != 300 || c.Inter != 1 || c.InterWhitelist != 1 || c.Intra != 1 || c.IntraWhitelist != 1 || c.Sync != 0 || len(res.Bugs) != 0 {
+			t.Errorf("seed %d: %d execs, counts %+v, bugs %+v; want 300 execs, one whitelisted inter and intra finding, no bug",
+				seed, res.Execs, c, res.Bugs)
+		}
 	}
 }
