@@ -112,7 +112,13 @@ type Inconsistency struct {
 	// campaign that found the inconsistency (§4.1 step 6: reports carry
 	// "corresponding program inputs").
 	Input string
+	// Count is the number of stores that reached the finding.
 	Count int
+
+	// store is the detector's number of the last store that counted
+	// toward Count, so a store whose lineage reaches the finding through
+	// many events counts once.
+	store uint64
 }
 
 // Key returns the dedup key: inconsistencies with the same dirty write site
@@ -241,6 +247,8 @@ type Detector struct {
 
 	incons   map[[3]uint32]*Inconsistency
 	inconOrd [][3]uint32
+	// stores numbers the stores that took mu in OnStore (Inconsistency.store).
+	stores uint64
 
 	syncSeen map[syncKey]*SyncInconsistency
 	syncOrd  []*SyncInconsistency
@@ -431,14 +439,17 @@ func (d *Detector) OnStore(sc StoreCheck) []*Inconsistency {
 			if !locked {
 				d.mu.Lock()
 				locked = true
+				d.stores++
 			}
 			if prev != nil && prev.Event.WriteSite == ev.WriteSite && prev.Kind == kind {
-				prev.Count++ // the same key: the store site is the same
-				continue
+				continue // the same key (the store site is the same), counted
 			}
 			key := inconKey(ev.WriteSite, sc.Site, kind)
 			if p, ok := d.incons[key]; ok {
-				p.Count++
+				if p.store != d.stores {
+					p.Count++
+					p.store = d.stores
+				}
 				prev = p
 				continue
 			}
@@ -479,6 +490,7 @@ func (d *Detector) newFinding(sc *StoreCheck, stack *storeStack, key [3]uint32, 
 		Stack:       stack.frames,
 		Lineage:     lineage,
 		Count:       1,
+		store:       d.stores,
 	}
 	d.incons[key] = in
 	d.inconOrd = append(d.inconOrd, key)

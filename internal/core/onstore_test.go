@@ -14,11 +14,13 @@ import (
 
 // refOnStore is the reference side-effect check: one event at a time, the
 // word's state and the finding key looked up afresh and the detector's lock
-// taken per event. OnStore must report exactly what it reports.
+// taken per event; a finding counts once per store. OnStore must report
+// exactly what it reports.
 func refOnStore(d *Detector, sc StoreCheck) []*Inconsistency {
 	var found []*Inconsistency
 	var stack []string
 	captured := false
+	counted := map[[3]uint32]bool{}
 	for _, pair := range [2]struct {
 		lab  taint.Label
 		flow FlowKind
@@ -43,10 +45,14 @@ func refOnStore(d *Detector, sc StoreCheck) []*Inconsistency {
 			key := inconKey(ev.WriteSite, sc.Site, kind)
 			d.mu.Lock()
 			if prev, ok := d.incons[key]; ok {
-				prev.Count++
+				if !counted[key] {
+					prev.Count++
+					counted[key] = true
+				}
 				d.mu.Unlock()
 				continue
 			}
+			counted[key] = true
 			if !captured && sc.Stack != nil && (sc.Known == nil || !sc.Known(key)) {
 				stack, captured = sc.Stack(), true
 			}
@@ -193,6 +199,31 @@ func TestOnStoreMatchesReference(t *testing.T) {
 		if err := sameFindings(got.Inconsistencies(), want.Inconsistencies()); err != nil {
 			t.Fatalf("seed %d: recorded: %v", seed, err)
 		}
+	}
+}
+
+// A store counts once toward each finding it reaches, however many lineage
+// events lead there: a 97-link chain on one word, stored twice, reads 2.
+func TestOnStoreCountsOncePerStore(t *testing.T) {
+	d := newDet()
+	lab := taint.None
+	for i := 0; i < 97; i++ {
+		lab = d.Labels().Union(lab, d.OnDirtyRead(interEvent(10, 20, 64)))
+	}
+	if n := len(d.Labels().Events(lab)); n != 97 {
+		t.Fatalf("chain has %d events, want 97", n)
+	}
+	sc := StoreCheck{Thread: 2, Site: 99, Addr: 256, Size: 8, ValLab: lab,
+		WordState: func(pmem.Addr) pmem.WordMeta { return pmem.WordMeta{Dirty: true} }}
+	if found := d.OnStore(sc); len(found) != 1 {
+		t.Fatalf("first store found %d findings, want 1", len(found))
+	}
+	if found := d.OnStore(sc); len(found) != 0 {
+		t.Fatalf("second store found %d new findings, want 0", len(found))
+	}
+	ins := d.Inconsistencies()
+	if len(ins) != 1 || ins[0].Count != 2 {
+		t.Fatalf("findings %d, count %d: want one finding counted twice", len(ins), ins[0].Count)
 	}
 }
 

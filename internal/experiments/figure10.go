@@ -9,7 +9,6 @@ import (
 	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
-	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/targets"
 	"github.com/pmrace-go/pmrace/internal/workload"
@@ -75,9 +74,8 @@ func RunFigure10(budget api.CampaignSpec) ([]Figure10Row, error) {
 }
 
 // measureRate times execs mutated executions. Like a campaign, it keeps a
-// dedup database: duplicate findings skip the forensic capture, and captured
-// crash states go back to the buffer pool, so the rate measures fuzzing, not
-// crash-image copies.
+// dedup database, so duplicate findings skip the forensic capture and the
+// rate measures fuzzing, not crash-state capture.
 func measureRate(factory targets.Factory, mut fuzz.Mutator, seed int64, execs int, useCP bool) (float64, error) {
 	db := core.NewDB()
 	x := fuzz.NewExecutor(factory, fuzz.ExecOptions{
@@ -103,11 +101,9 @@ func measureRate(factory targets.Factory, mut fuzz.Mutator, seed int64, execs in
 		}
 		for _, c := range res.Inconsistencies {
 			db.MergeInconsistency(c.In)
-			pmem.RecycleStates(c.States)
 		}
 		for _, c := range res.Syncs {
 			db.MergeSync(c.Si)
-			pmem.RecycleStates(c.States)
 		}
 	}
 	elapsed := time.Since(start)

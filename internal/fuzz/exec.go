@@ -58,12 +58,12 @@ type ExecResult struct {
 	Duration      time.Duration
 	SetupDuration time.Duration
 	ExecErrors    int
-	// CrashImages are PM snapshots taken at a protocol seed's mid-request
-	// crash points (between parse and PM commit); Run recycles them once
-	// their recovery is checked, so a returned result holds none.
+	// CrashPoints are the persisted states captured at a protocol seed's
+	// mid-request crash points (between parse and PM commit); Run drops
+	// them once their recovery is checked, so a returned result holds none.
 	// CrashFailures reports those whose recovery replay hung, errored,
 	// panicked or timed out.
-	CrashImages   [][]byte
+	CrashPoints   []pmem.CrashState
 	CrashFailures []string
 	// Input is the seed's encoding, made once by the first captured
 	// finding (empty when none was captured). Every finding new to the
@@ -368,16 +368,15 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 	}
 	asp.End()
 
-	// Replay each mid-request crash image through the target's recovery
+	// Replay each mid-request crash state through the target's recovery
 	// code: a server that cannot recover from a crash between parse and
 	// commit has a durability bug regardless of any detected race.
-	for _, img := range res.CrashImages {
-		if msg := x.checkCrashRecovery(img); msg != "" {
+	for _, st := range res.CrashPoints {
+		if msg := x.checkCrashRecovery(st); msg != "" {
 			res.CrashFailures = append(res.CrashFailures, msg)
 		}
-		pmem.RecycleImage(img)
 	}
-	res.CrashImages = nil
+	res.CrashPoints = nil
 
 	res.Candidates = env.Detector().Candidates()
 	res.Redundant = env.Detector().RedundantStores()
@@ -395,7 +394,7 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 	}
 	if fromCheckpoint {
 		// Hand the pool back for the next execution; nothing retains it
-		// (crash images are independent copies).
+		// (crash states copy their lines and reference only the snapshot).
 		x.pools.Put(pool)
 	}
 	res.Duration = time.Since(start)

@@ -228,9 +228,7 @@ type Fuzzer struct {
 	ctx context.Context
 
 	// valCh feeds the asynchronous post-failure validation pool; nil when
-	// InlineValidation is set. Jobs own their crash states: the validating
-	// worker recycles them only after the verdict is judged and any
-	// artifact bundle is written.
+	// InlineValidation is set.
 	valCh  chan *valJob
 	valWG  sync.WaitGroup
 	valErr error // first validation-worker error; guarded by mu
@@ -726,13 +724,9 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 	}
 
 	// Post-failure stage: merge findings under the lock, then hand each
-	// *new* finding — together with ownership of its crash states — to the
-	// validation pool (or validate inline). Duplicate findings never
-	// consult their states, so those go straight back to the buffer pool;
-	// a job's states are recycled by whoever validates it, only after the
-	// verdict is judged and any artifact bundle is written.
+	// *new* finding with its crash states to the validation pool (or
+	// validate inline). Duplicate findings never consult their states.
 	var jobs []*valJob
-	var recycle [][]pmem.CrashState
 	f.mu.Lock()
 	// newFindings counts findings unseen by the dedup DB. It — not raw
 	// detections — feeds the equivalence table's bug latch: the seeded
@@ -748,8 +742,6 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 			// the validation worker reading it.
 			in := *cap.In
 			jobs = append(jobs, &valJob{in: &in, j: j, states: cap.States, trace: cap.Trace, dirty: cap.Dirty})
-		} else {
-			recycle = append(recycle, cap.States)
 		}
 	}
 	for _, cap := range res.Syncs {
@@ -757,15 +749,10 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 		if isNew {
 			si := *cap.Si
 			jobs = append(jobs, &valJob{si: &si, js: j, states: cap.States, trace: cap.Trace, dirty: cap.Dirty})
-		} else {
-			recycle = append(recycle, cap.States)
 		}
 	}
 	newFindings := len(jobs)
 	f.mu.Unlock()
-	for _, states := range recycle {
-		pmem.RecycleStates(states)
-	}
 	if len(jobs) > 0 {
 		sd := describeStrategy(strat)
 		for _, job := range jobs {
@@ -883,7 +870,7 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 }
 
 // valJob is one finding queued for post-failure validation. Exactly one of
-// (in, j) or (si, js) is set. The job owns states: validateJob recycles them.
+// (in, j) or (si, js) is set.
 type valJob struct {
 	in *core.Inconsistency
 	j  *core.JudgedInconsistency
@@ -898,14 +885,10 @@ type valJob struct {
 }
 
 // validateJob runs post-failure validation for one finding, records the
-// verdict in the result database, writes the forensic artifact bundle when
-// warranted, and finally recycles the job's crash states — the ownership
-// hand-off that keeps images out of the buffer pool while validation or
-// artifact serialization still aliases them. lane is the validator's span
-// lane (validation spans are always-on when tracing is enabled: findings
-// are rare).
+// verdict in the result database and writes the forensic artifact bundle
+// when warranted. lane is the validator's span lane (validation spans are
+// always-on when tracing is enabled: findings are rare).
 func (f *Fuzzer) validateJob(job *valJob, lane int) error {
-	defer pmem.RecycleStates(job.states)
 	vopts := validate.Options{
 		HangTimeout: f.opts.HangTimeout,
 		WallTimeout: f.opts.ValidationWallTimeout,

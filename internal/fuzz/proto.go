@@ -20,10 +20,13 @@ import (
 	"github.com/pmrace-go/pmrace/internal/workload"
 )
 
-// maxCrashImagesPerExec bounds the pool snapshots taken at protocol crash
-// points in one execution. Each is a full pool copy, replayed through
-// recovery (checkCrashRecovery) on a recycled pool whose reset copies it
-// twice more, into the cache and persisted images.
+// maxCrashImagesPerExec bounds the crash states captured at protocol crash
+// points in one execution. Each holds only the lines the execution changed
+// from the checkpoint (pmem.Pool.PersistedState), and its recovery replay
+// (checkCrashRecovery) resets a recycled pool on the same checkpoint by
+// rewriting only those lines and the ones the pool's last recovery touched,
+// so a crash point costs in proportion to the execution's touched set, not
+// the pool size.
 const maxCrashImagesPerExec = 4
 
 // protoThreadCount clamps the seed's thread count to the number of
@@ -42,9 +45,10 @@ func protoThreadCount(seed *workload.Seed) int {
 
 // protoWorker is one driver thread of a protocol execution: it plays
 // streams ti, ti+nthreads, ... through an incremental parser, executing
-// each parsed command against the target. At a crash point the PM pool is
-// snapshotted after the command was parsed but before its first PM store —
-// the image a real server would leave if it died mid-request.
+// each parsed command against the target. At a crash point the pool's
+// persisted state is captured after the command was parsed but before its
+// first PM store — the image a real server would leave if it died
+// mid-request.
 func (x *Executor) protoWorker(th *rt.Thread, tgt targets.Target, seed *workload.Seed, ti, nthreads int, res *ExecResult, mu *sync.Mutex) {
 	ps := seed.Proto
 	crash := make(map[[2]int]bool, len(ps.Crash))
@@ -65,12 +69,10 @@ func (x *Executor) protoWorker(th *rt.Thread, tgt targets.Target, seed *workload
 				break
 			}
 			if crash[[2]int{si, cmdIdx}] {
-				img := th.Env().Pool().CrashImage()
+				st := th.Env().Pool().PersistedState()
 				mu.Lock()
-				if len(res.CrashImages) < maxCrashImagesPerExec {
-					res.CrashImages = append(res.CrashImages, img)
-				} else {
-					pmem.RecycleImage(img)
+				if len(res.CrashPoints) < maxCrashImagesPerExec {
+					res.CrashPoints = append(res.CrashPoints, st)
 				}
 				mu.Unlock()
 			}
@@ -89,12 +91,12 @@ func (x *Executor) protoWorker(th *rt.Thread, tgt targets.Target, seed *workload
 	}
 }
 
-// checkCrashRecovery replays one crash image through a fresh target's
+// checkCrashRecovery replays one crash state through a fresh target's
 // recovery code in the validation sandbox, bounded by one second of wall
 // time, and reports a non-empty failure description when recovery hangs,
 // errors, panics or times out. The sandbox owns and recycles the pool.
-func (x *Executor) checkCrashRecovery(img []byte) string {
-	hung, wallTimedOut, err := validate.RunRecovery(x.factory, img, x.opts.HangTimeout, time.Second, nil)
+func (x *Executor) checkCrashRecovery(st pmem.CrashState) string {
+	hung, wallTimedOut, err := validate.RunRecovery(x.factory, st, x.opts.HangTimeout, time.Second, nil)
 	switch {
 	case wallTimedOut:
 		return "recovery timed out at protocol crash point"

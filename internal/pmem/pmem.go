@@ -117,6 +117,13 @@ type Pool struct {
 	// pool size.
 	touched  []uint64
 	baseSnap *Snapshot // snapshot the pool state is based on
+	// imageID names the base image (zeroBase, a snapshot's id, or noBase)
+	// that every untouched line holds in both data images, with fresh
+	// metadata, labels and accessor records: the invariant that lets a
+	// recovery pool be reset by rewriting only its touched lines. A pool
+	// restored from a snapshot holds the snapshot's metadata instead, so
+	// Restore sets noBase; crash states use baseSnap there.
+	imageID uint64
 
 	eadr bool
 }
@@ -150,6 +157,7 @@ func NewWithOptions(size uint64, opt Options) *Pool {
 		pending:     make(map[ThreadID][]pendingLine),
 		linePending: make([]uint32, lines),
 		touched:     make([]uint64, (lines+63)/64),
+		imageID:     zeroBase,
 		eadr:        opt.EADR,
 	}
 	for i := range p.meta {
@@ -179,54 +187,112 @@ func (p *Pool) EADR() bool { return p.eadr }
 // the list grows to about the number of validating workers.
 const maxFreePerSize = 8
 
+// freePool is a released recovery pool and the id of the base image its
+// untouched lines hold. The id, not the snapshot, is kept: a pointer would
+// pin a finished campaign's snapshot for as long as the pool sat here.
+type freePool struct {
+	p       *Pool
+	imageID uint64
+}
+
 // freePools holds released recovery pools keyed by size. A campaign server
 // mixes targets whose pools differ in size (256 KiB pmwal next to 512 KiB
 // pools), so one untyped free list would mostly hand out the wrong size.
 var freePools = struct {
 	mu     sync.Mutex
-	bySize map[uint64][]*Pool
-}{bySize: make(map[uint64][]*Pool)}
+	bySize map[uint64][]freePool
+}{bySize: make(map[uint64][]freePool)}
+
+// takeFree removes a released pool of the given size from the free list,
+// preferring the most recent one whose untouched lines hold base image id.
+// It returns nil when the list has none of that size.
+func takeFree(size, id uint64) *Pool {
+	freePools.mu.Lock()
+	defer freePools.mu.Unlock()
+	free := freePools.bySize[size]
+	n := len(free)
+	if n == 0 {
+		return nil
+	}
+	i := n - 1
+	for j := n - 1; j >= 0; j-- {
+		if free[j].imageID == id {
+			i = j
+			break
+		}
+	}
+	p := free[i].p
+	free[i] = free[n-1]
+	free[n-1] = freePool{}
+	freePools.bySize[size] = free[:n-1]
+	return p
+}
 
 // FromImage creates a pool whose cache and persisted images both equal the
 // given crash image, as if the file had been re-mapped after a restart. All
 // words start clean with no writer and at store epoch 0, matching a freshly
 // mapped file. The pool is a released one of the same rounded size when the
 // free list has one (see Release): resetting it costs one copy of the image
-// plus the lines its previous user touched, where a new pool allocates and
-// zeroes about seven times the image size. Either way the result is
-// indistinguishable from a new pool holding the image.
+// into each data image plus the lines its previous user touched, where a
+// new pool allocates and zeroes about seven times the image size. Either way
+// the result is indistinguishable from a new pool holding the image.
 func FromImage(img []byte) *Pool {
 	size := roundSize(uint64(len(img)))
-	freePools.mu.Lock()
-	free := freePools.bySize[size]
-	var p *Pool
-	if n := len(free); n > 0 {
-		p = free[n-1]
-		free[n-1] = nil
-		freePools.bySize[size] = free[:n-1]
-	}
-	freePools.mu.Unlock()
+	p := takeFree(size, noBase)
 	if p == nil {
 		p = New(size)
 	}
-	p.resetToImage(img)
+	p.reset(img, noBase, nil)
 	return p
 }
 
-// resetToImage gives a new or released pool the state FromImage promises,
-// in one critical section. Only the touched lines can hold metadata, labels
-// or accessor records (every writer of those marks its line), so only they
-// are reset; the two data images are overwritten in full. On a new pool the
-// bitmap and pending sets are empty, so only the copy does work.
-func (p *Pool) resetToImage(img []byte) {
+// FromState is FromImage for a crash state: a pool holding the state's
+// image, clean, with no writer and at store epoch 0. A released pool whose
+// bytes already hold the state's base image is reset by rewriting only the
+// lines its last user touched and the state's overlay lines; any other pool
+// first takes one full copy of the base. The pool records the base's id, so
+// the next state on the same base finds it.
+func FromState(st CrashState) *Pool {
+	id := baseID(st.base)
+	p := takeFree(st.size, id)
+	if p == nil {
+		p = New(st.size)
+	}
+	var img []byte
+	if st.base != nil {
+		img = st.base.persisted
+	}
+	p.reset(img, id, st.lines)
+	return p
+}
+
+// reset gives a new or released pool the state FromImage and FromState
+// promise, in one critical section: both data images hold img (zero past
+// its end; nil is the zero image) overlaid with lines, every word is fresh,
+// and nothing is pending. Only the touched lines can hold metadata, labels,
+// accessor records or bytes other than the pool's base image (every writer
+// marks its line), so when id names that base only they are rewritten;
+// otherwise both data images are overwritten in full. The overlay lines are
+// marked touched, so the next reset rewrites them too.
+func (p *Pool) reset(img []byte, id uint64, lines []stateLine) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := copy(p.cache, img)
-	clear(p.cache[n:])
-	copy(p.persisted, img)
-	clear(p.persisted[n:])
+	sameBase := id != noBase && id == p.imageID
+	if !sameBase {
+		fill(p.cache, img)
+		fill(p.persisted, img)
+	}
 	p.eachTouchedLine(func(line Addr) {
-		wFirst, wEnd := line/WordSize, (line+LineSize)/WordSize
+		end := line + LineSize
+		if sameBase {
+			var src []byte
+			if img != nil {
+				src = img[line:end]
+			}
+			fill(p.cache[line:end], src)
+			fill(p.persisted[line:end], src)
+		}
+		wFirst, wEnd := line/WordSize, end/WordSize
 		for i := wFirst; i < wEnd; i++ {
 			p.meta[i] = WordMeta{Writer: NoThread}
 		}
@@ -235,17 +301,32 @@ func (p *Pool) resetToImage(img []byte) {
 	})
 	clear(p.touched)
 	p.clearPending()
+	for i := range lines {
+		off := lines[i].off
+		copy(p.cache[off:off+LineSize], lines[i].data[:])
+		copy(p.persisted[off:off+LineSize], lines[i].data[:])
+		p.markTouched(off, LineSize)
+	}
+	p.imageID = id
 }
 
-// Release hands a pool from FromImage back for reuse by a later FromImage.
-// The caller must not touch the pool, or anything still holding it (an
-// rt.Env), afterwards. Release does nothing for an eADR pool or one based on
-// a snapshot: FromImage never builds those, and executors recycle their
-// checkpoint pools themselves. A pool must be released at most once; a pool
-// that is never released is simply not reused.
+// fill copies src into dst and zeroes the rest of dst.
+func fill(dst, src []byte) {
+	n := copy(dst, src)
+	clear(dst[n:])
+}
+
+// Release hands a pool from FromImage or FromState back for reuse by a
+// later one. The caller must not touch the pool, or anything still holding
+// it (an rt.Env), afterwards. Release does nothing for an eADR pool or one
+// based on a snapshot: FromImage and FromState never build those, and
+// executors recycle their checkpoint pools themselves. A pool must be
+// released at most once; a pool that is never released is simply not
+// reused.
 func (p *Pool) Release() {
 	p.mu.Lock()
 	skip := p.eadr || p.baseSnap != nil
+	id := p.imageID
 	p.mu.Unlock()
 	if skip {
 		return
@@ -253,7 +334,7 @@ func (p *Pool) Release() {
 	freePools.mu.Lock()
 	defer freePools.mu.Unlock()
 	if free := freePools.bySize[p.size]; len(free) < maxFreePerSize {
-		freePools.bySize[p.size] = append(free, p)
+		freePools.bySize[p.size] = append(free, freePool{p: p, imageID: id})
 	}
 }
 
@@ -842,17 +923,23 @@ type DirtyWord struct {
 }
 
 // DirtyWords returns the dirty words of the pool in address order, capped at
-// max entries when max > 0.
+// max entries when max > 0. Only the touched lines can have changed a word's
+// state since the base snapshot, so it scans those and takes the rest from
+// the snapshot's own dirty list: the cost follows the execution's touched
+// set, not the pool size.
 func (p *Pool) DirtyWords(max int) []DirtyWord {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []DirtyWord
-	for w := range p.meta {
-		m := &p.meta[w]
-		if !m.Dirty {
-			continue
+	var inherited []Addr // dirty words on untouched lines are the snapshot's
+	if p.baseSnap != nil {
+		inherited = p.baseSnap.dirty
+	}
+	add := func(a Addr) {
+		if max > 0 && len(out) >= max {
+			return
 		}
-		a := Addr(w) * WordSize
+		m := &p.meta[a/WordSize]
 		out = append(out, DirtyWord{
 			Addr:      a,
 			Cache:     le64(p.cache[a:]),
@@ -861,9 +948,24 @@ func (p *Pool) DirtyWords(max int) []DirtyWord {
 			Site:      m.Site,
 			Epoch:     m.Epoch,
 		})
-		if max > 0 && len(out) >= max {
-			break
+	}
+	p.eachTouchedLine(func(line Addr) {
+		// Inherited words below this line lie on untouched lines: every
+		// earlier touched line dropped its own.
+		for ; len(inherited) > 0 && inherited[0] < line; inherited = inherited[1:] {
+			add(inherited[0])
 		}
+		for a := line; a < line+LineSize; a += WordSize {
+			if p.meta[a/WordSize].Dirty {
+				add(a)
+			}
+		}
+		for len(inherited) > 0 && inherited[0] < line+LineSize {
+			inherited = inherited[1:]
+		}
+	})
+	for _, a := range inherited {
+		add(a)
 	}
 	return out
 }

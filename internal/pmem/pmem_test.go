@@ -241,7 +241,7 @@ func TestCrashStatesSingleIsAdversarialImage(t *testing.T) {
 	if st.Name != StateSideEffect || !st.HasSideEffect {
 		t.Fatalf("state = %+v, want side-effect-persisted", st)
 	}
-	if got := FromImage(st.Img).Load64(64); got != 9 {
+	if got := FromState(st).Load64(64); got != 9 {
 		t.Fatalf("adversarial image must force the side effect, got %d", got)
 	}
 }
@@ -263,7 +263,7 @@ func TestCrashStatesEnumeratesBaselineAndPendingLines(t *testing.T) {
 	if states[1].HasSideEffect {
 		t.Fatalf("baseline must not claim the side effect")
 	}
-	base := FromImage(states[1].Img)
+	base := FromState(states[1])
 	if base.Load64(64) != 5 || base.Load64(256) != 0 {
 		t.Fatalf("baseline must be the plain persisted image")
 	}
@@ -271,7 +271,7 @@ func TestCrashStatesEnumeratesBaselineAndPendingLines(t *testing.T) {
 	if pend.Name != "pending-line@0x80" || !pend.HasSideEffect {
 		t.Fatalf("pending state = %+v", pend)
 	}
-	pimg := FromImage(pend.Img)
+	pimg := FromState(pend)
 	if pimg.Load64(128) != 7 {
 		t.Fatalf("pending state must apply the staged line, got %d", pimg.Load64(128))
 	}
@@ -297,11 +297,18 @@ func TestCrashStatesRespectsCap(t *testing.T) {
 
 func TestRecycleStatesClearsImages(t *testing.T) {
 	p := New(128)
+	p.Store64(1, 1, 64, 5)
+	p.PersistNow(1, 64, 8)
 	states := p.CrashStates(nil, 2)
+	for i, st := range states {
+		if len(st.lines) != 1 {
+			t.Fatalf("state %d overlays %d lines, want the persisted one", i, len(st.lines))
+		}
+	}
 	RecycleStates(states)
 	for i, st := range states {
-		if st.Img != nil {
-			t.Fatalf("state %d image not cleared after recycle", i)
+		if len(st.lines) != 0 {
+			t.Fatalf("state %d overlay not cleared after recycle", i)
 		}
 	}
 }

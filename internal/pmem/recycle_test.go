@@ -72,8 +72,9 @@ func randomOps(rng *rand.Rand, p *Pool, n int) {
 	}
 }
 
-// assertEqualsFresh compares every field of p with a New pool holding img.
-func assertEqualsFresh(t *testing.T, p *Pool, img []byte) {
+// assertHolds compares every field of p but the touched bitmap and the base
+// id with a New pool holding img.
+func assertHolds(t *testing.T, p *Pool, img []byte) {
 	t.Helper()
 	want := New(uint64(len(img)))
 	copy(want.cache, img)
@@ -101,11 +102,6 @@ func assertEqualsFresh(t *testing.T, p *Pool, img []byte) {
 			t.Fatalf("last[%d] = %+v, want zero", i, p.last[i])
 		}
 	}
-	for i, w := range p.touched {
-		if w != 0 {
-			t.Fatalf("touched[%d] = %#x, want 0", i, w)
-		}
-	}
 	for i, n := range p.linePending {
 		if n != 0 {
 			t.Fatalf("linePending[%d] = %d, want 0", i, n)
@@ -117,6 +113,20 @@ func assertEqualsFresh(t *testing.T, p *Pool, img []byte) {
 	for th, entries := range p.pending {
 		if len(entries) != 0 {
 			t.Fatalf("thread %d has %d pending lines, want none", th, len(entries))
+		}
+	}
+}
+
+// assertEqualsFresh is assertHolds with the touched bitmap cleared too, as
+// FromImage leaves it.
+func assertEqualsFresh(t *testing.T, p *Pool, img []byte) {
+	t.Helper()
+	assertHolds(t, p, img)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, w := range p.touched {
+		if w != 0 {
+			t.Fatalf("touched[%d] = %#x, want 0", i, w)
 		}
 	}
 }

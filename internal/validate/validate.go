@@ -186,7 +186,7 @@ func (o Options) judgeState(factory targets.Factory, st pmem.CrashState, parent 
 	ssp := parent.Child(obs.SpanValidateState)
 	ssp.SetAttr("state", st.Name)
 	var status core.Status
-	hung, wallTimedOut, err := RunRecovery(factory, st.Img, o.HangTimeout, o.WallTimeout, func(env *rt.Env) {
+	hung, wallTimedOut, err := RunRecovery(factory, st, o.HangTimeout, o.WallTimeout, func(env *rt.Env) {
 		status = oracle(env)
 	})
 	v.Latency = time.Since(start)
@@ -223,16 +223,17 @@ type recoveryResult struct {
 }
 
 // RunRecovery is the recovery sandbox: it restarts the target on a pool
-// holding the crash image (pmem.FromImage) and runs its recovery procedure in
-// a watchdog-supervised goroutine. Every word of that pool starts at store
-// epoch 0, so afterwards env.Pool().Overwritten tells which ranges recovery
-// wrote. Spin-lock hangs (rt.HangError) and recovery panics become results;
-// a run exceeding wallTimeout is abandoned — its environment is cancelled so
-// the goroutine stops mutating the pool at its next hook call — and reported
-// as hung with wallTimedOut set. Zero timeouts select rt.DefaultHangTimeout
-// and DefaultWallTimeout. The image is fully copied before the goroutine
-// starts, so the caller may recycle it as soon as RunRecovery returns, even
-// after a wall timeout.
+// holding the crash state's image (pmem.FromState) and runs its recovery
+// procedure in a watchdog-supervised goroutine. Every word of that pool
+// starts at store epoch 0, so afterwards env.Pool().Overwritten tells which
+// ranges recovery wrote. Spin-lock hangs (rt.HangError) and recovery panics
+// become results; a run exceeding wallTimeout is abandoned — its environment
+// is cancelled so the goroutine stops mutating the pool at its next hook
+// call — and reported as hung with wallTimedOut set. Zero timeouts select
+// rt.DefaultHangTimeout and DefaultWallTimeout. The pool copies the state's
+// lines before the goroutine starts, and the state is never written, so the
+// caller may reuse it as soon as RunRecovery returns, even after a wall
+// timeout.
 //
 // inspect, when non-nil, is called with the recovered environment if
 // recovery returned without hanging or failing; it must not keep the
@@ -240,14 +241,14 @@ type recoveryResult struct {
 // the inspection it releases the pool for the next run (pmem.Pool.Release).
 // The one exception is a wall timeout: the abandoned goroutine may still
 // write until its next hook call, so that pool is never reused.
-func RunRecovery(factory targets.Factory, img []byte, hangTimeout, wallTimeout time.Duration, inspect func(*rt.Env)) (hung, wallTimedOut bool, err error) {
+func RunRecovery(factory targets.Factory, st pmem.CrashState, hangTimeout, wallTimeout time.Duration, inspect func(*rt.Env)) (hung, wallTimedOut bool, err error) {
 	if hangTimeout <= 0 {
 		hangTimeout = rt.DefaultHangTimeout
 	}
 	if wallTimeout <= 0 {
 		wallTimeout = DefaultWallTimeout
 	}
-	env := rt.NewRecoveryEnv(pmem.FromImage(img), hangTimeout)
+	env := rt.NewRecoveryEnv(pmem.FromState(st), hangTimeout)
 	// Buffered so an abandoned goroutine's send never blocks: the watchdog
 	// result channel must not leak the recovery goroutine on top of the
 	// hang it just detected.

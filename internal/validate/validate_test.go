@@ -3,6 +3,7 @@ package validate
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -200,8 +201,8 @@ func TestMultiStateAnyFailureIsBug(t *testing.T) {
 	locked := append([]byte(nil), img...)
 	locked[128] = 1
 	states := []pmem.CrashState{
-		{Name: pmem.StateSideEffect, HasSideEffect: true, Img: img},
-		{Name: "pending-line@0x80", HasSideEffect: true, Img: locked},
+		pmem.ImageState(pmem.StateSideEffect, true, img),
+		pmem.ImageState("pending-line@0x80", true, locked),
 	}
 	f := factoryOf(func(th *rt.Thread) error {
 		th.SpinLock(128) // hangs only in the locked state
@@ -231,7 +232,7 @@ func TestMultiStateAnyFailureIsBug(t *testing.T) {
 func TestBaselineStateSkipsOverwriteOracle(t *testing.T) {
 	img, in := sideEffectImage(t)
 	baseline := make([]byte, len(img)) // side effect absent
-	states := []pmem.CrashState{{Name: pmem.StateBaseline, Img: baseline}}
+	states := []pmem.CrashState{pmem.ImageState(pmem.StateBaseline, false, baseline)}
 	res := Inconsistency(factoryOf(func(*rt.Thread) error { return nil }), states, in, Options{})
 	if res.Status != core.StatusValidatedFP {
 		t.Fatalf("baseline-only validation = %v, want validated FP", res.Status)
@@ -379,7 +380,7 @@ func TestRecoveryPoolNotReusedAfterWallTimeout(t *testing.T) {
 			th.Store64(pmem.Addr(i%(size/8))*8, ^i, taint.None, taint.None)
 		}
 	})
-	hung, wallTimedOut, err := RunRecovery(spin, make([]byte, size), time.Minute, 50*time.Millisecond, func(*rt.Env) {
+	hung, wallTimedOut, err := RunRecovery(spin, pmem.ImageState("zero", false, make([]byte, size)), time.Minute, 50*time.Millisecond, func(*rt.Env) {
 		t.Errorf("inspection ran after a wall timeout")
 	})
 	if !hung || !wallTimedOut || err == nil {
@@ -397,7 +398,7 @@ func TestRecoveryPoolNotReusedAfterWallTimeout(t *testing.T) {
 			img[i] = byte(run*31 + i)
 		}
 		inspected := false
-		_, _, err := RunRecovery(idle, img, 0, 0, func(env *rt.Env) {
+		_, _, err := RunRecovery(idle, pmem.ImageState("image", true, img), 0, 0, func(env *rt.Env) {
 			inspected = true
 			p := env.Pool()
 			if p == bad {
@@ -422,14 +423,94 @@ func TestRecoveryPoolNotReusedAfterWallTimeout(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// BenchmarkRunRecovery is one validation replay of a pmwal-sized crash image
-// with a recovery that does nothing: the sandbox's own cost per crash state.
+// TestRunRecoverySeesEachStateImage interleaves recovery runs on states of
+// two checkpoint bases, the zero image and full images, so released pools
+// are reset on the same base, switched to another base and reset after a
+// full image. Every run must see exactly its state's image, clean and not
+// overwritten, whatever the pool's previous run wrote.
+func TestRunRecoverySeesEachStateImage(t *testing.T) {
+	const size = 8192
+	rng := rand.New(rand.NewSource(1))
+	var snaps []*pmem.Snapshot
+	for b := 0; b < 2; b++ {
+		p := pmem.New(size)
+		for i := 0; i < 40; i++ {
+			p.Store64(0, 1, pmem.Addr(rng.Intn(size/8))*8, rng.Uint64())
+		}
+		p.PersistNow(0, 0, size/2)
+		snaps = append(snaps, p.Snapshot())
+	}
+	scribble := factoryOf(func(th *rt.Thread) error {
+		for i := 0; i < 8; i++ {
+			th.Store64(pmem.Addr(rng.Intn(size/8))*8, rng.Uint64(), taint.None, taint.None)
+		}
+		return nil
+	})
+	for run := 0; run < 60; run++ {
+		var st pmem.CrashState
+		switch k := rng.Intn(4); k {
+		case 0, 1:
+			p := pmem.NewFromSnapshot(snaps[k])
+			for i := 0; i < 10; i++ {
+				p.Store64(1, 2, pmem.Addr(rng.Intn(size/8))*8, rng.Uint64())
+			}
+			p.PersistNow(1, pmem.Addr(rng.Intn(size/64))*64, 64)
+			side := pmem.Addr(rng.Intn(size/8)) * 8
+			states := p.CrashStates([]pmem.Range{{Off: side, Len: 8}}, 2)
+			st = states[rng.Intn(len(states))]
+		case 2:
+			p := pmem.New(size)
+			p.Store64(1, 2, pmem.Addr(rng.Intn(size/8))*8, rng.Uint64())
+			st = p.CrashStates(nil, 1)[0]
+		default:
+			img := make([]byte, size)
+			rng.Read(img)
+			st = pmem.ImageState("image", true, img)
+		}
+		want := st.Image()
+		_, _, err := RunRecovery(scribble, st, 0, 0, nil)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		_, _, err = RunRecovery(factoryOf(func(*rt.Thread) error { return nil }), st, 0, 0, func(env *rt.Env) {
+			p := env.Pool()
+			if got := p.LoadBytes(0, size); !bytes.Equal(got, want) {
+				t.Fatalf("run %d: pool does not hold the state's image", run)
+			}
+			if !p.PersistedEquals(0, size) {
+				t.Fatalf("run %d: persisted image differs from the cache", run)
+			}
+			for a := pmem.Addr(0); a < size; a += 8 {
+				if p.Overwritten(pmem.Range{Off: a, Len: 8}) || p.WordState(a).Dirty {
+					t.Fatalf("run %d: word %#x not fresh", run, a)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+}
+
+// BenchmarkRunRecovery is one validation replay of a crash state of a
+// pmwal-sized pool restored from its checkpoint, with a recovery that does
+// nothing: the sandbox's own cost per crash state.
 func BenchmarkRunRecovery(b *testing.B) {
-	img := make([]byte, 256<<10)
+	const size = 256 << 10
+	p := pmem.New(size)
+	for a := pmem.Addr(0); a < size; a += 512 {
+		p.Store64(0, 1, a, uint64(a)+1)
+	}
+	p.PersistNow(0, 0, size)
+	p = pmem.NewFromSnapshot(p.Snapshot())
+	for a := pmem.Addr(0); a < 16*pmem.LineSize; a += pmem.LineSize {
+		p.Store64(1, 2, a, 7)
+	}
+	st := p.CrashStates([]pmem.Range{{Off: 0, Len: 8}}, 1)[0]
 	f := factoryOf(func(*rt.Thread) error { return nil })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RunRecovery(f, img, 0, 0, nil); err != nil {
+		if _, _, err := RunRecovery(f, st, 0, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

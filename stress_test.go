@@ -94,7 +94,8 @@ func TestHotPathRaceSites(t *testing.T) {
 // TestHotPathRacePool hammers one pool: overlapping loads, stores,
 // flush/fence cycles, CAS and accessor swaps from 8 simulated threads while
 // another goroutine interleaves the whole-pool operations (Snapshot,
-// CrashImage) that copy the pool's images.
+// CrashImage) that copy the pool's images and the crash-state capture that
+// walks its touched lines.
 func TestHotPathRacePool(t *testing.T) {
 	const poolSize = 1 << 16
 	p := pmem.New(poolSize)
@@ -144,8 +145,9 @@ func TestHotPathRacePool(t *testing.T) {
 				return
 			default:
 			}
-			img := p.CrashImage()
-			pmem.RecycleImage(img)
+			p.CrashImage()
+			p.CrashStates([]pmem.Range{{Off: 64, Len: 8}}, 4)
+			p.DirtyWords(16)
 			p.Snapshot()
 		}
 	}()
