@@ -154,7 +154,9 @@ func newCampaign(ctx context.Context, target string, options ...CampaignOption) 
 	if cfg.progress != nil {
 		em.AddSink(obs.NewProgressSink(cfg.progress, 0, fz.Snapshot))
 	}
-	events := em.Subscribe(cfg.eventBuf)
+	// The Events() channel lives as long as the campaign: em.Close closes
+	// it, so its cancel func is not needed.
+	events, _ := em.Subscribe(cfg.eventBuf)
 	fz.SetEmitter(em)
 
 	anomalies := ""

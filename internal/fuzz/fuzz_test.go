@@ -307,10 +307,11 @@ func TestWorkersStopAtMaxExecs(t *testing.T) {
 	}
 }
 
-// TestCampaignMetricsMatchEvents runs a fixed-seed pclht campaign and checks
-// one fact, one number: every event-derived registry series equals the count
-// (or sum) of its typed events, and the Result and Stats views read the same
-// registry counters.
+// TestCampaignMetricsMatchEvents runs a fixed-seed, traced (one execution in
+// 8) pclht campaign and checks one fact, one number: every event-derived
+// registry series equals the count (or sum) of its typed events, the Result
+// and Stats views read the same registry counters, and each stage's one
+// latency histogram counts every instance of the stage, sampled or not.
 func TestCampaignMetricsMatchEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fuzzing loop")
@@ -329,6 +330,7 @@ func TestCampaignMetricsMatchEvents(t *testing.T) {
 	}
 	col := obs.NewCollector()
 	fz.SetEmitter(obs.NewEmitter(col))
+	fz.SetTracer(obs.NewTracer(fz.Emitter().Registry(), 8))
 	res, err := fz.Run()
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -366,7 +368,7 @@ func TestCampaignMetricsMatchEvents(t *testing.T) {
 		{obs.MExecs, reg.Counter(obs.MExecs).Value(), execs},
 		{"Result.Execs", int64(res.Execs), execs},
 		{"Stats.Execs", int64(final.Execs), execs},
-		{obs.HExecLatency, reg.Histogram(obs.HExecLatency).Count(), execs},
+		{"span_exec_run", reg.Histogram(obs.SpanHistName(obs.SpanExecRun)).Count(), execs},
 		{obs.MInconsistencies, reg.Counter(obs.MInconsistencies).Value(), incons},
 		{obs.MBranchCov, reg.Gauge(obs.MBranchCov).Value(), branch},
 		{"Result.BranchCov", int64(res.BranchCov), branch},
@@ -380,8 +382,9 @@ func TestCampaignMetricsMatchEvents(t *testing.T) {
 		{"Stats.InterleavingsPruned", final.InterleavingsPruned, reg.Counter(obs.MInterleavingsPruned).Value()},
 		{obs.MValidations, reg.Counter(obs.MValidations).Value(), verdicts},
 		{"Stats.Validations", final.Validations, verdicts},
-		{obs.HValidationLatency, reg.Histogram(obs.HValidationLatency).Count(), verdicts},
+		{"span_validate", reg.Histogram(obs.SpanHistName(obs.SpanValidate)).Count(), verdicts},
 		{obs.MValidateCrashStates, reg.Counter(obs.MValidateCrashStates).Value(), crashStates},
+		{"span_validate_state", reg.Histogram(obs.SpanHistName(obs.SpanValidateState)).Count(), crashStates},
 		{obs.MBugs, reg.Counter(obs.MBugs).Value(), bugs},
 	} {
 		if c.got != c.want {
@@ -405,6 +408,18 @@ func TestCampaignMetricsMatchEvents(t *testing.T) {
 	}
 	if interleavings == 0 {
 		t.Error("no interleaving was scheduled")
+	}
+	// Stage timing has one family per stage: the retired duplicates of
+	// span_exec_run, span_validate and span_validate_state, and the SSE
+	// copy of obs_events_dropped_total, are gone from the exposition.
+	var expo strings.Builder
+	if err := obs.WritePrometheusLabeled(&expo, obs.LabeledRegistry{Reg: reg}); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []string{"pmrace_exec_latency", "pmrace_validate_latency", "pmrace_validate_state_latency", "pmrace_obs_sse_dropped_total"} {
+		if strings.Contains(expo.String(), "# TYPE "+fam) {
+			t.Errorf("exposition has a %s family", fam)
+		}
 	}
 }
 

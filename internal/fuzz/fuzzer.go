@@ -856,7 +856,7 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 		if len(res.Hangs) > 0 {
 			f.tr.DumpAnomaly("exec_hang")
 		}
-		if h := f.em.Registry().Histogram(obs.HExecLatency); h.Count() >= 256 {
+		if h := f.em.Registry().Histogram(obs.SpanHistName(obs.SpanExecRun)); h.Count() >= 256 {
 			if p := h.Quantile(0.999); p > 0 && res.Duration > p {
 				f.tr.DumpAnomaly("exec_latency_p999")
 			}
@@ -927,13 +927,9 @@ func (f *Fuzzer) validateJob(job *valJob, lane int) error {
 		Spans:    f.tr.Spans(),
 	})
 	if err == nil && dir != "" {
-		// Exemplar: link the latency distributions to the concrete bundle
-		// that exhibited this validation.
-		label := filepath.Base(dir)
-		f.em.Registry().Histogram(obs.HValidationLatency).SetExemplar(label, r.Latency)
-		if f.tr.Enabled() {
-			f.em.Registry().Histogram(obs.SpanHistName(obs.SpanValidate)).SetExemplar(label, r.Latency)
-		}
+		// Exemplar: link the validation latency distribution to the
+		// concrete bundle that exhibited this validation.
+		f.em.Registry().Histogram(obs.SpanHistName(obs.SpanValidate)).SetExemplar(filepath.Base(dir), r.Latency)
 	}
 	return err
 }

@@ -7,7 +7,7 @@
 // scheduler tiers, corpus, detection, post-failure validation) emits typed
 // events through one Emitter, which fans them out to attached sinks (a JSONL
 // trace writer, a human progress line, an in-memory collector for tests) and
-// to an optional subscriber channel consumed through Campaign.Events().
+// to subscriber channels (Campaign.Events(), one per SSE client).
 //
 // The taxonomy maps onto the paper's measurements: ExecDone events carry the
 // per-execution coverage deltas behind Figure 9's timelines and Figure 10's

@@ -10,10 +10,10 @@ import (
 
 // Emitter is the hub every producer layer emits through. It stamps events
 // with a sequence number and elapsed time, forwards them synchronously to
-// the attached sinks, and offers a bounded subscriber channel with
-// ring-buffer semantics: when the consumer falls behind, the oldest
-// buffered event is shed so the hot path never blocks on a slow reader.
-// Sinks never drop.
+// the attached sinks, and offers bounded subscriber channels with
+// ring-buffer semantics: when a consumer falls behind, the oldest buffered
+// event is shed so the hot path never blocks on a slow reader. Sinks never
+// drop.
 //
 // Emit is also the one writer of every registry metric that restates a
 // typed event (see count): producers emit the fact and never bump its
@@ -23,17 +23,15 @@ import (
 // A nil *Emitter is a valid no-op producer target, so layers like the
 // detection DB can emit unconditionally.
 type Emitter struct {
-	start      time.Time
-	seq        atomic.Uint64
-	reg        *Registry
-	dropped    *Counter
-	sseDropped *Counter
-	ev         eventMetrics
+	start   time.Time
+	seq     atomic.Uint64
+	reg     *Registry
+	dropped *Counter
+	ev      eventMetrics
 
 	mu       sync.Mutex
 	sinks    []Sink
-	ch       chan Event
-	extras   []chan Event
+	subs     []chan Event
 	closed   bool
 	terminal Event // the CampaignDone event, once emitted
 }
@@ -42,33 +40,34 @@ type Emitter struct {
 func NewEmitter(sinks ...Sink) *Emitter {
 	e := &Emitter{start: time.Now(), reg: NewRegistry(), sinks: sinks}
 	e.dropped = e.reg.Counter(MEventsDropped)
-	e.sseDropped = e.reg.Counter(MSSEDropped)
 	e.ev = newEventMetrics(e.reg)
 	return e
 }
 
 // eventMetrics are the cached handles of the event-derived registry
-// series; Emit updates them and nothing else writes them.
+// series; Emit updates them and nothing else writes them. The two stage
+// histograms are the exec_run and validate span histograms: these events
+// time every execution and every verdict, so the tracer leaves them alone.
 type eventMetrics struct {
 	execs, seeds, interleavings, inconsistencies *Counter
 	validations, crashStates, bugs               *Counter
 	branchCov, aliasCov                          *Gauge
-	execLatency, validationLatency               *Histogram
+	execRun, validate                            *Histogram
 }
 
 func newEventMetrics(reg *Registry) eventMetrics {
 	return eventMetrics{
-		execs:             reg.Counter(MExecs),
-		seeds:             reg.Counter(MSeedsAccepted),
-		interleavings:     reg.Counter(MInterleavings),
-		inconsistencies:   reg.Counter(MInconsistencies),
-		validations:       reg.Counter(MValidations),
-		crashStates:       reg.Counter(MValidateCrashStates),
-		bugs:              reg.Counter(MBugs),
-		branchCov:         reg.Gauge(MBranchCov),
-		aliasCov:          reg.Gauge(MAliasCov),
-		execLatency:       reg.Histogram(HExecLatency),
-		validationLatency: reg.Histogram(HValidationLatency),
+		execs:           reg.Counter(MExecs),
+		seeds:           reg.Counter(MSeedsAccepted),
+		interleavings:   reg.Counter(MInterleavings),
+		inconsistencies: reg.Counter(MInconsistencies),
+		validations:     reg.Counter(MValidations),
+		crashStates:     reg.Counter(MValidateCrashStates),
+		bugs:            reg.Counter(MBugs),
+		branchCov:       reg.Gauge(MBranchCov),
+		aliasCov:        reg.Gauge(MAliasCov),
+		execRun:         reg.Histogram(SpanHistName(SpanExecRun)),
+		validate:        reg.Histogram(SpanHistName(SpanValidate)),
 	}
 }
 
@@ -83,14 +82,14 @@ func (m *eventMetrics) count(ev Event) {
 		m.inconsistencies.Add(int64(v.Inconsistencies + v.Syncs))
 		m.branchCov.Set(max(m.branchCov.Value(), int64(v.BranchCov)))
 		m.aliasCov.Set(max(m.aliasCov.Value(), int64(v.AliasCov)))
-		m.execLatency.Observe(v.Duration)
+		m.execRun.Observe(v.Duration)
 	case *SeedAccepted:
 		m.seeds.Inc()
 	case *InterleavingScheduled:
 		m.interleavings.Inc()
 	case *ValidationVerdict:
 		m.validations.Inc()
-		m.validationLatency.Observe(v.Latency)
+		m.validate.Observe(v.Latency)
 		m.crashStates.Add(int64(v.CrashStates))
 	case *BugConfirmed:
 		m.bugs.Inc()
@@ -112,15 +111,7 @@ func (e *Emitter) Registry() *Registry {
 	return e.reg
 }
 
-// Elapsed returns the time since the emitter (campaign) started.
-func (e *Emitter) Elapsed() time.Duration {
-	if e == nil {
-		return 0
-	}
-	return time.Since(e.start)
-}
-
-// Dropped returns how many events the subscriber channel shed.
+// Dropped returns how many events the subscriber channels shed.
 func (e *Emitter) Dropped() int64 {
 	if e == nil {
 		return 0
@@ -128,35 +119,20 @@ func (e *Emitter) Dropped() int64 {
 	return e.dropped.Value()
 }
 
-// Subscribe returns the event channel, creating it with the given buffer on
-// first call (256 when buf <= 0). The channel is closed by Close; events
-// emitted while the buffer is full displace the oldest buffered event.
-func (e *Emitter) Subscribe(buf int) <-chan Event {
-	if buf <= 0 {
-		buf = 256
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ch == nil {
-		e.ch = make(chan Event, buf)
-	}
-	return e.ch
-}
-
-// SubscribeExtra returns an additional, independent subscriber channel with
-// the same ring-buffer shedding as Subscribe (256 when buf <= 0). Unlike
-// Subscribe — which always hands back the one campaign channel — every call
-// creates a fresh channel that receives its own copy of each event, so
-// transient consumers (an SSE stream per HTTP client) never steal events
-// from Campaign.Events. The returned cancel func detaches and closes the
-// channel; it is idempotent and safe to call after Close.
+// Subscribe returns a fresh subscriber channel buffering buf events (256
+// when buf <= 0). Every call creates its own channel that receives its own
+// copy of each event, so consumers (Campaign.Events, an SSE stream per HTTP
+// client) never steal events from each other; when a channel's buffer is
+// full, the next event displaces its oldest one. Close closes every
+// channel; the returned cancel func detaches and closes this one earlier,
+// and is idempotent and safe to call after Close.
 //
 // Terminal-event delivery is deterministic: a subscriber attaching after
 // campaign_done was emitted — during drain, or even after Close — still
 // receives that terminal event (pre-delivered into the fresh channel), so a
 // late SSE client always observes the campaign's conclusion instead of an
 // empty stream.
-func (e *Emitter) SubscribeExtra(buf int) (<-chan Event, func()) {
+func (e *Emitter) Subscribe(buf int) (<-chan Event, func()) {
 	if buf <= 0 {
 		buf = 256
 	}
@@ -166,36 +142,33 @@ func (e *Emitter) SubscribeExtra(buf int) (<-chan Event, func()) {
 		return ch, func() {}
 	}
 	e.mu.Lock()
+	if e.terminal != nil {
+		ch <- e.terminal // fresh channel, buf >= 1: never blocks
+	}
 	if e.closed {
-		if e.terminal != nil {
-			ch <- e.terminal // fresh channel, buf >= 1: never blocks
-		}
 		e.mu.Unlock()
 		close(ch)
 		return ch, func() {}
 	}
-	if e.terminal != nil {
-		ch <- e.terminal
-	}
-	e.extras = append(e.extras, ch)
+	e.subs = append(e.subs, ch)
 	e.mu.Unlock()
 	var once sync.Once
 	cancel := func() {
 		once.Do(func() {
 			e.mu.Lock()
-			closed := e.closed
-			for i, c := range e.extras {
+			defer e.mu.Unlock()
+			if e.closed {
+				// Close already closed every channel; closing again
+				// here would panic.
+				return
+			}
+			for i, c := range e.subs {
 				if c == ch {
-					e.extras = append(e.extras[:i], e.extras[i+1:]...)
+					e.subs = append(e.subs[:i], e.subs[i+1:]...)
 					break
 				}
 			}
-			e.mu.Unlock()
-			if !closed {
-				// Close already closed every extra channel; closing
-				// again here would panic.
-				close(ch)
-			}
+			close(ch)
 		})
 	}
 	return ch, cancel
@@ -219,7 +192,7 @@ func (e *Emitter) Emit(ev Event) {
 	m.At = time.Since(e.start)
 	if ev.Kind() == KindCampaignDone {
 		// Remembered under the same critical section that delivers it, so
-		// a SubscribeExtra racing this Emit either attaches first (and
+		// a Subscribe racing this Emit either attaches first (and
 		// receives it below) or pre-receives it on attach — never both,
 		// never neither.
 		e.terminal = ev
@@ -228,26 +201,16 @@ func (e *Emitter) Emit(ev Event) {
 	for _, s := range e.sinks {
 		s.Emit(ev)
 	}
-	if e.ch != nil {
-		e.sendRing(e.ch, ev, false)
-	}
-	for _, ch := range e.extras {
-		e.sendRing(ch, ev, true)
+	for _, ch := range e.subs {
+		e.sendRing(ch, ev)
 	}
 }
 
 // sendRing delivers ev to a bounded subscriber channel without ever
 // blocking: both the send and the ring-buffer eviction are non-blocking, so
-// holding the emitter mutex around it is safe. extra marks SSE-style
-// SubscribeExtra channels, whose sheds are additionally counted in
-// obs_sse_dropped_total.
-func (e *Emitter) sendRing(ch chan Event, ev Event, extra bool) {
-	drop := func() {
-		e.dropped.Inc()
-		if extra {
-			e.sseDropped.Inc()
-		}
-	}
+// holding the emitter mutex around it is safe. Every shed counts in
+// obs_events_dropped_total.
+func (e *Emitter) sendRing(ch chan Event, ev Event) {
 	select {
 	case ch <- ev:
 	default:
@@ -256,18 +219,18 @@ func (e *Emitter) sendRing(ch chan Event, ev Event, extra bool) {
 		// consumer caught up and the retried send finds capacity.
 		select {
 		case <-ch:
-			drop()
+			e.dropped.Inc()
 		default:
 		}
 		select {
 		case ch <- ev:
 		default:
-			drop()
+			e.dropped.Inc()
 		}
 	}
 }
 
-// Close marks the emitter terminal: the subscriber channel is closed and
+// Close marks the emitter terminal: the subscriber channels are closed and
 // sinks are closed. Emit calls after Close are no-ops; Close is idempotent.
 func (e *Emitter) Close() error {
 	if e == nil {
@@ -279,13 +242,10 @@ func (e *Emitter) Close() error {
 		return nil
 	}
 	e.closed = true
-	if e.ch != nil {
-		close(e.ch)
-	}
-	for _, ch := range e.extras {
+	for _, ch := range e.subs {
 		close(ch)
 	}
-	e.extras = nil
+	e.subs = nil
 	sinks := e.sinks
 	e.sinks = nil
 	e.mu.Unlock()

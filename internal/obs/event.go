@@ -211,7 +211,7 @@ type Stats struct {
 	CheckpointRestores int64 `json:"checkpoint_restores"`
 	// Validations counts post-failure validation runs.
 	Validations int64 `json:"validations"`
-	// EventsDropped counts events the subscriber channel shed because
-	// the consumer fell behind (sinks never drop).
+	// EventsDropped counts events the subscriber channels shed because
+	// a consumer fell behind (sinks never drop).
 	EventsDropped int64 `json:"events_dropped"`
 }

@@ -10,9 +10,10 @@ import (
 
 // Standard metric names; keeping them here stops dashboards and code
 // drifting. The emitter derives the execution, seed, interleaving,
-// inconsistency, validation, crash-state, bug and coverage series and both
-// latency histograms from the typed events (Emitter.Emit); the rest are
-// facts with no event, which their producers count directly.
+// inconsistency, validation, crash-state, bug and coverage series and the
+// exec_run and validate stage histograms from the typed events
+// (Emitter.Emit); the rest are facts with no event, which their producers
+// count directly. Stage latency histograms are named by SpanHistName.
 const (
 	MExecs                = "fuzz_execs_total"
 	MSeedsAccepted        = "corpus_seeds_accepted_total"
@@ -26,21 +27,17 @@ const (
 	MValidateWallTimeouts = "validate_wall_timeouts_total"
 	// Spin-lock hangs, one series per rt.HangReport.Reason, and the
 	// PM-aware waits that ended on their timer instead of an event.
-	MLockHangsCycle       = "rt_lock_hangs_cycle_total"
-	MLockHangsDeadOwner   = "rt_lock_hangs_dead_owner_total"
-	MLockHangsOwnLock     = "rt_lock_hangs_own_lock_total"
-	MLockHangsDeadline    = "rt_lock_hangs_deadline_total"
-	MCondWaitTimeouts     = "sched_cond_wait_timeouts_total"
-	MWriterStallTimeouts  = "sched_writer_stall_timeouts_total"
-	MEventsDropped        = "obs_events_dropped_total"
-	MSSEDropped           = "obs_sse_dropped_total"
-	GQueueDepth           = "serve_queue_depth"
-	GWorkerBudgetInUse    = "serve_worker_budget_in_use"
-	MBranchCov            = "cover_branch_bits"
-	MAliasCov             = "cover_alias_bits"
-	HExecLatency          = "exec_latency"
-	HValidationLatency    = "validate_latency"
-	HValidateStateLatency = "validate_state_latency"
+	MLockHangsCycle      = "rt_lock_hangs_cycle_total"
+	MLockHangsDeadOwner  = "rt_lock_hangs_dead_owner_total"
+	MLockHangsOwnLock    = "rt_lock_hangs_own_lock_total"
+	MLockHangsDeadline   = "rt_lock_hangs_deadline_total"
+	MCondWaitTimeouts    = "sched_cond_wait_timeouts_total"
+	MWriterStallTimeouts = "sched_writer_stall_timeouts_total"
+	MEventsDropped       = "obs_events_dropped_total"
+	GQueueDepth          = "serve_queue_depth"
+	GWorkerBudgetInUse   = "serve_worker_budget_in_use"
+	MBranchCov           = "cover_branch_bits"
+	MAliasCov            = "cover_alias_bits"
 )
 
 // Counter is a monotonically increasing atomic counter. All methods are
@@ -152,15 +149,17 @@ func (h *Histogram) Observe(d time.Duration) {
 // and sum in nanoseconds. Bucket i holds observations with
 // ceil(log2(microseconds)) == i, i.e. durations in (2^(i-1), 2^i] µs (the
 // last bucket also absorbs overflow); the Prometheus renderer turns these
-// into cumulative le-bounds.
+// into cumulative le-bounds. count is the sum of the copied buckets, so a
+// copy racing Observe never has a bucket total above its count.
 func (h *Histogram) Buckets() (counts [histBuckets]int64, count, sumNs int64) {
 	if h == nil {
 		return
 	}
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].Load()
+		count += counts[i]
 	}
-	return counts, h.count.Load(), h.sum.Load()
+	return counts, count, h.sum.Load()
 }
 
 // HistStat is a histogram snapshot.

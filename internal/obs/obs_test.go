@@ -123,7 +123,7 @@ func TestEmitterNil(t *testing.T) {
 // no consumer, old events are displaced and the final event still lands.
 func TestEmitterChannelRing(t *testing.T) {
 	em := NewEmitter()
-	ch := em.Subscribe(4)
+	ch, _ := em.Subscribe(4)
 	for i := 1; i <= 10; i++ {
 		em.Emit(&ExecDone{Exec: i})
 	}
@@ -241,7 +241,7 @@ func TestEmitterDerivesEventMetrics(t *testing.T) {
 		{&ExecDone{Exec: 1, BranchCov: 17, AliasCov: 5, Candidates: 9, Inconsistencies: 2, Syncs: 1, Duration: 3 * time.Millisecond},
 			map[string]int64{
 				MExecs: 1, MInconsistencies: 3, MBranchCov: 17, MAliasCov: 5,
-				HExecLatency: 1, HExecLatency + "_sum": int64(3 * time.Millisecond),
+				SpanHistName(SpanExecRun): 1, SpanHistName(SpanExecRun) + "_sum": int64(3 * time.Millisecond),
 			}},
 		{&SeedAccepted{Origin: "initial", Ops: 4, CorpusSize: 1}, map[string]int64{MSeedsAccepted: 1}},
 		{&InterleavingScheduled{Addr: 64, Priority: 3}, map[string]int64{MInterleavings: 1}},
@@ -249,7 +249,7 @@ func TestEmitterDerivesEventMetrics(t *testing.T) {
 		{&ValidationVerdict{Class: "sync", Status: "bug", CrashStates: 4, Latency: 7 * time.Millisecond},
 			map[string]int64{
 				MValidations: 1, MValidateCrashStates: 4,
-				HValidationLatency: 1, HValidationLatency + "_sum": int64(7 * time.Millisecond),
+				SpanHistName(SpanValidate): 1, SpanHistName(SpanValidate) + "_sum": int64(7 * time.Millisecond),
 			}},
 		{&BugConfirmed{Class: "inter", Site: "pclht.go:42"}, map[string]int64{MBugs: 1}},
 		{&CampaignDone{Stats: Stats{Execs: 1, Bugs: 1}}, nil},

@@ -26,23 +26,17 @@ type LabeledRegistry struct {
 	Reg    *Registry
 }
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): one `# TYPE` line per family followed by its
-// samples, families sorted by name so output is deterministic. Counters and
-// gauges keep their registry names (counters already carry the `_total`
-// convention); histograms are exported in base seconds as `<name>_seconds`
-// with cumulative `_bucket` samples at the power-of-two microsecond bounds,
-// plus `_sum` and `_count`. A nil registry renders nothing.
-func WritePrometheus(w io.Writer, r *Registry) error {
-	return WritePrometheusLabeled(w, LabeledRegistry{Reg: r})
-}
-
-// WritePrometheusLabeled merges several registries into one exposition,
-// attaching each registry's label set to its samples. Families present in
-// more than one registry are emitted once (`# TYPE` line) with one labeled
-// sample series per registry — how pmraced exports per-campaign metrics
-// from a single /metrics endpoint. Registries appear in argument order
-// within a family; nil registries are skipped.
+// WritePrometheusLabeled renders registries in the Prometheus text
+// exposition format (version 0.0.4), attaching each registry's label set to
+// its samples: one `# TYPE` line per family followed by its samples,
+// families sorted by name so output is deterministic. Families present in
+// more than one registry are emitted once with one labeled sample series
+// per registry — how pmraced exports per-campaign metrics from a single
+// /metrics endpoint. Registries appear in argument order within a family;
+// nil registries are skipped. Counters and gauges keep their registry names
+// (counters already carry the `_total` convention); histograms are exported
+// in base seconds as `<name>_seconds` with cumulative `_bucket` samples at
+// the power-of-two microsecond bounds, plus `_sum` and `_count`.
 func WritePrometheusLabeled(w io.Writer, regs ...LabeledRegistry) error {
 	type series struct {
 		labels string // rendered label pairs, "" or `a="b",c="d"`

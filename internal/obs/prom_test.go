@@ -5,13 +5,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
 func TestSanitizeMetricName(t *testing.T) {
 	cases := map[string]string{
-		"exec_latency":   "exec_latency",
+		"span_exec_run":  "span_exec_run",
 		"weird-name.x":   "weird_name_x",
 		"9lives":         "_9lives",
 		"a:b":            "a:b",
@@ -30,7 +31,7 @@ func TestWritePrometheusCountersGauges(t *testing.T) {
 	r.Counter(MBugs).Add(3)
 	r.Gauge(MBranchCov).Set(17)
 	var b bytes.Buffer
-	if err := WritePrometheus(&b, r); err != nil {
+	if err := WritePrometheusLabeled(&b, LabeledRegistry{Reg: r}); err != nil {
 		t.Fatal(err)
 	}
 	want := "# TYPE pmrace_cover_branch_bits gauge\n" +
@@ -44,7 +45,7 @@ func TestWritePrometheusCountersGauges(t *testing.T) {
 
 func TestWritePrometheusNilRegistry(t *testing.T) {
 	var b bytes.Buffer
-	if err := WritePrometheus(&b, nil); err != nil || b.Len() != 0 {
+	if err := WritePrometheusLabeled(&b, LabeledRegistry{}); err != nil || b.Len() != 0 {
 		t.Fatalf("nil registry: err=%v out=%q", err, b.String())
 	}
 }
@@ -113,7 +114,7 @@ func parsePrometheus(t *testing.T, text string) (samples []promSample, types map
 
 func TestWritePrometheusHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram(HExecLatency)
+	h := r.Histogram(SpanHistName(SpanExecRun))
 	for _, d := range []time.Duration{
 		500 * time.Nanosecond, // bucket 0 (sub-microsecond)
 		time.Microsecond,      // bucket 0 (le="1e-06" is inclusive)
@@ -124,12 +125,12 @@ func TestWritePrometheusHistogram(t *testing.T) {
 		h.Observe(d)
 	}
 	var b bytes.Buffer
-	if err := WritePrometheus(&b, r); err != nil {
+	if err := WritePrometheusLabeled(&b, LabeledRegistry{Reg: r}); err != nil {
 		t.Fatal(err)
 	}
 	samples, types := parsePrometheus(t, b.String())
-	if types["pmrace_exec_latency_seconds"] != "histogram" {
-		t.Fatalf("family type = %q, want histogram (types: %v)", types["pmrace_exec_latency_seconds"], types)
+	if types["pmrace_span_exec_run_seconds"] != "histogram" {
+		t.Fatalf("family type = %q, want histogram (types: %v)", types["pmrace_span_exec_run_seconds"], types)
 	}
 
 	var les []float64
@@ -137,7 +138,7 @@ func TestWritePrometheusHistogram(t *testing.T) {
 	var sum, count float64
 	for _, s := range samples {
 		switch s.name {
-		case "pmrace_exec_latency_seconds_bucket":
+		case "pmrace_span_exec_run_seconds_bucket":
 			if s.le == "+Inf" {
 				les = append(les, 1e308)
 			} else {
@@ -148,9 +149,9 @@ func TestWritePrometheusHistogram(t *testing.T) {
 				les = append(les, le)
 			}
 			cum = append(cum, s.value)
-		case "pmrace_exec_latency_seconds_sum":
+		case "pmrace_span_exec_run_seconds_sum":
 			sum = s.value
-		case "pmrace_exec_latency_seconds_count":
+		case "pmrace_span_exec_run_seconds_count":
 			count = s.value
 		}
 	}
@@ -200,14 +201,51 @@ func TestHistogramBucketInclusive(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketsConsistent checks a Buckets copy racing Observe
+// never holds more bucket observations than its count: the exposition's
+// finite le buckets must stay at or below +Inf and _count.
+func TestHistogramBucketsConsistent(t *testing.T) {
+	h := &Histogram{}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(time.Duration(i%4096+w) * time.Microsecond)
+			}
+		}(w)
+	}
+	for i := 0; i < 20000; i++ {
+		counts, count, _ := h.Buckets()
+		var sum int64
+		for _, c := range counts {
+			sum += c
+		}
+		if sum != count {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("copy %d: buckets sum to %d, count = %d", i, sum, count)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestWritePrometheusSortedAcrossKinds(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(MExecs).Inc()
 	r.Counter(MBugs).Inc()
 	r.Gauge(MAliasCov).Set(1)
-	r.Histogram(HValidationLatency).Observe(time.Millisecond)
+	r.Histogram(SpanHistName(SpanValidate)).Observe(time.Millisecond)
 	var b bytes.Buffer
-	if err := WritePrometheus(&b, r); err != nil {
+	if err := WritePrometheusLabeled(&b, LabeledRegistry{Reg: r}); err != nil {
 		t.Fatal(err)
 	}
 	var fams []string
@@ -221,7 +259,7 @@ func TestWritePrometheusSortedAcrossKinds(t *testing.T) {
 	}
 	// Rendering twice produces identical output (deterministic).
 	var b2 bytes.Buffer
-	if err := WritePrometheus(&b2, r); err != nil {
+	if err := WritePrometheusLabeled(&b2, LabeledRegistry{Reg: r}); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != b2.String() {
@@ -238,7 +276,7 @@ func TestWritePrometheusLabeled(t *testing.T) {
 	r1.Counter(MExecs).Add(3)
 	r2.Counter(MExecs).Add(5)
 	r1.Gauge(MBranchCov).Set(7)
-	r1.Histogram(HValidationLatency).Observe(time.Millisecond)
+	r1.Histogram(SpanHistName(SpanValidate)).Observe(time.Millisecond)
 
 	var b bytes.Buffer
 	err := WritePrometheusLabeled(&b,
@@ -270,9 +308,9 @@ func TestWritePrometheusLabeled(t *testing.T) {
 	if !strings.Contains(out, `_count{campaign="c0001",target="pclht"} 1`) {
 		t.Errorf("histogram count not labeled:\n%s", out)
 	}
-	// The unlabeled single-registry form is unchanged.
+	// A registry without labels renders plain samples.
 	var plain bytes.Buffer
-	if err := WritePrometheus(&plain, r1); err != nil {
+	if err := WritePrometheusLabeled(&plain, LabeledRegistry{Reg: r1}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(plain.String(), "pmrace_fuzz_execs_total 3\n") {

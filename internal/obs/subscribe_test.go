@@ -20,11 +20,14 @@ func allKindsEvents() []Event {
 	}
 }
 
-func TestSubscribeExtraIndependence(t *testing.T) {
+// TestSubscribeIndependence checks every Subscribe call gets its own
+// channel with its own copy of each event, and cancel detaches one channel
+// without disturbing the others.
+func TestSubscribeIndependence(t *testing.T) {
 	em := NewEmitter()
-	main := em.Subscribe(64)
-	ex1, cancel1 := em.SubscribeExtra(64)
-	ex2, cancel2 := em.SubscribeExtra(64)
+	main, _ := em.Subscribe(64)
+	ex1, cancel1 := em.Subscribe(64)
+	ex2, cancel2 := em.Subscribe(64)
 	defer cancel2()
 
 	events := allKindsEvents()
@@ -73,27 +76,46 @@ func TestSubscribeExtraIndependence(t *testing.T) {
 		t.Fatal("extra2 missed event emitted after cancel1")
 	}
 
-	// Close closes every remaining extra; cancel afterwards must not panic.
+	// Close closes every remaining channel, the first one included;
+	// cancel afterwards must not panic.
 	if err := em.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for ev := range ex2 {
-		_ = ev // drain the buffered event, then the close
+	for _, ch := range []<-chan Event{main, ex2} {
+		for ev := range ch {
+			_ = ev // drain the buffered event, then the close
+		}
 	}
 	cancel2()
 	cancel1()
 }
 
-func TestSubscribeExtraAfterClose(t *testing.T) {
+// TestSubscribeAfterClose checks a subscriber attaching to a closed emitter
+// gets a closed channel holding the terminal campaign_done event.
+func TestSubscribeAfterClose(t *testing.T) {
 	em := NewEmitter()
+	em.Emit(&CampaignDone{Stats: Stats{Execs: 3}})
 	if err := em.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := em.SubscribeExtra(8)
-	if _, ok := <-ch; ok {
-		t.Fatal("SubscribeExtra after Close returned an open channel")
+	ch, cancel := em.Subscribe(8)
+	defer cancel()
+	var got []string
+	for {
+		select {
+		case ev, ok := <-ch:
+			if ok {
+				got = append(got, Fingerprint(ev))
+				continue
+			}
+			if len(got) != 1 || got[0] != Fingerprint(&CampaignDone{Stats: Stats{Execs: 3}}) {
+				t.Fatalf("Subscribe after Close delivered %q, want one campaign_done", got)
+			}
+			return
+		default:
+			t.Fatalf("Subscribe after Close returned an open channel (holding %q)", got)
+		}
 	}
-	cancel()
 }
 
 func TestDecodeEventUnknownKind(t *testing.T) {

@@ -14,10 +14,11 @@ import (
 // Span tracing: the campaign's wall-clock attribution layer. A Span records
 // where one stage of the schedule → execute → detect → validate lifecycle
 // spent its time; completed spans land in the flight recorder (last-N ring,
-// dumped on anomaly) and feed per-stage latency histograms in the metrics
-// registry. The subsystem is stdlib-only and costs a single atomic load when
-// disabled; the per-access PM hooks are never on the span path at all — the
-// hot path of PR 1 stays exactly as benchmarked.
+// dumped on anomaly and exported as the timeline). Each stage has one latency
+// histogram, span_<name>; tracedStages says which ones the tracer writes.
+// The subsystem is stdlib-only; a campaign without tracing has a nil
+// *Tracer, whose methods are a nil check. The per-access PM hooks are never
+// on the span path.
 
 // Span names. The set is fixed: every span a campaign records carries one of
 // these names, which bounds the per-stage histogram cardinality (one
@@ -33,7 +34,8 @@ const (
 	// SpanInterleaving covers one interleaving-tier decision: the queue
 	// pop, the equivalence-pruning check and the schedule choice.
 	SpanInterleaving = "interleaving"
-	// SpanExecRun covers one sampled execution end to end.
+	// SpanExecRun covers one execution end to end: a span for a sampled
+	// one, a histogram observation (from exec_done) for every one.
 	SpanExecRun = "exec_run"
 	// SpanConflictAnalysis covers the final log drain and deferred batch
 	// conflict analysis at the end of an execution.
@@ -59,6 +61,16 @@ func SpanNames() []string {
 
 // SpanHistName is the metrics-registry histogram name for a span name.
 func SpanHistName(name string) string { return "span_" + name }
+
+// tracedStages are the stages whose only timing is their span, so the
+// tracer writes their histograms. The other stages' histograms are written
+// where every instance is timed: exec_run by the emitter on exec_done,
+// validate by the emitter on validation_verdict, validate_state by the
+// validator per crash state.
+var tracedStages = []string{
+	SpanQueueWait, SpanCampaign, SpanSeedPick, SpanInterleaving,
+	SpanConflictAnalysis, SpanCrashStateEnum,
+}
 
 // Lane bases. A lane is the span's display thread (the Chrome trace-event
 // tid): spans on one lane are required to nest properly, so each logical
@@ -116,21 +128,19 @@ type TraceMeta struct {
 	Target   string `json:"target,omitempty"`
 }
 
-// Tracer records spans for one campaign. All methods are safe on a nil
-// receiver (every producer can hold an unconditional handle), and Start is a
-// single atomic load plus a branch when tracing is disabled — nothing else
-// on the disabled path.
+// Tracer records spans for one campaign. A nil *Tracer is the disabled
+// tracer: every method is safe on it (every producer can hold an
+// unconditional handle), and Start is a nil check plus a branch — nothing
+// else on the disabled path.
 type Tracer struct {
-	enabled atomic.Bool
 	sampleN int64
 	execCtr atomic.Int64 // Sample() calls (≈ executions offered)
 	sampled atomic.Int64 // sampled-execution ordinals
 	ids     atomic.Uint64
 	epoch   time.Time
 	flight  *FlightRecorder
-	reg     *Registry
-
-	hmu   sync.Mutex
+	// hists holds the span-only stages' histograms, resolved once by
+	// NewTracer and read-only after; other names map to nil (no-op).
 	hists map[string]*Histogram
 
 	mu         sync.Mutex
@@ -139,10 +149,10 @@ type Tracer struct {
 	anomalies  int
 }
 
-// NewTracer creates an enabled tracer recording into reg's span histograms
-// (reg may be nil: spans then only reach the flight recorder). sampleN is
-// the per-exec sampling rate (1 = every execution, n = one in n); values
-// <= 0 select DefaultTraceSample.
+// NewTracer creates a tracer recording into reg's span histograms (reg may
+// be nil: spans then only reach the flight recorder). sampleN is the
+// per-exec sampling rate (1 = every execution, n = one in n); values <= 0
+// select DefaultTraceSample.
 func NewTracer(reg *Registry, sampleN int) *Tracer {
 	if sampleN <= 0 {
 		sampleN = DefaultTraceSample
@@ -151,23 +161,16 @@ func NewTracer(reg *Registry, sampleN int) *Tracer {
 		sampleN: int64(sampleN),
 		epoch:   time.Now(),
 		flight:  NewFlightRecorder(defaultFlightSpans),
-		reg:     reg,
-		hists:   make(map[string]*Histogram),
+		hists:   make(map[string]*Histogram, len(tracedStages)),
 	}
-	t.enabled.Store(true)
+	for _, name := range tracedStages {
+		t.hists[name] = reg.Histogram(SpanHistName(name))
+	}
 	return t
 }
 
-// Enabled reports whether the tracer records spans.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled flips the atomic gate; a disabled tracer's Start returns an
-// inert span after one atomic load.
-func (t *Tracer) SetEnabled(v bool) {
-	if t != nil {
-		t.enabled.Store(v)
-	}
-}
+// Enabled reports whether the tracer records spans: it is non-nil.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // SetMeta names the trace for export.
 func (t *Tracer) SetMeta(campaign, target string) {
@@ -202,18 +205,10 @@ func (t *Tracer) SetAnomalyDir(dir string) {
 	t.mu.Unlock()
 }
 
-// Epoch returns the tracer's time origin (StartNs is relative to it).
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // Sample reports whether the next execution should record detailed spans:
 // one call per offered execution, true once every sampleN calls.
 func (t *Tracer) Sample() bool {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return false
 	}
 	return t.execCtr.Add(1)%t.sampleN == 0
@@ -228,29 +223,18 @@ func (t *Tracer) NextExec() int64 {
 	return t.sampled.Add(1)
 }
 
-// Start opens a span on the given lane. A nil tracer, a disabled tracer or
-// a negative lane (the "not sampled" lane) returns an inert SpanCtx whose
-// methods are all no-ops — callers never branch.
+// Start opens a span on the given lane. A nil tracer or a negative lane (the
+// "not sampled" lane) returns an inert SpanCtx whose methods are all no-ops
+// — callers never branch.
 func (t *Tracer) Start(lane int, name string) SpanCtx {
-	if t == nil || lane < 0 || !t.enabled.Load() {
+	if t == nil || lane < 0 {
 		return SpanCtx{}
 	}
 	return SpanCtx{t: t, id: t.ids.Add(1), name: name, lane: int32(lane), start: time.Now()}
 }
 
-// hist returns the cached span histogram for a name.
-func (t *Tracer) hist(name string) *Histogram {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	h, ok := t.hists[name]
-	if !ok {
-		h = t.reg.Histogram(SpanHistName(name))
-		t.hists[name] = h
-	}
-	return h
-}
-
-// finish records a completed span.
+// finish records a completed span, and its duration in the stage's
+// histogram when the tracer owns it.
 func (t *Tracer) finish(s *SpanCtx, d time.Duration) {
 	sp := Span{
 		ID:      s.id,
@@ -263,7 +247,7 @@ func (t *Tracer) finish(s *SpanCtx, d time.Duration) {
 		Attrs:   s.attrs,
 	}
 	t.flight.Record(sp)
-	t.hist(s.name).Observe(d)
+	t.hists[s.name].Observe(d)
 }
 
 // Spans returns the flight recorder's contents, oldest first.
@@ -298,7 +282,7 @@ type AnomalyDump struct {
 // maxAnomalyDumps per tracer and dropped when no anomaly directory is
 // configured; both make the call safe on hot-ish paths.
 func (t *Tracer) DumpAnomaly(reason string) {
-	if t == nil || !t.enabled.Load() {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -382,9 +366,10 @@ func (s *SpanCtx) Child(name string) SpanCtx {
 	return c
 }
 
-// End completes the span: it lands in the flight recorder and its duration
-// in the span_<name> histogram. End is idempotent; durations are clamped to
-// >= 1ns so a span's B/E trace events never coincide.
+// End completes the span: it lands in the flight recorder and, for a
+// span-only stage, its duration in the span_<name> histogram. End is
+// idempotent; durations are clamped to >= 1ns so a span's B/E trace events
+// never coincide.
 func (s *SpanCtx) End() {
 	if s.t == nil {
 		return

@@ -13,7 +13,8 @@ import (
 
 // TestTracerSpanBasics checks the span lifecycle: parent/child linkage, lane
 // and exec inheritance, attributes, and delivery to the flight recorder and
-// the span histograms.
+// the span histograms — only the span-only stages' ones: exec_run's is
+// written from exec_done events.
 func TestTracerSpanBasics(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(reg, 1)
@@ -52,20 +53,22 @@ func TestTracerSpanBasics(t *testing.T) {
 	if parent.DurNs <= 0 {
 		t.Fatal("durations must be clamped positive")
 	}
-	if reg.Histogram(SpanHistName(SpanExecRun)).Count() != 1 {
-		t.Fatal("span histogram did not observe the span")
+	if n := reg.Histogram(SpanHistName(SpanConflictAnalysis)).Count(); n != 1 {
+		t.Fatalf("conflict_analysis histogram observed %d spans, want 1", n)
+	}
+	if n := reg.Histogram(SpanHistName(SpanExecRun)).Count(); n != 0 {
+		t.Fatalf("exec_run histogram observed %d spans, want 0 (exec_done writes it)", n)
 	}
 }
 
-// TestTracerDisabledAndNil checks the inert paths: nil tracer, disabled
-// tracer, and the negative "not sampled" lane all produce no-op spans, and
-// every method is nil-safe.
+// TestTracerDisabledAndNil checks the inert paths: the nil tracer (the
+// disabled tracer) and the negative "not sampled" lane both produce no-op
+// spans, and every method is nil-safe.
 func TestTracerDisabledAndNil(t *testing.T) {
 	var nilTr *Tracer
 	if nilTr.Enabled() || nilTr.Sample() || nilTr.NextExec() != 0 {
 		t.Fatal("nil tracer must be inert")
 	}
-	nilTr.SetEnabled(true)
 	nilTr.SetMeta("x", "y")
 	nilTr.SetAnomalyDir("/nope")
 	nilTr.DumpAnomaly("r")
@@ -80,18 +83,13 @@ func TestTracerDisabledAndNil(t *testing.T) {
 	}
 
 	tr := NewTracer(NewRegistry(), 1)
-	tr.SetEnabled(false)
-	if sp := tr.Start(0, SpanCampaign); sp.Active() {
-		t.Fatal("disabled tracer must return an inert span")
+	if !tr.Enabled() {
+		t.Fatal("a non-nil tracer is enabled")
 	}
-	if tr.Sample() {
-		t.Fatal("disabled tracer must not sample")
-	}
-	if sp := tr.Start(-1, SpanExecRun); sp.Active() {
+	sp2 := tr.Start(-1, SpanExecRun)
+	if sp2.Active() {
 		t.Fatal("negative lane must return an inert span")
 	}
-	tr.SetEnabled(true)
-	sp2 := tr.Start(-1, SpanExecRun)
 	sp2.End()
 	if len(tr.Spans()) != 0 {
 		t.Fatal("unsampled lane must record nothing")
@@ -295,7 +293,7 @@ func TestSpanHistogramCardinality(t *testing.T) {
 	}
 }
 
-// TestEmitterTerminalDelivery checks SubscribeExtra's deterministic terminal
+// TestEmitterTerminalDelivery checks Subscribe's deterministic terminal
 // contract: a subscriber attaching after campaign_done was emitted — during
 // drain or after Close — still receives the terminal event.
 func TestEmitterTerminalDelivery(t *testing.T) {
@@ -304,7 +302,7 @@ func TestEmitterTerminalDelivery(t *testing.T) {
 	em.Emit(&CampaignDone{Stats: Stats{Execs: 1}})
 
 	// Attached during drain (after campaign_done, before Close).
-	drainCh, cancel := em.SubscribeExtra(8)
+	drainCh, cancel := em.Subscribe(8)
 	defer cancel()
 	select {
 	case ev := <-drainCh:
@@ -318,7 +316,7 @@ func TestEmitterTerminalDelivery(t *testing.T) {
 	em.Close()
 
 	// Attached after Close: terminal event, then closed channel.
-	lateCh, _ := em.SubscribeExtra(8)
+	lateCh, _ := em.Subscribe(8)
 	ev, ok := <-lateCh
 	if !ok {
 		t.Fatal("late subscriber channel closed without the terminal event")
@@ -334,45 +332,52 @@ func TestEmitterTerminalDelivery(t *testing.T) {
 	em2 := NewEmitter()
 	em2.Emit(&ExecDone{Exec: 1})
 	em2.Close()
-	emptyCh, _ := em2.SubscribeExtra(8)
+	emptyCh, _ := em2.Subscribe(8)
 	if _, ok := <-emptyCh; ok {
 		t.Fatal("no terminal event was emitted; channel must be closed and empty")
 	}
 }
 
-// TestEmitterSSEDropCounter checks extra-subscriber sheds surface in both
-// the total and the SSE-specific drop counters.
+// TestEmitterSSEDropCounter checks an SSE stream's subscriber sheds count
+// in obs_events_dropped_total, the one drop counter, next to a second
+// subscriber's: two channels of one event each, 50 events, 49 sheds each.
 func TestEmitterSSEDropCounter(t *testing.T) {
 	em := NewEmitter()
-	_, cancel := em.SubscribeExtra(1) // tiny buffer, no consumer
-	defer cancel()
+	_, cancelSSE := em.Subscribe(1) // tiny buffer, no consumer
+	defer cancelSSE()
+	_, cancelEvents := em.Subscribe(1)
+	defer cancelEvents()
 	for i := 0; i < 50; i++ {
 		em.Emit(&ExecDone{Exec: i})
 	}
-	sse := em.Registry().Counter(MSSEDropped).Value()
-	if sse == 0 {
-		t.Fatal("expected obs_sse_dropped_total accounting")
+	if got := em.Registry().Counter(MEventsDropped).Value(); got != 2*49 || em.Dropped() != got {
+		t.Fatalf("obs_events_dropped_total = %d, Dropped() = %d; want 98 and 98", got, em.Dropped())
 	}
-	if em.Dropped() < sse {
-		t.Fatalf("total drops %d < SSE drops %d; SSE sheds must count in both", em.Dropped(), sse)
+	for _, name := range em.Registry().Names() {
+		if strings.Contains(name, "sse") {
+			t.Fatalf("registry holds %q; SSE sheds have no counter of their own", name)
+		}
 	}
 	em.Close()
 }
 
-// TestObsSpanDisabledPin pins the disabled-path cost: Start on a disabled
-// tracer must stay an atomic load plus a branch — no allocation, well under
-// the PM-hook budget. Gated on PMRACE_BENCH_PIN=1 because wall-clock
-// assertions are meaningless under -race or a loaded CI box.
+// untracedTracer is the tracer an untraced campaign holds: nil. A package
+// variable, so the pin loads it from memory like a campaign's field.
+var untracedTracer *Tracer
+
+// TestObsSpanDisabledPin pins the disabled-path cost: Start on the nil
+// tracer an untraced campaign holds must stay a nil check plus a branch — no
+// allocation, well under the PM-hook budget. Gated on PMRACE_BENCH_PIN=1
+// because wall-clock assertions are meaningless under -race or a loaded CI
+// box.
 func TestObsSpanDisabledPin(t *testing.T) {
 	if os.Getenv("PMRACE_BENCH_PIN") != "1" {
 		t.Skip("set PMRACE_BENCH_PIN=1 to pin the disabled-path cost")
 	}
-	tr := NewTracer(nil, 8)
-	tr.SetEnabled(false)
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sp := tr.Start(1, SpanExecRun)
+			sp := untracedTracer.Start(1, SpanExecRun)
 			sp.End()
 		}
 	})

@@ -123,7 +123,7 @@ func (s *Supervisor) Handler() http.Handler {
 // the emitter sequence number, and `data:` the obs.Envelope a JSONL trace
 // writes per line. The stream ends when the emitter closes (campaign done),
 // the client disconnects, or the request context is cancelled. Each client
-// gets its own SubscribeExtra channel, so any number of observers can stream
+// gets its own Subscribe channel, so any number of observers can stream
 // without stealing events from the in-process Campaign.Events channel or
 // from each other.
 func ServeSSE(w http.ResponseWriter, r *http.Request, em *obs.Emitter) {
@@ -132,7 +132,7 @@ func ServeSSE(w http.ResponseWriter, r *http.Request, em *obs.Emitter) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	ch, unsub := em.SubscribeExtra(1024)
+	ch, unsub := em.Subscribe(1024)
 	defer unsub()
 
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -732,7 +732,7 @@ func readSSE(t *testing.T, r io.Reader) []sseFrame {
 }
 
 // TestServerSSEFullEquality connects a ServeSSE client before any event is
-// emitted (response headers received implies the SubscribeExtra
+// emitted (response headers received implies the Subscribe
 // registration happened), emits one event of every kind, closes the
 // emitter, and checks the framed stream equals the in-process sequence
 // event for event.

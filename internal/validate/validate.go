@@ -32,8 +32,8 @@ type Options struct {
 	Whitelist *core.Whitelist
 	// Obs, when set, receives a ValidationVerdict event per judged finding
 	// (from which the emitter derives the validation run, latency and
-	// crash-state metrics) and feeds the per-state latency histogram and
-	// the wall-timeout counter.
+	// crash-state metrics) and feeds the validate_state histogram and the
+	// wall-timeout counter.
 	Obs *obs.Emitter
 	// Trace, when set, records a validate span per finding (with a
 	// validate_state child per crash state) on lane TraceLane. Findings are
@@ -191,7 +191,7 @@ func (o Options) judgeState(factory targets.Factory, st pmem.CrashState, parent 
 	})
 	v.Latency = time.Since(start)
 	reg := o.Obs.Registry()
-	reg.Histogram(obs.HValidateStateLatency).Observe(v.Latency)
+	reg.Histogram(obs.SpanHistName(obs.SpanValidateState)).Observe(v.Latency)
 	if wallTimedOut {
 		reg.Counter(obs.MValidateWallTimeouts).Inc()
 		// A watchdog trip is an anomaly worth forensics even when the
