@@ -115,10 +115,6 @@ type CampaignSpec struct {
 	Protocol bool `json:"protocol,omitempty"`
 	// MaxCrashStates caps crash states validated per finding.
 	MaxCrashStates int `json:"max_crash_states,omitempty"`
-	// InlineValidation validates findings synchronously on the discovering
-	// worker, keeping a single-worker campaign's event stream
-	// deterministic.
-	InlineValidation bool `json:"inline_validation,omitempty"`
 	// EADR models battery-backed caches; NoCheckpoints disables in-memory
 	// pool checkpoints.
 	EADR          bool `json:"eadr,omitempty"`

@@ -40,7 +40,7 @@ func TestSpecWireFormat(t *testing.T) {
 	raw, err := json.Marshal(CampaignSpec{
 		Target: "pclht", Mode: "none", Workers: 2, Threads: 1,
 		MaxExecs: 10, Duration: time.Second, Seed: 7, KeySpace: 8,
-		OpsPerSeed: 4, MaxCrashStates: 2, InlineValidation: true,
+		OpsPerSeed: 4, MaxCrashStates: 2,
 		EADR: true, NoCheckpoints: true, Artifacts: true, ArtifactsAll: true,
 	})
 	if err != nil {
@@ -50,7 +50,7 @@ func TestSpecWireFormat(t *testing.T) {
 		`"target":"pclht"`, `"mode":"none"`, `"workers":2`, `"threads":1`,
 		`"max_execs":10`, fmt.Sprintf(`"duration_ns":%d`, time.Second),
 		`"seed":7`, `"key_space":8`, `"ops_per_seed":4`,
-		`"max_crash_states":2`, `"inline_validation":true`, `"eadr":true`,
+		`"max_crash_states":2`, `"eadr":true`,
 		`"no_checkpoints":true`, `"artifacts":true`, `"artifacts_all":true`,
 	} {
 		if !strings.Contains(string(raw), field) {

@@ -27,7 +27,6 @@ func TestCampaignEventStreamDeterminism(t *testing.T) {
 			pmrace.WithThreads(1),
 			pmrace.WithMode(pmrace.ModeNone),
 			pmrace.WithSeed(7),
-			pmrace.WithInlineValidation(),
 			pmrace.WithSink(col),
 		)
 		if err != nil {
@@ -58,6 +57,54 @@ func TestCampaignEventStreamDeterminism(t *testing.T) {
 	}
 	if a[len(a)-1][:13] != "campaign_done" {
 		t.Fatalf("last event is not campaign_done: %s", a[len(a)-1])
+	}
+}
+
+// TestCampaignValidationFollowsExecDone pins where post-failure validation
+// runs in a single-worker campaign: on the worker, after the execution that
+// first found a finding has emitted exec_done, and before the next one. Every
+// validation_verdict therefore judges a finding whose inconsistency_found
+// precedes the latest exec_done, and every finding is judged before the
+// next exec_done.
+func TestCampaignValidationFollowsExecDone(t *testing.T) {
+	col := pmrace.NewCollector()
+	c, err := pmrace.NewCampaign(context.Background(), "pclht",
+		pmrace.WithBudget(60, time.Minute),
+		pmrace.WithWorkers(1),
+		pmrace.WithSeed(1),
+		pmrace.WithSink(col),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// found counts inconsistency_found events so far, foundAtDone the
+	// count at the latest exec_done, judged the verdicts so far.
+	var found, foundAtDone, judged, execs int
+	for i, ev := range col.Events() {
+		switch ev.Kind() {
+		case obs.KindInconsistencyFound:
+			found++
+		case obs.KindExecDone:
+			execs++
+			if judged != foundAtDone {
+				t.Fatalf("event %d: exec_done %d with %d of the earlier executions' %d findings judged",
+					i, execs, judged, foundAtDone)
+			}
+			foundAtDone = found
+		case obs.KindValidationVerdict:
+			judged++
+			if judged > foundAtDone {
+				t.Fatalf("event %d: verdict %d precedes the exec_done of the execution that found it (%d findings had one)",
+					i, judged, foundAtDone)
+			}
+		}
+	}
+	if judged == 0 || judged != found {
+		t.Fatalf("%d verdicts for %d findings over %d executions, want one per finding and at least one",
+			judged, found, execs)
 	}
 }
 

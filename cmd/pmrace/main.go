@@ -82,9 +82,6 @@ func run() int {
 		jsonOut   = flag.Bool("json", false, "stream the event trace as JSONL to stdout (summary goes to stderr)")
 		progress  = flag.Bool("progress", false, "render a 1 Hz status line while fuzzing")
 		verbose   = flag.Bool("v", false, "print full per-inconsistency reports")
-
-		valWorkers     = flag.Int("validate-workers", 2, "asynchronous post-failure validation workers")
-		valWallTimeout = flag.Duration("validate-wall-timeout", 2*time.Second, "wall-clock bound per recovery run in post-failure validation")
 	)
 	flag.Parse()
 
@@ -112,8 +109,6 @@ func run() int {
 		pmrace.WithSpec(spec),
 		pmrace.WithCorpusDir(*corpus),
 		pmrace.WithArtifacts(*artifacts),
-		pmrace.WithValidationWorkers(*valWorkers),
-		pmrace.WithValidationWallTimeout(*valWallTimeout),
 	}
 	if *httpAddr != "" {
 		options = append(options, pmrace.WithHTTPAddr(*httpAddr))

@@ -145,19 +145,16 @@ type Options struct {
 	// finding (WITCHER-style bounded enumeration). Values <= 1 reproduce
 	// the paper's single-adversarial-image validation.
 	MaxCrashStates int
-	// ValidationWallTimeout bounds each recovery run's wall-clock time in
-	// post-failure validation; zero selects validate.DefaultWallTimeout.
-	ValidationWallTimeout time.Duration
-	// ValidationWorkers sizes the asynchronous post-failure validation
-	// pool; findings queue to it instead of stalling the fuzzing executor
-	// during recovery runs. Zero selects 2.
-	ValidationWorkers int
-	// InlineValidation validates findings synchronously on the fuzzing
-	// worker that discovered them (the pre-pool behavior). It keeps the
-	// event stream deterministic for a single-worker campaign, at the cost
-	// of stalling that worker during recovery runs.
-	InlineValidation bool
 }
+
+// MaxThreads and MaxOpsPerSeed bound Options.Threads and Options.OpsPerSeed,
+// which arrive from outside the program (a campaign spec, a bundle's
+// bug.json): every execution starts one goroutine per driver thread, and the
+// generators allocate OpsPerSeed operations per seed.
+const (
+	MaxThreads    = 64
+	MaxOpsPerSeed = 4096
+)
 
 func (o Options) withDefaults() Options {
 	if o.Threads <= 0 {
@@ -183,12 +180,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxCrashStates <= 0 {
 		o.MaxCrashStates = 1
-	}
-	if o.ValidationWallTimeout <= 0 {
-		o.ValidationWallTimeout = validate.DefaultWallTimeout
-	}
-	if o.ValidationWorkers <= 0 {
-		o.ValidationWorkers = 2
 	}
 	return o
 }
@@ -226,12 +217,6 @@ type Fuzzer struct {
 	// ctx stops workers between executions when cancelled; set by
 	// RunContext for the run's duration.
 	ctx context.Context
-
-	// valCh feeds the asynchronous post-failure validation pool; nil when
-	// InlineValidation is set.
-	valCh  chan *valJob
-	valWG  sync.WaitGroup
-	valErr error // first validation-worker error; guarded by mu
 
 	// em is the observability hub; every campaign has one (sink-less by
 	// default). It derives the campaign's event metrics; the counters below
@@ -437,30 +422,6 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Result, error) {
 	f.seedCount = corpusLen
 	f.mu.Unlock()
 
-	// Post-failure validation pool: findings queue here so recovery runs
-	// (each bounded by ValidationWallTimeout, and potentially multiplied by
-	// MaxCrashStates) never stall the fuzzing executors. A worker that hits
-	// a persistent error (artifact I/O) records it and keeps draining so
-	// enqueuers never block on a dead pool.
-	if !f.opts.InlineValidation {
-		f.valCh = make(chan *valJob, f.opts.ValidationWorkers*4)
-		for i := 0; i < f.opts.ValidationWorkers; i++ {
-			f.valWG.Add(1)
-			go func(i int) {
-				defer f.valWG.Done()
-				for job := range f.valCh {
-					if err := f.validateJob(job, obs.LaneValidatorBase+i); err != nil {
-						f.mu.Lock()
-						if f.valErr == nil {
-							f.valErr = err
-						}
-						f.mu.Unlock()
-					}
-				}
-			}(i)
-		}
-	}
-
 	// Each worker owns a private seeded RNG: nothing on the hot path ever
 	// touches the locked global math/rand source, and a campaign at a given
 	// (seed, worker count) draws the same per-worker random streams even
@@ -481,23 +442,10 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Result, error) {
 		}(w)
 	}
 	wg.Wait()
-	// Drain the validation pool before reading results: queued findings
-	// must be judged (and their artifacts written) before the campaign's
-	// bug tally is final.
-	if f.valCh != nil {
-		close(f.valCh)
-		f.valWG.Wait()
-	}
 	select {
 	case err := <-errCh:
 		return nil, err
 	default:
-	}
-	f.mu.Lock()
-	valErr := f.valErr
-	f.mu.Unlock()
-	if valErr != nil {
-		return nil, valErr
 	}
 	res := f.result()
 	f.em.Emit(&obs.PhaseChange{Phase: "done", Prev: "fuzzing"})
@@ -589,7 +537,7 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 				Priority: entry.Priority,
 				Skip:     skip,
 			})
-			productive, ran := false, 0
+			productive, tested := false, false
 			for e := 0; e < execsPerInterleaving && f.claim(); e++ {
 				cfg := sched.DefaultConfig()
 				cfg.Seed = rng.Int63()
@@ -598,7 +546,6 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 				if err != nil {
 					return err
 				}
-				ran++
 				improved = improved || out.improved
 				// A round earns another visit only when it moved
 				// the campaign: an unseen outcome signature that
@@ -614,16 +561,22 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 				if (novel && out.improved) || out.found {
 					productive = true
 				}
-				if o := pm.Outcome(); o.Disabled {
+				o := pm.Outcome()
+				tested = tested || !o.Starved()
+				if o.Disabled {
 					// Pitfall-3: save an increased skip so
 					// future campaigns on this seed bypass
 					// the blocking cond_wait executions.
 					f.addSkip(entry.Addr, o.CondWaits)
 				}
 			}
-			// A round cut short by the budget before any execution
-			// must not mark its class stale.
-			if ran > 0 {
+			// Only a round that tested the class may mark it stale. A
+			// round cut short by the budget ran nothing, and one whose
+			// every execution starved shows that this seed does not
+			// reach the entry's store sites: that says nothing of the
+			// class on a seed that does, which another worker may be
+			// about to schedule.
+			if productive || tested {
 				f.equiv.Record(key, productive)
 			}
 		}
@@ -715,21 +668,22 @@ func (f *Fuzzer) traceLane(worker int) int {
 	return -1
 }
 
-// runOne executes the seed once, validates new findings post-failure, and
-// merges everything into the global state.
+// runOne executes the seed once, merges everything into the global state
+// and then validates the execution's new findings post-failure on this
+// worker, after its exec_done event.
 func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (runOutcome, error) {
 	res, err := f.exec.RunTraced(seed, strat, f.traceLane(worker))
 	if err != nil {
 		return runOutcome{}, err
 	}
 
-	// Post-failure stage: merge findings under the lock, then hand each
-	// *new* finding with its crash states to the validation pool (or
-	// validate inline). Duplicate findings never consult their states.
+	// Post-failure stage: merge findings under the lock and keep each *new*
+	// finding with its crash states for validation below. Duplicate
+	// findings never consult their states.
 	var jobs []*valJob
 	f.mu.Lock()
-	// newFindings counts findings unseen by the dedup DB. It — not raw
-	// detections — feeds the equivalence table's bug latch: the seeded
+	// jobs holds the findings unseen by the dedup DB. They — not raw
+	// detections — feed the equivalence table's bug latch: the seeded
 	// targets re-detect their known bugs on nearly every execution, and
 	// pinning a class for duplicates would disable pruning entirely. A
 	// class becomes prunable only after its bug is already in the DB.
@@ -737,9 +691,9 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 		j, isNew := f.db.MergeInconsistency(cap.In)
 		if isNew {
 			// Snapshot the finding before leaving the lock: the DB
-			// keeps cap.In as the canonical record and bumps its
-			// dedup count on later duplicates, concurrently with
-			// the validation worker reading it.
+			// keeps cap.In as the canonical record, and other workers
+			// bump its dedup count on later duplicates while this one
+			// validates it.
 			in := *cap.In
 			jobs = append(jobs, &valJob{in: &in, j: j, states: cap.States, trace: cap.Trace, dirty: cap.Dirty})
 		}
@@ -751,22 +705,6 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 			jobs = append(jobs, &valJob{si: &si, js: j, states: cap.States, trace: cap.Trace, dirty: cap.Dirty})
 		}
 	}
-	newFindings := len(jobs)
-	f.mu.Unlock()
-	if len(jobs) > 0 {
-		sd := describeStrategy(strat)
-		for _, job := range jobs {
-			job.seed = res.Input
-			job.sd = sd
-			if f.valCh != nil {
-				f.valCh <- job
-			} else if err := f.validateJob(job, obs.LaneValidatorBase+worker); err != nil {
-				return runOutcome{}, err
-			}
-		}
-	}
-
-	f.mu.Lock()
 	hungThisExec := map[string]bool{}
 	for _, h := range res.Hangs {
 		hungThisExec[h.Site] = true
@@ -862,14 +800,26 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 			}
 		}
 	}
+	// Validation follows exec_done, so Stats.Execs counts an execution as
+	// soon as it ran, however long its recovery runs take.
+	if len(jobs) > 0 {
+		sd := describeStrategy(strat)
+		for _, job := range jobs {
+			job.seed = res.Input
+			job.sd = sd
+			if err := f.validateJob(job, obs.LaneValidatorBase+worker); err != nil {
+				return runOutcome{}, err
+			}
+		}
+	}
 	return runOutcome{
 		improved: newBits > 0,
 		sig:      res.Signature,
-		found:    newFindings > 0,
+		found:    len(jobs) > 0,
 	}, nil
 }
 
-// valJob is one finding queued for post-failure validation. Exactly one of
+// valJob is one new finding awaiting post-failure validation. Exactly one of
 // (in, j) or (si, js) is set.
 type valJob struct {
 	in *core.Inconsistency
@@ -891,7 +841,6 @@ type valJob struct {
 func (f *Fuzzer) validateJob(job *valJob, lane int) error {
 	vopts := validate.Options{
 		HangTimeout: f.opts.HangTimeout,
-		WallTimeout: f.opts.ValidationWallTimeout,
 		Whitelist:   f.whitelist,
 		Obs:         f.em,
 		Trace:       f.tr,

@@ -70,11 +70,12 @@ type ReplayResult struct {
 // layout is deterministic for a given target setup, so the address
 // identifies the same sync point across processes), then the rest of the
 // priority queue, bounded by maxEntries. It reports whether any execution
-// reproduced the recorded bug fingerprint.
+// reproduced the recorded bug fingerprint. A bundle whose thread count lies
+// outside [1, MaxThreads] is rejected before anything runs.
 func ReplayArtifact(factory targets.Factory, b *artifact.Bundle, maxEntries int) (*ReplayResult, error) {
 	threads := b.Bug.Threads
-	if threads <= 0 {
-		threads = 4
+	if threads < 1 || threads > MaxThreads {
+		return nil, fmt.Errorf("replay: bundle threads %d outside [1, %d]", threads, MaxThreads)
 	}
 	seed := workload.Decode(b.Seed, threads)
 	if seed.Empty() {

@@ -134,3 +134,22 @@ func TestReplayArtifactRejectsEmptySeed(t *testing.T) {
 		t.Fatal("ReplayArtifact accepted an empty seed")
 	}
 }
+
+// TestReplayArtifactRejectsThreadsOutOfRange feeds bundles whose bug.json
+// names a thread count outside [1, MaxThreads]: replay must refuse them
+// before starting any driver thread.
+func TestReplayArtifactRejectsThreadsOutOfRange(t *testing.T) {
+	factory := func() targets.Target {
+		t.Fatal("replay built a target for an out-of-range bundle")
+		return nil
+	}
+	for _, threads := range []int{-1, 0, MaxThreads + 1, 1 << 30} {
+		b := &artifact.Bundle{
+			Bug:  artifact.Report{Fingerprint: "x", Threads: threads},
+			Seed: "set k 1\nget k\n",
+		}
+		if _, err := ReplayArtifact(factory, b, 4); err == nil {
+			t.Errorf("threads %d: ReplayArtifact accepted the bundle", threads)
+		}
+	}
+}

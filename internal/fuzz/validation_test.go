@@ -161,22 +161,21 @@ func TestMultiCrashStateFindsBugSingleImageMisses(t *testing.T) {
 	}
 }
 
-// TestValidationImageOwnershipRace exercises the crash-image hand-off under
-// load: concurrent fuzzing workers produce duplicate findings whose states
-// are recycled at merge time while the asynchronous validation pool and the
-// artifact writer still hold the first instance's states. Run under -race,
-// it fails if a recycled buffer is handed out while validation or pmdiff
-// serialization still aliases it.
+// TestValidationImageOwnershipRace exercises crash-state ownership under
+// load: four fuzzing workers validate their new findings concurrently, each
+// on its own worker, while the others merge duplicates into the same DB
+// records and the artifact writer serializes states and pmdiffs. Run under
+// -race, it fails if validation or pmdiff serialization reads state that
+// another worker still writes.
 func TestValidationImageOwnershipRace(t *testing.T) {
 	dir := t.TempDir()
 	f := NewWithFactory(lockyFactory(), Options{
 		Threads: 2, Workers: 4, Mode: ModeNone,
 		MaxExecs: 60, Duration: 20 * time.Second,
-		HangTimeout:       15 * time.Millisecond,
-		MaxCrashStates:    4,
-		ValidationWorkers: 2,
-		ArtifactDir:       dir,
-		ArtifactAll:       true,
+		HangTimeout:    15 * time.Millisecond,
+		MaxCrashStates: 4,
+		ArtifactDir:    dir,
+		ArtifactAll:    true,
 	})
 	res, err := f.Run()
 	if err != nil {

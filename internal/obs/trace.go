@@ -81,7 +81,8 @@ const (
 	// LaneWorkerBase + w is fuzzing worker w's lane (seed_pick,
 	// interleaving, exec_run, conflict_analysis).
 	LaneWorkerBase = 1
-	// LaneValidatorBase + i is validation worker i's lane.
+	// LaneValidatorBase + w is the lane of the validations fuzzing worker w
+	// runs (validate, validate_state).
 	LaneValidatorBase = 100
 	// LaneExecDetailBase starts the per-execution detail lanes: crash-state
 	// enumeration runs on driver-thread goroutines concurrent with the

@@ -66,6 +66,13 @@ type Outcome struct {
 	WriterStallTimeouts int
 }
 
+// Starved reports whether the execution's readers all ended up waiting for
+// a store that never came: a privileged thread was elected (Pitfall-2) and
+// no cond_signal fired. The seed reached the entry's load sites but not its
+// store sites while a reader waited, so the execution tested the seed, not
+// the read-after-write window the entry stands for.
+func (o Outcome) Starved() bool { return o.PrivilegedUsed && !o.Signalled }
+
 type waiterState struct {
 	bypass  atomic.Bool
 	waiting atomic.Bool

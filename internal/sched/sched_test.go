@@ -255,6 +255,47 @@ func TestPMAwareAllBlockedElectsPrivileged(t *testing.T) {
 	}
 }
 
+// TestPMAwareOutcomeStarved checks that an execution whose readers all wait
+// for a store that never comes reports Starved, and one released by the
+// entry's store does not.
+func TestPMAwareOutcomeStarved(t *testing.T) {
+	loadSite, storeSite := site.Named("pv-load"), site.Named("pv-store")
+	run := func(store bool) Outcome {
+		cfg := testConfig()
+		cfg.MaxWait = 10 * time.Second // only an election or the signal ends a wait
+		p := NewPMAware(cfg, entryFor(64, []site.ID{loadSite}, []site.ID{storeSite}), 0)
+		p.BeginExec(2)
+		p.ThreadStart(1)
+		p.ThreadStart(2)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // reader
+			defer wg.Done()
+			p.BeforeLoad(1, 64, loadSite)
+			p.ThreadExit(1)
+		}()
+		go func() { // writer, or a second reader when store is false
+			defer wg.Done()
+			if store {
+				waitFor(t, func() bool { return p.waiting.Load() != 0 })
+				p.AfterStore(2, 64, storeSite)
+			} else {
+				p.BeforeLoad(2, 64, loadSite)
+			}
+			p.ThreadExit(2)
+		}()
+		wg.Wait()
+		p.EndExec()
+		return p.Outcome()
+	}
+	if out := run(false); !out.Starved() || out.CondWaits != 2 {
+		t.Errorf("readers with no writer: outcome %+v, want starved after 2 waits", out)
+	}
+	if out := run(true); out.Starved() || !out.Signalled {
+		t.Errorf("reader released by the store: outcome %+v, want signalled, not starved", out)
+	}
+}
+
 func TestPMAwareBlockedThreadDisablesSyncPoint(t *testing.T) {
 	loadSite := site.Named("pb-load")
 	cfg := testConfig()

@@ -17,22 +17,22 @@ var fullSpec = api.CampaignSpec{
 	Target: "pclht", Mode: "delay", Workers: 3, Threads: 2,
 	MaxExecs: 77, Duration: 5 * time.Second, Seed: 42,
 	KeySpace: 9, OpsPerSeed: 11, Protocol: true, MaxCrashStates: 4,
-	InlineValidation: true, EADR: true, NoCheckpoints: true,
+	EADR: true, NoCheckpoints: true,
 	Artifacts: true, ArtifactsAll: true, TraceSample: 3,
 }
 
 // baseOptions carries knobs the spec has no field for.
 var baseOptions = fuzz.Options{
 	CorpusDir: "/corpus", ArtifactDir: "/bugs",
-	ExtraWhitelist: []string{"alloc"}, ValidationWorkers: 5,
-	ValidationWallTimeout: time.Second, HangTimeout: time.Millisecond,
+	ExtraWhitelist: []string{"alloc"}, HangTimeout: time.Millisecond,
 	// A spec field overwrites its engine knob, zero or not.
 	Workers: 8, Seed: 9,
 }
 
 // fuzzOptionsCases tables the one spec translation: every spec field lands
 // on its engine knob, the caller's base knobs pass through, and an unknown
-// mode or artifacts_all without artifacts is an error.
+// mode, artifacts_all without artifacts, or threads or ops_per_seed above
+// its limit is an error.
 var fuzzOptionsCases = []struct {
 	name    string
 	base    fuzz.Options
@@ -46,18 +46,23 @@ var fuzzOptionsCases = []struct {
 		Mode: fuzz.ModeDelayInj, Workers: 3, Threads: 2,
 		MaxExecs: 77, Duration: 5 * time.Second, Seed: 42,
 		KeySpace: 9, OpsPerSeed: 11, Protocol: true, MaxCrashStates: 4,
-		InlineValidation: true, EADR: true, NoCheckpoints: true,
+		EADR: true, NoCheckpoints: true,
 		ArtifactAll: true,
 	}},
 	{name: "base knobs survive", base: baseOptions, spec: api.CampaignSpec{Target: "pclht", Mode: "none"},
 		want: fuzz.Options{
 			Mode: fuzz.ModeNone, CorpusDir: "/corpus", ArtifactDir: "/bugs",
-			ExtraWhitelist: []string{"alloc"}, ValidationWorkers: 5,
-			ValidationWallTimeout: time.Second, HangTimeout: time.Millisecond,
+			ExtraWhitelist: []string{"alloc"}, HangTimeout: time.Millisecond,
 		}},
 	{name: "bad mode", spec: api.CampaignSpec{Target: "pclht", Mode: "chaotic"}, wantErr: true},
 	{name: "artifacts_all without artifacts", base: baseOptions,
 		spec: api.CampaignSpec{Target: "pclht", ArtifactsAll: true}, wantErr: true},
+	{name: "threads at the limit", spec: api.CampaignSpec{Target: "pclht", Threads: fuzz.MaxThreads},
+		want: fuzz.Options{Mode: fuzz.ModePMAware, Threads: fuzz.MaxThreads}},
+	{name: "threads over the limit", spec: api.CampaignSpec{Target: "pclht", Threads: fuzz.MaxThreads + 1}, wantErr: true},
+	{name: "ops_per_seed at the limit", spec: api.CampaignSpec{Target: "pclht", OpsPerSeed: fuzz.MaxOpsPerSeed},
+		want: fuzz.Options{Mode: fuzz.ModePMAware, OpsPerSeed: fuzz.MaxOpsPerSeed}},
+	{name: "ops_per_seed over the limit", spec: api.CampaignSpec{Target: "pclht", OpsPerSeed: fuzz.MaxOpsPerSeed + 1}, wantErr: true},
 }
 
 func TestFuzzOptions(t *testing.T) {
@@ -89,8 +94,9 @@ func TestFuzzOptions(t *testing.T) {
 
 // FuzzCampaignSpec feeds arbitrary bytes through the wire decoding of a
 // campaign spec into its engine translation. FuzzOptions must never panic,
-// and an accepted spec must bundle every finding only when artifacts are on
-// and carry a mode whose spelling parses back to itself.
+// and an accepted spec must bundle every finding only when artifacts are on,
+// carry a mode whose spelling parses back to itself, and keep threads and
+// ops_per_seed within their limits.
 func FuzzCampaignSpec(f *testing.F) {
 	for _, tc := range fuzzOptionsCases {
 		data, err := json.Marshal(tc.spec)
@@ -110,6 +116,9 @@ func FuzzCampaignSpec(f *testing.F) {
 		}
 		if o.ArtifactAll && !spec.Artifacts {
 			t.Fatalf("spec %+v: ArtifactAll without artifacts", spec)
+		}
+		if o.Threads > fuzz.MaxThreads || o.OpsPerSeed > fuzz.MaxOpsPerSeed {
+			t.Fatalf("spec %+v: accepted threads %d / ops_per_seed %d above the limits", spec, o.Threads, o.OpsPerSeed)
 		}
 		if m, err := fuzz.ParseMode(o.Mode.Spelling()); err != nil || m != o.Mode {
 			t.Fatalf("spec %+v: mode %v spells %q, which parses to %v (%v)",

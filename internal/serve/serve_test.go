@@ -19,6 +19,7 @@ import (
 	pmrace "github.com/pmrace-go/pmrace"
 	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/client"
+	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/obs"
 	"github.com/pmrace-go/pmrace/internal/serve"
 )
@@ -164,6 +165,14 @@ func TestHandlerErrorPaths(t *testing.T) {
 			_, err := cl.Submit(ctx, api.CampaignSpec{Target: "pclht", ArtifactsAll: true})
 			return err
 		}, api.CodeBadRequest},
+		{"threads over the limit", func() error {
+			_, err := cl.Submit(ctx, api.CampaignSpec{Target: "pclht", Threads: fuzz.MaxThreads + 1})
+			return err
+		}, api.CodeBadRequest},
+		{"ops_per_seed over the limit", func() error {
+			_, err := cl.Submit(ctx, api.CampaignSpec{Target: "pclht", OpsPerSeed: fuzz.MaxOpsPerSeed + 1})
+			return err
+		}, api.CodeBadRequest},
 		{"get unknown id", func() error {
 			_, err := cl.Get(ctx, "c9999")
 			return err
@@ -207,6 +216,23 @@ func TestSubmitRejectsOversizedSpec(t *testing.T) {
 	}
 }
 
+// TestSubmitIgnoresRetiredSpecField posts a spec carrying
+// inline_validation, a field earlier versions of the API had: the server
+// accepts it and the campaign document does not echo it back.
+func TestSubmitIgnoresRetiredSpecField(t *testing.T) {
+	sup, _ := newTestServer(t, serve.Config{WorkerBudget: 1})
+	body := `{"target":"pclht","mode":"none","threads":1,"max_execs":1,"inline_validation":true}`
+	req := httptest.NewRequest(http.MethodPost, api.BasePath+"/campaigns", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	sup.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("status %d, want 201; body %s", rec.Code, rec.Body)
+	}
+	if strings.Contains(rec.Body.String(), "inline_validation") {
+		t.Fatalf("campaign document echoes the retired field: %s", rec.Body)
+	}
+}
+
 // TestSSEParityWithInProcess runs the same fully deterministic configuration
 // once under pmraced (events consumed over the REST SSE stream) and once
 // in-process (pmrace.NewCampaign with a collector sink) and asserts the two
@@ -231,7 +257,7 @@ func TestSSEParityWithInProcess(t *testing.T) {
 	}
 	doc, err := cl.Submit(ctx, api.CampaignSpec{
 		Target: "pclht", Mode: "none", Workers: 1, Threads: 1,
-		MaxExecs: 25, Duration: time.Minute, Seed: 7, InlineValidation: true,
+		MaxExecs: 25, Duration: time.Minute, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +287,6 @@ func TestSSEParityWithInProcess(t *testing.T) {
 		pmrace.WithThreads(1),
 		pmrace.WithMode(pmrace.ModeNone),
 		pmrace.WithSeed(7),
-		pmrace.WithInlineValidation(),
 		pmrace.WithSink(col),
 	)
 	if err != nil {

@@ -187,8 +187,9 @@ func (s *Supervisor) DataDir() string { return s.cfg.DataDir }
 // options, shared by Submit and the in-process NewCampaign. Every spec field
 // overwrites its engine knob (zero keeps the engine default); base carries
 // the knobs the spec has no field for — corpus and artifact directories,
-// alias hints, whitelist entries, the validation pool — through unchanged.
-// It rejects an unknown mode and artifacts_all without artifacts.
+// whitelist entries, the hang timeout — through unchanged. It rejects an
+// unknown mode, artifacts_all without artifacts, and threads or ops_per_seed
+// above fuzz.MaxThreads or fuzz.MaxOpsPerSeed.
 func FuzzOptions(base fuzz.Options, spec api.CampaignSpec) (fuzz.Options, error) {
 	mode, err := fuzz.ParseMode(spec.Mode)
 	if err != nil {
@@ -196,6 +197,12 @@ func FuzzOptions(base fuzz.Options, spec api.CampaignSpec) (fuzz.Options, error)
 	}
 	if spec.ArtifactsAll && !spec.Artifacts {
 		return fuzz.Options{}, errors.New("artifacts_all requires artifacts")
+	}
+	if spec.Threads > fuzz.MaxThreads {
+		return fuzz.Options{}, fmt.Errorf("threads %d exceeds the limit %d", spec.Threads, fuzz.MaxThreads)
+	}
+	if spec.OpsPerSeed > fuzz.MaxOpsPerSeed {
+		return fuzz.Options{}, fmt.Errorf("ops_per_seed %d exceeds the limit %d", spec.OpsPerSeed, fuzz.MaxOpsPerSeed)
 	}
 	o := base
 	o.Mode = mode
@@ -208,7 +215,6 @@ func FuzzOptions(base fuzz.Options, spec api.CampaignSpec) (fuzz.Options, error)
 	o.OpsPerSeed = spec.OpsPerSeed
 	o.Protocol = spec.Protocol
 	o.MaxCrashStates = spec.MaxCrashStates
-	o.InlineValidation = spec.InlineValidation
 	o.EADR = spec.EADR
 	o.NoCheckpoints = spec.NoCheckpoints
 	o.ArtifactAll = spec.ArtifactsAll

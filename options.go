@@ -171,29 +171,6 @@ func WithMaxCrashStates(n int) CampaignOption {
 	return func(c *campaignConfig) { c.spec.MaxCrashStates = n }
 }
 
-// WithValidationWorkers sizes the asynchronous post-failure validation pool
-// (default 2): findings queue to it instead of stalling the fuzzing workers
-// during recovery runs.
-func WithValidationWorkers(n int) CampaignOption {
-	return func(c *campaignConfig) { c.base.ValidationWorkers = n }
-}
-
-// WithValidationWallTimeout bounds each recovery run's wall-clock time in
-// post-failure validation. Recovery exceeding it — an uninstrumented spin, a
-// sleep, a runaway loop the spin-lock hang detector cannot see — is abandoned
-// and judged a bug with RecoveryHung.
-func WithValidationWallTimeout(d time.Duration) CampaignOption {
-	return func(c *campaignConfig) { c.base.ValidationWallTimeout = d }
-}
-
-// WithInlineValidation validates findings synchronously on the fuzzing worker
-// that discovered them instead of the asynchronous pool, keeping the event
-// stream deterministic for single-worker campaigns (at the cost of stalling
-// the worker during recovery runs).
-func WithInlineValidation() CampaignOption {
-	return func(c *campaignConfig) { c.spec.InlineValidation = true }
-}
-
 // WithArtifacts writes a forensic bundle — bug report with taint lineage,
 // finding seed, interleaving schedule, the finding's interleaving and
 // dirty-word diff — into a numbered subdirectory of dir for every confirmed

@@ -49,7 +49,6 @@ func TestCampaignSpanNesting(t *testing.T) {
 		pmrace.WithThreads(1),
 		pmrace.WithMode(pmrace.ModeNone),
 		pmrace.WithSeed(7),
-		pmrace.WithInlineValidation(),
 		pmrace.WithTracing(1),
 	)
 	if err != nil {
@@ -107,7 +106,6 @@ func TestCampaignSpanSampling(t *testing.T) {
 			pmrace.WithThreads(1),
 			pmrace.WithMode(pmrace.ModeNone),
 			pmrace.WithSeed(7),
-			pmrace.WithInlineValidation(),
 		}
 		c, err := pmrace.NewCampaign(context.Background(), "pclht", append(base, opts...)...)
 		if err != nil {
