@@ -27,14 +27,13 @@ func replayArtifact(dir, fallbackTarget string) int {
 	if targetName == "" {
 		targetName = fallbackTarget
 	}
-	factory, err := targets.Lookup(targetName)
-	if err != nil {
+	if _, err := targets.Lookup(targetName); err != nil {
 		fmt.Fprintf(os.Stderr, "pmrace: artifact: %v\n", err)
 		return 2
 	}
 	fmt.Printf("replaying artifact %s against %s\n", dir, targetName)
 	fmt.Printf("  recorded: [%s/%s] %s\n", b.Bug.Kind, b.Bug.Status, b.Bug.Fingerprint)
-	r, err := fuzz.ReplayArtifact(factory, b, 8)
+	r, err := fuzz.ReplayArtifact(targetName, b, 8)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmrace: artifact: %v\n", err)
 		return 2
@@ -64,15 +63,14 @@ func replaySeed(targetName, path string, threads int) error {
 	if seed.Empty() {
 		return fmt.Errorf("seed %s contains no operations", path)
 	}
-	factory, err := targets.Lookup(targetName)
-	if err != nil {
-		return err
-	}
-	x := fuzz.NewExecutor(factory, fuzz.ExecOptions{
+	x, err := fuzz.NewTargetExecutor(targetName, fuzz.ExecOptions{
 		CollectStats:   true,
 		UseCheckpoints: true,
 		HangTimeout:    150 * time.Millisecond,
 	})
+	if err != nil {
+		return err
+	}
 
 	if seed.Proto != nil {
 		fmt.Printf("replaying %s (%d protocol commands over %d streams, %d threads) against %s\n",

@@ -234,10 +234,12 @@ type Detector struct {
 	labels *taint.Table
 
 	syncVars []SyncVar
-	// syncWords maps each word an annotation overlaps to the indices, in
-	// registration order, of the annotations overlapping it, so a store
-	// looks up only the variables on its own words.
-	syncWords map[pmem.Addr][]int
+	// syncWords maps each word an annotation overlaps to the index of the
+	// first annotation registered on it, so a store looks up only the
+	// variables on its own words. syncMore holds, in registration order,
+	// the later annotations of the few words annotated more than once.
+	syncWords map[pmem.Addr]int32
+	syncMore  map[pmem.Addr][]int32
 	// hasSync mirrors len(syncVars) > 0; the store hook polls it on every
 	// store, so it is atomic instead of taking mu.
 	hasSync atomic.Bool
@@ -275,7 +277,7 @@ func NewDetector(labels *taint.Table) *Detector {
 		labels:     labels,
 		candidates: make(map[[2]uint32]*Candidate),
 		incons:     make(map[[3]uint32]*Inconsistency),
-		syncWords:  make(map[pmem.Addr][]int),
+		syncWords:  make(map[pmem.Addr]int32),
 		syncSeen:   make(map[syncKey]*SyncInconsistency),
 		redundant:  make(map[uint32]*RedundantStore),
 	}
@@ -315,11 +317,19 @@ func (d *Detector) Labels() *taint.Table { return d.labels }
 func (d *Detector) AnnotateSyncVar(v SyncVar) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	i := len(d.syncVars)
+	i := int32(len(d.syncVars))
 	d.syncVars = append(d.syncVars, v)
 	if v.Size > 0 {
 		for w := v.Addr / pmem.WordSize; w <= (v.Addr+v.Size-1)/pmem.WordSize; w++ {
-			d.syncWords[w*pmem.WordSize] = append(d.syncWords[w*pmem.WordSize], i)
+			a := w * pmem.WordSize
+			if _, taken := d.syncWords[a]; !taken {
+				d.syncWords[a] = i
+				continue
+			}
+			if d.syncMore == nil {
+				d.syncMore = make(map[pmem.Addr][]int32)
+			}
+			d.syncMore[a] = append(d.syncMore[a], i)
 		}
 	}
 	d.hasSync.Store(true)
@@ -513,19 +523,31 @@ func (d *Detector) OnSyncStore(t pmem.ThreadID, s site.ID, addr pmem.Addr, size 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// The first registered variable the store overlaps wins; each word's
-	// list is in registration order, so its first overlap is its best.
-	first := -1
+	// annotations are in registration order, so its first overlap is its
+	// best.
+	first := int32(-1)
+	overlaps := func(i int32) bool {
+		v := &d.syncVars[i]
+		return addr+size > v.Addr && addr < v.Addr+v.Size
+	}
 	for w := addr / pmem.WordSize; w <= last/pmem.WordSize; w++ {
-		for _, i := range d.syncWords[w*pmem.WordSize] {
+		a := w * pmem.WordSize
+		i, ok := d.syncWords[a]
+		if !ok || (first >= 0 && i >= first) {
+			continue
+		}
+		if overlaps(i) {
+			first = i
+			continue
+		}
+		for _, i := range d.syncMore[a] {
 			if first >= 0 && i >= first {
 				break
 			}
-			v := &d.syncVars[i]
-			if addr+size <= v.Addr || addr >= v.Addr+v.Size {
-				continue
+			if overlaps(i) {
+				first = i
+				break
 			}
-			first = i
-			break
 		}
 	}
 	if first < 0 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -353,6 +355,45 @@ func TestSyncStoreFirstRegisteredOverlapWins(t *testing.T) {
 	}
 	if sis := d.SyncInconsistencies(); sis[0].Var.Name != "narrow" || sis[0].Count != 2 {
 		t.Fatalf("first report = %+v, want narrow counted twice", sis[0])
+	}
+}
+
+// TestSyncStoreMatchesLinearScan checks the word index against a brute-force
+// scan of the registered variables in registration order, over random
+// overlapping, repeated, empty and sub-word annotations and stores of 0 to 24
+// bytes. An empty annotation covers no word, so no store reports it.
+func TestSyncStoreMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		d := newDet()
+		var vars []SyncVar
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			v := SyncVar{Name: fmt.Sprintf("v%d", i), Addr: pmem.Addr(rng.Intn(96)), Size: uint64(rng.Intn(20))}
+			if rng.Intn(4) == 0 && len(vars) > 0 { // re-annotate a registered range
+				prev := vars[rng.Intn(len(vars))]
+				v.Addr, v.Size = prev.Addr, prev.Size
+			}
+			vars = append(vars, v)
+			d.AnnotateSyncVar(v)
+		}
+		for k := 0; k < 200; k++ {
+			addr, size := pmem.Addr(rng.Intn(128)), uint64(rng.Intn(25))
+			want := ""
+			for _, v := range vars {
+				if v.Size > 0 && addr+size > v.Addr && addr < v.Addr+v.Size {
+					want = v.Name
+					break
+				}
+			}
+			got := ""
+			// A fresh site per store keeps (name, site) dedup out of the way.
+			if si := d.OnSyncStore(1, site.ID(1000+k), addr, size, 0, 1, nil); si != nil {
+				got = si.Var.Name
+			}
+			if got != want {
+				t.Fatalf("round %d: store [%d,+%d) over %+v reported %q, want %q", round, addr, size, vars, got, want)
+			}
+		}
 	}
 }
 

@@ -122,21 +122,66 @@ type Executor struct {
 	tr *obs.Tracer
 
 	snapMu sync.Mutex
-	snap   *pmem.Snapshot
+	// snap is the checkpoint new execution pools start from: the one this
+	// executor built, or the base of the first pool it drew from pools.
+	snap atomic.Pointer[pmem.Snapshot]
 
-	// pools recycles checkpoint pools across executions: a recycled pool
-	// is already based on the shared snapshot, so restoring it copies only
-	// the lines the previous execution dirtied instead of the whole image
-	// (and skips the allocation entirely).
-	pools sync.Pool
+	// pools is the free list of checkpoint pools: a recycled pool is
+	// restored to the snapshot it is based on, copying only the lines the
+	// previous execution dirtied, and skips the allocation entirely.
+	// Executors of one registered target share a process-wide list
+	// (targetPools), so a later campaign skips Setup and the snapshot copy.
+	pools *sync.Pool
 }
 
-// NewExecutor creates an executor for the target factory.
+// poolKey names a process-wide free list of execution pools: a registered
+// target and the platform its pools model.
+type poolKey struct {
+	target string
+	eadr   bool
+}
+
+// sharedPools maps each poolKey to its free list. The keys are registered
+// target names only, so the map stays small; the lists are sync.Pools, so
+// the GC frees idle execution pools and, with them, their snapshots.
+var sharedPools sync.Map
+
+// targetPools returns the free list shared by the executors of a registered
+// target. Only a registry name identifies a target's Setup: Target.Name
+// does not (pmwal's fixed variant reports "pmwal" too), and an explicit
+// factory may be anything, so NewExecutor and NewWithFactory keep a list
+// of their own.
+func targetPools(name string, eadr bool) *sync.Pool {
+	k := poolKey{name, eadr}
+	if v, ok := sharedPools.Load(k); ok {
+		return v.(*sync.Pool)
+	}
+	v, _ := sharedPools.LoadOrStore(k, new(sync.Pool))
+	return v.(*sync.Pool)
+}
+
+// NewExecutor creates an executor for the target factory. Its execution
+// pools are its own.
 func NewExecutor(factory targets.Factory, opts ExecOptions) *Executor {
+	return newExecutor(factory, opts, new(sync.Pool))
+}
+
+// NewTargetExecutor creates an executor for a registered target. It draws
+// execution pools from, and returns them to, the free list every executor
+// of that target and platform in the process shares.
+func NewTargetExecutor(name string, opts ExecOptions) (*Executor, error) {
+	factory, err := targets.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return newExecutor(factory, opts, targetPools(name, opts.EADR)), nil
+}
+
+func newExecutor(factory targets.Factory, opts ExecOptions, pools *sync.Pool) *Executor {
 	if opts.MaxCrashStates <= 0 {
 		opts.MaxCrashStates = 1
 	}
-	return &Executor{factory: factory, opts: opts}
+	return &Executor{factory: factory, opts: opts, pools: pools}
 }
 
 // SetEmitter wires the executor's checkpoint-restore counter into the
@@ -153,13 +198,16 @@ func (x *Executor) newPool(size uint64) *pmem.Pool {
 	return pmem.NewWithOptions(size, pmem.Options{EADR: x.opts.EADR})
 }
 
-// checkpoint builds the shared pool snapshot on first use: a fresh pool with
-// the target's Setup applied.
+// checkpoint returns the snapshot new execution pools start from, building
+// it on first use: a fresh pool with the target's Setup applied.
 func (x *Executor) checkpoint() (*pmem.Snapshot, error) {
+	if s := x.snap.Load(); s != nil {
+		return s, nil
+	}
 	x.snapMu.Lock()
 	defer x.snapMu.Unlock()
-	if x.snap != nil {
-		return x.snap, nil
+	if s := x.snap.Load(); s != nil {
+		return s, nil
 	}
 	tgt := x.factory()
 	env := rt.NewEnv(x.newPool(tgt.PoolSize()), rt.Config{})
@@ -168,8 +216,29 @@ func (x *Executor) checkpoint() (*pmem.Snapshot, error) {
 		return nil, err
 	}
 	th.Exit()
-	x.snap = env.Pool().Snapshot()
-	return x.snap, nil
+	s := env.Pool().Snapshot()
+	x.snap.Store(s)
+	return s, nil
+}
+
+// checkpointPool returns an execution pool holding the checkpoint: a
+// recycled one restored to its own base when the free list has one, else a
+// new one. A recycled pool's base becomes the executor's checkpoint if it
+// has none yet, so an executor that ever drew a pool never runs Setup.
+func (x *Executor) checkpointPool() (*pmem.Pool, error) {
+	if v := x.pools.Get(); v != nil {
+		pool := v.(*pmem.Pool)
+		base := pool.Base()
+		pool.Restore(base) // dirty-line restore
+		x.snap.CompareAndSwap(nil, base)
+		x.mRestores.Inc()
+		return pool, nil
+	}
+	snap, err := x.checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	return pmem.NewFromSnapshot(snap), nil
 }
 
 // Run executes the seed once under the given interleaving strategy and
@@ -216,16 +285,9 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 	fromCheckpoint := false
 	tgt := x.factory()
 	if x.opts.UseCheckpoints {
-		snap, err := x.checkpoint()
-		if err != nil {
+		var err error
+		if pool, err = x.checkpointPool(); err != nil {
 			return nil, err
-		}
-		if v := x.pools.Get(); v != nil {
-			pool = v.(*pmem.Pool)
-			pool.Restore(snap) // dirty-line restore
-			x.mRestores.Inc()
-		} else {
-			pool = pmem.NewFromSnapshot(snap)
 		}
 		fromCheckpoint = true
 	} else {

@@ -207,7 +207,6 @@ type Result struct {
 
 // Fuzzer is PMRace's top-level fuzzing engine for one target.
 type Fuzzer struct {
-	factory    targets.Factory
 	targetName string
 	opts       Options
 	exec       *Executor
@@ -254,21 +253,43 @@ type Fuzzer struct {
 	savedSeeds int
 	corpusErr  error
 	mutator    Mutator
-	start      time.Time
+	// start and end bound the run; end stays zero while workers run, so a
+	// finished campaign's elapsed time stops growing.
+	start time.Time
+	end   time.Time
 }
 
-// New creates a fuzzer for a registered target name.
+// New creates a fuzzer for a registered target name. Its executions draw
+// checkpoint pools from the free list every campaign of the target in the
+// process shares, so a later campaign skips the target's Setup.
 func New(targetName string, opts Options) (*Fuzzer, error) {
-	factory, err := targets.Lookup(targetName)
+	opts = opts.withDefaults()
+	x, err := NewTargetExecutor(targetName, opts.execOptions())
 	if err != nil {
 		return nil, err
 	}
-	return NewWithFactory(factory, opts), nil
+	return newFuzzer(x, opts), nil
 }
 
-// NewWithFactory creates a fuzzer from an explicit target factory.
+// NewWithFactory creates a fuzzer from an explicit target factory. Its
+// checkpoint pools are its own.
 func NewWithFactory(factory targets.Factory, opts Options) *Fuzzer {
 	opts = opts.withDefaults()
+	return newFuzzer(NewExecutor(factory, opts.execOptions()), opts)
+}
+
+// execOptions maps campaign options onto the executor's.
+func (o Options) execOptions() ExecOptions {
+	return ExecOptions{
+		HangTimeout:    o.HangTimeout,
+		UseCheckpoints: !o.NoCheckpoints,
+		CollectStats:   true,
+		EADR:           o.EADR,
+		MaxCrashStates: o.MaxCrashStates,
+	}
+}
+
+func newFuzzer(x *Executor, opts Options) *Fuzzer {
 	wl := core.NewWhitelist(pmdk.DefaultWhitelist()...)
 	wl.Add(opts.ExtraWhitelist...)
 	var mut Mutator
@@ -278,25 +299,18 @@ func NewWithFactory(factory targets.Factory, opts Options) *Fuzzer {
 		mut = NewOpMutator(opts.KeySpace, opts.Threads, opts.OpsPerSeed)
 	}
 	f := &Fuzzer{
-		factory:    factory,
-		targetName: factory().Name(),
+		targetName: x.factory().Name(),
 		opts:       opts,
-		exec: NewExecutor(factory, ExecOptions{
-			HangTimeout:    opts.HangTimeout,
-			UseCheckpoints: !opts.NoCheckpoints,
-			CollectStats:   true,
-			EADR:           opts.EADR,
-			MaxCrashStates: opts.MaxCrashStates,
-		}),
-		whitelist: wl,
-		cov:       cover.New(),
-		db:        core.NewDB(),
-		skips:     make(map[pmem.Addr]int),
-		stats:     make(map[pmem.Addr]*sched.AddrStats),
-		hangExecs: make(map[string]int),
-		candSeen:  make(map[[2]uint32]struct{}),
-		mutator:   mut,
-		equiv:     sched.NewEquivClasses(),
+		exec:       x,
+		whitelist:  wl,
+		cov:        cover.New(),
+		db:         core.NewDB(),
+		skips:      make(map[pmem.Addr]int),
+		stats:      make(map[pmem.Addr]*sched.AddrStats),
+		hangExecs:  make(map[string]int),
+		candSeen:   make(map[[2]uint32]struct{}),
+		mutator:    mut,
+		equiv:      sched.NewEquivClasses(),
 	}
 	// Known-fingerprint predicates let the executor skip forensic capture
 	// (crash states, PM diff, trace) for findings the dedup DB already
@@ -358,6 +372,7 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Result, error) {
 	f.mu.Lock()
 	f.ctx = ctx
 	f.start = time.Now()
+	f.end = time.Time{}
 	f.mu.Unlock()
 	csp := f.tr.Start(obs.LaneSupervisor, obs.SpanCampaign)
 	csp.SetAttr("target", f.targetName)
@@ -442,6 +457,9 @@ func (f *Fuzzer) RunContext(ctx context.Context) (*Result, error) {
 		}(w)
 	}
 	wg.Wait()
+	f.mu.Lock()
+	f.end = time.Now()
+	f.mu.Unlock()
 	select {
 	case err := <-errCh:
 		return nil, err
@@ -848,10 +866,10 @@ func (f *Fuzzer) validateJob(job *valJob, lane int) error {
 	}
 	var r validate.Result
 	if job.in != nil {
-		r = validate.Inconsistency(f.factory, job.states, job.in, vopts)
+		r = validate.Inconsistency(f.exec.factory, job.states, job.in, vopts)
 		f.db.Judge(job.j, r.Status)
 	} else {
-		r = validate.Sync(f.factory, job.states, job.si, vopts)
+		r = validate.Sync(f.exec.factory, job.states, job.si, vopts)
 		f.db.JudgeSync(job.js, r.Status)
 	}
 	// Forensic artifact bundles: every confirmed bug (every judged finding
@@ -928,7 +946,11 @@ func (f *Fuzzer) aggregates() (obs.Stats, core.Counts) {
 	}
 	st.BranchCov, st.AliasCov = f.cov.Counts()
 	if !f.start.IsZero() {
-		st.Elapsed = time.Since(f.start)
+		end := f.end
+		if end.IsZero() {
+			end = time.Now()
+		}
+		st.Elapsed = end.Sub(f.start)
 	}
 	if st.Elapsed > 0 {
 		st.ExecsPerSec = float64(st.Execs) / st.Elapsed.Seconds()

@@ -349,3 +349,22 @@ func TestSharedCorpusIdenticalCampaigns(t *testing.T) {
 		t.Fatalf("identical second campaign grew the corpus from %d to %d seeds", len(after1), len(after2))
 	}
 }
+
+// A finished campaign's statistics stop aging: its elapsed time ends when
+// the run does, so later snapshots report the same Elapsed and ExecsPerSec.
+func TestFinishedCampaignStopsAging(t *testing.T) {
+	f := NewWithFactory(stubFactory(false), Options{MaxExecs: 4, Workers: 1, Duration: 10 * time.Second})
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	a := f.Snapshot()
+	time.Sleep(50 * time.Millisecond)
+	b := f.Snapshot()
+	if a.Elapsed <= 0 || a.Execs == 0 {
+		t.Fatalf("finished campaign reports elapsed %v over %d executions", a.Elapsed, a.Execs)
+	}
+	if a.Elapsed != b.Elapsed || a.ExecsPerSec != b.ExecsPerSec {
+		t.Fatalf("snapshots 50 ms apart differ: elapsed %v → %v, execs/s %v → %v",
+			a.Elapsed, b.Elapsed, a.ExecsPerSec, b.ExecsPerSec)
+	}
+}

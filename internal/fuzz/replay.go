@@ -8,7 +8,6 @@ import (
 	"github.com/pmrace-go/pmrace/internal/artifact"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/site"
-	"github.com/pmrace-go/pmrace/internal/targets"
 	"github.com/pmrace-go/pmrace/internal/workload"
 )
 
@@ -64,15 +63,15 @@ type ReplayResult struct {
 	Found []string
 }
 
-// ReplayArtifact re-executes a forensic bundle against the target it was
-// recorded from: first the bundle's seed under the plain scheduler, then
-// under PM-aware exploration — the recorded sync-point address first (pool
-// layout is deterministic for a given target setup, so the address
-// identifies the same sync point across processes), then the rest of the
-// priority queue, bounded by maxEntries. It reports whether any execution
+// ReplayArtifact re-executes a forensic bundle against the registered
+// target it was recorded from: first the bundle's seed under the plain
+// scheduler, then under PM-aware exploration — the recorded sync-point
+// address first (pool layout is deterministic for a given target setup, so
+// the address identifies the same sync point across processes), then the
+// rest of the priority queue, bounded by maxEntries. It reports whether any execution
 // reproduced the recorded bug fingerprint. A bundle whose thread count lies
 // outside [1, MaxThreads] is rejected before anything runs.
-func ReplayArtifact(factory targets.Factory, b *artifact.Bundle, maxEntries int) (*ReplayResult, error) {
+func ReplayArtifact(target string, b *artifact.Bundle, maxEntries int) (*ReplayResult, error) {
 	threads := b.Bug.Threads
 	if threads < 1 || threads > MaxThreads {
 		return nil, fmt.Errorf("replay: bundle threads %d outside [1, %d]", threads, MaxThreads)
@@ -84,11 +83,14 @@ func ReplayArtifact(factory targets.Factory, b *artifact.Bundle, maxEntries int)
 	if maxEntries <= 0 {
 		maxEntries = 8
 	}
-	x := NewExecutor(factory, ExecOptions{
+	x, err := NewTargetExecutor(target, ExecOptions{
 		UseCheckpoints: true,
 		CollectStats:   true,
 		HangTimeout:    150 * time.Millisecond,
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	r := &ReplayResult{Fingerprint: b.Bug.Fingerprint}
 	seen := make(map[string]struct{})

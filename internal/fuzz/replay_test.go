@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/pmrace-go/pmrace/internal/artifact"
-	"github.com/pmrace-go/pmrace/internal/targets"
 )
 
 // TestArtifactAllRequiresDir pins that ArtifactAll without ArtifactDir is a
@@ -67,14 +66,6 @@ func TestArtifactRoundTripReplay(t *testing.T) {
 		t.Fatalf("no artifact bundles written for %d bugs", len(res.Bugs))
 	}
 
-	factory := func() targets.Target {
-		tg, err := targets.New("pclht")
-		if err != nil {
-			panic(err)
-		}
-		return tg
-	}
-
 	// Every bundle must load; the sync bundle replays deterministically
 	// (the detection fires on the plain run), so require reproduction for
 	// it and at least attempt the others.
@@ -92,7 +83,7 @@ func TestArtifactRoundTripReplay(t *testing.T) {
 		if b.Seed == "" {
 			t.Fatalf("%s: empty seed", e.Name())
 		}
-		r, err := ReplayArtifact(factory, b, 8)
+		r, err := ReplayArtifact("pclht", b, 8)
 		if err != nil {
 			t.Fatalf("replaying %s: %v", e.Name(), err)
 		}
@@ -122,34 +113,27 @@ func TestArtifactRoundTripReplay(t *testing.T) {
 // TestReplayArtifactRejectsEmptySeed covers the error path a hand-edited
 // bundle can hit.
 func TestReplayArtifactRejectsEmptySeed(t *testing.T) {
-	factory := func() targets.Target {
-		tg, err := targets.New("pclht")
-		if err != nil {
-			panic(err)
-		}
-		return tg
-	}
 	b := &artifact.Bundle{Bug: artifact.Report{Fingerprint: "x", Threads: 4}}
-	if _, err := ReplayArtifact(factory, b, 4); err == nil {
+	if _, err := ReplayArtifact("pclht", b, 4); err == nil {
 		t.Fatal("ReplayArtifact accepted an empty seed")
 	}
 }
 
 // TestReplayArtifactRejectsThreadsOutOfRange feeds bundles whose bug.json
 // names a thread count outside [1, MaxThreads]: replay must refuse them
-// before starting any driver thread.
+// before building a target or starting any driver thread.
 func TestReplayArtifactRejectsThreadsOutOfRange(t *testing.T) {
-	factory := func() targets.Target {
-		t.Fatal("replay built a target for an out-of-range bundle")
-		return nil
-	}
+	before := countingBuilt.Load()
 	for _, threads := range []int{-1, 0, MaxThreads + 1, 1 << 30} {
 		b := &artifact.Bundle{
 			Bug:  artifact.Report{Fingerprint: "x", Threads: threads},
 			Seed: "set k 1\nget k\n",
 		}
-		if _, err := ReplayArtifact(factory, b, 4); err == nil {
+		if _, err := ReplayArtifact(countingName, b, 4); err == nil {
 			t.Errorf("threads %d: ReplayArtifact accepted the bundle", threads)
 		}
+	}
+	if n := countingBuilt.Load() - before; n != 0 {
+		t.Fatalf("replay built %d targets for out-of-range bundles", n)
 	}
 }

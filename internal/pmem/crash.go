@@ -432,6 +432,14 @@ func (p *Pool) restoreTouched(s *Snapshot) {
 	clear(p.touched)
 }
 
+// Base returns the snapshot the pool was last restored to, nil for a pool
+// never restored from one.
+func (p *Pool) Base() *Snapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.baseSnap
+}
+
 // NewFromSnapshot creates an independent pool initialized from a snapshot,
 // preserving the source pool's platform options (eADR).
 func NewFromSnapshot(s *Snapshot) *Pool {

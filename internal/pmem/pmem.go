@@ -320,7 +320,7 @@ func fill(dst, src []byte) {
 // later one. The caller must not touch the pool, or anything still holding
 // it (an rt.Env), afterwards. Release does nothing for an eADR pool or one
 // based on a snapshot: FromImage and FromState never build those, and
-// executors recycle their checkpoint pools themselves. A pool must be
+// checkpoint pools go back to their executor's free list. A pool must be
 // released at most once; a pool that is never released is simply not
 // reused.
 func (p *Pool) Release() {
