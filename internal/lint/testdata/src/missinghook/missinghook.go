@@ -2,6 +2,8 @@
 package missinghook
 
 import (
+	"sync"
+
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/taint"
@@ -29,4 +31,44 @@ func hooked(t *rt.Thread, addr pmem.Addr) uint64 {
 // Metadata queries are not data accesses and stay allowed.
 func allowedQuery(p *pmem.Pool, addr pmem.Addr) pmem.WordMeta {
 	return p.WordState(addr)
+}
+
+type guarded struct {
+	mu  sync.Mutex
+	rw  sync.RWMutex
+	n   int
+	rwN int
+}
+
+func rawMutex(g *guarded) {
+	g.mu.Lock() // want `raw sync\.Mutex\.Lock is a wait the PM-aware scheduler cannot see`
+	g.n++
+	g.mu.Unlock()
+}
+
+func rawTryLock(g *guarded) bool {
+	if !g.mu.TryLock() { // want `raw sync\.Mutex\.TryLock is a wait the PM-aware scheduler cannot see`
+		return false
+	}
+	g.mu.Unlock()
+	return true
+}
+
+func rawRWMutex(g *guarded) int {
+	g.rw.RLock() // want `raw sync\.RWMutex\.RLock is a wait the PM-aware scheduler cannot see`
+	defer g.rw.RUnlock()
+	return g.rwN
+}
+
+// Mutexes taken through the runtime are visible to the scheduler.
+func routedMutex(t *rt.Thread, g *guarded) {
+	t.LockMutex(&g.mu)
+	g.n++
+	t.UnlockMutex(&g.mu)
+}
+
+func ignoredMutex(g *guarded) int {
+	g.mu.Lock() //pmvet:ignore missing-hook -- no thread in scope
+	defer g.mu.Unlock()
+	return g.n
 }

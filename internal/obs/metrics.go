@@ -25,8 +25,9 @@ const (
 	MValidations          = "validate_runs_total"
 	MValidateCrashStates  = "validate_crash_states_total"
 	MValidateWallTimeouts = "validate_wall_timeouts_total"
-	// Spin-lock hangs, one series per rt.HangReport.Reason, and the
-	// PM-aware waits that ended on their timer instead of an event.
+	// Lock hangs (spin locks and LockMutex mutexes), one series per
+	// rt.HangReport.Reason, and the PM-aware waits that ended on their
+	// timer instead of an event.
 	MLockHangsCycle      = "rt_lock_hangs_cycle_total"
 	MLockHangsDeadOwner  = "rt_lock_hangs_dead_owner_total"
 	MLockHangsOwnLock    = "rt_lock_hangs_own_lock_total"

@@ -52,7 +52,9 @@ var ErrNotFormatted = errors.New("pmdk: pool not formatted")
 // ErrOutOfMemory is returned when the heap is exhausted.
 var ErrOutOfMemory = errors.New("pmdk: out of persistent memory")
 
-// ObjPool is a formatted persistent object pool.
+// ObjPool is a formatted persistent object pool. Its volatile mutexes are
+// taken through rt.Thread.LockMutex, so a thread blocked on one is visible to
+// the interleaving strategy as parked.
 type ObjPool struct {
 	allocMu sync.Mutex
 	txMu    sync.Mutex
@@ -146,8 +148,8 @@ func (p *ObjPool) SetRoot(t *rt.Thread, off pmem.Addr) {
 // new top is persisted under the allocator lock, concurrent allocations
 // never observe a dirty heap pointer.
 func (p *ObjPool) Alloc(t *rt.Thread, size uint64) (pmem.Addr, error) {
-	p.allocMu.Lock()
-	defer p.allocMu.Unlock()
+	t.LockMutex(&p.allocMu)
+	defer t.UnlockMutex(&p.allocMu)
 	return p.allocLocked(t, size, true)
 }
 
@@ -175,8 +177,8 @@ func (p *ObjPool) allocLocked(t *rt.Thread, size uint64, persist bool) (pmem.Add
 // (paper §4.4: "the default whitelist of PMRace includes the transactional
 // allocations in PMDK").
 func (p *ObjPool) AllocRedo(t *rt.Thread, size uint64) (pmem.Addr, error) {
-	p.allocMu.Lock()
-	defer p.allocMu.Unlock()
+	t.LockMutex(&p.allocMu)
+	defer t.UnlockMutex(&p.allocMu)
 	if rem := size % pmem.LineSize; rem != 0 {
 		size += pmem.LineSize - rem
 	}
@@ -211,7 +213,7 @@ type Tx struct {
 // Begin opens a transaction. Only one transaction may be open at a time
 // (the mini-PMDK equivalent of a single lane).
 func (p *ObjPool) Begin(t *rt.Thread) *Tx {
-	p.txMu.Lock()
+	t.LockMutex(&p.txMu)
 	t.Store64(offTxCount, 0, taint.None, taint.None)
 	t.Store64(offTxActive, 1, taint.None, taint.None)
 	t.Persist(offTxActive, 16)
@@ -253,8 +255,8 @@ func (tx *Tx) Alloc(size uint64) (pmem.Addr, error) {
 	if tx.closed {
 		return 0, errors.New("pmdk: transaction closed")
 	}
-	tx.pool.allocMu.Lock()
-	defer tx.pool.allocMu.Unlock()
+	tx.p.LockMutex(&tx.pool.allocMu)
+	defer tx.p.UnlockMutex(&tx.pool.allocMu)
 	if !tx.heapLogged {
 		if err := tx.addHeapTop(); err != nil {
 			return 0, err
@@ -296,7 +298,7 @@ func (tx *Tx) Commit() {
 	t.Store64(offTxCount, 0, taint.None, taint.None)
 	t.Persist(offTxActive, 16)
 	tx.closed = true
-	tx.pool.txMu.Unlock()
+	t.UnlockMutex(&tx.pool.txMu)
 }
 
 // Abort rolls the transaction back immediately using the undo log, exactly
@@ -307,7 +309,7 @@ func (tx *Tx) Abort() {
 	}
 	tx.pool.recover(tx.p)
 	tx.closed = true
-	tx.pool.txMu.Unlock()
+	tx.p.UnlockMutex(&tx.pool.txMu)
 }
 
 // DefaultWhitelist returns the default benign-pattern whitelist entries

@@ -48,8 +48,11 @@ type Config struct {
 // HangReport describes a hung lock acquisition.
 type HangReport struct {
 	Thread pmem.ThreadID
-	Addr   pmem.Addr
-	Site   string
+	// Addr is the PM lock word, unless Mutex reports a volatile mutex
+	// taken with LockMutex.
+	Addr  pmem.Addr
+	Mutex bool
+	Site  string
 	// Reason says why the wait ended: HangCycle, HangDeadOwner,
 	// HangOwnLock or HangDeadline.
 	Reason string
@@ -59,14 +62,15 @@ type HangReport struct {
 // lock can never be granted; HangDeadline is the hang timeout expiring.
 const (
 	// HangCycle: the lock's holder waits, through a chain of parked
-	// spin-lock waiters, on a lock the waiter holds (a deadlock cycle).
+	// spin-lock and mutex waiters, on a lock the waiter holds (a deadlock
+	// cycle).
 	HangCycle = "cycle"
 	// HangDeadOwner: the lock's recorded holder has exited.
 	HangDeadOwner = "dead owner"
 	// HangOwnLock: the waiter already holds the (non-recursive) lock.
 	HangOwnLock = "own lock"
-	// HangDeadline: the hang timeout expired, e.g. on a lock word with no
-	// recorded holder or a holder blocked outside the spin locks.
+	// HangDeadline: a spin lock's hang timeout expired, e.g. on a lock word
+	// with no recorded holder or a holder blocked outside the tracked locks.
 	HangDeadline = "deadline"
 )
 
@@ -96,34 +100,47 @@ type Env struct {
 
 	// lockMu guards thread-ID assignment (nextTID) and the volatile
 	// lock-ownership bookkeeping below, which is not part of the PM image.
-	// Holders and parked waits are recorded so a spin-lock waiter fails
-	// fast, instead of burning the full hang timeout, when no live thread
-	// can ever release the lock: its holder is the waiter itself, its
-	// holder has exited (a leaked lock from a missing-unlock bug, or an
-	// owner abandoned after its own hang), or its holder is parked, through
-	// a chain of parked waiters, on a lock the waiter holds (a deadlock
-	// cycle, see cycleLocked). A held lock with NO recorded holder (e.g. a
-	// persistent lock word left set in a crash image that recovery then
-	// trips over) keeps the timeout path: absence of an owner is exactly
-	// the recovery-hang case the timeout exists to report.
+	// It covers both kinds of lock the runtime tracks (lockRef): PM lock
+	// words taken by SpinLock and volatile mutexes taken by LockMutex.
+	// Holders and parked waits are recorded so a waiter fails fast,
+	// instead of waiting forever or burning the full hang timeout, when no
+	// live thread can ever release the lock: its holder is the waiter
+	// itself, its holder has exited (a leaked lock from a missing-unlock
+	// bug, or an owner abandoned after its own hang), or its holder is
+	// parked, through a chain of parked waiters, on a lock the waiter holds
+	// (a deadlock cycle, see cycleLocked). A held lock word with NO
+	// recorded holder (e.g. a persistent lock word left set in a crash
+	// image that recovery then trips over) keeps the timeout path: absence
+	// of an owner is exactly the recovery-hang case the timeout exists to
+	// report.
 	//
 	// It also guards parking: a thread blocked on a lock held by another
-	// live thread records itself in spinWaiters (and its edge in parkedOn)
-	// or mutexWaiters and is reported to the strategy as parked. Parking
-	// and waking both happen under lockMu, so the strategy never sees a
-	// woken thread as parked, and no stale parkedOn edge outlives a wake.
+	// live thread records itself in waiters and its edge in parkedOn, and
+	// is reported to the strategy as parked. Parking and waking both
+	// happen under lockMu, so the strategy never sees a woken thread as
+	// parked, and no stale parkedOn edge outlives a wake.
+	//
+	// Holders are kept per lock kind, keyed by the word's offset and the
+	// mutex pointer: every SpinLock and LockMutex records and clears one,
+	// and one-word keys keep that on the maps' fast paths.
 	lockMu       sync.Mutex
 	nextTID      pmem.ThreadID
-	lockHolders  map[pmem.Addr]pmem.ThreadID
-	liveThreads  map[pmem.ThreadID]struct{}
-	spinWaiters  map[pmem.Addr]*lockWaiters
-	parkedOn     map[pmem.ThreadID]pmem.Addr
+	wordHolders  map[pmem.Addr]pmem.ThreadID
 	mutexHolders map[*sync.Mutex]pmem.ThreadID
-	mutexWaiters map[*sync.Mutex][]pmem.ThreadID
+	liveThreads  map[pmem.ThreadID]struct{}
+	waiters      map[lockRef]*lockWaiters
+	parkedOn     map[pmem.ThreadID]lockRef
 }
 
-// lockWaiters is the set of threads parked on one PM lock word; wake is
-// closed when they should re-try the lock.
+// lockRef names one lock the runtime tracks: the PM lock word at addr when
+// mu is nil, else the volatile mutex mu.
+type lockRef struct {
+	addr pmem.Addr
+	mu   *sync.Mutex
+}
+
+// lockWaiters is the set of threads parked on one lock; wake is closed when
+// they should re-try it.
 type lockWaiters struct {
 	wake    chan struct{}
 	threads []pmem.ThreadID
@@ -170,12 +187,11 @@ func makeEnv(pool *pmem.Pool, cfg Config, cov *cover.Coverage) *Env {
 		cfg:    cfg,
 	}
 	_, e.stratNone = cfg.Strategy.(sched.None)
-	e.lockHolders = make(map[pmem.Addr]pmem.ThreadID)
-	e.liveThreads = make(map[pmem.ThreadID]struct{})
-	e.spinWaiters = make(map[pmem.Addr]*lockWaiters)
-	e.parkedOn = make(map[pmem.ThreadID]pmem.Addr)
+	e.wordHolders = make(map[pmem.Addr]pmem.ThreadID)
 	e.mutexHolders = make(map[*sync.Mutex]pmem.ThreadID)
-	e.mutexWaiters = make(map[*sync.Mutex][]pmem.ThreadID)
+	e.liveThreads = make(map[pmem.ThreadID]struct{})
+	e.waiters = make(map[lockRef]*lockWaiters)
+	e.parkedOn = make(map[pmem.ThreadID]lockRef)
 	e.batch = core.NewBatchAnalyzer(e.det, e.cov.Alias, cfg.CollectStats)
 	return e
 }
@@ -221,7 +237,7 @@ func (e *Env) AnnotateSyncVar(v core.SyncVar) { e.det.AnnotateSyncVar(v) }
 // noteLockAcquired records t as the volatile owner of the lock word.
 func (e *Env) noteLockAcquired(addr pmem.Addr, t pmem.ThreadID) {
 	e.lockMu.Lock()
-	e.lockHolders[addr] = t
+	e.wordHolders[addr] = t
 	e.lockMu.Unlock()
 }
 
@@ -233,30 +249,28 @@ func (e *Env) noteLockAcquired(addr pmem.Addr, t pmem.ThreadID) {
 func (e *Env) noteLockReleased(addr pmem.Addr, self pmem.ThreadID) bool {
 	e.lockMu.Lock()
 	defer e.lockMu.Unlock()
-	if e.lockHolders[addr] == self {
-		delete(e.lockHolders, addr)
+	if e.wordHolders[addr] == self {
+		delete(e.wordHolders, addr)
 	}
-	return e.wakeSpinLocked(addr)
+	return e.wakeLocked(lockRef{addr: addr})
 }
 
-// noteThreadExit removes t from the live set. Locks t still holds stay in
-// lockHolders pointing at a dead thread, which is what lets their waiters
-// fail fast; the threads parked on them are woken to do so.
+// noteThreadExit removes t from the live set. Locks t still holds keep t as
+// their holder, a dead thread, which is what lets their waiters fail fast;
+// the threads parked on them are woken to do so.
 func (e *Env) noteThreadExit(t pmem.ThreadID) {
 	e.lockMu.Lock()
 	defer e.lockMu.Unlock()
 	delete(e.liveThreads, t)
-	if len(e.spinWaiters) > 0 {
-		for addr, h := range e.lockHolders {
+	if len(e.waiters) > 0 {
+		for addr, h := range e.wordHolders {
 			if h == t {
-				e.wakeSpinLocked(addr)
+				e.wakeLocked(lockRef{addr: addr})
 			}
 		}
-	}
-	if len(e.mutexWaiters) > 0 {
 		for mu, h := range e.mutexHolders {
 			if h == t {
-				e.unparkMutexLocked(mu)
+				e.wakeLocked(lockRef{mu: mu})
 			}
 		}
 	}
@@ -281,6 +295,21 @@ func (e *Env) setParked(t pmem.ThreadID, parked bool) {
 	}
 }
 
+// parkLocked records thread self as parked on ref, with its wait edge, and
+// returns the waiter set whose wake channel ends the wait. The caller holds
+// lockMu and has checked that the holder is parkable and no cycle closes.
+func (e *Env) parkLocked(ref lockRef, self pmem.ThreadID) *lockWaiters {
+	w := e.waiters[ref]
+	if w == nil {
+		w = &lockWaiters{wake: make(chan struct{})}
+		e.waiters[ref] = w
+	}
+	w.threads = append(w.threads, self)
+	e.parkedOn[self] = ref
+	e.setParked(self, true)
+	return w
+}
+
 // parkOnLock blocks thread self on the held lock word at addr until the
 // word's holder releases it or exits, the environment is cancelled, or the
 // hang deadline passes. It returns at once when the word is free or when its
@@ -288,29 +317,23 @@ func (e *Env) setParked(t pmem.ThreadID, parked bool) {
 // self): the caller re-checks the lock and fails fast. A word held with no
 // recorded holder is re-checked every unownedLockPoll instead.
 func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time) {
+	ref := lockRef{addr: addr}
 	e.lockMu.Lock()
 	if e.cancelled.Load() || e.pool.Load64(addr) == 0 {
 		e.lockMu.Unlock()
 		return
 	}
-	holder, held := e.lockHolders[addr]
+	holder, held := e.wordHolders[addr]
 	if !held {
 		e.lockMu.Unlock()
 		<-time.After(min(time.Until(deadline), unownedLockPoll))
 		return
 	}
-	if !e.parkable(holder, self) || e.cycleLocked(addr, self) {
+	if !e.parkable(holder, self) || e.cycleLocked(ref, self) {
 		e.lockMu.Unlock()
 		return
 	}
-	w := e.spinWaiters[addr]
-	if w == nil {
-		w = &lockWaiters{wake: make(chan struct{})}
-		e.spinWaiters[addr] = w
-	}
-	w.threads = append(w.threads, self)
-	e.parkedOn[self] = addr
-	e.setParked(self, true)
+	w := e.parkLocked(ref, self)
 	e.lockMu.Unlock()
 
 	t := time.NewTimer(time.Until(deadline))
@@ -320,7 +343,7 @@ func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time)
 	case <-t.C:
 		// Hang deadline: unpark unless a waker got here first.
 		e.lockMu.Lock()
-		if e.spinWaiters[addr] == w {
+		if e.waiters[ref] == w {
 			for i, id := range w.threads {
 				if id == self {
 					w.threads = append(w.threads[:i], w.threads[i+1:]...)
@@ -330,22 +353,22 @@ func (e *Env) parkOnLock(addr pmem.Addr, self pmem.ThreadID, deadline time.Time)
 				}
 			}
 			if len(w.threads) == 0 {
-				delete(e.spinWaiters, addr)
+				delete(e.waiters, ref)
 			}
 		}
 		e.lockMu.Unlock()
 	}
 }
 
-// wakeSpinLocked wakes every thread parked on the lock word at addr,
-// clearing their parked state and wait edges before they can run. It reports
-// whether any thread was woken. The caller holds lockMu.
-func (e *Env) wakeSpinLocked(addr pmem.Addr) bool {
-	w := e.spinWaiters[addr]
+// wakeLocked wakes every thread parked on ref, clearing their parked state
+// and wait edges before they can run. It reports whether any thread was
+// woken. The caller holds lockMu.
+func (e *Env) wakeLocked(ref lockRef) bool {
+	w := e.waiters[ref]
 	if w == nil {
 		return false
 	}
-	delete(e.spinWaiters, addr)
+	delete(e.waiters, ref)
 	for _, id := range w.threads {
 		delete(e.parkedOn, id)
 		e.setParked(id, false)
@@ -354,28 +377,24 @@ func (e *Env) wakeSpinLocked(addr pmem.Addr) bool {
 	return len(w.threads) > 0
 }
 
-// unparkMutexLocked clears the parked state of every thread blocked on mu.
-// The caller holds lockMu, and calls it before mu can be unlocked. It
-// reports whether any thread was parked on mu.
-func (e *Env) unparkMutexLocked(mu *sync.Mutex) bool {
-	ws := e.mutexWaiters[mu]
-	delete(e.mutexWaiters, mu)
-	for _, id := range ws {
-		e.setParked(id, false)
-	}
-	return len(ws) > 0
-}
-
 // lockUnacquirable reports why the lock word can never be granted to thread
-// self, or "" while some live thread may still release it: its recorded owner
-// is self (the locks are non-recursive, so a thread spinning on a lock it
-// already holds — the classic consequence of a missing-unlock bug earlier in
-// its own op stream — waits forever), has exited, or waits in a cycle back to
-// self. Each way the waiter is hung no matter how long it spins.
+// self, or "" while some live thread may still release it.
 func (e *Env) lockUnacquirable(addr pmem.Addr, self pmem.ThreadID) string {
 	e.lockMu.Lock()
 	defer e.lockMu.Unlock()
-	holder, held := e.lockHolders[addr]
+	return e.unacquirableLocked(lockRef{addr: addr}, self)
+}
+
+// unacquirableLocked reports why ref can never be granted to thread self, or
+// "" while some live thread may still release it: its recorded owner is self
+// (the locks are non-recursive, so a thread waiting on a lock it already
+// holds — the classic consequence of a missing-unlock bug earlier in its own
+// op stream, or of a hang that unwound a critical section whose unlock is
+// not deferred — waits forever), has exited, or waits in a cycle back to
+// self. Each way the waiter is hung no matter how long it waits. The caller
+// holds lockMu.
+func (e *Env) unacquirableLocked(ref lockRef, self pmem.ThreadID) string {
+	holder, held := e.holderLocked(ref)
 	switch {
 	case !held:
 		return ""
@@ -385,21 +404,31 @@ func (e *Env) lockUnacquirable(addr pmem.Addr, self pmem.ThreadID) string {
 	if _, live := e.liveThreads[holder]; !live {
 		return HangDeadOwner
 	}
-	if e.cycleLocked(addr, self) {
+	if e.cycleLocked(ref, self) {
 		return HangCycle
 	}
 	return ""
 }
 
-// cycleLocked reports whether thread self, waiting on the lock word at addr,
-// closes a deadlock cycle: addr's holder is parked on a lock whose holder is
-// parked on a lock ... that self holds. Only parked spin-lock waits are
+// holderLocked returns the recorded holder of ref. The caller holds lockMu.
+func (e *Env) holderLocked(ref lockRef) (pmem.ThreadID, bool) {
+	if ref.mu != nil {
+		h, ok := e.mutexHolders[ref.mu]
+		return h, ok
+	}
+	h, ok := e.wordHolders[ref.addr]
+	return h, ok
+}
+
+// cycleLocked reports whether thread self, waiting on ref, closes a deadlock
+// cycle: ref's holder is parked on a lock whose holder is parked on a lock
+// ... that self holds. Parked waits on lock words and on mutexes are both
 // edges, and every wake clears its edge under lockMu, so each edge is a wait
 // still in progress. The walk is bounded by the number of live threads. The
 // caller holds lockMu.
-func (e *Env) cycleLocked(addr pmem.Addr, self pmem.ThreadID) bool {
+func (e *Env) cycleLocked(ref lockRef, self pmem.ThreadID) bool {
 	for range len(e.liveThreads) {
-		holder, held := e.lockHolders[addr]
+		holder, held := e.holderLocked(ref)
 		if !held {
 			return false
 		}
@@ -410,7 +439,7 @@ func (e *Env) cycleLocked(addr pmem.Addr, self pmem.ThreadID) bool {
 		if !parked {
 			return false
 		}
-		addr = next
+		ref = next
 	}
 	return false
 }
@@ -442,17 +471,13 @@ func (CancelError) Error() string { return "rt: execution environment cancelled"
 // a recovery run exceeds its wall-clock deadline. Goroutines that never call
 // another hook (a plain `for {}`) cannot be stopped — Go has no goroutine
 // kill — but they also cannot corrupt the pool. Threads parked on a spin
-// lock are woken to see the cancellation; threads blocked on a volatile
-// mutex stay blocked (Go semantics) but are no longer reported parked.
+// lock or a mutex are woken to see the cancellation.
 func (e *Env) Cancel() {
 	e.cancelled.Store(true)
 	e.lockMu.Lock()
 	defer e.lockMu.Unlock()
-	for addr := range e.spinWaiters {
-		e.wakeSpinLocked(addr)
-	}
-	for mu := range e.mutexWaiters {
-		e.unparkMutexLocked(mu)
+	for ref := range e.waiters {
+		e.wakeLocked(ref)
 	}
 }
 

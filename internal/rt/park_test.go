@@ -319,3 +319,143 @@ func TestLockMutexRoundTrip(t *testing.T) {
 	}
 	mu.Unlock()
 }
+
+// lockMutexAsync runs th.LockMutex(mu) on a goroutine and delivers what it
+// panicked with (nil when it acquired the mutex).
+func lockMutexAsync(th *Thread, mu *sync.Mutex) <-chan any {
+	out := make(chan any, 1)
+	go func() {
+		defer func() { out <- recover() }()
+		th.LockMutex(mu)
+	}()
+	return out
+}
+
+// mutexHangReason is hangReason for a LockMutex hang, which must say that
+// it names a mutex and where it was taken.
+func mutexHangReason(t *testing.T, v any, what string) string {
+	t.Helper()
+	reason := hangReason(t, v, what)
+	if h := v.(HangError).Report; !h.Mutex || h.Site == "" {
+		t.Fatalf("%s: report %+v, want Mutex and a site", what, h)
+	}
+	return reason
+}
+
+func TestLockMutexFailsFastOnOwnLock(t *testing.T) {
+	e, r := newParkEnv(t)
+	t1 := e.Spawn()
+	var mu sync.Mutex
+	t1.LockMutex(&mu)
+	v := within(t, lockMutexAsync(t1, &mu), time.Second, "LockMutex on an own mutex")
+	if got := mutexHangReason(t, v, "re-locking"); got != HangOwnLock {
+		t.Fatalf("hang reason = %q, want %q", got, HangOwnLock)
+	}
+	if r.isParked(t1.ID) {
+		t.Fatalf("a thread locking its own mutex was reported parked")
+	}
+}
+
+// TestLockMutexFailsFastOnDeadOwner: a hang that unwinds a critical section
+// whose unlock is not deferred leaves the mutex held by an exited thread.
+// The next LockMutex must fail at once, not block forever.
+func TestLockMutexFailsFastOnDeadOwner(t *testing.T) {
+	e, r := newParkEnv(t)
+	t1, t2 := e.Spawn(), e.Spawn()
+	var mu sync.Mutex
+	t1.LockMutex(&mu)
+	t1.Exit() // leaks the mutex
+	v := within(t, lockMutexAsync(t2, &mu), time.Second, "LockMutex on a leaked mutex")
+	if got := mutexHangReason(t, v, "LockMutex on a leaked mutex"); got != HangDeadOwner {
+		t.Fatalf("hang reason = %q, want %q", got, HangDeadOwner)
+	}
+	if r.isParked(t2.ID) {
+		t.Fatalf("a thread failing fast was reported parked")
+	}
+}
+
+func TestParkedLockMutexFailsFastOnHolderExit(t *testing.T) {
+	e, r := newParkEnv(t)
+	t1, t2 := e.Spawn(), e.Spawn()
+	var mu sync.Mutex
+	t1.LockMutex(&mu)
+	done := lockMutexAsync(t2, &mu)
+	waitParked(t, r, t2.ID)
+	t1.Exit()
+	v := within(t, done, time.Second, "parked LockMutex behind an exiting holder")
+	if got := mutexHangReason(t, v, "parked LockMutex"); got != HangDeadOwner {
+		t.Fatalf("hang reason = %q, want %q", got, HangDeadOwner)
+	}
+	if r.isParked(t2.ID) {
+		t.Fatalf("woken thread is still reported parked")
+	}
+}
+
+func TestParkedLockMutexWakesOnCancel(t *testing.T) {
+	e, r := newParkEnv(t)
+	t1, t2 := e.Spawn(), e.Spawn()
+	var mu sync.Mutex
+	t1.LockMutex(&mu)
+	done := lockMutexAsync(t2, &mu)
+	waitParked(t, r, t2.ID)
+	e.Cancel()
+	v := within(t, done, time.Second, "LockMutex on a cancelled env")
+	if _, ok := v.(CancelError); !ok {
+		t.Fatalf("LockMutex on a cancelled env panicked %v, want CancelError", v)
+	}
+	if r.isParked(t2.ID) {
+		t.Fatalf("woken thread is still reported parked")
+	}
+}
+
+// TestLockMutexClosesSpinLockCycle: A holds mutex M and parks on lock word L
+// held by B; B then asks for M. B closes the cycle and must fail at once,
+// though the hang timeout is 10 s. Exiting B leaks L, and A then fails on a
+// dead owner.
+func TestLockMutexClosesSpinLockCycle(t *testing.T) {
+	const l = 64
+	e, r := newParkEnv(t)
+	a, b := e.Spawn(), e.Spawn()
+	var m sync.Mutex
+	a.LockMutex(&m)
+	b.SpinLock(l)
+	doneA := spinLockAsync(a, l)
+	waitParked(t, r, a.ID)
+	v := within(t, lockMutexAsync(b, &m), time.Second, "LockMutex closing the cycle")
+	if got := mutexHangReason(t, v, "LockMutex closing the cycle"); got != HangCycle {
+		t.Fatalf("hang reason = %q, want %q", got, HangCycle)
+	}
+	b.Exit()
+	if got := hangReason(t, within(t, doneA, time.Second, "A's SpinLock"), "A's SpinLock"); got != HangDeadOwner {
+		t.Fatalf("hang reason = %q, want %q", got, HangDeadOwner)
+	}
+	if n := r.staleHooks(); n != 0 {
+		t.Fatalf("%d hook calls from a thread reported parked", n)
+	}
+}
+
+// TestSpinLockClosesMutexCycle is the mirror image: A holds lock word L and
+// parks on mutex M held by B; B's SpinLock(L) closes the cycle through A's
+// mutex wait. Exiting B leaks M, and A, parked on it, wakes and fails on a
+// dead owner instead of blocking forever.
+func TestSpinLockClosesMutexCycle(t *testing.T) {
+	const l = 64
+	e, r := newParkEnv(t)
+	a, b := e.Spawn(), e.Spawn()
+	var m sync.Mutex
+	a.SpinLock(l)
+	b.LockMutex(&m)
+	doneA := lockMutexAsync(a, &m)
+	waitParked(t, r, a.ID)
+	v := within(t, spinLockAsync(b, l), time.Second, "SpinLock closing the cycle")
+	if got := hangReason(t, v, "SpinLock closing the cycle"); got != HangCycle {
+		t.Fatalf("hang reason = %q, want %q", got, HangCycle)
+	}
+	b.Exit()
+	if got := mutexHangReason(t, within(t, doneA, time.Second, "A's LockMutex"), "A's LockMutex"); got != HangDeadOwner {
+		t.Fatalf("hang reason = %q, want %q", got, HangDeadOwner)
+	}
+	if r.isParked(a.ID) {
+		t.Fatalf("woken thread is still reported parked")
+	}
+}

@@ -74,14 +74,18 @@ func (t *Thread) Exit() {
 	t.env.strat.ThreadExit(t.ID)
 }
 
-// HangError is panicked when a spin lock can never be granted or exceeds the
-// hang timeout; the campaign executor recovers it and records a hang (e.g. a
-// deadlock from a conventional concurrency bug, or a never-released
-// persistent lock after recovery).
+// HangError is panicked when a spin lock or a LockMutex-acquired mutex can
+// never be granted, or a spin lock exceeds the hang timeout; the campaign
+// executor recovers it and records a hang (e.g. a deadlock from a
+// conventional concurrency bug, or a never-released persistent lock after
+// recovery).
 type HangError struct{ Report HangReport }
 
 // Error implements error.
 func (h HangError) Error() string {
+	if h.Report.Mutex {
+		return fmt.Sprintf("rt: thread %d hung acquiring a volatile mutex (%s): %s", h.Report.Thread, h.Report.Site, h.Report.Reason)
+	}
 	return fmt.Sprintf("rt: thread %d hung acquiring lock at PM offset %#x (%s): %s", h.Report.Thread, h.Report.Addr, h.Report.Site, h.Report.Reason)
 }
 
@@ -442,13 +446,13 @@ func (t *Thread) SpinLock(addr pmem.Addr) {
 		spins++
 		// A lock that can never be granted — its owner is this very
 		// thread (a lock it leaked earlier in its own op stream), has
-		// exited, or waits in a cycle of parked spin-lock waiters back
-		// to this thread — fails fast: waiting out the full hang
+		// exited, or waits in a cycle of parked lock waiters back to
+		// this thread — fails fast: waiting out the full hang
 		// timeout would report the same hang ~80ms later (and cascade
 		// across every thread queued behind the leak). Locks with no
 		// recorded owner — e.g. a persistent lock word set in a crash
 		// image that recovery trips over — and owners blocked outside
-		// the spin locks still take the timeout path.
+		// the tracked locks still take the timeout path.
 		// Past the yield phase every wake-up re-checks at once.
 		if spins%32 == 0 || spins >= yieldSpins {
 			reason := t.env.lockUnacquirable(addr, t.ID)
@@ -502,41 +506,67 @@ func (t *Thread) SpinUnlock(addr pmem.Addr) {
 	}
 }
 
-// LockMutex acquires a volatile mutex of the program under test with Go
-// semantics. A thread that finds it held by another live thread is reported
-// to the strategy as parked while it blocks, so the scheduler can tell that
-// it cannot run.
+// LockMutex acquires a volatile mutex of the program under test. A thread
+// that finds it held by another live thread parks, reported to the strategy
+// as parked, until the holder unlocks it or exits, so the scheduler can tell
+// that it cannot run. A mutex that can never be granted fails fast with
+// HangError, as a spin lock does: its holder is this thread, has exited
+// (a hang unwound a critical section whose unlock is not deferred), or waits
+// in a cycle back to this thread. A mutex held outside LockMutex has no
+// recorded holder and no release event, and is waited for with a plain
+// blocking Lock.
 //
 //go:noinline
 func (t *Thread) LockMutex(mu *sync.Mutex) {
+	pc := site.ReturnPC()
 	e := t.env
-	e.lockMu.Lock()
-	if mu.TryLock() {
-		e.mutexHolders[mu] = t.ID
+	ref := lockRef{mu: mu}
+	for {
+		e.lockMu.Lock()
+		if mu.TryLock() {
+			e.mutexHolders[mu] = t.ID
+			e.lockMu.Unlock()
+			return
+		}
+		if e.cancelled.Load() {
+			e.lockMu.Unlock()
+			panic(CancelError{})
+		}
+		if _, held := e.mutexHolders[mu]; !held {
+			e.lockMu.Unlock()
+			mu.Lock()
+			e.lockMu.Lock()
+			e.mutexHolders[mu] = t.ID
+			e.lockMu.Unlock()
+			return
+		}
+		if reason := e.unacquirableLocked(ref, t.ID); reason != "" {
+			e.lockMu.Unlock()
+			t.drainLog()
+			panic(HangError{Report: HangReport{
+				Thread: t.ID,
+				Mutex:  true,
+				Site:   site.Lookup(siteFromPC(pc)).String(),
+				Reason: reason,
+			}})
+		}
+		w := e.parkLocked(ref, t.ID)
 		e.lockMu.Unlock()
-		return
+		<-w.wake
 	}
-	if holder, held := e.mutexHolders[mu]; held && e.parkable(holder, t.ID) {
-		e.mutexWaiters[mu] = append(e.mutexWaiters[mu], t.ID)
-		e.setParked(t.ID, true)
-	}
-	e.lockMu.Unlock()
-	mu.Lock()
-	e.lockMu.Lock()
-	e.mutexHolders[mu] = t.ID
-	e.lockMu.Unlock()
 }
 
-// UnlockMutex releases a LockMutex-acquired mutex. The threads blocked on it
-// stop being reported parked before the mutex is unlocked, and a release
-// that had parked waiters yields once, as SpinUnlock does.
+// UnlockMutex releases a LockMutex-acquired mutex and wakes the threads
+// parked on it; they stop being reported parked before the mutex is
+// unlocked, and a release that woke one yields once, as SpinUnlock does.
 //
 //go:noinline
 func (t *Thread) UnlockMutex(mu *sync.Mutex) {
 	e := t.env
+	ref := lockRef{mu: mu}
 	e.lockMu.Lock()
 	delete(e.mutexHolders, mu)
-	woke := e.unparkMutexLocked(mu)
+	woke := e.wakeLocked(ref)
 	mu.Unlock()
 	e.lockMu.Unlock()
 	if woke {

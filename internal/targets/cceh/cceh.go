@@ -271,8 +271,8 @@ func (h *HT) Delete(t *rt.Thread, key string) bool {
 // directory when the local depth reaches the global depth (Bug 7 lives in
 // the doubling path).
 func (h *HT) split(t *rt.Thread, kf, gdSeen uint64) error {
-	h.growMu.Lock()
-	defer h.growMu.Unlock()
+	t.LockMutex(&h.growMu)
+	defer t.UnlockMutex(&h.growMu)
 	t.Branch()
 	t.SpinLock(h.root + fldDirLock)
 	defer t.SpinUnlock(h.root + fldDirLock)

@@ -83,7 +83,7 @@ var classSizes = [...]uint64{256, 512, 1024, 2048}
 // pages; everything else (index, LRU, free lists) is volatile and rebuilt by
 // Recover.
 type KV struct {
-	mu    sync.Mutex // the cache_lock
+	mu    sync.Mutex // the cache_lock, taken through t.LockMutex (Live excepted)
 	index map[uint64]pmem.Addr
 	lru   [len(classSizes)]struct{ head, tail pmem.Addr }
 	live  [len(classSizes)]int
@@ -126,7 +126,7 @@ func (kv *KV) Setup(t *rt.Thread) error {
 
 // CmdCounts returns how many commands of each Table 4 class were parsed.
 func (kv *KV) CmdCounts() map[string]int {
-	kv.cmdMu.Lock()
+	kv.cmdMu.Lock() //pmvet:ignore missing-hook -- statistics read with no thread after the workload
 	defer kv.cmdMu.Unlock()
 	out := make(map[string]int, len(kv.cmds))
 	for k, v := range kv.cmds {
@@ -136,7 +136,7 @@ func (kv *KV) CmdCounts() map[string]int {
 }
 
 func (kv *KV) countCmd(class string) {
-	kv.cmdMu.Lock()
+	kv.cmdMu.Lock() //pmvet:ignore missing-hook -- guards a parse counter only, never held across a PM access
 	kv.cmds[class]++
 	kv.cmdMu.Unlock()
 }
@@ -305,9 +305,9 @@ func (kv *KV) Set(t *rt.Thread, key string, val []byte) error {
 	}
 	kf := targets.Fingerprint(key)
 
-	kv.mu.Lock()
+	t.LockMutex(&kv.mu)
 	old, exists := kv.index[kf]
-	kv.mu.Unlock()
+	t.UnlockMutex(&kv.mu)
 	if exists {
 		t.Branch()
 		// BUG 13 (read side): the old item's it_flags may be another
@@ -329,10 +329,10 @@ func (kv *KV) Set(t *rt.Thread, key string, val []byte) error {
 			return nil
 		}
 	}
-	kv.mu.Lock()
+	t.LockMutex(&kv.mu)
 	item, err := kv.allocChunk(t, cls)
 	if err != nil {
-		kv.mu.Unlock()
+		t.UnlockMutex(&kv.mu)
 		return err
 	}
 	t.Branch()
@@ -352,7 +352,7 @@ func (kv *KV) Set(t *rt.Thread, key string, val []byte) error {
 	t.Store64(item+itFlags, flagLinked, taint.None, taint.None) // Bug 13 write site (items.c:1096)
 	kv.linkHead(t, cls, item)
 	kv.index[kf] = item
-	kv.mu.Unlock()
+	t.UnlockMutex(&kv.mu)
 	t.Persist(item, classSizes[cls])
 	return nil
 }
@@ -466,8 +466,8 @@ func (kv *KV) freeChunk(t *rt.Thread, cls int, item pmem.Addr, extra taint.Label
 // sequences.
 func (kv *KV) FlushAll(t *rt.Thread) {
 	t.Branch()
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
+	t.LockMutex(&kv.mu)
+	defer t.UnlockMutex(&kv.mu)
 	items := make([]pmem.Addr, 0, len(kv.index))
 	for _, it := range kv.index {
 		items = append(items, it)
@@ -487,9 +487,9 @@ func (kv *KV) FlushAll(t *rt.Thread) {
 // Get returns the value bytes of a key.
 func (kv *KV) Get(t *rt.Thread, key string) ([]byte, bool) {
 	kf := targets.Fingerprint(key)
-	kv.mu.Lock()
+	t.LockMutex(&kv.mu)
 	item, ok := kv.index[kf]
-	kv.mu.Unlock()
+	t.UnlockMutex(&kv.mu)
 	if !ok {
 		return nil, false
 	}
@@ -508,9 +508,9 @@ func (kv *KV) Get(t *rt.Thread, key string) ([]byte, bool) {
 // durable side effect based on them.
 func (kv *KV) Concat(t *rt.Thread, key string, suffix []byte, appendTo bool) error {
 	kf := targets.Fingerprint(key)
-	kv.mu.Lock()
+	t.LockMutex(&kv.mu)
 	item, ok := kv.index[kf]
-	kv.mu.Unlock()
+	t.UnlockMutex(&kv.mu)
 	if !ok {
 		return nil // NOT_STORED
 	}
@@ -576,8 +576,8 @@ func (kv *KV) Arith(t *rt.Thread, key, deltaStr string, up bool) error {
 // Delete unlinks and frees a key's item.
 func (kv *KV) Delete(t *rt.Thread, key string) bool {
 	kf := targets.Fingerprint(key)
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
+	t.LockMutex(&kv.mu)
+	defer t.UnlockMutex(&kv.mu)
 	item, ok := kv.index[kf]
 	if !ok {
 		return false
@@ -663,7 +663,7 @@ func (kv *KV) Recover(t *rt.Thread) error {
 
 // Live returns the number of indexed items (test oracle).
 func (kv *KV) Live() int {
-	kv.mu.Lock()
+	kv.mu.Lock() //pmvet:ignore missing-hook -- test oracle, called with no thread after the workload
 	defer kv.mu.Unlock()
 	return len(kv.index)
 }

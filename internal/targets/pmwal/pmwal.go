@@ -499,7 +499,7 @@ func (w *WAL) Recover(t *rt.Thread) error {
 
 // Live returns the number of indexed keys (test oracle).
 func (w *WAL) Live() int {
-	w.mu.Lock()
+	w.mu.Lock() //pmvet:ignore missing-hook -- test oracle, called with no thread after the workload
 	defer w.mu.Unlock()
 	return len(w.index)
 }

@@ -226,7 +226,7 @@ type recoveryResult struct {
 // holding the crash state's image (pmem.FromState) and runs its recovery
 // procedure in a watchdog-supervised goroutine. Every word of that pool
 // starts at store epoch 0, so afterwards env.Pool().Overwritten tells which
-// ranges recovery wrote. Spin-lock hangs (rt.HangError) and recovery panics
+// ranges recovery wrote. Lock hangs (rt.HangError) and recovery panics
 // become results; a run exceeding wallTimeout is abandoned — its environment
 // is cancelled so the goroutine stops mutating the pool at its next hook
 // call — and reported as hung with wallTimedOut set. Zero timeouts select
