@@ -115,10 +115,8 @@ type CampaignSpec struct {
 	Protocol bool `json:"protocol,omitempty"`
 	// MaxCrashStates caps crash states validated per finding.
 	MaxCrashStates int `json:"max_crash_states,omitempty"`
-	// EADR models battery-backed caches; NoCheckpoints disables in-memory
-	// pool checkpoints.
-	EADR          bool `json:"eadr,omitempty"`
-	NoCheckpoints bool `json:"no_checkpoints,omitempty"`
+	// EADR models battery-backed caches.
+	EADR bool `json:"eadr,omitempty"`
 	// Artifacts requests a forensic bundle per confirmed bug, fetchable
 	// through the artifacts endpoints; ArtifactsAll extends that to every
 	// judged finding.

@@ -41,7 +41,7 @@ func TestSpecWireFormat(t *testing.T) {
 		Target: "pclht", Mode: "none", Workers: 2, Threads: 1,
 		MaxExecs: 10, Duration: time.Second, Seed: 7, KeySpace: 8,
 		OpsPerSeed: 4, MaxCrashStates: 2,
-		EADR: true, NoCheckpoints: true, Artifacts: true, ArtifactsAll: true,
+		EADR: true, Artifacts: true, ArtifactsAll: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestSpecWireFormat(t *testing.T) {
 		`"max_execs":10`, fmt.Sprintf(`"duration_ns":%d`, time.Second),
 		`"seed":7`, `"key_space":8`, `"ops_per_seed":4`,
 		`"max_crash_states":2`, `"eadr":true`,
-		`"no_checkpoints":true`, `"artifacts":true`, `"artifacts_all":true`,
+		`"artifacts":true`, `"artifacts_all":true`,
 	} {
 		if !strings.Contains(string(raw), field) {
 			t.Errorf("spec wire form missing %s: %s", field, raw)

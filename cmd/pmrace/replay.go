@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"github.com/pmrace-go/pmrace/internal/artifact"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
@@ -63,43 +62,28 @@ func replaySeed(targetName, path string, threads int) error {
 	if seed.Empty() {
 		return fmt.Errorf("seed %s contains no operations", path)
 	}
-	x, err := fuzz.NewTargetExecutor(targetName, fuzz.ExecOptions{
-		CollectStats:   true,
-		UseCheckpoints: true,
-		HangTimeout:    150 * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-
 	if seed.Proto != nil {
 		fmt.Printf("replaying %s (%d protocol commands over %d streams, %d threads) against %s\n",
 			path, seed.Size(), len(seed.Proto.Streams), threads, targetName)
 	} else {
 		fmt.Printf("replaying %s (%d ops, %d threads) against %s\n", path, len(seed.Ops), threads, targetName)
 	}
-	base, err := x.Run(seed, sched.None{})
+	entries := 0
+	err = fuzz.ReplaySeed(targetName, seed, func(e *sched.Entry, res *fuzz.ExecResult) bool {
+		if e == nil {
+			reportExec("plain execution", res)
+			return false
+		}
+		if len(res.Inconsistencies) > 0 || len(res.Hangs) > 0 {
+			reportExec(fmt.Sprintf("entry %d (PM offset %#x)", entries, e.Addr), res)
+		}
+		entries++
+		return false
+	})
 	if err != nil {
 		return err
 	}
-	reportExec("plain execution", base)
-
-	queue := sched.BuildQueue(base.Stats)
-	fmt.Printf("exploring %d sync-point entries\n", queue.Len())
-	for i := 0; ; i++ {
-		entry := queue.Pop()
-		if entry == nil {
-			break
-		}
-		pm := sched.NewPMAware(sched.DefaultConfig(), entry, 0)
-		res, err := x.Run(seed, pm)
-		if err != nil {
-			return err
-		}
-		if len(res.Inconsistencies) > 0 || len(res.Hangs) > 0 {
-			reportExec(fmt.Sprintf("entry %d (PM offset %#x)", i, entry.Addr), res)
-		}
-	}
+	fmt.Printf("explored %d sync-point entries\n", entries)
 	return nil
 }
 

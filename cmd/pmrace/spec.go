@@ -24,7 +24,6 @@ func specFlags(fs *flag.FlagSet, spec *api.CampaignSpec) {
 	fs.BoolVar(&spec.Protocol, "proto", spec.Protocol, "fuzz through memcached text-protocol byte streams instead of synthetic op vectors")
 	fs.IntVar(&spec.MaxCrashStates, "max-crash-states", spec.MaxCrashStates, "crash states validated per finding (1 = the paper's single adversarial image)")
 	fs.BoolVar(&spec.EADR, "eadr", spec.EADR, "model battery-backed caches (stores durable at visibility)")
-	fs.BoolVar(&spec.NoCheckpoints, "no-checkpoints", spec.NoCheckpoints, "disable in-memory pool checkpoints")
 	fs.BoolVar(&spec.ArtifactsAll, "artifacts-all", spec.ArtifactsAll, "with -artifacts: also bundle validated/whitelisted false positives")
 	fs.IntVar(&spec.TraceSample, "trace-sample", spec.TraceSample, "record per-exec spans for every Nth execution (0 = default, negative = off)")
 }

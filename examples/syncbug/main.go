@@ -65,7 +65,7 @@ func main() {
 	factory := func() targets.Target { return cceh.New() }
 	verdicts := map[string]core.Status{}
 	for _, s := range syncs {
-		r := validate.Sync(factory, pmem.AdversarialState(s.img), s.si, validate.Options{HangTimeout: 50 * time.Millisecond})
+		r := validate.Sync(factory, pmem.AdversarialState(s.img), s.si, validate.Options{})
 		name := s.si.Var.Name
 		if cur, ok := verdicts[name]; !ok || r.Status == core.StatusBug && cur != core.StatusBug {
 			verdicts[name] = r.Status

@@ -15,10 +15,10 @@
 // which systems produce false positives, where checkpoints help — are the
 // reproduction targets. EXPERIMENTS.md records paper-vs-measured values.
 //
-// Every campaign is built the way NewCampaign and pmraced build theirs: an
-// api.CampaignSpec budget goes through serve.FuzzOptions on top of one base
-// fuzz.Options, and Figures 8 and 9 are read from the campaign's typed
-// event stream.
+// Every campaign is built the way pmraced builds its own: an
+// api.CampaignSpec budget goes through serve.FuzzOptions on top of the
+// target's whitelist entries, at the engine's defaults, and Figures 8 and 9
+// are read from the campaign's typed event stream.
 package experiments
 
 import (
@@ -106,24 +106,11 @@ func extraWhitelist(name string) []string {
 }
 
 // FuzzTarget runs one campaign of budget against a system in the given
-// exploration mode. The campaign's options are serve.FuzzOptions applied to
-// the harness base — the knobs api.CampaignSpec lacks — which ablate (nil
-// for none) may adjust first. It returns the Result and the typed events
-// the campaign emitted.
-func FuzzTarget(name string, budget api.CampaignSpec, mode fuzz.ExploreMode, ablate func(*fuzz.Options)) (*fuzz.Result, []obs.Event, error) {
-	base := fuzz.Options{
-		ExtraWhitelist: extraWhitelist(name),
-		// More sync-point entries per seed than the engine default: the
-		// split/resize windows of the tree targets sit behind cooler
-		// addresses.
-		MaxInterleavingsPerSeed: 12,
-		// Generous hang bound: on few cores, many concurrently stalled
-		// campaigns can starve a legitimate lock holder.
-		HangTimeout: 150 * time.Millisecond,
-	}
-	if ablate != nil {
-		ablate(&base)
-	}
+// exploration mode: serve.FuzzOptions over the target's whitelist entries,
+// with seed-tier exploration ablated when disableSeedTier is set (Figure 9's
+// "w/o SE"). It returns the Result and the typed events the campaign emitted.
+func FuzzTarget(name string, budget api.CampaignSpec, mode fuzz.ExploreMode, disableSeedTier bool) (*fuzz.Result, []obs.Event, error) {
+	base := fuzz.Options{ExtraWhitelist: extraWhitelist(name), DisableSeedTier: disableSeedTier}
 	budget.Target = name
 	budget.Mode = mode.Spelling()
 	opts, err := serve.FuzzOptions(base, budget)
@@ -155,7 +142,7 @@ type BugDetection struct {
 func RunBugDetection(budget api.CampaignSpec) (*BugDetection, error) {
 	bd := &BugDetection{Results: make(map[string]*fuzz.Result)}
 	for _, name := range Systems() {
-		res, _, err := FuzzTarget(name, budget, fuzz.ModePMAware, nil)
+		res, _, err := FuzzTarget(name, budget, fuzz.ModePMAware, false)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fuzzing %s: %w", name, err)
 		}
@@ -341,7 +328,7 @@ func RunFigure8(budget api.CampaignSpec) ([]Figure8Series, error) {
 	var out []Figure8Series
 	for _, name := range []string{"pclht", "fastfair", "memcached"} {
 		for _, mode := range []fuzz.ExploreMode{fuzz.ModePMAware, fuzz.ModeDelayInj} {
-			res, events, err := FuzzTarget(name, budget, mode, nil)
+			res, events, err := FuzzTarget(name, budget, mode, false)
 			if err != nil {
 				return nil, err
 			}
@@ -401,22 +388,26 @@ type Figure9Series struct {
 	Alias    int
 }
 
+// figure9Variants are Figure 9's campaigns: the full fuzzer, the seed tier
+// alone (ModeNone runs no interleaving tier) and the interleaving tier alone.
+var figure9Variants = []struct {
+	name            string
+	mode            fuzz.ExploreMode
+	disableSeedTier bool
+}{
+	{"PMRace", fuzz.ModePMAware, false},
+	{"w/o IE", fuzz.ModeNone, false},
+	{"w/o SE", fuzz.ModePMAware, true},
+}
+
 // RunFigure9 measures the P-CLHT runtime-coverage tradeoff for the full
 // fuzzer, without interleaving-tier exploration and without seed-tier
 // exploration (single worker, as in the paper's case study).
 func RunFigure9(budget api.CampaignSpec) ([]Figure9Series, error) {
 	budget.Workers = 1
-	variants := []struct {
-		name   string
-		ablate func(*fuzz.Options)
-	}{
-		{"PMRace", nil},
-		{"w/o IE", func(o *fuzz.Options) { o.DisableInterleavingTier = true }},
-		{"w/o SE", func(o *fuzz.Options) { o.DisableSeedTier = true }},
-	}
 	var out []Figure9Series
-	for _, v := range variants {
-		res, events, err := FuzzTarget("pclht", budget, fuzz.ModePMAware, v.ablate)
+	for _, v := range figure9Variants {
+		res, events, err := FuzzTarget("pclht", budget, v.mode, v.disableSeedTier)
 		if err != nil {
 			return nil, err
 		}

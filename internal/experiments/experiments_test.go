@@ -116,7 +116,7 @@ func TestBugDetectionQuickPCLHT(t *testing.T) {
 	// paper-shaped outcome for P-CLHT.
 	budget := Quick()
 	budget.MaxExecs = 40
-	res, _, err := FuzzTarget("pclht", budget, fuzz.ModePMAware, nil)
+	res, _, err := FuzzTarget("pclht", budget, fuzz.ModePMAware, false)
 	if err != nil {
 		t.Fatalf("fuzz: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestFigure8QuickSingleTarget(t *testing.T) {
 	}
 	budget := Quick()
 	budget.MaxExecs = 16
-	res, events, err := FuzzTarget("memcached", budget, fuzz.ModePMAware, nil)
+	res, events, err := FuzzTarget("memcached", budget, fuzz.ModePMAware, false)
 	if err != nil {
 		t.Fatalf("fuzz: %v", err)
 	}
@@ -166,37 +166,45 @@ func TestFigure8QuickSingleTarget(t *testing.T) {
 	}
 }
 
-// TestFigure9QuickPCLHT checks that a Figure 9 curve is the campaign's
+// TestFigure9QuickPCLHT checks that each Figure 9 curve is its campaign's
 // exec_done stream: one point per execution, coverage never decreasing, and
-// the last point equal to the Result's coverage.
+// the last point equal to the Result's coverage. "w/o IE" schedules no
+// interleaving; the full fuzzer does.
 func TestFigure9QuickPCLHT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing campaign")
 	}
 	budget := Quick()
 	budget.Workers = 1
-	res, events, err := FuzzTarget("pclht", budget, fuzz.ModePMAware, nil)
-	if err != nil {
-		t.Fatalf("fuzz: %v", err)
-	}
-	done := 0
-	for _, ev := range events {
-		if ev.Kind() == obs.KindExecDone {
-			done++
-		}
-	}
-	pts := coverTimeline(events)
-	if len(pts) != done || len(pts) != res.Execs || len(pts) == 0 {
-		t.Fatalf("points = %d, exec_done events = %d, execs = %d", len(pts), done, res.Execs)
-	}
-	for i := 1; i < len(pts); i++ {
-		p, q := pts[i-1], pts[i]
-		if q.T < p.T || q.Branch < p.Branch || q.Alias < p.Alias {
-			t.Fatalf("point %d decreases: %+v after %+v", i, q, p)
-		}
-	}
-	if last := pts[len(pts)-1]; last.Branch != res.BranchCov || last.Alias != res.AliasCov {
-		t.Fatalf("last point %+v, result coverage branch=%d alias=%d", last, res.BranchCov, res.AliasCov)
+	for _, v := range figure9Variants {
+		t.Run(v.name, func(t *testing.T) {
+			res, events, err := FuzzTarget("pclht", budget, v.mode, v.disableSeedTier)
+			if err != nil {
+				t.Fatalf("fuzz: %v", err)
+			}
+			done := 0
+			for _, ev := range events {
+				if ev.Kind() == obs.KindExecDone {
+					done++
+				}
+			}
+			pts := coverTimeline(events)
+			if len(pts) != done || len(pts) != res.Execs || len(pts) == 0 {
+				t.Fatalf("points = %d, exec_done events = %d, execs = %d", len(pts), done, res.Execs)
+			}
+			for i := 1; i < len(pts); i++ {
+				p, q := pts[i-1], pts[i]
+				if q.T < p.T || q.Branch < p.Branch || q.Alias < p.Alias {
+					t.Fatalf("point %d decreases: %+v after %+v", i, q, p)
+				}
+			}
+			if last := pts[len(pts)-1]; last.Branch != res.BranchCov || last.Alias != res.AliasCov {
+				t.Fatalf("last point %+v, result coverage branch=%d alias=%d", last, res.BranchCov, res.AliasCov)
+			}
+			if ie := v.mode == fuzz.ModePMAware; (res.Interleavings > 0) != ie {
+				t.Fatalf("%d interleavings scheduled; want some: %v", res.Interleavings, ie)
+			}
+		})
 	}
 }
 

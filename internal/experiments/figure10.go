@@ -81,7 +81,6 @@ func measureRate(factory targets.Factory, mut fuzz.Mutator, seed int64, execs in
 	x := fuzz.NewExecutor(factory, fuzz.ExecOptions{
 		UseCheckpoints:     useCP,
 		CollectStats:       false,
-		HangTimeout:        50 * time.Millisecond,
 		KnownInconsistency: db.HasInconsistency,
 		KnownSync:          db.HasSync,
 	})

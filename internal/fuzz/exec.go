@@ -78,9 +78,6 @@ const maxDirtyWords = 256
 
 // ExecOptions configure the campaign executor.
 type ExecOptions struct {
-	// HangTimeout bounds lock acquisition during the workload. Zero
-	// selects rt.DefaultHangTimeout.
-	HangTimeout time.Duration
 	// UseCheckpoints enables the in-memory pool checkpoint: the pool is
 	// initialized once, snapshotted, and every execution starts from a
 	// restored copy plus the target's (cheap) recovery, replacing the
@@ -306,7 +303,6 @@ func (x *Executor) RunTraced(seed *workload.Seed, strat sched.Strategy, lane int
 
 	env := rt.NewEnv(pool, rt.Config{
 		Strategy:           strat,
-		HangTimeout:        x.opts.HangTimeout,
 		CollectStats:       collectStats,
 		KnownInconsistency: x.opts.KnownInconsistency,
 		KnownSync:          x.opts.KnownSync,

@@ -95,7 +95,7 @@ func pclhtFactory(t *testing.T) targets.Factory {
 }
 
 func TestExecutorRunsSeedSequentially(t *testing.T) {
-	x := NewExecutor(pclhtFactory(t), ExecOptions{CollectStats: true, HangTimeout: 50 * time.Millisecond})
+	x := NewExecutor(pclhtFactory(t), ExecOptions{CollectStats: true})
 	seed := workload.NewGenerator(5, 8, 1).NewSeed(20) // single thread
 	res, err := x.Run(seed, sched.None{})
 	if err != nil {
@@ -117,9 +117,9 @@ func TestExecutorRunsSeedSequentially(t *testing.T) {
 // that bucket hangs. The executor records the hang from the rt.HangError it
 // recovers: the hung thread, the lock word the replace acquired, and the
 // insert's bucket-lock site. The thread already holds that lock, so the hang
-// is an own-lock fast failure, not the 50 ms deadline.
+// is an own-lock fast failure, not the deadline.
 func TestExecutorRecordsHangs(t *testing.T) {
-	x := NewExecutor(pclhtFactory(t), ExecOptions{HangTimeout: 50 * time.Millisecond})
+	x := NewExecutor(pclhtFactory(t), ExecOptions{})
 	res, err := x.Run(workload.Decode("replace k v\nset k v\n", 1), sched.None{})
 	if err != nil {
 		t.Fatalf("run: %v", err)

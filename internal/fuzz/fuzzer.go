@@ -80,6 +80,9 @@ const (
 	// execsPerInterleaving is the execution-tier repetition count: each
 	// seed, and each scheduled interleaving, runs this many times.
 	execsPerInterleaving = 2
+	// interleavingsPerSeed bounds the interleaving-tier entries scheduled
+	// per seed.
+	interleavingsPerSeed = 6
 	// redundantThreshold is the dynamic-occurrence count above which a
 	// redundant-store site is reported as an "Other" finding (incidental
 	// same-value rewrites stay below it; P-CLHT's unnecessary migration
@@ -104,15 +107,9 @@ type Options struct {
 	Duration time.Duration
 	// Seed seeds all randomness for reproducibility.
 	Seed int64
-	// DisableInterleavingTier ablates interleaving-tier exploration
-	// ("w/o IE", Figure 9).
-	DisableInterleavingTier bool
 	// DisableSeedTier ablates seed-tier exploration ("w/o SE", Figure 9).
+	// Figure 9's "w/o IE" is a ModeNone campaign.
 	DisableSeedTier bool
-	// NoCheckpoints disables the in-memory pool checkpoints (Figure 10).
-	NoCheckpoints bool
-	// MaxInterleavingsPerSeed bounds interleaving-tier entries per seed.
-	MaxInterleavingsPerSeed int
 	// ExtraWhitelist adds target-specific whitelist entries on top of the
 	// default (mini-PMDK transactional allocation).
 	ExtraWhitelist []string
@@ -122,9 +119,6 @@ type Options struct {
 	// mutated by the protocol generator/mutator, with mid-request crash
 	// points validated against the target's recovery code.
 	Protocol bool
-	// HangTimeout bounds lock acquisition per thread. Zero selects
-	// rt.DefaultHangTimeout.
-	HangTimeout time.Duration
 	// EADR fuzzes against a platform with battery-backed caches (paper
 	// §6.6): no store is ever non-persisted, so PM Inter-thread
 	// Inconsistency cannot occur; PM Synchronization Inconsistency (and
@@ -174,9 +168,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Duration <= 0 {
 		o.Duration = 30 * time.Second
-	}
-	if o.MaxInterleavingsPerSeed <= 0 {
-		o.MaxInterleavingsPerSeed = 6
 	}
 	if o.MaxCrashStates <= 0 {
 		o.MaxCrashStates = 1
@@ -281,8 +272,7 @@ func NewWithFactory(factory targets.Factory, opts Options) *Fuzzer {
 // execOptions maps campaign options onto the executor's.
 func (o Options) execOptions() ExecOptions {
 	return ExecOptions{
-		HangTimeout:    o.HangTimeout,
-		UseCheckpoints: !o.NoCheckpoints,
+		UseCheckpoints: true,
 		CollectStats:   true,
 		EADR:           o.EADR,
 		MaxCrashStates: o.MaxCrashStates,
@@ -524,10 +514,10 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 	// data at hot shared addresses. Pruned entries do not count against
 	// the per-seed budget — the loop keeps popping so the budget is spent
 	// on interleavings that actually run.
-	if f.opts.Mode == ModePMAware && !f.opts.DisableInterleavingTier {
+	if f.opts.Mode == ModePMAware {
 		queue := f.buildQueue()
 		scheduled := 0
-		for scheduled < f.opts.MaxInterleavingsPerSeed && !f.done() {
+		for scheduled < interleavingsPerSeed && !f.done() {
 			// The interleaving span covers the decision — queue pop,
 			// equivalence-pruning check, schedule choice — not the
 			// executions it leads to, which record their own spans.
@@ -858,11 +848,10 @@ type valJob struct {
 // always-on when tracing is enabled: findings are rare).
 func (f *Fuzzer) validateJob(job *valJob, lane int) error {
 	vopts := validate.Options{
-		HangTimeout: f.opts.HangTimeout,
-		Whitelist:   f.whitelist,
-		Obs:         f.em,
-		Trace:       f.tr,
-		TraceLane:   lane,
+		Whitelist: f.whitelist,
+		Obs:       f.em,
+		Trace:     f.tr,
+		TraceLane: lane,
 	}
 	var r validate.Result
 	if job.in != nil {

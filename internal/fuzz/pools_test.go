@@ -150,7 +150,7 @@ func TestConcurrentCampaignsSharePools(t *testing.T) {
 	opts := Options{
 		Threads: 2, KeySpace: 8, OpsPerSeed: 16,
 		MaxExecs: 24, Workers: 2, Seed: 3,
-		Duration: 20 * time.Second, HangTimeout: 50 * time.Millisecond,
+		Duration: 20 * time.Second,
 	}
 	var fzs [2]*Fuzzer
 	for i := range fzs {

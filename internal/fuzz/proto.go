@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/rt"
@@ -92,11 +91,11 @@ func (x *Executor) protoWorker(th *rt.Thread, tgt targets.Target, seed *workload
 }
 
 // checkCrashRecovery replays one crash state through a fresh target's
-// recovery code in the validation sandbox, bounded by one second of wall
-// time, and reports a non-empty failure description when recovery hangs,
+// recovery code in the validation sandbox, bounded by
+// validate.DefaultWallTimeout, and reports a non-empty failure description when recovery hangs,
 // errors, panics or times out. The sandbox owns and recycles the pool.
 func (x *Executor) checkCrashRecovery(st pmem.CrashState) string {
-	hung, wallTimedOut, err := validate.RunRecovery(x.factory, st, x.opts.HangTimeout, time.Second, nil)
+	hung, wallTimedOut, err := validate.RunRecovery(x.factory, st, validate.DefaultWallTimeout, nil)
 	switch {
 	case wallTimedOut:
 		return "recovery timed out at protocol crash point"

@@ -117,11 +117,11 @@ func TestProtocolCrashRecoveryFailures(t *testing.T) {
 			"recovery failed at protocol crash point: validate: recovery panicked: boom"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := NewWithFactory(func() targets.Target { return &faultyRecovery{recover: tc.recover} },
-				// Without checkpoints the execution sets the target up
-				// instead of recovering it, so only the crash point
-				// runs the faulty recovery.
-				Options{MaxExecs: 1, Duration: 10 * time.Second, HangTimeout: 20 * time.Millisecond, NoCheckpoints: true})
+			// Without checkpoints the execution sets the target up
+			// instead of recovering it, so only the crash point runs
+			// the faulty recovery.
+			x := NewExecutor(func() targets.Target { return &faultyRecovery{recover: tc.recover} }, ExecOptions{CollectStats: true})
+			f := newFuzzer(x, Options{MaxExecs: 1, Duration: 10 * time.Second}.withDefaults())
 			f.start = time.Now()
 			seed := workload.NewProtoSeed(1, []byte("get k\r\n"))
 			seed.Proto.Crash = []workload.CrashPoint{{Stream: 0, Cmd: 0}}

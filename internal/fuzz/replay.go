@@ -3,9 +3,9 @@ package fuzz
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/pmrace-go/pmrace/internal/artifact"
+	"github.com/pmrace-go/pmrace/internal/pmem"
 	"github.com/pmrace-go/pmrace/internal/sched"
 	"github.com/pmrace-go/pmrace/internal/site"
 	"github.com/pmrace-go/pmrace/internal/workload"
@@ -63,12 +63,77 @@ type ReplayResult struct {
 	Found []string
 }
 
+// replayWalk is the exploration a replay runs on one seed: a plain
+// execution, then PM-aware executions over the sync-point entries of the
+// priority queue the plain run's statistics build, in queue order.
+type replayWalk struct {
+	// first, when non-zero, is the address of the entry explored first,
+	// with initial skip firstSkip.
+	first     pmem.Addr
+	firstSkip int
+	// maxEntries bounds the entries explored; zero explores every entry.
+	maxEntries int
+	// attempts is the executions per entry, with PM-aware seeds
+	// 1..attempts.
+	attempts int
+}
+
+// run walks seed against the registered target. visit sees every execution,
+// with a nil entry for the plain run, and ends the walk by returning true.
+func (w replayWalk) run(target string, seed *workload.Seed, visit func(*sched.Entry, *ExecResult) bool) error {
+	x, err := NewTargetExecutor(target, ExecOptions{UseCheckpoints: true, CollectStats: true})
+	if err != nil {
+		return err
+	}
+	res, err := x.Run(seed, sched.None{})
+	if err != nil || visit(nil, res) {
+		return err
+	}
+	queue := sched.BuildQueue(res.Stats)
+	var entries []*sched.Entry
+	for e := queue.Pop(); e != nil; e = queue.Pop() {
+		if w.first != 0 && e.Addr == w.first {
+			entries = append([]*sched.Entry{e}, entries...)
+		} else {
+			entries = append(entries, e)
+		}
+	}
+	if w.maxEntries > 0 && len(entries) > w.maxEntries {
+		entries = entries[:w.maxEntries]
+	}
+	for _, e := range entries {
+		skip := 0
+		if w.first != 0 && e.Addr == w.first {
+			skip = w.firstSkip
+		}
+		for attempt := 1; attempt <= w.attempts; attempt++ {
+			cfg := sched.DefaultConfig()
+			cfg.Seed = int64(attempt)
+			res, err := x.Run(seed, sched.NewPMAware(cfg, e, skip))
+			if err != nil || visit(e, res) {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// ReplaySeed runs seed against the registered target, plainly and then once
+// under PM-aware exploration of every sync-point entry, handing each
+// execution to visit (with a nil entry for the plain run) until it returns
+// true. It is the walk ReplayArtifact runs, unbounded and with one attempt
+// per entry.
+func ReplaySeed(target string, seed *workload.Seed, visit func(*sched.Entry, *ExecResult) bool) error {
+	return replayWalk{attempts: 1}.run(target, seed, visit)
+}
+
 // ReplayArtifact re-executes a forensic bundle against the registered
 // target it was recorded from: first the bundle's seed under the plain
 // scheduler, then under PM-aware exploration — the recorded sync-point
 // address first (pool layout is deterministic for a given target setup, so
 // the address identifies the same sync point across processes), then the
-// rest of the priority queue, bounded by maxEntries. It reports whether any execution
+// rest of the priority queue, bounded by maxEntries (default 8), two attempts
+// each: interleavings are timing-sensitive. It reports whether any execution
 // reproduced the recorded bug fingerprint. A bundle whose thread count lies
 // outside [1, MaxThreads] is rejected before anything runs.
 func ReplayArtifact(target string, b *artifact.Bundle, maxEntries int) (*ReplayResult, error) {
@@ -83,15 +148,6 @@ func ReplayArtifact(target string, b *artifact.Bundle, maxEntries int) (*ReplayR
 	if maxEntries <= 0 {
 		maxEntries = 8
 	}
-	x, err := NewTargetExecutor(target, ExecOptions{
-		UseCheckpoints: true,
-		CollectStats:   true,
-		HangTimeout:    150 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	r := &ReplayResult{Fingerprint: b.Bug.Fingerprint}
 	seen := make(map[string]struct{})
 	check := func(res *ExecResult) bool {
@@ -113,58 +169,26 @@ func ReplayArtifact(target string, b *artifact.Bundle, maxEntries int) (*ReplayR
 		}
 		return hit
 	}
-
-	res, err := x.Run(seed, sched.None{})
-	if err != nil {
-		return nil, err
+	walk := replayWalk{
+		first:      pmem.Addr(b.Schedule.Addr),
+		firstSkip:  b.Schedule.Skip,
+		maxEntries: maxEntries,
+		attempts:   2,
 	}
-	r.Execs++
-	if check(res) {
+	err := walk.run(target, seed, func(e *sched.Entry, res *ExecResult) bool {
+		r.Execs++
+		if !check(res) {
+			return false
+		}
 		r.Reproduced = true
 		r.Strategy = "plain"
-		return r, nil
-	}
-
-	// PM-aware tier: drain the queue the plain run's statistics build,
-	// moving the bundle's recorded sync point to the front.
-	queue := sched.BuildQueue(res.Stats)
-	var entries []*sched.Entry
-	for {
-		e := queue.Pop()
-		if e == nil {
-			break
+		if e != nil {
+			r.Strategy = fmt.Sprintf("pmaware@%#x", uint64(e.Addr))
 		}
-		if b.Schedule.Addr != 0 && uint64(e.Addr) == b.Schedule.Addr {
-			entries = append([]*sched.Entry{e}, entries...)
-		} else {
-			entries = append(entries, e)
-		}
-	}
-	if len(entries) > maxEntries {
-		entries = entries[:maxEntries]
-	}
-	for _, e := range entries {
-		skip := 0
-		if uint64(e.Addr) == b.Schedule.Addr {
-			skip = b.Schedule.Skip
-		}
-		// Interleavings are timing-sensitive; give each sync point two
-		// attempts like the campaign's execution tier.
-		for attempt := int64(0); attempt < 2; attempt++ {
-			cfg := sched.DefaultConfig()
-			cfg.Seed = attempt + 1
-			pm := sched.NewPMAware(cfg, e, skip)
-			res, err := x.Run(seed, pm)
-			if err != nil {
-				return nil, err
-			}
-			r.Execs++
-			if check(res) {
-				r.Reproduced = true
-				r.Strategy = fmt.Sprintf("pmaware@%#x", uint64(e.Addr))
-				return r, nil
-			}
-		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }

@@ -92,7 +92,6 @@ func TestMultiCrashStateFindsBugSingleImageMisses(t *testing.T) {
 	single := NewWithFactory(lockyFactory(), Options{
 		Threads: 2, Workers: 1, Mode: ModeNone,
 		MaxExecs: 1000, Duration: time.Minute,
-		HangTimeout: 25 * time.Millisecond,
 	})
 	single.start = time.Now()
 	driveUntilFinding(t, single)
@@ -106,7 +105,6 @@ func TestMultiCrashStateFindsBugSingleImageMisses(t *testing.T) {
 	multi := NewWithFactory(lockyFactory(), Options{
 		Threads: 2, Workers: 1, Mode: ModeNone,
 		MaxExecs: 1000, Duration: time.Minute,
-		HangTimeout:    25 * time.Millisecond,
 		MaxCrashStates: 8,
 	})
 	w, err := artifact.NewWriter(dir)
@@ -172,7 +170,6 @@ func TestValidationImageOwnershipRace(t *testing.T) {
 	f := NewWithFactory(lockyFactory(), Options{
 		Threads: 2, Workers: 4, Mode: ModeNone,
 		MaxExecs: 60, Duration: 20 * time.Second,
-		HangTimeout:    15 * time.Millisecond,
 		MaxCrashStates: 4,
 		ArtifactDir:    dir,
 		ArtifactAll:    true,

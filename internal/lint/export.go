@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // This file is the shared-vocabulary surface between pmvet and the pminstr
@@ -32,21 +31,6 @@ const (
 // ThreadHookKind classifies an rt.Thread hook method name (the same names
 // the pmplain.Mem dialect mirrors), returning HookNone for non-hooks.
 func ThreadHookKind(method string) HookKind { return rtHookKinds[method] }
-
-// ThreadHookNames returns every rt.Thread hook method name, sorted, for
-// tools that enumerate the full hook vocabulary.
-func ThreadHookNames() []string {
-	out := make([]string, 0, len(rtHookKinds))
-	for name := range rtHookKinds {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IsRawPoolMethod reports whether name is a pmem.Pool data or persistency
-// method — the uninstrumented layer pmvet's missing-hook analyzer flags.
-func IsRawPoolMethod(name string) bool { return rawPoolMethods[name] }
 
 // MethodRecv resolves the receiver of a method call's selector, returning
 // the defining package path, type name and method name ("", "", "" for

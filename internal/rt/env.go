@@ -12,10 +12,10 @@ import (
 	"github.com/pmrace-go/pmrace/internal/taint"
 )
 
-// DefaultHangTimeout is the spin-lock hang bound used when a HangTimeout is
-// left zero. It is the single source of the default: the runtime, the fuzz
-// campaign and executor, and post-failure validation all inherit it, so no
-// two layers disagree about when a spinning thread counts as hung.
+// DefaultHangTimeout is the spin-lock hang bound used when Config leaves
+// HangTimeout zero. Every campaign execution, replay, post-failure
+// validation and protocol crash-point recovery runs with it, so no two
+// layers disagree about when a spinning thread counts as hung.
 const DefaultHangTimeout = 80 * time.Millisecond
 
 // Config configures an execution environment.
@@ -166,8 +166,8 @@ var recoverySink = cover.New()
 // a crash image (post-failure validation, protocol crash points), where only
 // the pool is inspected afterwards. Its coverage goes to a process-wide sink
 // nobody reads; it collects no statistics and reports no findings.
-func NewRecoveryEnv(pool *pmem.Pool, hangTimeout time.Duration) *Env {
-	return makeEnv(pool, Config{HangTimeout: hangTimeout}, recoverySink)
+func NewRecoveryEnv(pool *pmem.Pool) *Env {
+	return makeEnv(pool, Config{}, recoverySink)
 }
 
 func makeEnv(pool *pmem.Pool, cfg Config, cov *cover.Coverage) *Env {

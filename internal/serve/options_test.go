@@ -3,6 +3,7 @@ package serve_test
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,14 +18,20 @@ var fullSpec = api.CampaignSpec{
 	Target: "pclht", Mode: "delay", Workers: 3, Threads: 2,
 	MaxExecs: 77, Duration: 5 * time.Second, Seed: 42,
 	KeySpace: 9, OpsPerSeed: 11, Protocol: true, MaxCrashStates: 4,
-	EADR: true, NoCheckpoints: true,
+	EADR:      true,
 	Artifacts: true, ArtifactsAll: true, TraceSample: 3,
 }
+
+// baseOnly names the engine knobs no spec field sets: the caller's
+// directories and whitelist entries, and Figure 9's seed-tier ablation. Any
+// other knob must be a spec field, so that every caller runs one engine
+// configuration.
+var baseOnly = []string{"CorpusDir", "ArtifactDir", "ExtraWhitelist", "DisableSeedTier"}
 
 // baseOptions carries knobs the spec has no field for.
 var baseOptions = fuzz.Options{
 	CorpusDir: "/corpus", ArtifactDir: "/bugs",
-	ExtraWhitelist: []string{"alloc"}, HangTimeout: time.Millisecond,
+	ExtraWhitelist: []string{"alloc"}, DisableSeedTier: true,
 	// A spec field overwrites its engine knob, zero or not.
 	Workers: 8, Seed: 9,
 }
@@ -46,13 +53,12 @@ var fuzzOptionsCases = []struct {
 		Mode: fuzz.ModeDelayInj, Workers: 3, Threads: 2,
 		MaxExecs: 77, Duration: 5 * time.Second, Seed: 42,
 		KeySpace: 9, OpsPerSeed: 11, Protocol: true, MaxCrashStates: 4,
-		EADR: true, NoCheckpoints: true,
-		ArtifactAll: true,
+		EADR: true, ArtifactAll: true,
 	}},
 	{name: "base knobs survive", base: baseOptions, spec: api.CampaignSpec{Target: "pclht", Mode: "none"},
 		want: fuzz.Options{
 			Mode: fuzz.ModeNone, CorpusDir: "/corpus", ArtifactDir: "/bugs",
-			ExtraWhitelist: []string{"alloc"}, HangTimeout: time.Millisecond,
+			ExtraWhitelist: []string{"alloc"}, DisableSeedTier: true,
 		}},
 	{name: "bad mode", spec: api.CampaignSpec{Target: "pclht", Mode: "chaotic"}, wantErr: true},
 	{name: "artifacts_all without artifacts", base: baseOptions,
@@ -71,6 +77,24 @@ func TestFuzzOptions(t *testing.T) {
 	for i := 0; i < v.NumField(); i++ {
 		if v.Field(i).IsZero() {
 			t.Fatalf("spec field %s is zero in the table's full spec", v.Type().Field(i).Name)
+		}
+	}
+	// An engine knob the full spec leaves zero has no spec field: it must
+	// be a named base-only knob, and every named one must exist.
+	full, err := serve.FuzzOptions(fuzz.Options{}, fullSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := reflect.ValueOf(full)
+	for i := 0; i < o.NumField(); i++ {
+		name := o.Type().Field(i).Name
+		if o.Field(i).IsZero() && !slices.Contains(baseOnly, name) {
+			t.Errorf("fuzz.Options.%s is set by no spec field and is not base-only", name)
+		}
+	}
+	for _, name := range baseOnly {
+		if _, ok := o.Type().FieldByName(name); !ok {
+			t.Errorf("base-only knob %s is not a fuzz.Options field", name)
 		}
 	}
 	for _, tc := range fuzzOptionsCases {

@@ -216,20 +216,22 @@ func TestSubmitRejectsOversizedSpec(t *testing.T) {
 	}
 }
 
-// TestSubmitIgnoresRetiredSpecField posts a spec carrying
-// inline_validation, a field earlier versions of the API had: the server
-// accepts it and the campaign document does not echo it back.
+// TestSubmitIgnoresRetiredSpecField posts specs carrying inline_validation
+// or no_checkpoints, fields earlier versions of the API had: the server
+// accepts each and the campaign document does not echo it back.
 func TestSubmitIgnoresRetiredSpecField(t *testing.T) {
 	sup, _ := newTestServer(t, serve.Config{WorkerBudget: 1})
-	body := `{"target":"pclht","mode":"none","threads":1,"max_execs":1,"inline_validation":true}`
-	req := httptest.NewRequest(http.MethodPost, api.BasePath+"/campaigns", strings.NewReader(body))
-	rec := httptest.NewRecorder()
-	sup.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("status %d, want 201; body %s", rec.Code, rec.Body)
-	}
-	if strings.Contains(rec.Body.String(), "inline_validation") {
-		t.Fatalf("campaign document echoes the retired field: %s", rec.Body)
+	for _, field := range []string{"inline_validation", "no_checkpoints"} {
+		body := `{"target":"pclht","mode":"none","threads":1,"max_execs":1,"` + field + `":true}`
+		req := httptest.NewRequest(http.MethodPost, api.BasePath+"/campaigns", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		sup.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("%s: status %d, want 201; body %s", field, rec.Code, rec.Body)
+		}
+		if strings.Contains(rec.Body.String(), field) {
+			t.Fatalf("campaign document echoes the retired field: %s", rec.Body)
+		}
 	}
 }
 

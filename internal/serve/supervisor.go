@@ -187,7 +187,7 @@ func (s *Supervisor) DataDir() string { return s.cfg.DataDir }
 // options, shared by Submit and the in-process NewCampaign. Every spec field
 // overwrites its engine knob (zero keeps the engine default); base carries
 // the knobs the spec has no field for — corpus and artifact directories,
-// whitelist entries, the hang timeout — through unchanged. It rejects an
+// whitelist entries, the seed-tier ablation — through unchanged. It rejects an
 // unknown mode, artifacts_all without artifacts, and threads or ops_per_seed
 // above fuzz.MaxThreads or fuzz.MaxOpsPerSeed.
 func FuzzOptions(base fuzz.Options, spec api.CampaignSpec) (fuzz.Options, error) {
@@ -216,7 +216,6 @@ func FuzzOptions(base fuzz.Options, spec api.CampaignSpec) (fuzz.Options, error)
 	o.Protocol = spec.Protocol
 	o.MaxCrashStates = spec.MaxCrashStates
 	o.EADR = spec.EADR
-	o.NoCheckpoints = spec.NoCheckpoints
 	o.ArtifactAll = spec.ArtifactsAll
 	return o, nil
 }
@@ -593,15 +592,11 @@ func (s *Supervisor) Cancel(id string) (api.Campaign, error) {
 				break
 			}
 		}
-		c.state = api.StateCancelled
-		c.finished = time.Now()
-		c.qsp.End()
 		c.mu.Unlock()
 		s.mu.Unlock()
-		close(c.done)
-		c.cancel()
-		c.em.Close()
-		s.persistCampaign(c)
+		// Out of the queue, c stays pending until settled: nothing
+		// else admits or drains it.
+		s.cancelPending(c)
 	case c.state.Terminal():
 		state := c.state
 		c.mu.Unlock()
@@ -614,6 +609,25 @@ func (s *Supervisor) Cancel(id string) (api.Campaign, error) {
 		c.cancel()
 	}
 	return s.document(c), nil
+}
+
+// cancelPending settles a campaign that never ran as Cancelled: it ends its
+// queue span, closes done and its emitter, and persists it. A campaign that
+// is no longer pending (a concurrent Cancel won the race) is left alone.
+func (s *Supervisor) cancelPending(c *campaign) {
+	c.mu.Lock()
+	if c.state != api.StatePending {
+		c.mu.Unlock()
+		return
+	}
+	c.state = api.StateCancelled
+	c.finished = time.Now()
+	c.qsp.End()
+	c.mu.Unlock()
+	close(c.done)
+	c.cancel()
+	c.em.Close()
+	s.persistCampaign(c)
 }
 
 // Info returns the server document.
@@ -664,19 +678,7 @@ func (s *Supervisor) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 
 	for _, c := range pending {
-		c.mu.Lock()
-		if c.state != api.StatePending { // a concurrent Cancel won the race
-			c.mu.Unlock()
-			continue
-		}
-		c.state = api.StateCancelled
-		c.finished = time.Now()
-		c.qsp.End()
-		c.mu.Unlock()
-		close(c.done)
-		c.cancel()
-		c.em.Close()
-		s.persistCampaign(c)
+		s.cancelPending(c)
 	}
 	for _, c := range running {
 		c.cancel()

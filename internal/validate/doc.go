@@ -3,12 +3,13 @@
 //
 //   - Every recovery run executes in a watchdog-supervised goroutine with a
 //     wall-clock deadline (Options.WallTimeout, distinct from the spin-lock
-//     HangTimeout). Recovery that spins in an uninstrumented loop, sleeps
-//     forever or panics becomes a StatusBug verdict with RecoveryHung or
-//     RecoveryErr populated instead of wedging the campaign; the abandoned
-//     goroutine's environment is cancelled so it stops mutating its pool at
-//     its next hook call. Every other run's pool is released for reuse by
-//     the next run (pmem.Pool.Release); an abandoned pool never is.
+//     bound rt.DefaultHangTimeout). Recovery that spins in an
+//     uninstrumented loop, sleeps forever or panics becomes a StatusBug
+//     verdict with RecoveryHung or RecoveryErr populated instead of wedging
+//     the campaign; the abandoned goroutine's environment is cancelled so
+//     it stops mutating its pool at its next hook call. Every other run's
+//     pool is released for reuse by the next run (pmem.Pool.Release); an
+//     abandoned pool never is.
 //
 //   - A finding is judged against a *list* of enumerated crash states
 //     (pmem.CrashStates) rather than the single adversarial image, and the

@@ -12,18 +12,13 @@ import (
 )
 
 // DefaultWallTimeout bounds one recovery run's wall-clock time when Options
-// leaves WallTimeout zero. It is deliberately much larger than the spin-lock
-// HangTimeout: the spin detector fires first for instrumented hangs, and the
-// watchdog only catches what the detector cannot see.
+// leaves WallTimeout zero. It is deliberately much larger than
+// rt.DefaultHangTimeout: the spin detector fires first for instrumented
+// hangs, and the watchdog only catches what the detector cannot see.
 const DefaultWallTimeout = 2 * time.Second
 
 // Options configure validation runs.
 type Options struct {
-	// HangTimeout bounds spin-lock acquisition inside recovery; recovery
-	// that hangs on a never-released persistent lock confirms the bug.
-	// Zero selects rt.DefaultHangTimeout — the same default the fuzzing
-	// runtime uses, so the two layers cannot disagree.
-	HangTimeout time.Duration
 	// WallTimeout bounds one recovery run's total wall-clock time. It
 	// catches hangs the spin-lock detector cannot see: uninstrumented
 	// loops, sleeps, runaway recovery. Zero selects DefaultWallTimeout.
@@ -186,7 +181,7 @@ func (o Options) judgeState(factory targets.Factory, st pmem.CrashState, parent 
 	ssp := parent.Child(obs.SpanValidateState)
 	ssp.SetAttr("state", st.Name)
 	var status core.Status
-	hung, wallTimedOut, err := RunRecovery(factory, st, o.HangTimeout, o.WallTimeout, func(env *rt.Env) {
+	hung, wallTimedOut, err := RunRecovery(factory, st, o.WallTimeout, func(env *rt.Env) {
 		status = oracle(env)
 	})
 	v.Latency = time.Since(start)
@@ -226,14 +221,14 @@ type recoveryResult struct {
 // holding the crash state's image (pmem.FromState) and runs its recovery
 // procedure in a watchdog-supervised goroutine. Every word of that pool
 // starts at store epoch 0, so afterwards env.Pool().Overwritten tells which
-// ranges recovery wrote. Lock hangs (rt.HangError) and recovery panics
-// become results; a run exceeding wallTimeout is abandoned — its environment
-// is cancelled so the goroutine stops mutating the pool at its next hook
-// call — and reported as hung with wallTimedOut set. Zero timeouts select
-// rt.DefaultHangTimeout and DefaultWallTimeout. The pool copies the state's
-// lines before the goroutine starts, and the state is never written, so the
-// caller may reuse it as soon as RunRecovery returns, even after a wall
-// timeout.
+// ranges recovery wrote. Lock hangs (rt.HangError, bounded by
+// rt.DefaultHangTimeout) and recovery panics become results; a run exceeding
+// wallTimeout is abandoned — its environment is cancelled so the goroutine
+// stops mutating the pool at its next hook call — and reported as hung with
+// wallTimedOut set. A zero wallTimeout selects DefaultWallTimeout. The pool
+// copies the state's lines before the goroutine starts, and the state is
+// never written, so the caller may reuse it as soon as RunRecovery returns,
+// even after a wall timeout.
 //
 // inspect, when non-nil, is called with the recovered environment if
 // recovery returned without hanging or failing; it must not keep the
@@ -241,14 +236,11 @@ type recoveryResult struct {
 // the inspection it releases the pool for the next run (pmem.Pool.Release).
 // The one exception is a wall timeout: the abandoned goroutine may still
 // write until its next hook call, so that pool is never reused.
-func RunRecovery(factory targets.Factory, st pmem.CrashState, hangTimeout, wallTimeout time.Duration, inspect func(*rt.Env)) (hung, wallTimedOut bool, err error) {
-	if hangTimeout <= 0 {
-		hangTimeout = rt.DefaultHangTimeout
-	}
+func RunRecovery(factory targets.Factory, st pmem.CrashState, wallTimeout time.Duration, inspect func(*rt.Env)) (hung, wallTimedOut bool, err error) {
 	if wallTimeout <= 0 {
 		wallTimeout = DefaultWallTimeout
 	}
-	env := rt.NewRecoveryEnv(pmem.FromState(st), hangTimeout)
+	env := rt.NewRecoveryEnv(pmem.FromState(st))
 	// Buffered so an abandoned goroutine's send never blocks: the watchdog
 	// result channel must not leak the recovery goroutine on top of the
 	// hang it just detected.

@@ -107,7 +107,7 @@ func TestInconsistencyRecoveryHangIsBug(t *testing.T) {
 		th.SpinLock(128)
 		return nil
 	})
-	res := Inconsistency(f, pmem.AdversarialState(imgLocked), in, Options{HangTimeout: 20 * time.Millisecond})
+	res := Inconsistency(f, pmem.AdversarialState(imgLocked), in, Options{})
 	if res.Status != core.StatusBug || !res.RecoveryHung {
 		t.Fatalf("res = %+v, want hung bug", res)
 	}
@@ -211,7 +211,7 @@ func TestMultiStateAnyFailureIsBug(t *testing.T) {
 		th.Persist(512, 8)
 		return nil
 	})
-	res := Inconsistency(f, states, in, Options{HangTimeout: 20 * time.Millisecond})
+	res := Inconsistency(f, states, in, Options{})
 	if res.Status != core.StatusBug || !res.RecoveryHung {
 		t.Fatalf("res = %+v, want hung bug", res)
 	}
@@ -305,8 +305,8 @@ func TestRecoveryPanicIsBug(t *testing.T) {
 	}
 }
 
-// TestSleepExceedingWallTimeoutIsBug: recovery sleeping past WallTimeout (but
-// far below HangTimeout, so the spin detector never fires) is a watchdog hang.
+// TestSleepExceedingWallTimeoutIsBug: recovery sleeping past WallTimeout (a
+// wait the spin detector cannot see) is a watchdog hang.
 func TestSleepExceedingWallTimeoutIsBug(t *testing.T) {
 	img, in := sideEffectImage(t)
 	base := runtime.NumGoroutine()
@@ -315,7 +315,7 @@ func TestSleepExceedingWallTimeoutIsBug(t *testing.T) {
 		return nil
 	})
 	res := Inconsistency(f, pmem.AdversarialState(img), in,
-		Options{WallTimeout: 50 * time.Millisecond, HangTimeout: time.Second})
+		Options{WallTimeout: 50 * time.Millisecond})
 	if res.Status != core.StatusBug || !res.RecoveryHung || !res.States[0].WallTimeout {
 		t.Fatalf("res = %+v, want wall-timeout bug", res)
 	}
@@ -335,19 +335,19 @@ func TestInstrumentedLoopCancelledAfterWallTimeout(t *testing.T) {
 		}
 	})
 	res := Inconsistency(f, pmem.AdversarialState(img), in,
-		Options{WallTimeout: 100 * time.Millisecond, HangTimeout: time.Minute})
+		Options{WallTimeout: 100 * time.Millisecond})
 	if res.Status != core.StatusBug || !res.RecoveryHung || !res.States[0].WallTimeout {
 		t.Fatalf("res = %+v, want wall-timeout bug", res)
 	}
 	waitGoroutines(t, base)
 }
 
-// TestDefaultHangTimeoutMatchesRuntime pins the satellite fix: validation
-// inherits the runtime's shared spin-lock default instead of a private 100ms.
+// TestDefaultHangTimeoutMatchesRuntime: validation runs recovery with the
+// runtime's spin-lock bound, rt.DefaultHangTimeout, and no shorter one.
 func TestDefaultHangTimeoutMatchesRuntime(t *testing.T) {
 	img, si := syncImage(t)
-	// A recovery that spins just under the runtime default must complete:
-	// with the old private 100ms default it would be declared hung.
+	// A recovery that waits half the runtime bound before taking a free
+	// lock must complete.
 	f := factoryOf(func(th *rt.Thread) error {
 		time.Sleep(rt.DefaultHangTimeout / 2)
 		th.SpinLock(192) // free line: acquires immediately
@@ -380,7 +380,7 @@ func TestRecoveryPoolNotReusedAfterWallTimeout(t *testing.T) {
 			th.Store64(pmem.Addr(i%(size/8))*8, ^i, taint.None, taint.None)
 		}
 	})
-	hung, wallTimedOut, err := RunRecovery(spin, pmem.ImageState("zero", false, make([]byte, size)), time.Minute, 50*time.Millisecond, func(*rt.Env) {
+	hung, wallTimedOut, err := RunRecovery(spin, pmem.ImageState("zero", false, make([]byte, size)), 50*time.Millisecond, func(*rt.Env) {
 		t.Errorf("inspection ran after a wall timeout")
 	})
 	if !hung || !wallTimedOut || err == nil {
@@ -398,7 +398,7 @@ func TestRecoveryPoolNotReusedAfterWallTimeout(t *testing.T) {
 			img[i] = byte(run*31 + i)
 		}
 		inspected := false
-		_, _, err := RunRecovery(idle, pmem.ImageState("image", true, img), 0, 0, func(env *rt.Env) {
+		_, _, err := RunRecovery(idle, pmem.ImageState("image", true, img), 0, func(env *rt.Env) {
 			inspected = true
 			p := env.Pool()
 			if p == bad {
@@ -468,11 +468,11 @@ func TestRunRecoverySeesEachStateImage(t *testing.T) {
 			st = pmem.ImageState("image", true, img)
 		}
 		want := st.Image()
-		_, _, err := RunRecovery(scribble, st, 0, 0, nil)
+		_, _, err := RunRecovery(scribble, st, 0, nil)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		_, _, err = RunRecovery(factoryOf(func(*rt.Thread) error { return nil }), st, 0, 0, func(env *rt.Env) {
+		_, _, err = RunRecovery(factoryOf(func(*rt.Thread) error { return nil }), st, 0, func(env *rt.Env) {
 			p := env.Pool()
 			if got := p.LoadBytes(0, size); !bytes.Equal(got, want) {
 				t.Fatalf("run %d: pool does not hold the state's image", run)
@@ -510,7 +510,7 @@ func BenchmarkRunRecovery(b *testing.B) {
 	f := factoryOf(func(*rt.Thread) error { return nil })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RunRecovery(f, st, 0, 0, nil); err != nil {
+		if _, _, err := RunRecovery(f, st, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

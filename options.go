@@ -97,12 +97,6 @@ func WithEADR() CampaignOption {
 	return func(c *campaignConfig) { c.spec.EADR = true }
 }
 
-// WithoutCheckpoints disables the in-memory pool checkpoints (Figure 10's
-// ablation).
-func WithoutCheckpoints() CampaignOption {
-	return func(c *campaignConfig) { c.spec.NoCheckpoints = true }
-}
-
 // WithWhitelist adds developer-specified benign patterns on top of the
 // default (mini-PMDK transactional allocation).
 func WithWhitelist(entries ...string) CampaignOption {
