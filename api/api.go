@@ -144,7 +144,9 @@ type Campaign struct {
 	Finished time.Time `json:"finished,omitempty"`
 	// Stats is the live snapshot (terminal campaigns: the final one).
 	Stats Stats `json:"stats"`
-	// Bugs lists confirmed bugs once the campaign is terminal. Bugs whose
+	// Bugs lists confirmed findings once the campaign is terminal, one per
+	// fingerprint; stats.bugs counts the groups they fall into (paper
+	// §6.2), so several findings can share one group site. Findings whose
 	// fingerprint an earlier campaign on the same target already reported
 	// are flagged Duplicate by the shared cross-campaign dedup store.
 	Bugs []Bug `json:"bugs,omitempty"`
@@ -152,16 +154,19 @@ type Campaign struct {
 	ArtifactCount int `json:"artifact_count,omitempty"`
 }
 
-// Bug is one confirmed bug in a campaign's inventory.
+// Bug is one confirmed finding in a campaign's inventory. Its kind, site
+// and summary are the class, site and summary of the finding's
+// bug_confirmed event and of its bundle's bug.json.
 type Bug struct {
-	// Fingerprint is the cross-process bug identity (the same string
+	// Fingerprint is the cross-process finding identity (the same string
 	// artifact bundles and replay match on).
 	Fingerprint string `json:"fingerprint"`
 	// Kind is "inter", "intra" or "sync".
 	Kind string `json:"kind"`
-	// Site is the grouping site (dirty store site, or sync-update site).
+	// Site is the group site the finding counts under: the non-persisted
+	// write site (inter/intra), or the sync-update site.
 	Site string `json:"site"`
-	// Summary is the one-line human report.
+	// Summary is the one-sentence human report.
 	Summary string `json:"summary"`
 	// Duplicate marks a bug first reported by an earlier campaign on the
 	// same target (FirstReportedBy names it).

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -159,11 +158,7 @@ func newCampaign(ctx context.Context, target string, options ...CampaignOption) 
 	events, _ := em.Subscribe(cfg.eventBuf)
 	fz.SetEmitter(em)
 
-	anomalies := ""
-	if opts.ArtifactDir != "" {
-		anomalies = filepath.Join(opts.ArtifactDir, "anomalies")
-	}
-	serve.StartTracer(fz, cfg.spec.TraceSample, "local", target, anomalies)
+	serve.StartTracer(fz, cfg.spec.TraceSample, "local", target)
 	c := &Campaign{fz: fz, em: em, ctx: ctx, events: events, done: make(chan struct{})}
 	// Closing the emitter after the terminal CampaignDone event drains and
 	// then closes the Events() channel, ending consumer range loops and SSE

@@ -160,24 +160,6 @@ type Bundle struct {
 // siteStr resolves a site ID to its stable file:line string.
 func siteStr(id site.ID) string { return site.Lookup(id).String() }
 
-// FingerprintInconsistency renders the cross-process identity of an
-// inter-/intra-thread inconsistency: kind plus the resolved write, read and
-// side-effect sites plus the flow kind. Replay matches on it.
-func FingerprintInconsistency(in *core.Inconsistency) string {
-	kind := "intra"
-	if in.Kind == core.KindInter {
-		kind = "inter"
-	}
-	return fmt.Sprintf("%s|%s->%s=>%s|%s", kind,
-		siteStr(site.ID(in.Event.WriteSite)), siteStr(site.ID(in.Event.ReadSite)),
-		siteStr(in.StoreSite), in.Flow)
-}
-
-// FingerprintSync is the synchronization-variable analogue.
-func FingerprintSync(si *core.SyncInconsistency) string {
-	return fmt.Sprintf("sync|%s@%s", si.Var.Name, siteStr(si.Site))
-}
-
 // Validation carries the post-failure run facts the report records.
 type Validation struct {
 	Latency      time.Duration
@@ -236,28 +218,23 @@ func ConvertDirty(words []pmem.DirtyWord) []DirtyWord {
 // FromInconsistency builds the report for a judged inter-/intra-thread
 // inconsistency.
 func FromInconsistency(target string, threads int, in *core.Inconsistency, st core.Status, v Validation) Report {
-	kind := "intra"
-	if in.Kind == core.KindInter {
-		kind = "inter"
-	}
 	return Report{
-		Schema:      SchemaVersion,
-		Fingerprint: FingerprintInconsistency(in),
-		Kind:        kind,
-		Status:      st.String(),
-		Target:      target,
-		Threads:     threads,
-		Flow:        in.Flow.String(),
-		External:    in.External,
-		WriteSite:   siteStr(site.ID(in.Event.WriteSite)),
-		ReadSite:    siteStr(site.ID(in.Event.ReadSite)),
-		StoreSite:   siteStr(in.StoreSite),
-		SideEffect:  &Range{Off: uint64(in.SideEffect.Off), Len: in.SideEffect.Len},
-		DirtyRange:  &Range{Off: uint64(in.DirtyRange.Off), Len: in.DirtyRange.Len},
-		Lineage:     ConvertLineage(in.Lineage),
-		Stack:       in.Stack,
-		Summary: fmt.Sprintf("durable side effect at %s based on non-persisted data written at %s (read at %s, %s flow)",
-			siteStr(in.StoreSite), siteStr(site.ID(in.Event.WriteSite)), siteStr(site.ID(in.Event.ReadSite)), in.Flow),
+		Schema:       SchemaVersion,
+		Fingerprint:  in.Fingerprint(),
+		Kind:         in.Class(),
+		Status:       st.String(),
+		Target:       target,
+		Threads:      threads,
+		Flow:         in.Flow.String(),
+		External:     in.External,
+		WriteSite:    siteStr(site.ID(in.Event.WriteSite)),
+		ReadSite:     siteStr(site.ID(in.Event.ReadSite)),
+		StoreSite:    siteStr(in.StoreSite),
+		SideEffect:   &Range{Off: uint64(in.SideEffect.Off), Len: in.SideEffect.Len},
+		DirtyRange:   &Range{Off: uint64(in.DirtyRange.Off), Len: in.DirtyRange.Len},
+		Lineage:      ConvertLineage(in.Lineage),
+		Stack:        in.Stack,
+		Summary:      in.Summary(),
 		Occurrences:  in.Count,
 		ValidationMs: float64(v.Latency.Microseconds()) / 1e3,
 		RecoveryHung: v.RecoveryHung,
@@ -268,21 +245,20 @@ func FromInconsistency(target string, threads int, in *core.Inconsistency, st co
 // FromSync builds the report for a judged synchronization inconsistency.
 func FromSync(target string, threads int, si *core.SyncInconsistency, st core.Status, v Validation) Report {
 	return Report{
-		Schema:      SchemaVersion,
-		Fingerprint: FingerprintSync(si),
-		Kind:        "sync",
-		Status:      st.String(),
-		Target:      target,
-		Threads:     threads,
-		SyncVar:     si.Var.Name,
-		SyncSite:    siteStr(si.Site),
-		SyncAddr:    uint64(si.Addr),
-		OldVal:      si.OldVal,
-		NewVal:      si.NewVal,
-		InitVal:     si.Var.InitVal,
-		Stack:       si.Stack,
-		Summary: fmt.Sprintf("persistent synchronization variable %q updated at %s survives restart",
-			si.Var.Name, siteStr(si.Site)),
+		Schema:       SchemaVersion,
+		Fingerprint:  si.Fingerprint(),
+		Kind:         si.Class(),
+		Status:       st.String(),
+		Target:       target,
+		Threads:      threads,
+		SyncVar:      si.Var.Name,
+		SyncSite:     siteStr(si.Site),
+		SyncAddr:     uint64(si.Addr),
+		OldVal:       si.OldVal,
+		NewVal:       si.NewVal,
+		InitVal:      si.Var.InitVal,
+		Stack:        si.Stack,
+		Summary:      si.Summary(),
 		Occurrences:  si.Count,
 		ValidationMs: float64(v.Latency.Microseconds()) / 1e3,
 		RecoveryHung: v.RecoveryHung,
@@ -306,8 +282,8 @@ type Writer struct {
 // fingerprints of existing bundles are loaded into the dedup set, so a
 // later campaign sharing the directory never rewrites a bug an earlier one
 // already bundled (the cross-campaign dedup the pmraced control plane
-// relies on). A bundle whose bug.json cannot be read is skipped for dedup
-// but still counts for numbering.
+// relies on). A bundle whose bug.json cannot be decoded is skipped for
+// dedup but still counts for numbering.
 func NewWriter(dir string) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: creating %s: %w", dir, err)
@@ -318,17 +294,13 @@ func NewWriter(dir string) (*Writer, error) {
 		return nil, fmt.Errorf("artifact: reading %s: %w", dir, err)
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		if e.IsDir() && strings.HasPrefix(e.Name(), ".") && strings.HasSuffix(e.Name(), tmpSuffix) {
+			// A staging area a previous writer abandoned mid-crash (bundles
+			// land via rename, so a completed one never keeps the prefix).
+			// Sweep it; it neither counts for numbering nor for dedup.
+			_ = os.RemoveAll(filepath.Join(dir, e.Name()))
 		}
-		if strings.HasPrefix(e.Name(), ".") {
-			// A dot-prefixed directory is a staging area a previous writer
-			// abandoned mid-crash (bundles land via rename, so a completed
-			// one never keeps the prefix). Sweep it; it neither counts for
-			// numbering nor for dedup.
-			if strings.HasSuffix(e.Name(), tmpSuffix) {
-				_ = os.RemoveAll(filepath.Join(dir, e.Name()))
-			}
+		if _, ok := bundleBug(dir, e); !ok {
 			continue
 		}
 		num, _, _ := strings.Cut(e.Name(), "-")
@@ -358,6 +330,37 @@ func (w *Writer) Count() int {
 // skip — a half-written bundle is invisible everywhere until it is renamed
 // into place.
 const tmpSuffix = ".tmp"
+
+// bundleBug is the one rule for what counts as a bundle: a directory entry
+// of dir, without the staging areas' leading dot, holding bug.json. It
+// returns bug.json's file info, whose modification time GC ages bundles by.
+func bundleBug(dir string, e os.DirEntry) (os.FileInfo, bool) {
+	if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
+		return nil, false
+	}
+	fi, err := os.Stat(filepath.Join(dir, e.Name(), BugFile))
+	return fi, err == nil
+}
+
+// ListBundles names the bundles directly under dir, oldest first (the
+// writer numbers them, so lexical order is chronological). A missing dir
+// holds none.
+func ListBundles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if _, ok := bundleBug(dir, e); ok {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
+}
 
 // Write persists the bundle as the next numbered directory and returns its
 // path; a bundle whose fingerprint was already written returns "" with no

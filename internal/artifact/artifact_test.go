@@ -60,18 +60,18 @@ func testBundle(t *testing.T) *Bundle {
 
 func TestFingerprintsUseResolvedSites(t *testing.T) {
 	in := testInconsistency(t)
-	fp := FingerprintInconsistency(in)
+	fp := in.Fingerprint()
 	want := "inter|writer.go:0->reader.go:0=>store.go:0|address"
 	if fp != want {
-		t.Fatalf("FingerprintInconsistency = %q, want %q", fp, want)
+		t.Fatalf("Inconsistency.Fingerprint = %q, want %q", fp, want)
 	}
 
 	si := &core.SyncInconsistency{
 		Var:  core.SyncVar{Name: "bucket-lock"},
 		Site: site.Named("lock.go"),
 	}
-	if fp := FingerprintSync(si); fp != "sync|bucket-lock@lock.go:0" {
-		t.Fatalf("FingerprintSync = %q", fp)
+	if fp := si.Fingerprint(); fp != "sync|bucket-lock@lock.go:0" {
+		t.Fatalf("SyncInconsistency.Fingerprint = %q", fp)
 	}
 }
 

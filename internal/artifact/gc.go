@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -79,9 +78,8 @@ func GC(root string, retain int, grace time.Duration) ([]string, error) {
 	return removed, nil
 }
 
-// findBundles walks up to depth levels below root collecting directories
-// that hold a bug.json. Dot-prefixed directories are Writer staging areas
-// (or foreign noise) and are skipped. A missing root yields no bundles.
+// findBundles walks up to depth levels below root collecting bundles (see
+// bundleBug). A missing root yields no bundles.
 func findBundles(root string, depth int) ([]bundleRef, error) {
 	entries, err := os.ReadDir(root)
 	if os.IsNotExist(err) {
@@ -92,15 +90,14 @@ func findBundles(root string, depth int) ([]bundleRef, error) {
 	}
 	var out []bundleRef
 	for _, e := range entries {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
-			continue
-		}
 		dir := filepath.Join(root, e.Name())
-		if fi, err := os.Stat(filepath.Join(dir, BugFile)); err == nil {
+		if fi, ok := bundleBug(root, e); ok {
 			out = append(out, bundleRef{path: dir, mod: fi.ModTime()})
 			continue
 		}
-		if depth > 1 {
+		// A staging area holds no bundle directories, so descending into
+		// one finds nothing.
+		if depth > 1 && e.IsDir() {
 			sub, err := findBundles(dir, depth-1)
 			if err != nil {
 				return nil, err

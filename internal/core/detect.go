@@ -127,6 +127,35 @@ func (in *Inconsistency) Key() [3]uint32 {
 	return inconKey(in.Event.WriteSite, in.StoreSite, in.Kind)
 }
 
+// Class is the finding's class label on every reporting surface: "inter"
+// or "intra".
+func (in *Inconsistency) Class() string {
+	if in.Kind == KindInter {
+		return "inter"
+	}
+	return "intra"
+}
+
+// GroupSite is the non-persisted write site the finding counts under as a
+// unique bug (paper §6.2).
+func (in *Inconsistency) GroupSite() site.ID { return site.ID(in.Event.WriteSite) }
+
+// Fingerprint is the cross-process identity of the finding: class plus the
+// resolved write, read and side-effect sites plus the flow kind. Replay,
+// bundle dedup and pmraced's cross-campaign dedup match on it.
+func (in *Inconsistency) Fingerprint() string {
+	return fmt.Sprintf("%s|%s->%s=>%s|%s", in.Class(),
+		site.Lookup(in.GroupSite()), site.Lookup(site.ID(in.Event.ReadSite)),
+		site.Lookup(in.StoreSite), in.Flow)
+}
+
+// Summary is the finding's one-sentence human report.
+func (in *Inconsistency) Summary() string {
+	return fmt.Sprintf("read non-persisted data written at %s (read at %s), durable side effect at %s (%s flow)",
+		site.Lookup(in.GroupSite()), site.Lookup(site.ID(in.Event.ReadSite)),
+		site.Lookup(in.StoreSite), in.Flow)
+}
+
 func inconKey(writeSite uint32, store site.ID, kind Kind) [3]uint32 {
 	k := uint32(0)
 	if kind == KindIntra {
@@ -223,6 +252,24 @@ type syncKey struct {
 }
 
 func (si *SyncInconsistency) key() syncKey { return syncKey{si.Var.Name, si.Site} }
+
+// Class is the synchronization finding's class label, "sync".
+func (si *SyncInconsistency) Class() string { return "sync" }
+
+// GroupSite is the update site reported as the finding's group site.
+func (si *SyncInconsistency) GroupSite() site.ID { return si.Site }
+
+// Fingerprint is the cross-process identity of the finding: the variable
+// name and the resolved update site.
+func (si *SyncInconsistency) Fingerprint() string {
+	return fmt.Sprintf("sync|%s@%s", si.Var.Name, site.Lookup(si.Site))
+}
+
+// Summary is the finding's one-sentence human report.
+func (si *SyncInconsistency) Summary() string {
+	return fmt.Sprintf("persistent synchronization variable %q updated at %s is not re-initialized after restart",
+		si.Var.Name, site.Lookup(si.Site))
+}
 
 // Detector implements the runtime PM checkers for one fuzz campaign.
 type Detector struct {

@@ -183,25 +183,13 @@ func (db *DB) MergeInconsistency(in *Inconsistency) (*JudgedInconsistency, bool)
 	em := db.em
 	db.mu.Unlock()
 	em.Emit(&obs.InconsistencyFound{
-		Class:     classOf(in.Kind),
+		Class:     in.Class(),
 		WriteSite: site.Lookup(site.ID(in.Event.WriteSite)).String(),
 		ReadSite:  site.Lookup(site.ID(in.Event.ReadSite)).String(),
 		StoreSite: site.Lookup(in.StoreSite).String(),
-		Flow:      strings.ToLower(in.Flow.String()),
+		Flow:      in.Flow.String(),
 	})
 	return j, true
-}
-
-// classOf maps a finding kind to its event-stream class label.
-func classOf(k Kind) string {
-	switch k {
-	case KindInter, KindInterCandidate:
-		return "inter"
-	case KindIntra, KindIntraCandidate:
-		return "intra"
-	default:
-		return "sync"
-	}
 }
 
 // HasInconsistency reports whether a finding with the given dedup key is
@@ -239,7 +227,7 @@ func (db *DB) MergeSync(si *SyncInconsistency) (*JudgedSync, bool) {
 	em := db.em
 	db.mu.Unlock()
 	em.Emit(&obs.InconsistencyFound{
-		Class:     "sync",
+		Class:     si.Class(),
 		StoreSite: site.Lookup(si.Site).String(),
 		Var:       si.Var.Name,
 	})
@@ -255,10 +243,9 @@ func (db *DB) Judge(j *JudgedInconsistency, st Status) {
 	db.mu.Unlock()
 	if st == StatusBug {
 		em.Emit(&obs.BugConfirmed{
-			Class: classOf(j.Kind),
-			Site:  site.Lookup(site.ID(j.Event.WriteSite)).String(),
-			Summary: fmt.Sprintf("durable side effect at %s based on non-persisted data from %s",
-				site.Lookup(j.StoreSite), site.Lookup(site.ID(j.Event.WriteSite))),
+			Class:   j.Class(),
+			Site:    site.Lookup(j.GroupSite()).String(),
+			Summary: j.Summary(),
 		})
 	}
 }
@@ -271,11 +258,10 @@ func (db *DB) JudgeSync(j *JudgedSync, st Status) {
 	db.mu.Unlock()
 	if st == StatusBug {
 		em.Emit(&obs.BugConfirmed{
-			Class: "sync",
-			Site:  site.Lookup(j.Site).String(),
-			Var:   j.Var.Name,
-			Summary: fmt.Sprintf("persistent synchronization variable %q updated at %s survives restart",
-				j.Var.Name, site.Lookup(j.Site)),
+			Class:   j.Class(),
+			Site:    site.Lookup(j.GroupSite()).String(),
+			Var:     j.Var.Name,
+			Summary: j.Summary(),
 		})
 	}
 }
@@ -422,13 +408,7 @@ func (db *DB) uniqueBugsLocked() []UniqueBug {
 		key := fmt.Sprintf("%s/%d", j.Kind, j.Event.WriteSite)
 		g, ok := groups[key]
 		if !ok {
-			g = &group{
-				kind: j.Kind,
-				site: site.ID(j.Event.WriteSite),
-				summary: fmt.Sprintf("read non-persisted data written at %s (read at %s), durable side effect at %s (%s flow)",
-					site.Lookup(site.ID(j.Event.WriteSite)), site.Lookup(site.ID(j.Event.ReadSite)),
-					site.Lookup(j.StoreSite), j.Flow),
-			}
+			g = &group{kind: j.Kind, site: j.GroupSite(), summary: j.Summary()}
 			groups[key] = g
 			order = append(order, key)
 		}
@@ -442,12 +422,7 @@ func (db *DB) uniqueBugsLocked() []UniqueBug {
 		key := "sync/" + j.Var.Name
 		g, ok := groups[key]
 		if !ok {
-			g = &group{
-				kind:    KindSync,
-				site:    j.Site,
-				varName: j.Var.Name,
-				summary: fmt.Sprintf("persistent synchronization variable %q updated at %s is not re-initialized after restart", j.Var.Name, site.Lookup(j.Site)),
-			}
+			g = &group{kind: KindSync, site: j.GroupSite(), varName: j.Var.Name, summary: j.Summary()}
 			groups[key] = g
 			order = append(order, key)
 		}

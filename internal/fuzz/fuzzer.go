@@ -572,9 +572,11 @@ func (f *Fuzzer) seedCampaign(rng *rand.Rand, worker int) error {
 				o := pm.Outcome()
 				tested = tested || !o.Starved()
 				if o.Disabled {
-					// Pitfall-3: save an increased skip so
-					// future campaigns on this seed bypass
-					// the blocking cond_wait executions.
+					// Pitfall-3: raise the sync point's skip
+					// count, kept per address for the rest
+					// of the campaign whatever the seed, so
+					// later rounds on it bypass the blocking
+					// cond_wait executions.
 					f.addSkip(entry.Addr, o.CondWaits)
 				}
 			}
@@ -795,19 +797,6 @@ func (f *Fuzzer) runOne(seed *workload.Seed, strat sched.Strategy, worker int) (
 		Syncs:           len(res.Syncs),
 		Duration:        res.Duration,
 	})
-	// Anomaly triggers: a hang-watchdog trip or an execution beyond the
-	// campaign's p99.9 latency dumps the flight recorder (rate-limited, and
-	// only once the histogram has enough mass to make p99.9 meaningful).
-	if f.tr.Enabled() {
-		if len(res.Hangs) > 0 {
-			f.tr.DumpAnomaly("exec_hang")
-		}
-		if h := f.em.Registry().Histogram(obs.SpanHistName(obs.SpanExecRun)); h.Count() >= 256 {
-			if p := h.Quantile(0.999); p > 0 && res.Duration > p {
-				f.tr.DumpAnomaly("exec_latency_p999")
-			}
-		}
-	}
 	// Validation follows exec_done, so Stats.Execs counts an execution as
 	// soon as it ran, however long its recovery runs take.
 	if len(jobs) > 0 {

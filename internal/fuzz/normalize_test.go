@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pmrace-go/pmrace/internal/artifact"
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/instr"
 	_ "github.com/pmrace-go/pmrace/internal/targets/pclht"
@@ -86,12 +85,12 @@ func campaignFingerprints(t *testing.T, name string, seed int64) []string {
 	var fps []string
 	for _, j := range res.DB.Inconsistencies() {
 		if j.Status == core.StatusBug {
-			fps = append(fps, NormalizeFingerprint(artifact.FingerprintInconsistency(j.Inconsistency)))
+			fps = append(fps, NormalizeFingerprint(j.Fingerprint()))
 		}
 	}
 	for _, j := range res.DB.Syncs() {
 		if j.Status == core.StatusBug {
-			fps = append(fps, NormalizeFingerprint(artifact.FingerprintSync(j.SyncInconsistency)))
+			fps = append(fps, NormalizeFingerprint(j.Fingerprint()))
 		}
 	}
 	return fps

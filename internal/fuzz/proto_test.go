@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pmrace-go/pmrace/internal/artifact"
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/rt"
 	"github.com/pmrace-go/pmrace/internal/sched"
@@ -166,14 +165,14 @@ func campaignDetections(t *testing.T, protocol bool) (map[string]bool, map[strin
 	detected := map[string]bool{}
 	confirmed := map[string]bool{}
 	for _, j := range res.DB.Inconsistencies() {
-		fp := NormalizeFingerprint(artifact.FingerprintInconsistency(j.Inconsistency))
+		fp := NormalizeFingerprint(j.Fingerprint())
 		detected[fp] = true
 		if j.Status == core.StatusBug {
 			confirmed[fp] = true
 		}
 	}
 	for _, j := range res.DB.Syncs() {
-		fp := NormalizeFingerprint(artifact.FingerprintSync(j.SyncInconsistency))
+		fp := NormalizeFingerprint(j.Fingerprint())
 		detected[fp] = true
 		if j.Status == core.StatusBug {
 			confirmed[fp] = true

@@ -162,10 +162,10 @@ func ReplayArtifact(target string, b *artifact.Bundle, maxEntries int) (*ReplayR
 			}
 		}
 		for _, c := range res.Inconsistencies {
-			record(artifact.FingerprintInconsistency(c.In))
+			record(c.In.Fingerprint())
 		}
 		for _, c := range res.Syncs {
-			record(artifact.FingerprintSync(c.Si))
+			record(c.Si.Fingerprint())
 		}
 		return hit
 	}

@@ -7,8 +7,8 @@ import (
 
 // FlightRecorder keeps the last N completed spans in one ring buffer under
 // one mutex. Recording is O(1) with one short critical section; Snapshot
-// sorts into start order and is only taken on anomaly dumps, timeline
-// exports and bundle writes — the rare path pays for the hot path.
+// sorts into start order and is only taken on timeline exports and bundle
+// writes — the rare path pays for the hot path.
 type FlightRecorder struct {
 	mu   sync.Mutex
 	buf  []Span

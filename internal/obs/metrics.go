@@ -206,19 +206,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Quantile returns the bucket-upper-bound approximation of the q-quantile
-// over all observations so far (0 when empty).
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	count := h.count.Load()
-	if count == 0 {
-		return 0
-	}
-	return h.quantile(count, q)
-}
-
 // quantile returns the upper bound of the bucket containing the q-quantile.
 func (h *Histogram) quantile(count int64, q float64) time.Duration {
 	rank := int64(q * float64(count))

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,8 +11,9 @@ import (
 // Span tracing: the campaign's wall-clock attribution layer. A Span records
 // where one stage of the schedule → execute → detect → validate lifecycle
 // spent its time; completed spans land in the flight recorder (last-N ring,
-// dumped on anomaly and exported as the timeline). Each stage has one latency
-// histogram, span_<name>; tracedStages says which ones the tracer writes.
+// snapshotted into bug bundles and exported as the timeline). Each stage has
+// one latency histogram, span_<name>; tracedStages says which ones the
+// tracer writes.
 // The subsystem is stdlib-only; a campaign without tracing has a nil
 // *Tracer, whose methods are a nil check. The per-access PM hooks are never
 // on the span path.
@@ -95,12 +93,8 @@ const (
 const DefaultTraceSample = 8
 
 // defaultFlightSpans sizes the flight recorder: the last-N completed spans
-// kept for anomaly dumps and timeline export.
+// kept for bundle spans.json snapshots and timeline export.
 const defaultFlightSpans = 4096
-
-// maxAnomalyDumps bounds standalone anomaly dumps per tracer, so a
-// pathological campaign (every exec beyond p99.9) cannot fill the disk.
-const maxAnomalyDumps = 8
 
 // Span is one completed span record as the flight recorder stores it and
 // spans.json serializes it.
@@ -144,10 +138,8 @@ type Tracer struct {
 	// NewTracer and read-only after; other names map to nil (no-op).
 	hists map[string]*Histogram
 
-	mu         sync.Mutex
-	meta       TraceMeta
-	anomalyDir string
-	anomalies  int
+	mu   sync.Mutex
+	meta TraceMeta
 }
 
 // NewTracer creates a tracer recording into reg's span histograms (reg may
@@ -191,19 +183,6 @@ func (t *Tracer) Meta() TraceMeta {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.meta
-}
-
-// SetAnomalyDir routes standalone anomaly dumps (hang-watchdog trips,
-// p99.9 outlier executions) into dir, created on first dump. Empty keeps
-// anomaly dumps disabled; confirmed-bug dumps ride the artifact bundle
-// regardless.
-func (t *Tracer) SetAnomalyDir(dir string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.anomalyDir = dir
-	t.mu.Unlock()
 }
 
 // Sample reports whether the next execution should record detailed spans:
@@ -266,56 +245,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		return fmt.Errorf("obs: tracing disabled")
 	}
 	return WriteChromeTrace(w, t.Spans(), t.Meta())
-}
-
-// AnomalyDump is the standalone anomaly-dump document (and the spans.json
-// schema inside artifact bundles, with Reason "bug_confirmed").
-type AnomalyDump struct {
-	Schema   int    `json:"schema"`
-	Campaign string `json:"campaign,omitempty"`
-	Target   string `json:"target,omitempty"`
-	Reason   string `json:"reason"`
-	Spans    []Span `json:"spans"`
-}
-
-// DumpAnomaly writes the flight recorder's last-N spans as a standalone
-// anomaly dump named after reason. Dumps are rate-limited to
-// maxAnomalyDumps per tracer and dropped when no anomaly directory is
-// configured; both make the call safe on hot-ish paths.
-func (t *Tracer) DumpAnomaly(reason string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	dir := t.anomalyDir
-	if dir == "" || t.anomalies >= maxAnomalyDumps {
-		t.mu.Unlock()
-		return
-	}
-	t.anomalies++
-	n := t.anomalies
-	meta := t.meta
-	t.mu.Unlock()
-
-	dump := AnomalyDump{
-		Schema:   1,
-		Campaign: meta.Campaign,
-		Target:   meta.Target,
-		Reason:   reason,
-		Spans:    t.flight.Snapshot(),
-	}
-	if dump.Spans == nil {
-		dump.Spans = []Span{}
-	}
-	data, err := json.MarshalIndent(dump, "", "  ")
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	path := filepath.Join(dir, fmt.Sprintf("anomaly-%03d-%s.json", n, reason))
-	_ = os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // SpanCtx is an open span handle. The zero value is inert: every method is

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -70,8 +68,6 @@ func TestTracerDisabledAndNil(t *testing.T) {
 		t.Fatal("nil tracer must be inert")
 	}
 	nilTr.SetMeta("x", "y")
-	nilTr.SetAnomalyDir("/nope")
-	nilTr.DumpAnomaly("r")
 	sp := nilTr.Start(0, SpanCampaign)
 	sp.SetAttr("k", "v")
 	sp.SetExec(1)
@@ -143,12 +139,10 @@ func BenchmarkFlightRecord(b *testing.B) {
 }
 
 // TestFlightRecorderConcurrent stress-tests the recorder under -race:
-// concurrent recording, snapshotting and anomaly dumping must be safe.
+// concurrent recording and snapshotting must be safe.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	dir := t.TempDir()
 	tr := NewTracer(NewRegistry(), 1)
 	tr.SetMeta("c0001", "pclht")
-	tr.SetAnomalyDir(dir)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -169,51 +163,13 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				_ = tr.Spans()
-				tr.DumpAnomaly("stress")
 			}
 		}()
 	}
 	wg.Wait()
 
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 || len(files) > maxAnomalyDumps {
-		t.Fatalf("wrote %d anomaly dumps, want 1..%d", len(files), maxAnomalyDumps)
-	}
-	var dump AnomalyDump
-	raw, err := os.ReadFile(filepath.Join(dir, files[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatal(err)
-	}
-	if dump.Schema != 1 || dump.Reason != "stress" || dump.Campaign != "c0001" {
-		t.Fatalf("dump header %+v", dump)
-	}
-}
-
-// TestAnomalyDumpGating checks anomaly dumps are dropped without a directory
-// and rate-limited with one.
-func TestAnomalyDumpGating(t *testing.T) {
-	tr := NewTracer(nil, 1)
-	sp := tr.Start(0, SpanCampaign)
-	sp.End()
-	tr.DumpAnomaly("no_dir") // no directory configured: silently dropped
-
-	dir := t.TempDir()
-	tr.SetAnomalyDir(dir)
-	for i := 0; i < maxAnomalyDumps+5; i++ {
-		tr.DumpAnomaly("hang")
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != maxAnomalyDumps {
-		t.Fatalf("wrote %d dumps, want the %d-dump rate limit", len(files), maxAnomalyDumps)
+	if n := len(tr.Spans()); n != defaultFlightSpans {
+		t.Fatalf("flight recorder holds %d spans after 8,000, want its %d-span capacity", n, defaultFlightSpans)
 	}
 }
 

@@ -44,9 +44,10 @@ func DefaultConfig() Config {
 }
 
 // Outcome summarizes one execution under the PM-aware strategy, feeding the
-// per-seed skip bookkeeping (Pitfall-3): when a sync point was disabled, the
-// fuzzer saves an increased initial skip so future campaigns on the same seed
-// do not block on the same cond_wait executions.
+// skip bookkeeping (Pitfall-3): when a sync point was disabled, the fuzzer
+// raises the skip count it keeps for that sync-point address, campaign-wide
+// and across seeds, so later executions targeting the address do not block
+// on the same cond_wait executions.
 type Outcome struct {
 	// CondWaits is the number of cond_wait executions that entered the
 	// waiting path.
@@ -284,7 +285,8 @@ func (p *PMAware) condWait(t pmem.ThreadID) {
 		return
 	}
 	// sync.skip > 0: this cond_wait execution is skipped (Pitfall-3
-	// bookkeeping from earlier campaigns on the same seed).
+	// bookkeeping: the skip count the fuzzer keeps for this sync-point
+	// address, accumulated over the campaign's earlier executions).
 	for {
 		cur := p.skip.Load()
 		if cur == 0 {

@@ -8,7 +8,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"github.com/pmrace-go/pmrace/api"
 	"github.com/pmrace-go/pmrace/internal/artifact"
@@ -235,7 +234,7 @@ func (s *Supervisor) handleArtifactList(w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusOK, []api.ArtifactInfo{})
 		return
 	}
-	names, err := listBundles(c.artDir)
+	names, err := artifact.ListBundles(c.artDir)
 	if err != nil {
 		writeErr(w, &api.Error{StatusCode: 500, Code: api.CodeInternal, Message: err.Error()})
 		return
@@ -251,7 +250,6 @@ func (s *Supervisor) handleArtifactList(w http.ResponseWriter, r *http.Request) 
 		}
 		infos = append(infos, info)
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, infos)
 }
 

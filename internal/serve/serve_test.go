@@ -478,6 +478,95 @@ func TestCrossCampaignDedupAndArtifacts(t *testing.T) {
 	}
 }
 
+// TestFindingNamedAlikeOnEverySurface pins one name per finding: every
+// confirmed finding of a traced pclht campaign with artifacts carries the
+// same class, group site and summary in its bug_confirmed event, its
+// api.Bug inventory entry and its bundle's bug.json, and the inventory and
+// the bundle carry the same fingerprint.
+func TestFindingNamedAlikeOnEverySurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fuzzing campaign")
+	}
+	_, cl := newTestServer(t, serve.Config{WorkerBudget: 2})
+	ctx := context.Background()
+
+	// The campaign queues behind a blocker so the SSE subscriber attaches
+	// before its first event (see TestSSEParityWithInProcess).
+	blockSpec := bigSpec(2)
+	blockSpec.Target = "clevel"
+	blocker, err := cl.Submit(ctx, blockSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := cl.Submit(ctx, api.CampaignSpec{Target: "pclht", Workers: 2,
+		MaxExecs: 300, Duration: time.Minute, Seed: 3, Artifacts: true, TraceSample: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, errFn, err := cl.Events(ctx, doc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Cancel(ctx, blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	type name struct{ class, site, summary string }
+	confirmed := map[name]int{}
+	for ev := range events {
+		if bc, ok := ev.(*obs.BugConfirmed); ok {
+			confirmed[name{bc.Class, bc.Site, bc.Summary}]++
+		}
+	}
+	if err := errFn(); err != nil {
+		t.Fatal(err)
+	}
+	final, err := cl.Wait(ctx, doc.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(final.Bugs) == 0 {
+		t.Fatal("campaign confirmed no bugs, cannot compare surfaces")
+	}
+
+	arts, err := cl.Artifacts(ctx, doc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundles := map[string]name{}
+	for _, a := range arts {
+		b, err := cl.Artifact(ctx, doc.ID, a.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		str := func(k string) string { v, _ := b.Bug[k].(string); return v }
+		group := str("write_site")
+		if str("kind") == "sync" {
+			group = str("sync_site")
+		}
+		bundles[str("fingerprint")] = name{str("kind"), group, str("summary")}
+	}
+	if len(bundles) != len(final.Bugs) {
+		t.Fatalf("%d bundles for %d inventory entries", len(bundles), len(final.Bugs))
+	}
+	for _, b := range final.Bugs {
+		inv := name{b.Kind, b.Site, b.Summary}
+		if got, ok := bundles[b.Fingerprint]; !ok {
+			t.Errorf("inventory entry %s has no bundle", b.Fingerprint)
+		} else if got != inv {
+			t.Errorf("%s: bug.json names it %+v, api.Bug %+v", b.Fingerprint, got, inv)
+		}
+		if confirmed[inv] == 0 {
+			t.Errorf("%s: no bug_confirmed event names it %+v (events: %+v)", b.Fingerprint, inv, confirmed)
+		}
+		confirmed[inv]--
+	}
+	for n, left := range confirmed {
+		if left != 0 {
+			t.Errorf("bug_confirmed %+v seen %d more times than the inventory lists it", n, left)
+		}
+	}
+}
+
 // TestMetricsLabeledByCampaign asserts /metrics merges every campaign's
 // registry into one exposition with campaign/target labels.
 func TestMetricsLabeledByCampaign(t *testing.T) {

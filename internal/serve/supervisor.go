@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -221,15 +220,13 @@ func FuzzOptions(base fuzz.Options, spec api.CampaignSpec) (fuzz.Options, error)
 }
 
 // StartTracer gives fz a span tracer sampling every rate-th execution, named
-// after campaign id and target, that dumps its flight recorder on anomalies
-// into anomalyDir ("" keeps dumps off). A rate <= 0 leaves fz untraced.
-func StartTracer(fz *fuzz.Fuzzer, rate int, id, target, anomalyDir string) {
+// after campaign id and target. A rate <= 0 leaves fz untraced.
+func StartTracer(fz *fuzz.Fuzzer, rate int, id, target string) {
 	if rate <= 0 {
 		return
 	}
 	tr := obs.NewTracer(fz.Emitter().Registry(), rate)
 	tr.SetMeta(id, target)
-	tr.SetAnomalyDir(anomalyDir)
 	fz.SetTracer(tr)
 }
 
@@ -280,7 +277,7 @@ func (s *Supervisor) Submit(spec api.CampaignSpec) (api.Campaign, error) {
 	if spec.TraceSample != 0 {
 		sample = spec.TraceSample
 	}
-	StartTracer(fz, sample, id, spec.Target, filepath.Join(s.cfg.DataDir, "anomalies", id))
+	StartTracer(fz, sample, id, spec.Target)
 
 	c, err := s.enter(context.Background(), id, spec, fz, func(c *campaign) {
 		// The queue_wait span measures admission latency: opened here,
@@ -446,33 +443,16 @@ func (s *Supervisor) dedupBugs(c *campaign, res *fuzz.Result) []api.Bug {
 	}
 	var bugs []api.Bug
 	for _, j := range res.DB.Inconsistencies() {
-		if j.Status != core.StatusBug {
-			continue
+		if j.Status == core.StatusBug {
+			bugs = append(bugs, api.Bug{Fingerprint: j.Fingerprint(), Kind: j.Class(),
+				Site: site.Lookup(j.GroupSite()).String(), Summary: j.Summary()})
 		}
-		kind := "intra"
-		if j.Kind == core.KindInter {
-			kind = "inter"
-		}
-		st := site.Lookup(j.StoreSite).String()
-		bugs = append(bugs, api.Bug{
-			Fingerprint: artifact.FingerprintInconsistency(j.Inconsistency),
-			Kind:        kind,
-			Site:        st,
-			Summary: fmt.Sprintf("durable side effect at %s based on non-persisted data (%s flow)",
-				st, j.Flow),
-		})
 	}
 	for _, j := range res.DB.Syncs() {
-		if j.Status != core.StatusBug {
-			continue
+		if j.Status == core.StatusBug {
+			bugs = append(bugs, api.Bug{Fingerprint: j.Fingerprint(), Kind: j.Class(),
+				Site: site.Lookup(j.GroupSite()).String(), Summary: j.Summary()})
 		}
-		st := site.Lookup(j.Site).String()
-		bugs = append(bugs, api.Bug{
-			Fingerprint: artifact.FingerprintSync(j.SyncInconsistency),
-			Kind:        "sync",
-			Site:        st,
-			Summary:     fmt.Sprintf("sync variable %s persisted at %s", j.Var.Name, st),
-		})
 	}
 
 	s.mu.Lock()
@@ -503,7 +483,7 @@ func (s *Supervisor) document(c *campaign) api.Campaign {
 		doc.Bugs = append([]api.Bug(nil), c.restored.Bugs...)
 		if c.artDir != "" {
 			doc.ArtifactCount = 0
-			if names, err := listBundles(c.artDir); err == nil {
+			if names, err := artifact.ListBundles(c.artDir); err == nil {
 				doc.ArtifactCount = len(names)
 			}
 		}
@@ -529,7 +509,7 @@ func (s *Supervisor) document(c *campaign) api.Campaign {
 		doc.Error = cerr.Error()
 	}
 	if c.artDir != "" {
-		if names, err := listBundles(c.artDir); err == nil {
+		if names, err := artifact.ListBundles(c.artDir); err == nil {
 			doc.ArtifactCount = len(names)
 		}
 	}
@@ -700,29 +680,4 @@ func (s *Supervisor) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// listBundles names the artifact bundles under dir, oldest first (the
-// writer numbers them, so lexical order is chronological).
-func listBundles(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		// Dot-prefixed directories are the artifact writer's staging areas:
-		// a bundle mid-write, not yet renamed into place.
-		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, e.Name(), artifact.BugFile)); err == nil {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pmrace-go/pmrace/internal/artifact"
 	"github.com/pmrace-go/pmrace/internal/core"
 	"github.com/pmrace-go/pmrace/internal/fuzz"
 	"github.com/pmrace-go/pmrace/internal/pmem"
@@ -451,7 +450,7 @@ func TestPMWALSeededBugs(t *testing.T) {
 			if j.Status != core.StatusBug {
 				continue
 			}
-			fp := fuzz.NormalizeFingerprint(artifact.FingerprintInconsistency(j.Inconsistency))
+			fp := fuzz.NormalizeFingerprint(j.Fingerprint())
 			kind, rest, _ := strings.Cut(fp, "|")
 			write, _, _ := strings.Cut(rest, "->")
 			groups[kind+"|"+write] = true

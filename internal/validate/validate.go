@@ -116,10 +116,7 @@ func aggregate(r Result) Result {
 func Inconsistency(factory targets.Factory, states []pmem.CrashState, in *core.Inconsistency, opts Options) Result {
 	started := time.Now()
 	sp := opts.Trace.Start(opts.TraceLane, obs.SpanValidate)
-	class := "intra"
-	if in.Kind == core.KindInter {
-		class = "inter"
-	}
+	class := in.Class()
 	if opts.Whitelist != nil && opts.Whitelist.MatchInconsistency(in) {
 		return opts.finish(&sp, class, Result{Status: core.StatusWhitelistedFP}, started)
 	}
@@ -153,7 +150,7 @@ func Sync(factory targets.Factory, states []pmem.CrashState, si *core.SyncIncons
 	started := time.Now()
 	sp := opts.Trace.Start(opts.TraceLane, obs.SpanValidate)
 	if opts.Whitelist != nil && opts.Whitelist.MatchStack(si.Stack) {
-		return opts.finish(&sp, "sync", Result{Status: core.StatusWhitelistedFP}, started)
+		return opts.finish(&sp, si.Class(), Result{Status: core.StatusWhitelistedFP}, started)
 	}
 	var res Result
 	for _, st := range states {
@@ -167,7 +164,7 @@ func Sync(factory targets.Factory, states []pmem.CrashState, si *core.SyncIncons
 			return core.StatusBug
 		}))
 	}
-	return opts.finish(&sp, "sync", aggregate(res), started)
+	return opts.finish(&sp, si.Class(), aggregate(res), started)
 }
 
 // judgeState runs one state's recovery under the watchdog and applies the
@@ -189,9 +186,6 @@ func (o Options) judgeState(factory targets.Factory, st pmem.CrashState, parent 
 	reg.Histogram(obs.SpanHistName(obs.SpanValidateState)).Observe(v.Latency)
 	if wallTimedOut {
 		reg.Counter(obs.MValidateWallTimeouts).Inc()
-		// A watchdog trip is an anomaly worth forensics even when the
-		// verdict is a bug anyway: dump the flight recorder.
-		o.Trace.DumpAnomaly("validate_wall_timeout")
 	}
 	v.WallTimeout = wallTimedOut
 	switch {

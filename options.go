@@ -143,8 +143,8 @@ func WithHTTPAddr(addr string) CampaignOption {
 // WithTracing enables span tracing: the campaign records a timeline of
 // supervisor, worker, validation and crash-enumeration spans into a bounded
 // flight recorder, exports it as Chrome trace-event JSON (Perfetto-viewable
-// via the API's /trace route or `pmrace trace`), and
-// dumps the recorder on anomalies. sampleN selects which executions record
+// via the API's /trace route or `pmrace trace`), and snapshots it into each
+// artifact bundle's spans.json. sampleN selects which executions record
 // per-exec spans (every Nth; campaign-level and validation spans are always
 // on); sampleN <= 0 picks the default rate (every 8th execution).
 func WithTracing(sampleN int) CampaignOption {
